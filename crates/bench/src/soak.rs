@@ -10,12 +10,23 @@
 //! * **Template sharing** — each scenario's profile runs once (via the
 //!   fleet's [`ProfileCache`], so e.g. HD4995's namespace synthesis hits
 //!   its process-wide memo) and is distilled into one immutable
-//!   [`SoakTemplate`], `Arc`-shared by every shard. Per-tenant marginal
-//!   cost is a 40-byte slab entry, not a plant.
+//!   [`SoakTemplate`], `Arc`-shared by every shard, with its law
+//!   constants precomputed once.
 //! * **Batched dispatch** — tenants are hashed into cohorts by sensing
 //!   period and driven by [`run_cohort_calendar`]: the simkernel heap
 //!   carries one event per (cohort, tick), the callback sweeps the
-//!   cohort's slab, and idle (churned-out) tenants cost one branch.
+//!   cohort's lanes, and idle (churned-out) tenants cost one branch.
+//! * **Struct-of-arrays lanes** — a chunk's tenants live in per-cohort
+//!   lanes, not per-tenant records: a hoisted jitter key
+//!   ([`TrafficShape::jitter_key`]) and a weight per tenant, then the
+//!   arm's state — one actuated setting on the clean arm, a
+//!   [`SoakSlab`] plus its hoisted fault schedule
+//!   ([`TenantFaultWindows::schedule`]) on a fault arm. Residents fill
+//!   the first lanes and skip the churn test; only churners carry a
+//!   window. That is 24 bytes per resident on the clean arm (+16 per
+//!   churner) and 88 on a fault arm, against the 96-byte record every
+//!   tenant carried before. Each tick's overshoots reach the cohort
+//!   sketch in one batch ([`QuantileSketch::record_all`]).
 //! * **Stateless traffic** — diurnal wave, flash crowd, churn, and
 //!   per-tenant zipfian weights all come from [`TrafficShape`]'s pure
 //!   per-`(seed, tenant, epoch)` hashes, so chunked parallel execution
@@ -123,8 +134,8 @@ pub struct SoakConfig {
     /// tenant roster and report entries.
     pub arms: Vec<Option<FaultClass>>,
     /// Guard ladder configuration for the fault arms (the clean arm
-    /// runs the bare law and never consults it). Stored encoded in
-    /// every tenant's slab.
+    /// runs the bare law and never consults it). Run-wide: each chunk
+    /// round-trips it through its `u32` encoding once.
     pub guard: SlabGuardPolicy,
 }
 
@@ -211,18 +222,117 @@ pub fn build_templates(seed: u64) -> Vec<SoakScenario> {
         .collect()
 }
 
-/// A tenant's slab state: everything the sweep loop touches. The clean
-/// arm reads only `slab.setting` (PR 8's two-f64 hot set); the fault
-/// arms use the full guard slab plus the encoded policy word.
-struct Tenant {
-    id: u64,
-    weight: f64,
-    arrive_us: u64,
-    depart_us: u64,
-    /// [`SlabGuardPolicy`], encoded — the compressed guard rides in the
-    /// slab itself.
-    policy: u32,
-    slab: SoakSlab,
+/// One cohort's tenants in a chunk, as struct-of-arrays lanes: lane
+/// `i` of every vector is one tenant. Everything per-tenant-constant is
+/// hashed once when the lanes are built, so a sweep touches only what
+/// changes per decision. Resident tenants (the ~75 % that never churn)
+/// fill lanes `0..residents` and skip the arrival/departure test; lane
+/// `residents + k` churns over `window[k]`.
+struct Lanes<S> {
+    /// [`TrafficShape::jitter_key`] per tenant.
+    jitter: Vec<u64>,
+    /// Popularity weight per tenant.
+    weight: Vec<f64>,
+    /// The arm's per-tenant state: the actuated setting on the clean
+    /// arm, the guard slab and hoisted fault schedule on a fault arm.
+    state: Vec<S>,
+    /// Lanes `0..residents` are resident for the whole run.
+    residents: usize,
+    /// Churners' `[arrive_us, depart_us)` windows, in lane order.
+    window: Vec<(u64, u64)>,
+}
+
+/// The churn window of a tenant resident for the whole run.
+const RESIDENT: (u64, u64) = (0, u64::MAX);
+
+/// Lanes the tenants of `item` into their cohorts, `make(cohort, id)`
+/// giving each its arm state: count every cohort's residents and
+/// churners, size the lanes exactly, then fill them residents first.
+fn build_lanes<S>(
+    config: &SoakConfig,
+    item: &SoakItem,
+    make: impl Fn(usize, u64) -> S,
+) -> Vec<Lanes<S>> {
+    let n_cohorts = config.periods_us.len();
+    let seed = shard_seed(config.seed, item.scenario as u64);
+    let dist = KeyDistribution::ycsb_default(10_000);
+    let traffic = &config.traffic;
+    let ids = item.start..item.start + item.len;
+    let cohort_of = |id: u64| (shard_seed(seed, id) % n_cohorts as u64) as usize;
+    let window_of = |id: u64| traffic.churn_window(seed, id, config.horizon_us);
+    let mut sizes = vec![(0, 0); n_cohorts];
+    for id in ids.clone() {
+        let (all, churners) = &mut sizes[cohort_of(id)];
+        *all += 1;
+        *churners += (window_of(id) != RESIDENT) as usize;
+    }
+    let mut lanes: Vec<Lanes<S>> = sizes
+        .iter()
+        .map(|&(all, churners)| Lanes {
+            jitter: Vec::with_capacity(all),
+            weight: Vec::with_capacity(all),
+            state: Vec::with_capacity(all),
+            residents: all - churners,
+            window: Vec::with_capacity(churners),
+        })
+        .collect();
+    for churners in [false, true] {
+        for id in ids.clone() {
+            let window = window_of(id);
+            if (window != RESIDENT) != churners {
+                continue;
+            }
+            let cohort = cohort_of(id);
+            let l = &mut lanes[cohort];
+            l.jitter.push(TrafficShape::jitter_key(seed, id));
+            l.weight.push(traffic.tenant_weight(seed, id, &dist));
+            l.state.push(make(cohort, id));
+            if churners {
+                l.window.push(window);
+            }
+        }
+    }
+    lanes
+}
+
+impl<S> Lanes<S> {
+    /// One tick's sweep at `now`: `decide(jitter_key, weight, state)`
+    /// runs for every active tenant and its overshoot lands in the
+    /// tenant's lane of `out`. Inactive churners get NaN, which the
+    /// cohort sketch skips, so `out` feeds the sketch as one batch.
+    /// `decide` is called from two loops; callers mark it
+    /// `#[inline(always)]`, or LLVM outlines it and every decision pays
+    /// a call.
+    #[inline(always)]
+    fn sweep(
+        &mut self,
+        now: u64,
+        out: &mut [f64],
+        mut decide: impl FnMut(u64, f64, &mut S) -> f64,
+    ) {
+        let r = self.residents;
+        let (state, churn_state) = self.state.split_at_mut(r);
+        let (out, churn_out) = out.split_at_mut(r);
+        let (jitter, churn_jitter) = self.jitter.split_at(r);
+        let (weight, churn_weight) = self.weight.split_at(r);
+        let residents = out.iter_mut().zip(state).zip(jitter).zip(weight);
+        for (((o, s), &key), &w) in residents {
+            *o = decide(key, w, s);
+        }
+        let churners = churn_out
+            .iter_mut()
+            .zip(churn_state)
+            .zip(churn_jitter)
+            .zip(churn_weight)
+            .zip(&self.window);
+        for ((((o, s), &key), &w), &(arrive, depart)) in churners {
+            *o = if now >= arrive && now < depart {
+                decide(key, w, s)
+            } else {
+                f64::NAN
+            };
+        }
+    }
 }
 
 /// One (scenario, arm, cohort) partial accumulation from a chunk.
@@ -270,42 +380,27 @@ struct SoakItem {
     len: u64,
 }
 
-/// Runs one chunk of tenants through the full horizon on the cohort
-/// calendar. Pure function of `(config, template, item)` — the executor
-/// merges chunk outputs in item order, so thread count is invisible.
-fn run_chunk(config: &SoakConfig, template: &SoakTemplate, item: &SoakItem) -> Vec<CohortAccum> {
-    let n_cohorts = config.periods_us.len();
-    let scen_seed = shard_seed(config.seed, item.scenario as u64);
-    let dist = KeyDistribution::ycsb_default(10_000);
+/// Drives a chunk's `lanes` over the full horizon on the cohort
+/// calendar. Each tick hoists `tick(cohort, epoch)` and the wave's base
+/// load, sweeps the cohort's lanes through `decide(ctx, accum, load,
+/// jitter, state) -> overshoot`, and feeds the tick's overshoots to the
+/// cohort sketch in one batch.
+fn drive<S, T>(
+    config: &SoakConfig,
+    lanes: &mut [Lanes<S>],
+    tick: impl Fn(usize, u64) -> T,
+    mut decide: impl FnMut(&T, &mut CohortAccum, f64, f64, &mut S) -> f64,
+) -> Vec<CohortAccum> {
     let traffic = &config.traffic;
-    let arm = config.arms.get(item.arm).copied().flatten();
-    let policy = config.guard;
-    let windows: Option<Vec<TenantFaultWindows>> = arm.map(|class| {
-        (0..n_cohorts)
-            .map(|c| config.arm_windows(item.scenario, item.arm, class, c))
-            .collect()
-    });
-
-    // Slab the chunk's tenants into their cohorts.
-    let mut slabs: Vec<Vec<Tenant>> = (0..n_cohorts).map(|_| Vec::new()).collect();
-    for id in item.start..item.start + item.len {
-        let cohort = (shard_seed(scen_seed, id) % n_cohorts as u64) as usize;
-        let (arrive_us, depart_us) = traffic.churn_window(scen_seed, id, config.horizon_us);
-        slabs[cohort].push(Tenant {
-            id,
-            weight: traffic.tenant_weight(scen_seed, id, &dist),
-            arrive_us,
-            depart_us,
-            policy: policy.encode(),
-            slab: SoakSlab::new(template),
-        });
-    }
-
-    let mut accums: Vec<CohortAccum> = (0..n_cohorts).map(|_| CohortAccum::new()).collect();
-    for (cohort, slab) in slabs.iter().enumerate() {
-        accums[cohort].tenants = slab.len() as u64;
-    }
-
+    let mut accums: Vec<CohortAccum> = lanes
+        .iter()
+        .map(|l| CohortAccum {
+            tenants: l.state.len() as u64,
+            ..CohortAccum::new()
+        })
+        .collect();
+    let widest = lanes.iter().map(|l| l.state.len()).max().unwrap_or(0);
+    let mut overshoots = vec![0.0; widest];
     run_cohort_calendar(
         &config.periods_us,
         config.horizon_us,
@@ -313,61 +408,93 @@ fn run_chunk(config: &SoakConfig, template: &SoakTemplate, item: &SoakItem) -> V
             // The tenant-independent part of the load is hoisted out of the
             // sweep: one wave evaluation per (cohort, tick), not per tenant.
             let base_load = traffic.base_load(now);
+            let ctx = tick(cohort, epoch);
             let accum = &mut accums[cohort];
-            let w = windows.as_ref().map(|ws| &ws[cohort]);
-            for t in &mut slabs[cohort] {
-                if now < t.arrive_us || now >= t.depart_us {
-                    continue;
-                }
-                let jitter = traffic.sense_jitter(scen_seed, t.id, epoch);
-                let Some(w) = w else {
-                    // Clean arm: the PR-8 loop, byte-for-byte — the
-                    // fault plane and the guard ladder never touch it.
-                    let measured = template.measured(t.slab.setting, base_load * t.weight, jitter);
-                    accum.sketch.record(template.overshoot(measured));
-                    if measured > template.target {
-                        accum.violations += 1;
-                    }
-                    t.slab.setting = template.next_setting(t.slab.setting, measured);
-                    continue;
-                };
-                let faults = w.at(t.id, epoch);
-                let age = t.slab.begin_epoch(template, faults.restart);
-                let load = base_load * t.weight * traffic.restart_load(age);
-                let out = template.guarded_step(
-                    SlabGuardPolicy::decode(t.policy),
-                    &mut t.slab,
-                    &faults,
-                    load,
-                    jitter,
-                );
-                accum.sketch.record(template.overshoot(out.measured));
-                if out.violated {
-                    accum.violations += 1;
-                }
-                if let Some(d) = out.reengaged_dwell {
-                    accum.reengage.record(d);
-                }
-                if let Some(b) = out.burst_closed {
-                    accum.burst.record(b);
-                }
-                if let Some(r) = out.recovered_after {
-                    accum.recovery.record(r);
-                }
-            }
+            let l = &mut lanes[cohort];
+            let out = &mut overshoots[..l.state.len()];
+            l.sweep(
+                now,
+                out,
+                #[inline(always)]
+                |key, weight, state| {
+                    let jitter = traffic.jitter_at(key, epoch);
+                    decide(&ctx, accum, base_load * weight, jitter, state)
+                },
+            );
+            accum.sketch.record_all(out);
         },
     );
-    if windows.is_some() {
-        // Unrecovered sweep: tenants still resident at the horizon that
-        // blew the recovery SLO and never re-entered their goal.
-        // Churned-out tenants are excluded — their run was cut, not
-        // stuck.
-        for (cohort, slab) in slabs.iter().enumerate() {
-            accums[cohort].unrecovered += slab
-                .iter()
-                .filter(|t| t.depart_us >= config.horizon_us && t.slab.is_unrecovered())
-                .count() as u64;
-        }
+    accums
+}
+
+/// Runs one chunk of tenants through the full horizon: the clean arm
+/// sweeps the bare law over a setting per tenant, a fault arm sweeps the
+/// slab guard ladder over each tenant's slab and hoisted fault schedule.
+/// Pure function of `(config, template, item)` — the executor merges
+/// chunk outputs in item order, so thread count is invisible.
+fn run_chunk(config: &SoakConfig, template: &SoakTemplate, item: &SoakItem) -> Vec<CohortAccum> {
+    let Some(class) = config.arms.get(item.arm).copied().flatten() else {
+        // Clean arm: the bare law — the fault plane and the guard
+        // ladder never touch it.
+        let mut lanes = build_lanes(config, item, |_, _| template.initial);
+        return drive(
+            config,
+            &mut lanes,
+            |_, _| (),
+            #[inline(always)]
+            |(), accum, load, jitter, setting| {
+                let measured = template.measured(*setting, load, jitter);
+                accum.violations += (measured > template.target) as u64;
+                *setting = template.next_setting(*setting, measured);
+                template.overshoot(measured)
+            },
+        );
+    };
+    let windows: Vec<TenantFaultWindows> = (0..config.periods_us.len())
+        .map(|c| config.arm_windows(item.scenario, item.arm, class, c))
+        .collect();
+    // Round-tripped once per chunk so the ladder sees the policy at its
+    // documented field widths.
+    let policy = SlabGuardPolicy::decode(config.guard.encode());
+    let traffic = &config.traffic;
+    let mut lanes = build_lanes(config, item, |cohort, id| {
+        (SoakSlab::new(template), windows[cohort].schedule(id))
+    });
+    let mut accums = drive(
+        config,
+        &mut lanes,
+        |cohort, epoch| windows[cohort].tick(epoch),
+        #[inline(always)]
+        |tick, accum, load, jitter, (slab, schedule)| {
+            let faults = tick.at(schedule);
+            let age = slab.begin_epoch(template, faults.restart);
+            let load = load * traffic.restart_load(age);
+            let out = template.guarded_step(policy, slab, &faults, load, jitter);
+            accum.violations += out.violated as u64;
+            if let Some(d) = out.reengaged_dwell {
+                accum.reengage.record(d);
+            }
+            if let Some(b) = out.burst_closed {
+                accum.burst.record(b);
+            }
+            if let Some(r) = out.recovered_after {
+                accum.recovery.record(r);
+            }
+            template.overshoot(out.measured)
+        },
+    );
+    // Unrecovered sweep: tenants still resident at the horizon that blew
+    // the recovery SLO and never re-entered their goal. Churned-out
+    // tenants are excluded — their run was cut, not stuck.
+    for (accum, l) in accums.iter_mut().zip(&lanes) {
+        let departs = std::iter::repeat_n(u64::MAX, l.residents)
+            .chain(l.window.iter().map(|&(_, depart)| depart));
+        accum.unrecovered += l
+            .state
+            .iter()
+            .zip(departs)
+            .filter(|((slab, _), depart)| *depart >= config.horizon_us && slab.is_unrecovered())
+            .count() as u64;
     }
     accums
 }
@@ -864,16 +991,20 @@ fn numbers_after(json: &str, key: &str) -> Vec<f64> {
 }
 
 /// Compares a fresh `BENCH_soak.json` against the committed baseline.
-/// Returns human-readable failure lines (empty = pass). Gates:
+/// Returns human-readable failure lines (empty = pass). Every gate
+/// fails closed: a key missing from either side, or a series whose
+/// length differs between them, is a failure, never a skipped check.
+/// Gates:
 ///
-/// 1. same run shape (tenants per scenario, cohort count) — otherwise
-///    the baseline is stale and must be regenerated;
+/// 1. same run shape (tenants per scenario, a non-empty cohort list of
+///    the same length) — otherwise the baseline is stale and must be
+///    regenerated;
 /// 2. zero hard-goal cohort breaches in the fresh run;
 /// 3. zero unrecovered hard-goal tenants in the fresh run (the
 ///    fault-arm zero-tolerance gate);
 /// 4. every cohort p99/p999 — and, when fault arms ran, every
 ///    fault-arm mttr/recovery_p99 — within [`TAIL_TOLERANCE`] of
-///    baseline;
+///    baseline, series for series;
 /// 5. tenants/sec at least [`RATE_FLOOR`] × baseline.
 pub fn check_soak(fresh: &str, baseline: &str) -> Vec<String> {
     let mut failures = Vec::new();
@@ -886,7 +1017,11 @@ pub fn check_soak(fresh: &str, baseline: &str) -> Vec<String> {
     };
     let (fresh_tenants, fresh_cohorts) = shape(fresh);
     let (base_tenants, base_cohorts) = shape(baseline);
-    if fresh_tenants != base_tenants || fresh_cohorts != base_cohorts {
+    if fresh_tenants.len() != 1
+        || fresh_tenants != base_tenants
+        || fresh_cohorts == 0
+        || fresh_cohorts != base_cohorts
+    {
         failures.push(format!(
             "baseline stale: shape {:?}/{} cohorts vs fresh {:?}/{} — regenerate BENCH_soak.json",
             base_tenants, base_cohorts, fresh_tenants, fresh_cohorts
@@ -898,17 +1033,25 @@ pub fn check_soak(fresh: &str, baseline: &str) -> Vec<String> {
         failures.push("hard-goal cohort gate breached in fresh run".to_string());
     }
 
-    if let Some(u) = numbers_after(fresh, "unrecovered_hard_tenants").first() {
-        if *u > 0.0 {
-            failures.push(format!(
-                "{u:.0} unrecovered hard-goal tenants in fresh run (gate is zero)"
-            ));
-        }
+    match numbers_after(fresh, "unrecovered_hard_tenants").first() {
+        None => failures.push("fresh run reports no unrecovered_hard_tenants".to_string()),
+        Some(u) if *u > 0.0 => failures.push(format!(
+            "{u:.0} unrecovered hard-goal tenants in fresh run (gate is zero)"
+        )),
+        Some(_) => {}
     }
 
     for key in ["p99", "p999", "mttr", "recovery_p99"] {
         let f = numbers_after(fresh, key);
         let b = numbers_after(baseline, key);
+        if f.len() != b.len() {
+            failures.push(format!(
+                "{key} series length differs: fresh {} vs baseline {}",
+                f.len(),
+                b.len()
+            ));
+            continue;
+        }
         for (i, (fv, bv)) in f.iter().zip(&b).enumerate() {
             let scale = bv.abs().max(1e-9);
             if ((fv - bv) / scale).abs() > TAIL_TOLERANCE {
@@ -921,12 +1064,14 @@ pub fn check_soak(fresh: &str, baseline: &str) -> Vec<String> {
 
     let fresh_rate = numbers_after(fresh, "tenants_per_sec");
     let base_rate = numbers_after(baseline, "tenants_per_sec");
-    if let (Some(f), Some(b)) = (fresh_rate.first(), base_rate.first()) {
-        if *f < RATE_FLOOR * b {
-            failures.push(format!(
-                "tenants/sec collapsed: fresh {f:.0} vs baseline {b:.0} (floor {RATE_FLOOR}×)"
-            ));
-        }
+    match (fresh_rate.first(), base_rate.first()) {
+        (Some(f), Some(b)) if *f < RATE_FLOOR * b => failures.push(format!(
+            "tenants/sec collapsed: fresh {f:.0} vs baseline {b:.0} (floor {RATE_FLOOR}×)"
+        )),
+        (Some(_), Some(_)) => {}
+        (f, b) => failures.push(format!(
+            "tenants_per_sec missing: fresh {f:?} vs baseline {b:?}"
+        )),
     }
     failures
 }
@@ -1194,6 +1339,60 @@ mod tests {
         );
         let stale = check_soak(&other, &json);
         assert!(stale.iter().any(|f| f.contains("stale")), "{stale:?}");
+    }
+
+    /// `json` with the first `"key": value` entry cut out, separator
+    /// included.
+    fn without_key(json: &str, key: &str) -> String {
+        let start = json
+            .find(&format!("\"{key}\":"))
+            .unwrap_or_else(|| panic!("{key} not in render"));
+        let rest = &json[start..];
+        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
+        let tail = rest[end..]
+            .strip_prefix(',')
+            .map_or(&rest[end..], str::trim_start);
+        format!("{}{}", &json[..start], tail)
+    }
+
+    #[test]
+    fn check_soak_fails_closed_on_every_missing_key() {
+        let config = tiny_config();
+        let scenarios = toy_scenarios();
+        let report = soak_run(&config, &scenarios, &FleetExecutor::new(1));
+        let phases = [FleetPhase {
+            name: "soak-1-thread".into(),
+            threads: 1,
+            wall: Duration::from_millis(500),
+        }];
+        let json = soak_json(&config, &scenarios, &report, None, true, &phases);
+        assert_eq!(check_soak(&json, &json), Vec::<String>::new());
+        for key in [
+            "tenants_per_scenario",
+            "hard_breaches",
+            "unrecovered_hard_tenants",
+            "p99",
+            "p999",
+            "mttr",
+            "recovery_p99",
+            "tenants_per_sec",
+        ] {
+            let cut = without_key(&json, key);
+            assert_ne!(cut, json, "{key}: nothing cut");
+            assert!(!check_soak(&cut, &json).is_empty(), "{key}: fresh side");
+            if key != "hard_breaches" && key != "unrecovered_hard_tenants" {
+                // Keys compared against the baseline fail closed when
+                // the baseline lacks them too.
+                assert!(!check_soak(&json, &cut).is_empty(), "{key}: baseline side");
+            }
+        }
+        // A key cut from every cohort on both sides leaves two empty
+        // series: still a failure for the cohort list itself.
+        let mut bare = json.clone();
+        while bare.contains("\"p99\":") {
+            bare = without_key(&bare, "p99");
+        }
+        assert!(!check_soak(&bare, &bare).is_empty());
     }
 
     #[test]

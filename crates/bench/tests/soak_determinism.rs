@@ -54,6 +54,32 @@ fn full_roster_soak_byte_identical_1_vs_4_threads() {
     }
 }
 
+/// FNV-1a over the render's bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn full_roster_render_is_pinned_byte_for_byte() {
+    // An absolute pin, not a relative one: the standard roster at seed
+    // 42 (2k tenants, clean arm plus four fault arms) must render to
+    // exactly these bytes. Sweep-order refactors may reorder tenants
+    // inside a cohort — no rendered figure depends on that order — but
+    // must not move a single rendered digit.
+    let config = SoakConfig::standard(SOAK_TENANTS);
+    assert_eq!((config.seed, config.arms.len()), (42, 5));
+    let scenarios = build_templates(config.seed);
+    let report = soak_run(&config, &scenarios, &FleetExecutor::new(2));
+    let text = report.render();
+    assert_eq!(
+        fnv1a(&text),
+        0xd9f3_cfec_8dd2_65a2,
+        "soak render moved:\n{text}"
+    );
+}
+
 #[test]
 fn steady_traffic_is_also_thread_invariant() {
     // The control arm: no churn, no wave, no jitter. Determinism must

@@ -8,7 +8,8 @@
 //! dominate memory and setup time, so the profile-derived control
 //! parameters are hoisted into one immutable [`SoakTemplate`] per
 //! scenario — built once, shared across every tenant via `Arc` — and
-//! each tenant is just two `f64`s of slab state. The template applies
+//! a clean-arm tenant's state is its actuated setting alone (a fault-arm
+//! tenant adds the 56-byte [`SoakSlab`]). The template applies
 //! the paper's integral law (§5.1–§5.2, including the two-pole danger
 //! region for hard goals) as a pure function, exactly mirroring
 //! `Controller::step` for the frozen-model, non-interacting case.
@@ -74,6 +75,40 @@ pub struct SoakTemplate {
     /// Additive disturbance scale: `(load − 1) · disturb` shifts the
     /// measured metric.
     pub disturb: f64,
+    /// The law's constants, derived once from the fields above by
+    /// [`SoakTemplate::from_profile`] (a template is immutable once
+    /// built: it is `Arc`-shared by every shard).
+    law: LawConstants,
+}
+
+/// The integral law's per-template constants, hoisted out of
+/// [`SoakTemplate::next_setting`]. Each is the exact subexpression the
+/// per-decision formula would evaluate, so the law stays bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LawConstants {
+    /// The error reference: the virtual target `(1 − λ)·target` for
+    /// hard goals, the target itself for soft ones.
+    reference: f64,
+    /// `(1 − pole)/α`: the regular-pole step gain.
+    gain: f64,
+    /// The step gain when the reading is past the reference: `(1 − 0)/α`
+    /// in a hard goal's danger region, the regular gain for soft goals.
+    over_gain: f64,
+}
+
+impl LawConstants {
+    fn new(alpha: f64, pole: f64, lambda: f64, target: f64, hard: bool) -> LawConstants {
+        let gain = (1.0 - pole) / alpha;
+        LawConstants {
+            reference: if hard {
+                (1.0 - lambda) * target
+            } else {
+                target
+            },
+            gain,
+            over_gain: if hard { 1.0 / alpha } else { gain },
+        }
+    }
 }
 
 impl SoakTemplate {
@@ -125,11 +160,12 @@ impl SoakTemplate {
                 conf: scenario.to_string(),
             });
         }
+        let pole = pole_from_delta(delta);
         Ok(SoakTemplate {
             scenario: scenario.to_string(),
             alpha,
             beta: fit.beta(),
-            pole: pole_from_delta(delta),
+            pole,
             lambda,
             target,
             hard,
@@ -137,6 +173,7 @@ impl SoakTemplate {
             hi,
             initial: if alpha > 0.0 { lo } else { hi },
             disturb: DISTURBANCE_GAIN * (alpha * mid).abs(),
+            law: LawConstants::new(alpha, pole, lambda, target, hard),
         })
     }
 
@@ -148,6 +185,7 @@ impl SoakTemplate {
 
     /// The tenant plant: measured metric at `setting` under a traffic
     /// `load` multiplier and a multiplicative sensor `jitter`.
+    #[inline]
     pub fn measured(&self, setting: f64, load: f64, jitter: f64) -> f64 {
         ((self.alpha * setting + self.beta) + (load - 1.0) * self.disturb) * (1.0 + jitter)
     }
@@ -155,29 +193,27 @@ impl SoakTemplate {
     /// One integral-law step: the next setting given the current one and
     /// the measured metric. Mirrors `Controller::step` for a frozen
     /// model and `n = 1`: error against the virtual target for hard
-    /// goals, pole 0 in the danger region, clamp to bounds.
+    /// goals, pole 0 in the danger region, clamp to bounds. The step is
+    /// `current + (1 − pole)/α · error` with the per-template factors
+    /// precomputed.
+    #[inline]
     pub fn next_setting(&self, current: f64, measured: f64) -> f64 {
         if !measured.is_finite() {
             return current;
         }
-        let target = if self.hard {
-            (1.0 - self.lambda) * self.target
+        let error = self.law.reference - measured;
+        let gain = if error < 0.0 {
+            self.law.over_gain
         } else {
-            self.target
+            self.law.gain
         };
-        let error = target - measured;
-        let pole = if self.hard && error < 0.0 {
-            0.0
-        } else {
-            self.pole
-        };
-        let next = current + (1.0 - pole) / self.alpha * error;
-        next.clamp(self.lo, self.hi)
+        (current + gain * error).clamp(self.lo, self.hi)
     }
 
     /// Overshoot ratio `measured / target` — the quantity cohort
     /// sketches record. 1.0 is exactly on goal; a hard cohort breaches
     /// when its p99 exceeds [`SoakTemplate::delta`].
+    #[inline]
     pub fn overshoot(&self, measured: f64) -> f64 {
         measured / self.target
     }
@@ -189,6 +225,7 @@ impl SoakTemplate {
     /// goals track the target exactly and hover around 1.0 under the
     /// ±2 % sensor jitter, so their recovery line sits one `λ` above
     /// — jitter-proof without being lenient.
+    #[inline]
     pub fn recovered_below(&self) -> f64 {
         if self.hard {
             1.0
@@ -201,8 +238,8 @@ impl SoakTemplate {
     ///
     /// This is the slab-weight guard ladder: the full chaos-mode
     /// `GuardSet` re-expressed over the distilled template so a tenant
-    /// costs ~56 bytes instead of a `ControlPlane`. The rungs, in
-    /// order:
+    /// costs a 56-byte [`SoakSlab`] instead of a `ControlPlane`. The
+    /// rungs, in order:
     ///
     /// 1. **Late delivery** — a lag-delayed decision reaches the plant
     ///    at the first un-lagged epoch, before sensing.
@@ -244,6 +281,7 @@ impl SoakTemplate {
     /// [`next_setting`](SoakTemplate::next_setting) loop — the clean
     ///-arm control pin in the determinism suite holds the fault path
     /// to that contract.
+    #[inline]
     pub fn guarded_step(
         &self,
         policy: SlabGuardPolicy,
@@ -360,6 +398,7 @@ impl SoakTemplate {
 
     /// Drops the plant to the profiled-safe setting and arms the
     /// re-engage cooldown (rungs 7–8).
+    #[inline]
     fn enter_fallback(&self, policy: SlabGuardPolicy, slab: &mut SoakSlab) {
         let st = &mut slab.state;
         st.mode = Mode::Fallback;
@@ -373,6 +412,7 @@ impl SoakTemplate {
 
     /// Plant-truth accounting shared by the armed and disarmed paths:
     /// violation bursts, fault stretches, and the recovery SLO.
+    #[inline]
     fn account(
         &self,
         slab: &mut SoakSlab,
@@ -414,6 +454,7 @@ impl SoakTemplate {
 
 /// Median of three values, branch-free over `min`/`max` so it is exact
 /// and platform-independent.
+#[inline]
 fn median3(a: f64, b: f64, c: f64) -> f64 {
     a.max(b).min(a.min(b).max(c))
 }
@@ -425,9 +466,10 @@ fn median3(a: f64, b: f64, c: f64) -> f64 {
 /// epoch budget, so a latch means genuinely stuck, not merely slow.
 pub const RECOVERY_SLO_EPOCHS: u16 = 12;
 
-/// Compressed per-tenant guard configuration — the soak's answer to
-/// `GuardPolicy`, encodable into a `u32` so a cohort's policy rides in
-/// the tenant slab instead of behind an `Arc`.
+/// Compressed guard configuration — the soak's answer to `GuardPolicy`,
+/// encodable into 24 bits of a `u32`. A soak run holds one policy for
+/// every tenant; each chunk round-trips it through the encoding once, so
+/// the ladder always sees it at the documented field widths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlabGuardPolicy {
     /// Master switch: disarmed reduces `guarded_step` to the plain
@@ -478,8 +520,8 @@ impl SlabGuardPolicy {
     }
 
     /// The standard ladder without the median-of-3 vote — the DESIGN
-    /// §3f plant-quantum pin compares this against [`standard`]
-    /// (SlabGuardPolicy::standard).
+    /// §3f plant-quantum pin compares this against
+    /// [`standard`](SlabGuardPolicy::standard).
     pub fn without_vote() -> SlabGuardPolicy {
         SlabGuardPolicy {
             vote: false,
@@ -501,6 +543,7 @@ impl SlabGuardPolicy {
     }
 
     /// Inverse of [`encode`](SlabGuardPolicy::encode).
+    #[inline]
     pub fn decode(bits: u32) -> SlabGuardPolicy {
         SlabGuardPolicy {
             armed: bits & 1 != 0,
@@ -545,8 +588,9 @@ struct SlabGuardState {
 }
 
 /// Per-tenant soak slab under the fault plane: the actuated setting
-/// plus the guard ladder's working state — ~56 bytes, versus the ~16
-/// of PR 8's clean slab and the kilobytes of a real `ControlPlane`.
+/// plus the guard ladder's working state — 56 bytes, versus the 8 of a
+/// clean-arm tenant's bare setting and the kilobytes of a real
+/// `ControlPlane`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoakSlab {
     /// The setting currently actuated at the plant.
@@ -595,6 +639,7 @@ impl SoakSlab {
     /// returns the cold-cache age for the caller's
     /// `TrafficShape::restart_load` lookup (0 on the restart epoch
     /// itself).
+    #[inline]
     pub fn begin_epoch(&mut self, template: &SoakTemplate, restart: bool) -> u64 {
         if restart {
             self.setting = template.initial;
@@ -617,6 +662,7 @@ impl SoakSlab {
     /// Whether this tenant has blown the recovery SLO and still not
     /// re-entered its goal — the per-cohort unrecovered count sums
     /// this at end of run over tenants still resident at the horizon.
+    #[inline]
     pub fn is_unrecovered(&self) -> bool {
         self.state.unrecovered
     }
@@ -956,6 +1002,55 @@ mod tests {
             (recovered - (1.0 - t.lambda) * t.target).abs() < 1e-9,
             "deadbeat recovery, got {recovered}"
         );
+    }
+
+    /// The law as written before its constants were hoisted.
+    fn reference_next_setting(t: &SoakTemplate, current: f64, measured: f64) -> f64 {
+        if !measured.is_finite() {
+            return current;
+        }
+        let target = if t.hard {
+            (1.0 - t.lambda) * t.target
+        } else {
+            t.target
+        };
+        let error = target - measured;
+        let pole = if t.hard && error < 0.0 { 0.0 } else { t.pole };
+        let next = current + (1.0 - pole) / t.alpha * error;
+        next.clamp(t.lo, t.hi)
+    }
+
+    proptest::proptest! {
+        /// The precomputed-constant law is bit-identical to the
+        /// per-decision formula on both sides of the (virtual) target —
+        /// `ratio ∈ [0, 3)` lands readings in the regular-pole branch
+        /// and the hard-goal danger branch alike — for either gain
+        /// sign, and holds on non-finite readings.
+        #[test]
+        fn hoisted_law_matches_the_per_decision_formula(
+            alpha in 0.01f64..50.0,
+            negative in 0u8..2,
+            pole in 0.0f64..0.99,
+            lambda in 0.05f64..0.5,
+            target in 0.1f64..10_000.0,
+            hard in 0u8..2,
+            current_frac in 0.0f64..1.0,
+            ratio in 0.0f64..3.0,
+        ) {
+            let mut t = toy_template(hard == 1);
+            t.alpha = if negative == 1 { -alpha } else { alpha };
+            t.pole = pole;
+            t.lambda = lambda;
+            t.target = target;
+            t.law = LawConstants::new(t.alpha, t.pole, t.lambda, t.target, t.hard);
+            let current = t.lo + current_frac * (t.hi - t.lo);
+            let measured = ratio * target;
+            proptest::prop_assert_eq!(
+                t.next_setting(current, measured).to_bits(),
+                reference_next_setting(&t, current, measured).to_bits()
+            );
+            proptest::prop_assert_eq!(t.next_setting(current, f64::NAN).to_bits(), current.to_bits());
+        }
     }
 
     #[test]

@@ -95,20 +95,19 @@ impl QuantileSketch {
 
     /// The bucket index of `value`. Non-positive and below-range values
     /// clamp to bucket 0, above-range values to the last bucket.
+    ///
+    /// For a positive value the biased exponent and the top [`SUB_BITS`]
+    /// mantissa bits sit side by side in the IEEE-754 word, so shifting
+    /// them out together yields `exponent · SUBS + sub-bucket` directly;
+    /// subtracting the first tracked octave and clamping does the rest.
+    #[inline]
     fn bucket_of(value: f64) -> usize {
         if value.is_nan() || value <= 0.0 {
             return 0;
         }
-        let bits = value.to_bits();
-        let exp = ((bits >> 52) & 0x7ff) as i32 - 1023;
-        if exp < EXP_MIN {
-            return 0;
-        }
-        if exp > EXP_MAX {
-            return Self::BINS - 1;
-        }
-        let sub = ((bits >> (52 - SUB_BITS)) & (SUBS as u64 - 1)) as usize;
-        ((exp - EXP_MIN) as usize) * SUBS + sub
+        let top = (value.to_bits() >> (52 - SUB_BITS)) as i64;
+        let first = ((1023 + EXP_MIN) as i64) << SUB_BITS;
+        (top - first).clamp(0, Self::BINS as i64 - 1) as usize
     }
 
     /// The midpoint of bucket `index`'s value range.
@@ -123,15 +122,30 @@ impl QuantileSketch {
     /// Records one value. Non-finite values are ignored; non-positive
     /// values count toward the lowest bucket (the sketch is meant for
     /// positive metrics such as overshoot ratios).
+    #[inline]
     pub fn record(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
+        self.record_all(std::slice::from_ref(&value));
+    }
+
+    /// Records every value of `values`, in order, as
+    /// [`record`](Self::record) does one, keeping the running count, sum
+    /// and extremes in locals across the batch. The extremes move only
+    /// on a strictly smaller (larger) value, so a tie between `0.0` and
+    /// `-0.0` keeps the one seen first.
+    #[inline]
+    pub fn record_all(&mut self, values: &[f64]) {
+        let (mut count, mut sum, mut min, mut max) = (self.count, self.sum, self.min, self.max);
+        for &value in values {
+            if !value.is_finite() {
+                continue;
+            }
+            self.bins[Self::bucket_of(value)] += 1;
+            count += 1;
+            sum += value;
+            min = if value < min { value } else { min };
+            max = if value > max { value } else { max };
         }
-        self.bins[Self::bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
+        (self.count, self.sum, self.min, self.max) = (count, sum, min, max);
     }
 
     /// Folds `other` into `self`. Bucket counts add, so merging is
@@ -335,6 +349,82 @@ mod tests {
         assert_eq!(r2.count(), bulk.count());
         for q in [0.1, 0.5, 0.99, 0.999] {
             assert_eq!(r2.quantile(q), bulk.quantile(q));
+        }
+    }
+
+    #[test]
+    fn batch_recording_matches_one_at_a_time() {
+        let mut values: Vec<f64> = (1..=1000).map(|i| (i as f64) * 0.37 - 3.0).collect();
+        values.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e-12, 1e12]);
+        let mut single = QuantileSketch::new();
+        single.record(0.5);
+        let mut batch = single.clone();
+        values.iter().for_each(|&v| single.record(v));
+        batch.record_all(&values[..600]);
+        batch.record_all(&[]);
+        batch.record_all(&values[600..]);
+        assert_eq!(batch, single);
+        assert_eq!(batch.sum.to_bits(), single.sum.to_bits());
+        // The extremes are the exact observed ones.
+        assert_eq!((batch.min(), batch.max()), (-2.63, 1e12));
+    }
+
+    /// Bucketing as separate exponent and sub-bucket fields, the
+    /// reference for the fused shift in `bucket_of`.
+    fn reference_bucket(value: f64) -> usize {
+        if value.is_nan() || value <= 0.0 {
+            return 0;
+        }
+        let bits = value.to_bits();
+        let exp = ((bits >> 52) & 0x7ff) as i32 - 1023;
+        if exp < EXP_MIN {
+            return 0;
+        }
+        if exp > EXP_MAX {
+            return QuantileSketch::BINS - 1;
+        }
+        let sub = ((bits >> (52 - SUB_BITS)) & (SUBS as u64 - 1)) as usize;
+        ((exp - EXP_MIN) as usize) * SUBS + sub
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fused_bucketing_matches_field_by_field(
+            bits in 0u64..u64::MAX,
+            scaled in -1e12f64..1e12,
+        ) {
+            let raw = f64::from_bits(bits);
+            proptest::prop_assert_eq!(
+                QuantileSketch::bucket_of(raw),
+                reference_bucket(raw)
+            );
+            proptest::prop_assert_eq!(
+                QuantileSketch::bucket_of(scaled),
+                reference_bucket(scaled)
+            );
+        }
+    }
+
+    #[test]
+    fn fused_bucketing_matches_at_the_edges() {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            pow2(EXP_MIN) * (1.0 - f64::EPSILON),
+            pow2(EXP_MIN),
+            pow2(EXP_MAX + 1) * (1.0 - f64::EPSILON),
+            pow2(EXP_MAX + 1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1.0,
+            -1.0,
+        ];
+        for v in edges {
+            assert_eq!(QuantileSketch::bucket_of(v), reference_bucket(v), "{v:e}");
         }
     }
 

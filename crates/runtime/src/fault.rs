@@ -572,61 +572,41 @@ impl TenantFaultWindows {
         crate::shard_seed(self.seed, tenant) % self.period
     }
 
-    /// Uniform roll in `[0, 1)` for `(tenant, epoch)` — the same
-    /// SplitMix64 finalizer as [`FaultInjector`]'s per-window roll.
-    fn roll(&self, tenant: u64, epoch: u64) -> f64 {
-        let mut z = self
-            .seed
-            .wrapping_add(tenant.wrapping_mul(0xE703_7ED1_A0B4_28DB))
-            .wrapping_add(epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Whether `epoch` falls inside one of the tenant's bursts.
-    fn in_burst(&self, tenant: u64, epoch: u64) -> bool {
-        let start = self.warmup + self.phase(tenant);
-        epoch >= start && (epoch - start) % self.period < self.active
-    }
-
-    /// The faults active for `tenant` at `epoch` — pure, stateless.
-    pub fn at(&self, tenant: u64, epoch: u64) -> ActiveFaults {
-        let mut out = ActiveFaults::default();
-        match self.class {
-            FaultClass::SensorDropout => {
-                if self.in_burst(tenant, epoch) {
-                    out.sensor = Some(SensorFault::Drop);
-                    out.set.insert(FaultSet::DROPOUT);
-                }
-            }
-            FaultClass::Corruption => {
-                // NaN wins over the spike, matching the injector's
-                // declaration-order priority for the standard plan.
-                if epoch >= self.warmup && self.roll(tenant, epoch) < SOAK_NAN_PROBABILITY {
-                    out.sensor = Some(SensorFault::Nan);
-                    out.set.insert(FaultSet::NAN);
-                } else if self.in_burst(tenant, epoch) {
-                    out.sensor = Some(SensorFault::Scale(SOAK_SPIKE_FACTOR));
-                    out.set.insert(FaultSet::SPIKE);
-                }
-            }
-            FaultClass::ActuatorLag => {
-                if self.in_burst(tenant, epoch) {
-                    out.lag = Some(SOAK_LAG_EPOCHS);
-                    out.set.insert(FaultSet::LAG);
-                }
-            }
-            FaultClass::PlantRestart => {
-                if self.in_burst(tenant, epoch) {
-                    out.restart = true;
-                    out.set.insert(FaultSet::RESTART);
-                }
-            }
-            _ => unreachable!("sized_for rejects non-soak classes"),
+    /// The tenant's per-`(seed, tenant)` constants — its burst phase
+    /// and the tenant half of the corruption roll — hashed once, so a
+    /// sweep over many epochs pays for them once per tenant.
+    #[inline]
+    pub fn schedule(&self, tenant: u64) -> TenantFaultSchedule {
+        TenantFaultSchedule {
+            phase: self.phase(tenant),
+            roll_key: self
+                .seed
+                .wrapping_add(tenant.wrapping_mul(0xE703_7ED1_A0B4_28DB)),
         }
-        out
+    }
+
+    /// The tenant-independent half of [`at`](TenantFaultWindows::at) for
+    /// one epoch: its place past the warm-up and inside the burst
+    /// period, and the epoch half of the corruption roll.
+    #[inline]
+    pub fn tick(&self, epoch: u64) -> FaultTick {
+        let since = epoch.wrapping_sub(self.warmup);
+        FaultTick {
+            class: self.class,
+            period: self.period,
+            active: self.active,
+            warmed: epoch >= self.warmup,
+            since,
+            rem: since % self.period,
+            roll_epoch: epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        }
+    }
+
+    /// The faults active for `tenant` at `epoch` — pure, stateless:
+    /// the epoch's [`tick`](TenantFaultWindows::tick) applied to the
+    /// tenant's [`schedule`](TenantFaultWindows::schedule).
+    pub fn at(&self, tenant: u64, epoch: u64) -> ActiveFaults {
+        self.tick(epoch).at(&self.schedule(tenant))
     }
 
     /// The tenant's schedule as an explicit [`FaultPlan`], for running a
@@ -678,6 +658,102 @@ impl TenantFaultWindows {
     }
 }
 
+/// One tenant's hoisted constants under a [`TenantFaultWindows`]
+/// (see [`TenantFaultWindows::schedule`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TenantFaultSchedule {
+    /// Burst phase in `[0, period)`: bursts start at `warmup + phase`.
+    phase: u64,
+    /// `seed + tenant · K`, the tenant half of the corruption roll.
+    roll_key: u64,
+}
+
+/// One epoch of a [`TenantFaultWindows`], tenant-independent (see
+/// [`TenantFaultWindows::tick`]). [`FaultTick::at`] finishes the lookup
+/// for one tenant with no division and one hash round at most.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultTick {
+    class: FaultClass,
+    period: u64,
+    active: u64,
+    /// Whether the epoch is past the clean warm-up.
+    warmed: bool,
+    /// `epoch − warmup` (meaningful only when `warmed`).
+    since: u64,
+    /// `since % period`.
+    rem: u64,
+    /// `epoch · K'`, the epoch half of the corruption roll.
+    roll_epoch: u64,
+}
+
+impl FaultTick {
+    /// Whether this epoch falls inside one of the tenant's bursts:
+    /// `(since − phase) % period < active` once `since ≥ phase`, with
+    /// the modulus taken from the tick's `rem` instead of a division.
+    #[inline]
+    fn in_burst(&self, s: &TenantFaultSchedule) -> bool {
+        if !self.warmed || self.since < s.phase {
+            return false;
+        }
+        let into = if self.rem >= s.phase {
+            self.rem - s.phase
+        } else {
+            self.rem + self.period - s.phase
+        };
+        into < self.active
+    }
+
+    /// Uniform roll in `[0, 1)` for `(tenant, epoch)` — the same
+    /// SplitMix64 finalizer as [`FaultInjector`]'s per-window roll.
+    #[inline]
+    fn roll(&self, s: &TenantFaultSchedule) -> f64 {
+        let mut z = s.roll_key.wrapping_add(self.roll_epoch);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// The faults active for the tenant with schedule `s` this epoch.
+    #[inline]
+    pub fn at(&self, s: &TenantFaultSchedule) -> ActiveFaults {
+        let mut out = ActiveFaults::default();
+        match self.class {
+            FaultClass::SensorDropout => {
+                if self.in_burst(s) {
+                    out.sensor = Some(SensorFault::Drop);
+                    out.set.insert(FaultSet::DROPOUT);
+                }
+            }
+            FaultClass::Corruption => {
+                // NaN wins over the spike, matching the injector's
+                // declaration-order priority for the standard plan.
+                if self.warmed && self.roll(s) < SOAK_NAN_PROBABILITY {
+                    out.sensor = Some(SensorFault::Nan);
+                    out.set.insert(FaultSet::NAN);
+                } else if self.in_burst(s) {
+                    out.sensor = Some(SensorFault::Scale(SOAK_SPIKE_FACTOR));
+                    out.set.insert(FaultSet::SPIKE);
+                }
+            }
+            FaultClass::ActuatorLag => {
+                if self.in_burst(s) {
+                    out.lag = Some(SOAK_LAG_EPOCHS);
+                    out.set.insert(FaultSet::LAG);
+                }
+            }
+            FaultClass::PlantRestart => {
+                if self.in_burst(s) {
+                    out.restart = true;
+                    out.set.insert(FaultSet::RESTART);
+                }
+            }
+            _ => unreachable!("sized_for rejects non-soak classes"),
+        }
+        out
+    }
+}
+
 /// Bit set of fault classes injected on one epoch (recorded on
 /// [`EpochEvent`](crate::EpochEvent)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -723,6 +799,7 @@ impl FaultSet {
     }
 
     /// Adds the bits of `other`.
+    #[inline]
     pub fn insert(&mut self, other: FaultSet) {
         self.0 |= other.0;
     }
@@ -733,6 +810,7 @@ impl FaultSet {
     }
 
     /// Whether no fault was injected.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.0 == 0
     }
@@ -771,6 +849,7 @@ pub struct ActiveFaults {
 
 impl ActiveFaults {
     /// Whether nothing fires this epoch.
+    #[inline]
     pub fn is_clean(&self) -> bool {
         self.set.is_empty()
     }
@@ -1196,6 +1275,78 @@ mod tests {
                 let phases: std::collections::BTreeSet<u64> =
                     (0..256).map(|t| w.phase(t)).collect();
                 assert!(phases.len() > 1, "{class}: all tenants in phase");
+            }
+        }
+    }
+
+    /// The pre-hoist lookup, kept as the reference: the phase and the
+    /// roll rehashed from `(seed, tenant)` and the burst test by
+    /// division, on every call.
+    fn reference_at(w: &TenantFaultWindows, tenant: u64, epoch: u64) -> ActiveFaults {
+        let roll = {
+            let mut z = w
+                .seed
+                .wrapping_add(tenant.wrapping_mul(0xE703_7ED1_A0B4_28DB))
+                .wrapping_add(epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            (z >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let start = w.warmup + crate::shard_seed(w.seed, tenant) % w.period;
+        let in_burst = epoch >= start && (epoch - start) % w.period < w.active;
+        let mut out = ActiveFaults::default();
+        match w.class {
+            FaultClass::SensorDropout if in_burst => {
+                out.sensor = Some(SensorFault::Drop);
+                out.set.insert(FaultSet::DROPOUT);
+            }
+            FaultClass::Corruption if epoch >= w.warmup && roll < SOAK_NAN_PROBABILITY => {
+                out.sensor = Some(SensorFault::Nan);
+                out.set.insert(FaultSet::NAN);
+            }
+            FaultClass::Corruption if in_burst => {
+                out.sensor = Some(SensorFault::Scale(SOAK_SPIKE_FACTOR));
+                out.set.insert(FaultSet::SPIKE);
+            }
+            FaultClass::ActuatorLag if in_burst => {
+                out.lag = Some(SOAK_LAG_EPOCHS);
+                out.set.insert(FaultSet::LAG);
+            }
+            FaultClass::PlantRestart if in_burst => {
+                out.restart = true;
+                out.set.insert(FaultSet::RESTART);
+            }
+            _ => {}
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// The hoisted schedule and per-epoch tick reproduce the
+        /// rehash-every-call lookup bit for bit, for every soak class,
+        /// at the soak's 24–96-epoch budgets and at budgets past 128
+        /// epochs (no burst pattern is truncated to a fixed-width mask).
+        #[test]
+        fn hoisted_schedule_matches_the_rehashing_lookup(
+            class_pick in 0usize..4,
+            seed in 0u64..u64::MAX,
+            tenant in 0u64..u64::MAX,
+            budget_pick in 0u64..80,
+        ) {
+            let class = SOAK_FAULT_CLASSES[class_pick];
+            // 24..=96, plus 200 and 1000 on a few draws.
+            let epochs = match budget_pick {
+                73..=75 => 200,
+                76..=79 => 1_000,
+                b => 24 + b,
+            };
+            let w = TenantFaultWindows::sized_for(class, seed, epochs);
+            let sched = w.schedule(tenant);
+            for e in 0..epochs + 8 {
+                let expected = reference_at(&w, tenant, e);
+                proptest::prop_assert_eq!(w.tick(e).at(&sched), expected);
+                proptest::prop_assert_eq!(w.at(tenant, e), expected);
             }
         }
     }

@@ -65,8 +65,8 @@ pub use baseline::Baseline;
 pub use event::{EpochEvent, EpochLog, EpochSummary, BURST_BINS};
 pub use fault::{
     ActiveFaults, Campaign, ChannelFilter, FaultClass, FaultInjector, FaultKind, FaultPlan,
-    FaultSet, FaultWindow, SensorFault, TenantFaultWindows, CHAOS_STREAM, SOAK_FAULT_CLASSES,
-    SOAK_LAG_EPOCHS, SOAK_NAN_PROBABILITY, SOAK_SPIKE_FACTOR,
+    FaultSet, FaultTick, FaultWindow, SensorFault, TenantFaultSchedule, TenantFaultWindows,
+    CHAOS_STREAM, SOAK_FAULT_CLASSES, SOAK_LAG_EPOCHS, SOAK_NAN_PROBABILITY, SOAK_SPIKE_FACTOR,
 };
 pub use fleet::{shard_seed, FleetExecutor};
 pub use guard::{

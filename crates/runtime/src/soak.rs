@@ -54,9 +54,10 @@ impl<F: FnMut(usize, u64, u64)> Model for Calendar<F> {
 /// before the horizon, so the count is `⌊(horizon − 1) / p⌋`.
 ///
 /// The soak's fault-plane arms size their tenant-keyed burst windows
-/// from this budget (see `TenantFaultWindows::sized_for` in
-/// [`crate::fault`]), so window geometry and the calendar's actual tick
-/// count can never drift apart.
+/// from this budget (see [`TenantFaultWindows::sized_for`]), so window
+/// geometry and the calendar's actual tick count can never drift apart.
+///
+/// [`TenantFaultWindows::sized_for`]: crate::TenantFaultWindows::sized_for
 pub fn cohort_epochs(period_us: u64, horizon_us: u64) -> u64 {
     if horizon_us == 0 {
         return 0;

@@ -38,6 +38,7 @@ const WEIGHT_STREAM: u64 = 0x57_4549_4748; // "WEIGH"
 
 /// SplitMix64 finalizer: the same bit mixer the fleet uses for shard
 /// seeds, kept local so workload stays independent of the runtime crate.
+#[inline]
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -51,6 +52,7 @@ fn mix3(a: u64, b: u64, c: u64) -> u64 {
 }
 
 /// Maps a hash to a uniform f64 in `[0, 1)` (53 mantissa bits).
+#[inline]
 fn hash01(z: u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
@@ -148,6 +150,7 @@ impl TrafficShape {
 
     /// The tenant-independent load multiplier at `t_us`: diurnal wave ×
     /// flash crowd.
+    #[inline]
     pub fn base_load(&self, t_us: u64) -> f64 {
         let phase = (t_us % self.day_us) as f64 / self.day_us as f64;
         let diurnal = 1.0 + self.diurnal_amplitude * wave(phase);
@@ -211,6 +214,7 @@ impl TrafficShape {
     /// [`RESTART_SURGE_EPOCHS`] on (the soak's PlantRestart arm feeds
     /// this from its per-tenant slab age counter; every other arm sees
     /// a constant 1.0). Pure `+ × ÷`, so it is platform-exact.
+    #[inline]
     pub fn restart_load(&self, epochs_since_restart: u64) -> f64 {
         if self.restart_surge == 0.0 || epochs_since_restart >= RESTART_SURGE_EPOCHS {
             return 1.0;
@@ -219,12 +223,30 @@ impl TrafficShape {
     }
 
     /// Multiplicative sensor jitter for `(tenant, epoch)`, uniform in
-    /// `[−jitter, +jitter]`. A pure function of its arguments.
+    /// `[−jitter, +jitter]`. A pure function of its arguments:
+    /// [`jitter_at`](TrafficShape::jitter_at) of the tenant's
+    /// [`jitter_key`](TrafficShape::jitter_key).
     pub fn sense_jitter(&self, seed: u64, tenant: u64, epoch: u64) -> f64 {
+        self.jitter_at(Self::jitter_key(seed, tenant), epoch)
+    }
+
+    /// The per-`(seed, tenant)` half of the jitter hash: two of its three
+    /// SplitMix64 rounds, so a sweep over many epochs computes it once
+    /// per tenant.
+    #[inline]
+    pub fn jitter_key(seed: u64, tenant: u64) -> u64 {
+        mix(mix(seed ^ JITTER_STREAM).wrapping_add(tenant))
+    }
+
+    /// The jitter at `epoch` for a tenant's
+    /// [`jitter_key`](TrafficShape::jitter_key): the last hash round and
+    /// the scaling into `[−jitter, +jitter]`.
+    #[inline]
+    pub fn jitter_at(&self, key: u64, epoch: u64) -> f64 {
         if self.jitter == 0.0 {
             return 0.0;
         }
-        let u = hash01(mix3(seed ^ JITTER_STREAM, tenant, epoch));
+        let u = hash01(mix(key.wrapping_add(epoch)));
         (u - 0.5) * 2.0 * self.jitter
     }
 }
@@ -343,6 +365,28 @@ mod tests {
             sum += j;
         }
         assert!((sum / 10_000.0).abs() < 0.002, "jitter mean {sum}");
+    }
+
+    proptest::proptest! {
+        /// The hoisted jitter key composes back to the three-round
+        /// `(seed, tenant, epoch)` hash bit for bit.
+        #[test]
+        fn hoisted_jitter_matches_the_three_round_hash(
+            seed in 0u64..u64::MAX,
+            tenant in 0u64..u64::MAX,
+            epoch in 0u64..100_000,
+        ) {
+            let t = TrafficShape::standard();
+            let reference =
+                (hash01(mix3(seed ^ JITTER_STREAM, tenant, epoch)) - 0.5) * 2.0 * t.jitter;
+            let key = TrafficShape::jitter_key(seed, tenant);
+            proptest::prop_assert_eq!(t.jitter_at(key, epoch).to_bits(), reference.to_bits());
+            proptest::prop_assert_eq!(
+                t.sense_jitter(seed, tenant, epoch).to_bits(),
+                reference.to_bits()
+            );
+            proptest::prop_assert_eq!(TrafficShape::steady().jitter_at(key, epoch), 0.0);
+        }
     }
 
     #[test]
