@@ -229,6 +229,14 @@ fn cross_check_real_plants_sit_inside_the_template_bracket() {
         threaded.render(),
         "cross-check reports diverged across thread counts"
     );
+    // The plan path at 2k tenants and 8 real plants per scenario,
+    // pinned to absolute bytes.
+    let text = serial.render();
+    assert_eq!(
+        fnv1a(&text),
+        0xdb59_cfc4_85de_3ce7,
+        "cross-check render moved:\n{text}"
+    );
     assert_eq!(
         cross_check_failures(&report, &serial),
         Vec::<String>::new(),
