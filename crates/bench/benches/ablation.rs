@@ -11,7 +11,7 @@
 //!   grows (4×10 of the paper vs denser grids).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use smartconf_core::{Controller, ControllerBuilder, Goal, ProfileSet};
+use smartconf_core::{Controller, ControllerBuilder, Goal, ModelMode, ProfileSet};
 use smartconf_kvstore::scenarios::{ControllerVariant, Hb3813};
 use std::hint::black_box;
 
@@ -58,7 +58,7 @@ fn bench_vgoal_variants(c: &mut Criterion) {
         ("no_virtual_goal", ControllerVariant::NoVirtualGoal),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(scenario.build_controller(&profile, variant)));
+            b.iter(|| black_box(scenario.build_controller(&profile, variant, ModelMode::Frozen)));
         });
     }
     group.finish();

@@ -5,6 +5,7 @@
 //! automatically chosen virtual goal, (c) the `max.queue.size` trace.
 //! The workload shifts from 1 MB to 2 MB requests at 200 s.
 
+use smartconf_core::ModelMode;
 use smartconf_harness::{sweep_statics, AsciiChart, RunResult, Scenario};
 use smartconf_kvstore::scenarios::{ControllerVariant, Hb3813};
 
@@ -25,7 +26,8 @@ pub struct Figure6 {
 pub fn run(seed: u64) -> Figure6 {
     let scenario = Hb3813::standard();
     let profile = scenario.collect_profile(seed ^ 0x5eed);
-    let controller = scenario.build_controller(&profile, ControllerVariant::SmartConf);
+    let controller =
+        scenario.build_controller(&profile, ControllerVariant::SmartConf, ModelMode::Frozen);
     let virtual_goal_mb = controller.effective_target();
 
     let smart = scenario.run_smartconf(seed);

@@ -30,6 +30,7 @@
 use std::time::{Duration, Instant};
 
 use smartconf_core::{Controller, Goal, Hardness, SmartConf};
+use smartconf_harness::RunSpec;
 use smartconf_runtime::{
     ChannelId, ControlPlane, Decider, EventPlane, FleetExecutor, Plant, Sensed,
 };
@@ -165,7 +166,7 @@ pub fn measure_scenarios(seed: u64) -> Vec<ScenarioPerf> {
         .map(|scenario| {
             let profiles = scenario.evaluation_profiles(seed);
             let start = Instant::now();
-            let run = scenario.run_smartconf_profiled(seed, &profiles);
+            let run = scenario.run(seed, &RunSpec::default(), &profiles);
             let wall = start.elapsed();
             let epochs = run.epochs.summaries().map(|(_, c)| c.epochs).sum();
             ScenarioPerf {

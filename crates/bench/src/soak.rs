@@ -60,9 +60,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use smartconf_core::ModelMode;
 use smartconf_harness::{
-    CohortReport, ProfileCache, ScenarioSoakReport, SlabGuardPolicy, SoakReport, SoakSlab,
-    SoakTemplate,
+    CohortReport, Faults, ProfileCache, RunSpec, ScenarioSoakReport, SlabGuardPolicy, SoakReport,
+    SoakSlab, SoakTemplate,
 };
 use smartconf_metrics::QuantileSketch;
 use smartconf_runtime::{
@@ -691,7 +692,8 @@ pub fn cross_check_run(
             shard_seed(config.seed, CROSS_CHECK_STREAM),
             (si as u64) << 32 | tenant,
         );
-        let result = s.run_plan_profiled(run_seed, &plan, &profiles);
+        let spec = RunSpec::new(ModelMode::Frozen, Faults::Plan(plan));
+        let result = s.run(run_seed, &spec, &profiles);
         // Distil overshoot from epochs whose sensed value is the true
         // plant output: a corrupted/held reading (dropout, stale, NaN,
         // ×spike) is what the *guard* sees, not what the plant did, and

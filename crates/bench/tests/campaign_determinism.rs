@@ -10,7 +10,8 @@
 //! running 1 vs. 4 worker threads.
 
 use proptest::prelude::*;
-use smartconf_harness::{run_fleet, Policy, Scenario};
+use smartconf_core::ModelMode;
+use smartconf_harness::{run_fleet, Faults, Policy, RunSpec, Scenario};
 use smartconf_kvstore::scenarios::Hb6728;
 use smartconf_runtime::{
     Campaign, FaultInjector, FaultKind, FaultPlan, FaultWindow, FleetExecutor,
@@ -146,8 +147,9 @@ fn campaign_runs_log_identical_fault_bitsets() {
     let scenario = Hb6728::standard();
     let profiles = scenario.evaluation_profiles(42);
     for campaign in Campaign::ALL {
-        let a = scenario.run_campaign_profiled(42, campaign, &profiles);
-        let b = scenario.run_campaign_profiled(42, campaign, &profiles);
+        let spec = RunSpec::new(ModelMode::Frozen, Faults::Campaign(campaign));
+        let a = scenario.run(42, &spec, &profiles);
+        let b = scenario.run(42, &spec, &profiles);
         let bits_a: Vec<u16> = a.epochs.events().map(|e| e.faults.bits()).collect();
         let bits_b: Vec<u16> = b.epochs.events().map(|e| e.faults.bits()).collect();
         assert!(!bits_a.is_empty(), "{}: no epochs logged", campaign.label());

@@ -1,20 +1,19 @@
 //! Satellite property: the fleet profile cache is purely a wall-clock
 //! optimization. Cached and uncached profiling must produce
 //! byte-identical [`FleetReport`]s across the full seven-scenario
-//! roster — any divergence means a scenario's `_profiled` entry point
-//! drifted from its self-profiling one.
+//! roster — any divergence means a scenario's `run` consumed cached
+//! profiles differently from freshly collected ones.
 
 use smartconf_bench::fleet::fleet_scenarios;
 use smartconf_core::ProfileSet;
 use smartconf_harness::{
-    run_fleet, Baseline, FaultClass, FleetExecutor, Policy, ProfileSchedule, RunResult, Scenario,
-    TradeoffDirection,
+    run_fleet, Baseline, FaultClass, FleetExecutor, Policy, ProfileSchedule, RunResult, RunSpec,
+    Scenario, TradeoffDirection,
 };
 
-/// Hides a scenario's `_profiled` overrides so every smart shard falls
-/// back to the trait defaults, which ignore the cached profiles and
-/// re-run the §6.1 profiling loop from scratch — the uncached reference
-/// behavior the cache must reproduce byte-for-byte.
+/// Discards the cached profiles handed to every controlled shard and
+/// re-runs the §6.1 profiling loop from scratch — the uncached
+/// reference behavior the cache must reproduce byte-for-byte.
 struct Unprofiled(Box<dyn Scenario + Send + Sync>);
 
 impl Scenario for Unprofiled {
@@ -39,11 +38,8 @@ impl Scenario for Unprofiled {
     fn run_static(&self, setting: f64, seed: u64) -> RunResult {
         self.0.run_static(setting, seed)
     }
-    fn run_smartconf(&self, seed: u64) -> RunResult {
-        self.0.run_smartconf(seed)
-    }
-    fn run_chaos(&self, seed: u64, class: FaultClass) -> RunResult {
-        self.0.run_chaos(seed, class)
+    fn run(&self, seed: u64, spec: &RunSpec, _cached: &[ProfileSet]) -> RunResult {
+        self.0.run(seed, spec, &self.0.evaluation_profiles(seed))
     }
     fn profile_schedule(&self) -> ProfileSchedule {
         self.0.profile_schedule()
@@ -54,8 +50,6 @@ impl Scenario for Unprofiled {
     fn evaluation_profiles(&self, seed: u64) -> Vec<ProfileSet> {
         self.0.evaluation_profiles(seed)
     }
-    // run_smartconf_profiled / run_chaos_profiled are deliberately NOT
-    // forwarded: the trait defaults discard `profiles` and re-profile.
 }
 
 fn uncached_roster() -> Vec<Box<dyn Scenario + Send + Sync>> {

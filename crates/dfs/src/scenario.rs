@@ -4,11 +4,8 @@
 use smartconf_core::{
     Controller, ControllerBuilder, Goal, ModelMode, ProfileSet, SmartConfIndirect,
 };
-use smartconf_harness::{Baseline, RunResult, Scenario, TradeoffDirection};
-use smartconf_runtime::{
-    shard_seed, Campaign, ChaosSpec, Decider, FaultClass, FaultPlan, GuardPolicy, ProfileSchedule,
-    Profiler, ADAPTIVE_CONFIDENCE_FLOOR, CHAOS_STREAM,
-};
+use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
+use smartconf_runtime::{ChaosSpec, Decider, GuardPolicy, ProfileSchedule, Profiler};
 use smartconf_simkernel::{SimDuration, SimTime, Simulation};
 
 use crate::namenode::{NamenodeEvent, NamenodeModel};
@@ -118,19 +115,14 @@ impl Hd4995 {
     }
 
     /// Synthesizes the SmartConf controller for the traversal limit.
+    /// [`ModelMode::Adaptive`] seeds an online RLS estimator from the
+    /// profile instead of freezing the offline fit.
     ///
     /// # Panics
     ///
     /// Panics if synthesis fails (the standard profile is well-formed:
     /// block duration is essentially affine in the limit).
-    pub fn build_controller(&self, profile: &ProfileSet) -> Controller {
-        self.build_controller_with_mode(profile, ModelMode::Frozen)
-    }
-
-    /// [`Hd4995::build_controller`] with an explicit model mode:
-    /// [`ModelMode::Adaptive`] seeds an online RLS estimator from the
-    /// profile instead of freezing the offline fit.
-    pub fn build_controller_with_mode(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
+    pub fn build_controller(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
         let goal = Goal::new("write_block_secs", self.phase_goals_secs.0);
         ControllerBuilder::new(goal)
             .profile(profile)
@@ -140,10 +132,6 @@ impl Hd4995 {
             .model_mode(mode)
             .build()
             .expect("controller synthesis")
-    }
-
-    fn run(&self, decider: Decider, seed: u64, label: &str) -> RunResult {
-        self.run_model(decider, seed, label, None)
     }
 
     /// The guard ladder shared by every chaos and campaign run.
@@ -276,120 +264,22 @@ impl Scenario for Hd4995 {
     }
 
     fn run_static(&self, setting: f64, seed: u64) -> RunResult {
-        self.run(
+        self.run_model(
             Decider::Static(setting.max(1.0)),
             seed,
             &format!("static-{setting}"),
+            None,
         )
     }
 
-    fn run_smartconf(&self, seed: u64) -> RunResult {
-        self.run_smartconf_profiled(seed, &self.evaluation_profiles(seed))
-    }
-
-    fn run_smartconf_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
+    fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
+        let controller = self.build_controller(&profiles[0], spec.model);
         let conf = SmartConfIndirect::new("content-summary.limit", controller);
-        self.run(Decider::Deputy(Box::new(conf)), seed, "SmartConf")
-    }
-
-    fn run_chaos(&self, seed: u64, class: FaultClass) -> RunResult {
-        self.run_chaos_profiled(seed, class, &self.evaluation_profiles(seed))
-    }
-
-    fn run_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConfIndirect::new("content-summary.limit", controller);
-        let spec =
-            ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(self.guard());
         self.run_model(
             Decider::Deputy(Box::new(conf)),
             seed,
-            &format!("Chaos-{}", class.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_plan_profiled(&self, seed: u64, plan: &FaultPlan, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConfIndirect::new("content-summary.limit", controller);
-        let spec =
-            ChaosSpec::new(shard_seed(seed, CHAOS_STREAM), plan.clone()).with_guard(self.guard());
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            seed,
-            "Plan-chaos",
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConfIndirect::new("content-summary.limit", controller);
-        self.run(Decider::Deputy(Box::new(conf)), seed, "Adaptive")
-    }
-
-    fn run_adaptive_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConfIndirect::new("content-summary.limit", controller);
-        // Same profiled-safe fallback as the frozen chaos run, plus the
-        // model-doubt safety net for estimator collapse.
-        let guard = self.guard().confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
-        let spec = ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            seed,
-            &format!("AdaptiveChaos-{}", class.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConfIndirect::new("content-summary.limit", controller);
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM))
-            .with_guard(self.guard().campaign_hardened());
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            seed,
-            &format!("Campaign-{}", campaign.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConfIndirect::new("content-summary.limit", controller);
-        let guard = self
-            .guard()
-            .confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR)
-            .campaign_hardened();
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            seed,
-            &format!("AdaptiveCampaign-{}", campaign.label()),
-            Some(spec),
+            &spec.label(),
+            spec.chaos(seed, self.guard()),
         )
     }
 
@@ -407,6 +297,8 @@ impl Scenario for Hd4995 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartconf_harness::Faults;
+    use smartconf_runtime::FaultClass;
 
     fn quick() -> Hd4995 {
         let mut s = Hd4995::standard();
@@ -470,10 +362,12 @@ mod tests {
     #[test]
     fn chaos_run_keeps_hard_goal_and_replays() {
         let s = quick();
-        let a = s.run_chaos(19, FaultClass::SensorDropout);
+        let spec = RunSpec::new(ModelMode::Frozen, Faults::Class(FaultClass::SensorDropout));
+        let profiles = s.evaluation_profiles(19);
+        let a = s.run(19, &spec, &profiles);
         assert!(a.constraint_ok, "block goal violated under sensor dropout");
         assert!(a.label.starts_with("Chaos-"));
-        let b = s.run_chaos(19, FaultClass::SensorDropout);
+        let b = s.run(19, &spec, &profiles);
         assert_eq!(a.tradeoff, b.tradeoff, "chaos run must replay exactly");
     }
 
@@ -521,12 +415,20 @@ mod tests {
         // fix shows up here too).
         let s = Hd4995::standard();
         let profiles = s.evaluation_profiles(43);
-        let frozen = s.run_chaos_profiled(43, FaultClass::PlantRestart, &profiles);
+        let frozen = s.run(
+            43,
+            &RunSpec::new(ModelMode::Frozen, Faults::Class(FaultClass::PlantRestart)),
+            &profiles,
+        );
         assert!(
             !frozen.constraint_ok,
             "frozen seed-43 PlantRestart gap closed; update this pin and ROADMAP.md"
         );
-        let adaptive = s.run_adaptive_chaos_profiled(43, FaultClass::PlantRestart, &profiles);
+        let adaptive = s.run(
+            43,
+            &RunSpec::new(ModelMode::Adaptive, Faults::Class(FaultClass::PlantRestart)),
+            &profiles,
+        );
         assert!(
             adaptive.constraint_ok,
             "adaptive in-place relearning regressed the seed-43 PlantRestart recovery"

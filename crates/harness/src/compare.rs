@@ -186,6 +186,7 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunSpec;
     use smartconf_core::ProfileSet;
 
     /// Constraint: setting <= 100. Trade-off: setting, higher better.
@@ -222,7 +223,7 @@ mod tests {
                 TradeoffDirection::HigherIsBetter,
             )
         }
-        fn run_smartconf(&self, seed: u64) -> RunResult {
+        fn run(&self, seed: u64, _spec: &RunSpec, _profiles: &[ProfileSet]) -> RunResult {
             let mut r = self.run_static(95.0, seed);
             r.label = "SmartConf".into();
             r
@@ -314,7 +315,7 @@ mod tests {
             fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
                 RunResult::new("x", false, setting, "t", TradeoffDirection::HigherIsBetter)
             }
-            fn run_smartconf(&self, _seed: u64) -> RunResult {
+            fn run(&self, _seed: u64, _spec: &RunSpec, _profiles: &[ProfileSet]) -> RunResult {
                 RunResult::new(
                     "SmartConf",
                     true,

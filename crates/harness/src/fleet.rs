@@ -10,14 +10,14 @@
 
 use std::sync::OnceLock;
 
-use smartconf_core::ProfileSet;
+use smartconf_core::{ModelMode, ProfileSet};
 use smartconf_runtime::{Baseline, Campaign, EpochSummary, FaultClass, FaultSet, FleetExecutor};
 
-use crate::{sweep_statics, RunResult, Scenario};
+use crate::{sweep_statics, Faults, RunResult, RunSpec, Scenario};
 
-/// How one shard drives its scenario: under SmartConf control, under a
-/// named static baseline, or under SmartConf with the deterministic
-/// fault plane armed.
+/// How one shard drives its scenario: under a named static baseline, or
+/// under SmartConf control with one of six fixed [`RunSpec`]s
+/// ([`Policy::spec`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Policy {
     /// SmartConf-controlled run.
@@ -26,34 +26,45 @@ pub enum Policy {
     /// [`Baseline::Nonoptimal`] trigger a per-shard exhaustive sweep).
     Static(Baseline),
     /// SmartConf-controlled run with the standard fault plan for one
-    /// fault class injected ([`Scenario::run_chaos`]).
+    /// fault class injected.
     Chaos(FaultClass),
     /// SmartConf-controlled run with the online (RLS) gain estimator in
-    /// place of the frozen offline fit ([`Scenario::run_adaptive_profiled`]).
+    /// place of the frozen offline fit.
     Adaptive,
     /// Adaptive run with the standard fault plan for one fault class
-    /// injected ([`Scenario::run_adaptive_chaos_profiled`]).
+    /// injected.
     AdaptiveChaos(FaultClass),
-    /// SmartConf-controlled run with a compound-fault campaign armed
-    /// ([`Scenario::run_campaign_profiled`]).
+    /// SmartConf-controlled run with a compound-fault campaign armed.
     Campaign(Campaign),
-    /// Adaptive run with a compound-fault campaign armed
-    /// ([`Scenario::run_adaptive_campaign_profiled`]).
+    /// Adaptive run with a compound-fault campaign armed.
     AdaptiveCampaign(Campaign),
 }
 
 impl Policy {
-    /// Display label, matching the run labels of [`crate::compare`].
+    /// The controlled run this policy stands for, or `None` for a static
+    /// baseline.
+    pub fn spec(&self) -> Option<RunSpec> {
+        let (model, faults) = match *self {
+            Policy::Static(_) => return None,
+            Policy::Smart => (ModelMode::Frozen, Faults::Clean),
+            Policy::Adaptive => (ModelMode::Adaptive, Faults::Clean),
+            Policy::Chaos(c) => (ModelMode::Frozen, Faults::Class(c)),
+            Policy::AdaptiveChaos(c) => (ModelMode::Adaptive, Faults::Class(c)),
+            Policy::Campaign(c) => (ModelMode::Frozen, Faults::Campaign(c)),
+            Policy::AdaptiveCampaign(c) => (ModelMode::Adaptive, Faults::Campaign(c)),
+        };
+        Some(RunSpec::new(model, faults))
+    }
+
+    /// Display label, matching the run labels of [`crate::compare`] and
+    /// [`RunSpec::label`].
     pub fn label(&self) -> String {
-        match self {
-            Policy::Smart => "SmartConf".to_string(),
-            Policy::Static(b) => b.label(),
-            Policy::Chaos(c) => format!("Chaos-{}", c.label()),
-            Policy::Adaptive => "Adaptive".to_string(),
-            Policy::AdaptiveChaos(c) => format!("AdaptiveChaos-{}", c.label()),
-            Policy::Campaign(c) => format!("Campaign-{}", c.label()),
-            Policy::AdaptiveCampaign(c) => format!("AdaptiveCampaign-{}", c.label()),
+        if let Policy::Static(b) = self {
+            return b.label();
         }
+        self.spec()
+            .expect("non-static policies are controlled")
+            .label()
     }
 }
 
@@ -324,7 +335,7 @@ impl ProfileCache {
 /// ```
 /// # use smartconf_core::ProfileSet;
 /// # use smartconf_harness::{
-/// #     run_fleet, Baseline, Policy, RunResult, Scenario, TradeoffDirection,
+/// #     run_fleet, Baseline, Policy, RunResult, RunSpec, Scenario, TradeoffDirection,
 /// # };
 /// # use smartconf_runtime::FleetExecutor;
 /// # struct Toy;
@@ -340,7 +351,9 @@ impl ProfileCache {
 /// #     fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
 /// #         RunResult::new("s", setting <= 100.0, setting, "t", TradeoffDirection::HigherIsBetter)
 /// #     }
-/// #     fn run_smartconf(&self, seed: u64) -> RunResult { self.run_static(100.0, seed) }
+/// #     fn run(&self, seed: u64, _: &RunSpec, _: &[ProfileSet]) -> RunResult {
+/// #         self.run_static(100.0, seed)
+/// #     }
 /// #     fn profile(&self, _seed: u64) -> ProfileSet { ProfileSet::new() }
 /// # }
 /// let scenarios: Vec<Box<dyn Scenario + Send + Sync>> = vec![Box::new(Toy)];
@@ -374,36 +387,6 @@ fn run_shard(
 ) -> ShardReport {
     let id = scenario.id().to_string();
     match item.policy {
-        Policy::Smart => {
-            let profiles = cache.profiles(item.scenario, scenario, item.seed);
-            let run = scenario.run_smartconf_profiled(item.seed, &profiles);
-            ShardReport::from_run(&id, item.seed, &item.policy, &run)
-        }
-        Policy::Chaos(class) => {
-            let profiles = cache.profiles(item.scenario, scenario, item.seed);
-            let run = scenario.run_chaos_profiled(item.seed, class, &profiles);
-            ShardReport::from_run(&id, item.seed, &item.policy, &run)
-        }
-        Policy::Adaptive => {
-            let profiles = cache.profiles(item.scenario, scenario, item.seed);
-            let run = scenario.run_adaptive_profiled(item.seed, &profiles);
-            ShardReport::from_run(&id, item.seed, &item.policy, &run)
-        }
-        Policy::AdaptiveChaos(class) => {
-            let profiles = cache.profiles(item.scenario, scenario, item.seed);
-            let run = scenario.run_adaptive_chaos_profiled(item.seed, class, &profiles);
-            ShardReport::from_run(&id, item.seed, &item.policy, &run)
-        }
-        Policy::Campaign(campaign) => {
-            let profiles = cache.profiles(item.scenario, scenario, item.seed);
-            let run = scenario.run_campaign_profiled(item.seed, campaign, &profiles);
-            ShardReport::from_run(&id, item.seed, &item.policy, &run)
-        }
-        Policy::AdaptiveCampaign(campaign) => {
-            let profiles = cache.profiles(item.scenario, scenario, item.seed);
-            let run = scenario.run_adaptive_campaign_profiled(item.seed, campaign, &profiles);
-            ShardReport::from_run(&id, item.seed, &item.policy, &run)
-        }
         Policy::Static(baseline) => {
             let setting = match baseline {
                 Baseline::Optimal | Baseline::Nonoptimal => {
@@ -427,6 +410,12 @@ fn run_shard(
                 None => ShardReport::unresolved(&id, item.seed, &item.policy),
             }
         }
+        policy => {
+            let spec = policy.spec().expect("non-static policies are controlled");
+            let profiles = cache.profiles(item.scenario, scenario, item.seed);
+            let run = scenario.run(item.seed, &spec, &profiles);
+            ShardReport::from_run(&id, item.seed, &item.policy, &run)
+        }
     }
 }
 
@@ -434,7 +423,7 @@ fn run_shard(
 mod tests {
     use super::*;
     use crate::TradeoffDirection;
-    use smartconf_core::ProfileSet;
+    use std::sync::{Arc, Mutex};
 
     /// Constraint: setting ≤ 100; trade-off = setting (higher better).
     struct Toy;
@@ -471,9 +460,9 @@ mod tests {
                 TradeoffDirection::HigherIsBetter,
             )
         }
-        fn run_smartconf(&self, seed: u64) -> RunResult {
+        fn run(&self, seed: u64, spec: &RunSpec, _profiles: &[ProfileSet]) -> RunResult {
             let mut r = self.run_static(100.0, seed);
-            r.label = "SmartConf".into();
+            r.label = spec.label();
             r
         }
         fn profile(&self, _seed: u64) -> ProfileSet {
@@ -551,24 +540,112 @@ mod tests {
         }
     }
 
+    /// Every policy of the smoke, chaos and campaign fleets, each once.
+    fn all_policies() -> Vec<Policy> {
+        let mut policies = vec![
+            Policy::Smart,
+            Policy::Static(Baseline::BuggyDefault),
+            Policy::Static(Baseline::PatchDefault),
+            Policy::Adaptive,
+        ];
+        policies.extend(FaultClass::ALL.iter().map(|&c| Policy::Chaos(c)));
+        policies.extend(FaultClass::ALL.iter().map(|&c| Policy::AdaptiveChaos(c)));
+        policies.extend(Campaign::ALL.iter().map(|&c| Policy::Campaign(c)));
+        policies.extend(Campaign::ALL.iter().map(|&c| Policy::AdaptiveCampaign(c)));
+        policies
+    }
+
+    /// A toy that records the spec of every controlled run it is handed.
+    struct Recorder(Arc<Mutex<Vec<RunSpec>>>);
+    impl Scenario for Recorder {
+        fn id(&self) -> &str {
+            "REC"
+        }
+        fn description(&self) -> &str {
+            "records run specs"
+        }
+        fn config_name(&self) -> &str {
+            "c"
+        }
+        fn candidate_settings(&self) -> Vec<f64> {
+            Toy.candidate_settings()
+        }
+        fn static_setting(&self, choice: Baseline) -> Option<f64> {
+            Toy.static_setting(choice)
+        }
+        fn tradeoff_direction(&self) -> TradeoffDirection {
+            TradeoffDirection::HigherIsBetter
+        }
+        fn run_static(&self, setting: f64, seed: u64) -> RunResult {
+            Toy.run_static(setting, seed)
+        }
+        fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
+            self.0.lock().unwrap().push(spec.clone());
+            Toy.run(seed, spec, profiles)
+        }
+        fn profile(&self, _seed: u64) -> ProfileSet {
+            ProfileSet::new()
+        }
+    }
+
+    #[test]
+    fn each_policy_delivers_its_run_spec() {
+        for policy in all_policies() {
+            let received = Arc::new(Mutex::new(Vec::new()));
+            let scenarios: Vec<Box<dyn Scenario + Send + Sync>> =
+                vec![Box::new(Recorder(received.clone()))];
+            let report = run_fleet(&scenarios, &[42], &[policy], &FleetExecutor::new(1));
+            let received = received.lock().unwrap().clone();
+            let (model, faults) = match policy {
+                Policy::Static(_) => {
+                    assert!(received.is_empty(), "{policy:?} ran a controller");
+                    continue;
+                }
+                Policy::Smart => (ModelMode::Frozen, Faults::Clean),
+                Policy::Adaptive => (ModelMode::Adaptive, Faults::Clean),
+                Policy::Chaos(c) => (ModelMode::Frozen, Faults::Class(c)),
+                Policy::AdaptiveChaos(c) => (ModelMode::Adaptive, Faults::Class(c)),
+                Policy::Campaign(c) => (ModelMode::Frozen, Faults::Campaign(c)),
+                Policy::AdaptiveCampaign(c) => (ModelMode::Adaptive, Faults::Campaign(c)),
+            };
+            let expected = RunSpec::new(model, faults);
+            assert_eq!(received, vec![expected.clone()], "{policy:?}");
+            assert_eq!(policy.spec(), Some(expected));
+            let shard = &report.shards[0];
+            assert!(shard.resolved && shard.constraint_ok, "{policy:?}");
+            assert_eq!(shard.policy, policy.label());
+        }
+    }
+
     #[test]
     fn chaos_policy_dispatches_to_run_chaos() {
-        let scenarios = roster();
+        let received = Arc::new(Mutex::new(Vec::new()));
+        let scenarios: Vec<Box<dyn Scenario + Send + Sync>> =
+            vec![Box::new(Recorder(received.clone()))];
         let report = run_fleet(
             &scenarios,
             &[42],
-            &[Policy::Chaos(smartconf_runtime::FaultClass::SensorDropout)],
+            &[Policy::Chaos(FaultClass::SensorDropout)],
             &FleetExecutor::new(2),
         );
-        // Toy keeps the default run_chaos (clean fallback), but the
-        // shard is labeled as a chaos run.
-        let shard = report.shard("TOY", 42, "Chaos-SensorDropout").unwrap();
+        // A chaos policy reaches the scenario as a frozen-model run with
+        // that class's fault plan, and the shard is labeled as such.
+        assert_eq!(
+            *received.lock().unwrap(),
+            vec![RunSpec::new(
+                ModelMode::Frozen,
+                Faults::Class(FaultClass::SensorDropout)
+            )]
+        );
+        let shard = report.shard("REC", 42, "Chaos-SensorDropout").unwrap();
         assert!(shard.resolved && shard.constraint_ok);
     }
 
     #[test]
     fn campaign_policies_dispatch_and_label() {
-        let scenarios = roster();
+        let received = Arc::new(Mutex::new(Vec::new()));
+        let scenarios: Vec<Box<dyn Scenario + Send + Sync>> =
+            vec![Box::new(Recorder(received.clone()))];
         let report = run_fleet(
             &scenarios,
             &[42],
@@ -578,16 +655,70 @@ mod tests {
             ],
             &FleetExecutor::new(2),
         );
-        // Toy keeps the default run_campaign_profiled (clean fallback),
-        // but the shards are labeled as campaign runs.
+        // Each campaign policy reaches the scenario as a run with that
+        // campaign armed, under the matching model mode.
+        let mut received = received.lock().unwrap().clone();
+        received.sort_by_key(RunSpec::label);
+        assert_eq!(
+            received,
+            vec![
+                RunSpec::new(
+                    ModelMode::Adaptive,
+                    Faults::Campaign(Campaign::BurstEverything)
+                ),
+                RunSpec::new(
+                    ModelMode::Frozen,
+                    Faults::Campaign(Campaign::RestartUnderCorruption)
+                ),
+            ]
+        );
         let shard = report
-            .shard("TOY", 42, "Campaign-restart-under-corruption")
+            .shard("REC", 42, "Campaign-restart-under-corruption")
             .unwrap();
         assert!(shard.resolved && shard.constraint_ok);
         let shard = report
-            .shard("TOY", 42, "AdaptiveCampaign-burst-everything")
+            .shard("REC", 42, "AdaptiveCampaign-burst-everything")
             .unwrap();
         assert!(shard.resolved && shard.constraint_ok);
+    }
+
+    #[test]
+    fn policy_labels_are_stable() {
+        let expected = [
+            "SmartConf",
+            "Static-BuggyDefault",
+            "Static-PatchDefault",
+            "Adaptive",
+            "Chaos-SensorDropout",
+            "Chaos-StaleRepeat",
+            "Chaos-Corruption",
+            "Chaos-ActuatorLag",
+            "Chaos-ActuatorSaturation",
+            "Chaos-GoalFlap",
+            "Chaos-PlantRestart",
+            "AdaptiveChaos-SensorDropout",
+            "AdaptiveChaos-StaleRepeat",
+            "AdaptiveChaos-Corruption",
+            "AdaptiveChaos-ActuatorLag",
+            "AdaptiveChaos-ActuatorSaturation",
+            "AdaptiveChaos-GoalFlap",
+            "AdaptiveChaos-PlantRestart",
+            "Campaign-restart-under-corruption",
+            "Campaign-lag-during-goal-flap",
+            "Campaign-cascading-dropout",
+            "Campaign-burst-everything",
+            "AdaptiveCampaign-restart-under-corruption",
+            "AdaptiveCampaign-lag-during-goal-flap",
+            "AdaptiveCampaign-cascading-dropout",
+            "AdaptiveCampaign-burst-everything",
+        ];
+        let labels: Vec<String> = all_policies().iter().map(Policy::label).collect();
+        assert_eq!(labels, expected);
+        for policy in all_policies() {
+            if let Some(spec) = policy.spec() {
+                assert_eq!(policy.label(), spec.label());
+            }
+        }
     }
 
     #[test]
@@ -643,7 +774,7 @@ mod tests {
             fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
                 RunResult::new("x", true, setting, "t", TradeoffDirection::HigherIsBetter)
             }
-            fn run_smartconf(&self, seed: u64) -> RunResult {
+            fn run(&self, seed: u64, _spec: &RunSpec, _profiles: &[ProfileSet]) -> RunResult {
                 self.run_static(1.0, seed)
             }
             fn profile(&self, _seed: u64) -> ProfileSet {

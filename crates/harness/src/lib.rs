@@ -25,7 +25,7 @@ pub use fleet::{
 };
 pub use outcome::{RunResult, TradeoffDirection};
 pub use report::{epoch_summary, TextTable};
-pub use scenario::Scenario;
+pub use scenario::{Faults, RunSpec, Scenario};
 pub use soak::{
     CohortReport, ScenarioSoakReport, SlabGuardPolicy, SoakReport, SoakSlab, SoakTemplate,
     StepOutcome, DISTURBANCE_GAIN, LAMBDA_FLOOR, RECOVERY_SLO_EPOCHS,

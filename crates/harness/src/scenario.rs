@@ -1,9 +1,12 @@
 //! The scenario abstraction: one PerfConf case study.
 
-use smartconf_core::ProfileSet;
-use smartconf_runtime::{Baseline, Campaign, FaultClass, FaultPlan, ProfileSchedule};
+use smartconf_core::{ModelMode, ProfileSet};
+use smartconf_runtime::{
+    shard_seed, Baseline, Campaign, ChaosSpec, FaultClass, FaultPlan, GuardPolicy, ProfileSchedule,
+    ADAPTIVE_CONFIDENCE_FLOOR, CHAOS_STREAM,
+};
 
-use crate::{RunResult, TradeoffDirection};
+use crate::{Policy, RunResult, TradeoffDirection};
 
 /// One PerfConf case study from Table 6 (e.g. HB3813), runnable under a
 /// static setting or under SmartConf control.
@@ -37,23 +40,26 @@ pub trait Scenario {
     /// Runs the two-phase evaluation workload with a fixed setting.
     fn run_static(&self, setting: f64, seed: u64) -> RunResult;
 
-    /// Runs the two-phase evaluation workload under SmartConf control.
-    fn run_smartconf(&self, seed: u64) -> RunResult;
-
-    /// Runs the evaluation workload under SmartConf control with the
-    /// deterministic fault plane armed: the standard
-    /// [`FaultPlan`](smartconf_runtime::FaultPlan) for `class` is
-    /// injected and the resilience guards defend the hard goal.
+    /// Runs the evaluation workload under SmartConf control as `spec`
+    /// describes: the controller's model mode, the faults injected, and
+    /// — through [`RunSpec::chaos`] — the guard ladder that defends the
+    /// hard goal. `profiles` holds [`Scenario::evaluation_profiles`] for
+    /// `seed`, so a run replays exactly from `(seed, spec)`.
     ///
-    /// The default ignores the fault class and falls back to the clean
-    /// SmartConf run; case-study crates override it by threading a
-    /// [`ChaosSpec`](smartconf_runtime::ChaosSpec) into their
-    /// control-plane construction. `seed` doubles as the fault-plane
-    /// seed material, so a chaos run replays exactly from
-    /// `(seed, class)`.
-    fn run_chaos(&self, seed: u64, class: FaultClass) -> RunResult {
-        let _ = class;
-        self.run_smartconf(seed)
+    /// This is the one controlled entry point: every fleet policy, the
+    /// soak's real-plant cross-check and the convenience
+    /// [`Scenario::run_smartconf`] all come through here, so a scenario
+    /// cannot report a clean run under a chaos label.
+    ///
+    /// The soak's cross-check is looser about `profiles`: it stamps many
+    /// per-tenant seeds with the profiles of one base seed (the plants
+    /// differ in workload phase, not in gain).
+    fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult;
+
+    /// Profiles at `seed`, then runs the clean frozen-model SmartConf
+    /// evaluation ([`RunSpec::default`]).
+    fn run_smartconf(&self, seed: u64) -> RunResult {
+        self.run(seed, &RunSpec::default(), &self.evaluation_profiles(seed))
     }
 
     /// The declarative profiling schedule (paper §6.1: which settings to
@@ -69,114 +75,167 @@ pub trait Scenario {
     /// §6.1) and returns the collected samples.
     fn profile(&self, seed: u64) -> ProfileSet;
 
-    /// Every profile set a SmartConf-controlled (or chaos) evaluation run
-    /// at `seed` collects before it starts, in a stable order. The fleet
-    /// harness memoizes this per `(scenario, seed)` and feeds it back via
-    /// [`Scenario::run_smartconf_profiled`] /
-    /// [`Scenario::run_chaos_profiled`], so the §6.1 profiling loop runs
-    /// once per (scenario, seed) instead of once per policy shard.
+    /// Every profile set a controlled evaluation run at `seed` consumes,
+    /// in a stable order. The fleet harness memoizes this per
+    /// `(scenario, seed)` and feeds it to [`Scenario::run`], so the §6.1
+    /// profiling loop runs once per (scenario, seed) instead of once per
+    /// policy shard.
     ///
     /// The default matches the Table 6 convention of one profile at
     /// `seed ^ 0x5eed`; scenarios that profile differently (e.g. TWIN's
-    /// two queues) override it together with the `_profiled` entry
-    /// points.
+    /// two queues) override it.
     fn evaluation_profiles(&self, seed: u64) -> Vec<ProfileSet> {
         vec![self.profile(seed ^ 0x5eed)]
     }
+}
 
-    /// [`Scenario::run_smartconf`] with the profiling phase already done:
-    /// `profiles` holds [`Scenario::evaluation_profiles`] for the same
-    /// `seed`, and the result must be byte-identical to an unprofiled
-    /// `run_smartconf(seed)`. The default ignores the cache and
-    /// re-profiles, so unmigrated scenarios stay correct (just slower).
-    fn run_smartconf_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let _ = profiles;
-        self.run_smartconf(seed)
+/// The per-mode entry points of the fleet benchmark under `perfbench/`,
+/// which calls them on `&(dyn Scenario + Send + Sync)`. Each forwards to
+/// [`Scenario::run`]; they are kept only for that caller and go away at
+/// its next change. Being inherent, they cannot be overridden.
+impl dyn Scenario + Send + Sync {
+    fn run_policy(&self, policy: Policy, seed: u64, profiles: &[ProfileSet]) -> RunResult {
+        let spec = policy.spec().expect("a controlled policy");
+        self.run(seed, &spec, profiles)
     }
 
-    /// [`Scenario::run_chaos`] with the profiling phase already done; the
-    /// same contract as [`Scenario::run_smartconf_profiled`].
-    fn run_chaos_profiled(
+    /// [`Scenario::run`] under [`Policy::Smart`].
+    pub fn run_smartconf_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
+        self.run_policy(Policy::Smart, seed, profiles)
+    }
+
+    /// [`Scenario::run`] under [`Policy::Adaptive`].
+    pub fn run_adaptive_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
+        self.run_policy(Policy::Adaptive, seed, profiles)
+    }
+
+    /// [`Scenario::run`] under [`Policy::Chaos`].
+    pub fn run_chaos_profiled(
         &self,
         seed: u64,
         class: FaultClass,
         profiles: &[ProfileSet],
     ) -> RunResult {
-        let _ = profiles;
-        self.run_chaos(seed, class)
+        self.run_policy(Policy::Chaos(class), seed, profiles)
     }
 
-    /// [`Scenario::run_chaos_profiled`] with an explicit fault plan
-    /// instead of a standard class plan — the soak's real-tenant
-    /// cross-check arm exports each tenant's hash-scheduled windows as
-    /// a [`FaultPlan`] and replays them through the full
-    /// `ControlPlane` path here.
-    ///
-    /// The profile contract is looser than the other `_profiled` entry
-    /// points: the cross-check arm stamps many per-tenant seeds with
-    /// profiles cached for one base seed (the plants differ in
-    /// workload phase, not in gain), so `profiles` need not come from
-    /// this exact `seed`. The default ignores the plan and runs the
-    /// clean profiled path, so unmigrated scenarios stay correct
-    /// (just fault-free).
-    fn run_plan_profiled(&self, seed: u64, plan: &FaultPlan, profiles: &[ProfileSet]) -> RunResult {
-        let _ = plan;
-        self.run_smartconf_profiled(seed, profiles)
-    }
-
-    /// [`Scenario::run_smartconf_profiled`] with the online (RLS) gain
-    /// estimator in place of the frozen offline fit: controllers are
-    /// built with [`ModelMode::Adaptive`](smartconf_core::ModelMode) and
-    /// keep refining `α`/`β` from live epoch measurements. The default
-    /// falls back to the frozen run, so unmigrated scenarios stay
-    /// runnable (just not adaptive); the seven case-study scenarios all
-    /// override it.
-    fn run_adaptive_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        self.run_smartconf_profiled(seed, profiles)
-    }
-
-    /// [`Scenario::run_chaos_profiled`] under the adaptive model; the
-    /// same fallback contract as [`Scenario::run_adaptive_profiled`].
-    fn run_adaptive_chaos_profiled(
+    /// [`Scenario::run`] under [`Policy::AdaptiveChaos`].
+    pub fn run_adaptive_chaos_profiled(
         &self,
         seed: u64,
         class: FaultClass,
         profiles: &[ProfileSet],
     ) -> RunResult {
-        self.run_chaos_profiled(seed, class, profiles)
+        self.run_policy(Policy::AdaptiveChaos(class), seed, profiles)
     }
 
-    /// Runs the evaluation workload under SmartConf control with a
-    /// compound-fault [`Campaign`] armed: the campaign's composed
-    /// multi-window [`FaultPlan`](smartconf_runtime::FaultPlan) is
-    /// injected and the guards run campaign-hardened
-    /// ([`GuardPolicy::campaign_hardened`](smartconf_runtime::GuardPolicy::campaign_hardened):
-    /// sensor voting + re-engage backoff on top of the scenario's chaos
-    /// tuning). `(seed, campaign)` fully determines the injected faults,
-    /// so campaign fleets replay exactly.
-    ///
-    /// The default ignores the campaign and falls back to the clean
-    /// profiled run, keeping unmigrated scenarios runnable; the seven
-    /// case-study scenarios all override it.
-    fn run_campaign_profiled(
+    /// [`Scenario::run`] under [`Policy::Campaign`].
+    pub fn run_campaign_profiled(
         &self,
         seed: u64,
         campaign: Campaign,
         profiles: &[ProfileSet],
     ) -> RunResult {
-        let _ = campaign;
-        self.run_smartconf_profiled(seed, profiles)
+        self.run_policy(Policy::Campaign(campaign), seed, profiles)
     }
 
-    /// [`Scenario::run_campaign_profiled`] under the adaptive model; the
-    /// same fallback contract as [`Scenario::run_adaptive_profiled`].
-    fn run_adaptive_campaign_profiled(
+    /// [`Scenario::run`] under [`Policy::AdaptiveCampaign`].
+    pub fn run_adaptive_campaign_profiled(
         &self,
         seed: u64,
         campaign: Campaign,
         profiles: &[ProfileSet],
     ) -> RunResult {
-        self.run_campaign_profiled(seed, campaign, profiles)
+        self.run_policy(Policy::AdaptiveCampaign(campaign), seed, profiles)
+    }
+}
+
+/// Where a controlled run's faults come from.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub enum Faults {
+    /// No fault plane: the paper's fault-free evaluation.
+    #[default]
+    Clean,
+    /// The standard plan of one fault class ([`FaultClass::standard_plan`]).
+    Class(FaultClass),
+    /// A compound-fault campaign's composed plan ([`Campaign::plan`]);
+    /// the guards run campaign-hardened.
+    Campaign(Campaign),
+    /// An explicit plan, e.g. one soak tenant's exported fault windows.
+    Plan(FaultPlan),
+}
+
+/// One controlled run: which gain model the controller carries and which
+/// faults it meets. The guard ladder is not a knob here — it follows
+/// from the scenario's base guard, the model and the faults (see
+/// [`RunSpec::chaos`]).
+///
+/// # Example
+///
+/// ```
+/// use smartconf_core::ModelMode;
+/// use smartconf_harness::{Faults, GuardPolicy, RunSpec};
+/// use smartconf_runtime::{Campaign, ADAPTIVE_CONFIDENCE_FLOOR};
+///
+/// let spec = RunSpec::new(ModelMode::Adaptive, Faults::Campaign(Campaign::BurstEverything));
+/// assert_eq!(spec.label(), "AdaptiveCampaign-burst-everything");
+/// let chaos = spec.chaos(42, GuardPolicy::new()).unwrap();
+/// assert_eq!(chaos.guard.confidence_floor, ADAPTIVE_CONFIDENCE_FLOOR);
+/// assert!(RunSpec::default().chaos(42, GuardPolicy::new()).is_none());
+/// ```
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct RunSpec {
+    /// Frozen offline fit or online RLS estimator.
+    pub model: ModelMode,
+    /// The faults injected into the control plane.
+    pub faults: Faults,
+}
+
+impl RunSpec {
+    /// A spec from its two parts.
+    pub fn new(model: ModelMode, faults: Faults) -> Self {
+        RunSpec { model, faults }
+    }
+
+    /// The run label, e.g. `"SmartConf"`, `"Chaos-SensorDropout"` or
+    /// `"AdaptiveCampaign-burst-everything"`; fleet policies render
+    /// the same strings.
+    pub fn label(&self) -> String {
+        let adaptive = match self.model {
+            ModelMode::Frozen => "",
+            ModelMode::Adaptive => "Adaptive",
+        };
+        match &self.faults {
+            Faults::Clean if adaptive.is_empty() => "SmartConf".to_string(),
+            Faults::Clean => adaptive.to_string(),
+            Faults::Class(c) => format!("{adaptive}Chaos-{}", c.label()),
+            Faults::Campaign(c) => format!("{adaptive}Campaign-{}", c.label()),
+            Faults::Plan(_) => format!("{adaptive}Plan-chaos"),
+        }
+    }
+
+    /// The fault plane to arm for a run at `seed`, or `None` for a clean
+    /// run. The injector seed is `shard_seed(seed, CHAOS_STREAM)`, kept
+    /// apart from the plant's workload RNG. `base` is the scenario's
+    /// guard ladder; an adaptive model adds the
+    /// [`ADAPTIVE_CONFIDENCE_FLOOR`] safety net and a campaign adds
+    /// [`GuardPolicy::campaign_hardened`]. The two touch disjoint
+    /// fields, so their order does not matter.
+    pub fn chaos(&self, seed: u64, base: GuardPolicy) -> Option<ChaosSpec> {
+        let plan = match &self.faults {
+            Faults::Clean => return None,
+            Faults::Class(class) => class.standard_plan(),
+            Faults::Campaign(campaign) => campaign.plan(),
+            Faults::Plan(plan) => plan.clone(),
+        };
+        let mut guard = base;
+        if self.model == ModelMode::Adaptive {
+            guard = guard.confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
+        }
+        if matches!(self.faults, Faults::Campaign(_)) {
+            guard = guard.campaign_hardened();
+        }
+        Some(ChaosSpec::new(shard_seed(seed, CHAOS_STREAM), plan).with_guard(guard))
     }
 }
 
@@ -220,9 +279,9 @@ mod tests {
                 TradeoffDirection::HigherIsBetter,
             )
         }
-        fn run_smartconf(&self, seed: u64) -> RunResult {
+        fn run(&self, seed: u64, spec: &RunSpec, _profiles: &[ProfileSet]) -> RunResult {
             let mut r = self.run_static(100.0, seed);
-            r.label = "SmartConf".into();
+            r.label = spec.label();
             r
         }
         fn profile(&self, _seed: u64) -> ProfileSet {
@@ -239,5 +298,93 @@ mod tests {
         assert_eq!(s.run_smartconf(1).label, "SmartConf");
         assert_eq!(s.static_setting(Baseline::Optimal), None);
         assert_eq!(s.profile(1).num_settings(), 2);
+    }
+
+    const MODELS: [ModelMode; 2] = [ModelMode::Frozen, ModelMode::Adaptive];
+
+    fn every_faults() -> Vec<Faults> {
+        let mut faults = vec![Faults::Clean];
+        faults.extend(FaultClass::ALL.iter().map(|&c| Faults::Class(c)));
+        faults.extend(Campaign::ALL.iter().map(|&c| Faults::Campaign(c)));
+        faults.push(Faults::Plan(FaultClass::Corruption.standard_plan()));
+        faults
+    }
+
+    #[test]
+    fn chaos_is_none_exactly_when_clean() {
+        for model in MODELS {
+            for faults in every_faults() {
+                let clean = faults == Faults::Clean;
+                let spec = RunSpec::new(model, faults);
+                assert_eq!(
+                    spec.chaos(7, GuardPolicy::new()).is_none(),
+                    clean,
+                    "{spec:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chaos_floor_iff_adaptive_and_hardening_iff_campaign() {
+        let base = GuardPolicy::new().fallback_setting("c", 3.0);
+        for model in MODELS {
+            for faults in every_faults() {
+                let campaign = matches!(faults, Faults::Campaign(_));
+                let spec = RunSpec::new(model, faults);
+                let Some(chaos) = spec.chaos(7, base.clone()) else {
+                    continue;
+                };
+                let mut expected = base.clone();
+                if model == ModelMode::Adaptive {
+                    expected = expected.confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
+                }
+                if campaign {
+                    expected = expected.campaign_hardened();
+                }
+                assert_eq!(chaos.guard, expected, "{spec:?}");
+                assert_eq!(
+                    chaos.guard.confidence_floor > 0.0,
+                    model == ModelMode::Adaptive,
+                    "{spec:?}"
+                );
+                assert_eq!(chaos.guard.vote_window > 0, campaign, "{spec:?}");
+                assert_eq!(chaos.guard.reengage_backoff > 0, campaign, "{spec:?}");
+                assert_eq!(chaos.guard.fallback_for("c"), Some(3.0));
+            }
+        }
+    }
+
+    #[test]
+    fn chaos_seeds_from_the_chaos_stream_and_keeps_the_plan() {
+        let plan = FaultClass::ActuatorLag.standard_plan();
+        let cases = [
+            (Faults::Class(FaultClass::ActuatorLag), plan.clone()),
+            (
+                Faults::Campaign(Campaign::CascadingDropout),
+                Campaign::CascadingDropout.plan(),
+            ),
+            (Faults::Plan(plan.clone()), plan),
+        ];
+        for (faults, plan) in cases {
+            for seed in [0, 42, u64::MAX] {
+                let chaos = RunSpec::new(ModelMode::Frozen, faults.clone())
+                    .chaos(seed, GuardPolicy::new())
+                    .unwrap();
+                assert_eq!(chaos.seed, shard_seed(seed, CHAOS_STREAM));
+                assert_eq!(chaos.plan, plan);
+            }
+        }
+    }
+
+    #[test]
+    fn run_smartconf_is_the_default_spec() {
+        assert_eq!(
+            RunSpec::default(),
+            RunSpec::new(ModelMode::Frozen, Faults::Clean)
+        );
+        assert_eq!(Toy.run_smartconf(3).label, "SmartConf");
+        let plan = RunSpec::new(ModelMode::Adaptive, Faults::Plan(FaultPlan::new()));
+        assert_eq!(plan.label(), "AdaptivePlan-chaos");
     }
 }

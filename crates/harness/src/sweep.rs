@@ -82,6 +82,7 @@ pub fn sweep_statics(scenario: &(impl Scenario + Sync + ?Sized), seed: u64) -> S
 mod tests {
     use super::*;
     use crate::Baseline;
+    use crate::RunSpec;
     use smartconf_core::ProfileSet;
 
     /// Constraint: setting <= 100. Trade-off: setting, higher better.
@@ -114,7 +115,7 @@ mod tests {
                 TradeoffDirection::HigherIsBetter,
             )
         }
-        fn run_smartconf(&self, seed: u64) -> RunResult {
+        fn run(&self, seed: u64, _spec: &RunSpec, _profiles: &[ProfileSet]) -> RunResult {
             self.run_static(100.0, seed)
         }
         fn profile(&self, _seed: u64) -> ProfileSet {
@@ -157,7 +158,7 @@ mod tests {
         fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
             RunResult::new("x", false, setting, "t", TradeoffDirection::LowerIsBetter)
         }
-        fn run_smartconf(&self, seed: u64) -> RunResult {
+        fn run(&self, seed: u64, _spec: &RunSpec, _profiles: &[ProfileSet]) -> RunResult {
             self.run_static(1.0, seed)
         }
         fn profile(&self, _seed: u64) -> ProfileSet {
@@ -204,7 +205,7 @@ mod tests {
                 TradeoffDirection::LowerIsBetter,
             )
         }
-        fn run_smartconf(&self, seed: u64) -> RunResult {
+        fn run(&self, seed: u64, _spec: &RunSpec, _profiles: &[ProfileSet]) -> RunResult {
             self.run_static(3.0, seed)
         }
         fn profile(&self, _seed: u64) -> ProfileSet {

@@ -113,7 +113,7 @@ impl CountBoundedQueue {
 
     /// Drops the *newest* items until the length is back at the bound —
     /// guard-directed shedding of already-admitted work
-    /// ([`GuardPolicy::shed_admitted`](smartconf_runtime::GuardPolicy::shed_admitted)).
+    /// ([`ControlPlane::take_plant_shed`](smartconf_runtime::ControlPlane::take_plant_shed)).
     /// Newest-first keeps the items that have waited longest, matching
     /// the FIFO service order. Returns how many items were dropped.
     pub fn shed_to_bound(&mut self) -> usize {
@@ -212,7 +212,7 @@ impl ByteBoundedQueue {
 
     /// Drops the *newest* items until resident bytes are back at the
     /// bound — guard-directed shedding of already-admitted work
-    /// ([`GuardPolicy::shed_admitted`](smartconf_runtime::GuardPolicy::shed_admitted)).
+    /// ([`ControlPlane::take_plant_shed`](smartconf_runtime::ControlPlane::take_plant_shed)).
     /// Returns how many items were dropped.
     pub fn shed_to_bound(&mut self) -> usize {
         let mut dropped = 0;

@@ -19,11 +19,10 @@
 use smartconf_core::{
     Controller, ControllerBuilder, Goal, Hardness, ModelMode, ProfileSet, SmartConfIndirect,
 };
-use smartconf_harness::{Baseline, RunResult, Scenario, TradeoffDirection};
+use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_metrics::{Histogram, TimeSeries};
 use smartconf_runtime::{
-    shard_seed, Campaign, ChannelId, ChaosSpec, ControlPlane, Decider, FaultClass, FaultPlan,
-    GuardPolicy, ProfileSchedule, Profiler, Sensed, ADAPTIVE_CONFIDENCE_FLOOR, CHAOS_STREAM,
+    ChannelId, ChaosSpec, ControlPlane, Decider, GuardPolicy, ProfileSchedule, Profiler, Sensed,
 };
 use smartconf_simkernel::{Context, Model, SimDuration, SimTime, Simulation};
 use smartconf_workload::{PhasedWorkload, YcsbWorkload};
@@ -116,19 +115,13 @@ impl Ca6059 {
     }
 
     /// Synthesizes the SmartConf controller; the deputy is the memtable's
-    /// resident bytes in MB.
+    /// resident bytes in MB. [`ModelMode::Adaptive`] seeds an online RLS
+    /// estimator from the profile instead of freezing the offline fit.
     ///
     /// # Panics
     ///
     /// Panics if synthesis fails (the standard profile is well-formed).
-    pub fn build_controller(&self, profile: &ProfileSet) -> Controller {
-        self.build_controller_with_mode(profile, ModelMode::Frozen)
-    }
-
-    /// [`Ca6059::build_controller`] with an explicit model mode:
-    /// [`ModelMode::Adaptive`] seeds an online RLS estimator from the
-    /// profile instead of freezing the offline fit.
-    pub fn build_controller_with_mode(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
+    pub fn build_controller(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
         let goal = Goal::new("memory_mb", self.heap_goal_mb())
             .with_hardness(Hardness::Hard)
             .expect("positive target");
@@ -284,130 +277,15 @@ impl Scenario for Ca6059 {
         )
     }
 
-    fn run_smartconf(&self, seed: u64) -> RunResult {
-        self.run_smartconf_profiled(seed, &self.evaluation_profiles(seed))
-    }
-
-    fn run_smartconf_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
+    fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
+        let controller = self.build_controller(&profiles[0], spec.model);
         let conf = SmartConfIndirect::new("memtable_total_space_in_mb", controller);
         self.run_model(
             Decider::Deputy(Box::new(conf)),
             &self.eval.clone(),
             seed,
-            "SmartConf",
-            None,
-        )
-    }
-
-    fn run_chaos(&self, seed: u64, class: FaultClass) -> RunResult {
-        self.run_chaos_profiled(seed, class, &self.evaluation_profiles(seed))
-    }
-
-    fn run_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConfIndirect::new("memtable_total_space_in_mb", controller);
-        let spec =
-            ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(self.guard());
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("Chaos-{}", class.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_plan_profiled(&self, seed: u64, plan: &FaultPlan, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConfIndirect::new("memtable_total_space_in_mb", controller);
-        let spec =
-            ChaosSpec::new(shard_seed(seed, CHAOS_STREAM), plan.clone()).with_guard(self.guard());
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            "Plan-chaos",
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConfIndirect::new("memtable_total_space_in_mb", controller);
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            "Adaptive",
-            None,
-        )
-    }
-
-    fn run_adaptive_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConfIndirect::new("memtable_total_space_in_mb", controller);
-        // Same profiled-safe fallback as the frozen chaos run, plus the
-        // model-doubt safety net for estimator collapse.
-        let guard = self.guard().confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
-        let spec = ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("AdaptiveChaos-{}", class.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConfIndirect::new("memtable_total_space_in_mb", controller);
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM))
-            .with_guard(self.guard().campaign_hardened());
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("Campaign-{}", campaign.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConfIndirect::new("memtable_total_space_in_mb", controller);
-        let guard = self
-            .guard()
-            .confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR)
-            .campaign_hardened();
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("AdaptiveCampaign-{}", campaign.label()),
-            Some(spec),
+            &spec.label(),
+            spec.chaos(seed, self.guard()),
         )
     }
 

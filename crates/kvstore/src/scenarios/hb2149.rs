@@ -17,11 +17,10 @@
 //! a blocking flush actually happens.
 
 use smartconf_core::{Controller, ControllerBuilder, Goal, ModelMode, ProfileSet, SmartConf};
-use smartconf_harness::{Baseline, RunResult, Scenario, TradeoffDirection};
+use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_metrics::TimeSeries;
 use smartconf_runtime::{
-    shard_seed, Campaign, ChannelId, ChaosSpec, ControlPlane, Decider, FaultClass, FaultPlan,
-    GuardPolicy, ProfileSchedule, Profiler, ADAPTIVE_CONFIDENCE_FLOOR, CHAOS_STREAM,
+    ChannelId, ChaosSpec, ControlPlane, Decider, GuardPolicy, ProfileSchedule, Profiler,
 };
 use smartconf_simkernel::{Context, Model, SimDuration, SimTime, Simulation};
 use smartconf_workload::{PhasedWorkload, YcsbWorkload};
@@ -46,14 +45,6 @@ pub struct Hb2149 {
     profile_workload: YcsbWorkload,
     /// Profiled lowerLimit settings in MB.
     profile_settings: Vec<f64>,
-    /// When `true` (the default), chaos runs arm
-    /// [`GuardPolicy::shed_admitted`](smartconf_runtime::GuardPolicy::shed_admitted):
-    /// while the watchdog holds a degraded channel, the in-force
-    /// lowerLimit is clamped to the safe (shallow) side of the profiled
-    /// fallback, and the blocking flush drains only to that clamped
-    /// watermark — the store content above it is the admitted work the
-    /// guard sheds.
-    shed_admitted: bool,
 }
 
 impl Hb2149 {
@@ -71,20 +62,7 @@ impl Hb2149 {
             ]),
             profile_workload: Self::workload(),
             profile_settings: vec![40.0, 80.0, 120.0, 160.0],
-            shed_admitted: true,
         }
-    }
-
-    /// Arms admitted-work shedding for chaos runs (already the
-    /// [`Hb2149::standard`] default; this keeps call sites explicit):
-    /// a watchdog-degraded
-    /// channel clamps its in-force lowerLimit to the safe (shallow) side
-    /// of the profiled fallback instead of reverting to a setting that
-    /// was only safe under the goal it was decided for.
-    #[must_use]
-    pub fn with_shed_admitted(mut self) -> Self {
-        self.shed_admitted = true;
-        self
     }
 
     fn workload() -> YcsbWorkload {
@@ -124,14 +102,10 @@ impl Hb2149 {
     ///
     /// Panics if synthesis fails (the standard profile is well-formed —
     /// block duration is exactly affine in the setting).
-    pub fn build_controller(&self, profile: &ProfileSet) -> Controller {
-        self.build_controller_with_mode(profile, ModelMode::Frozen)
-    }
-
-    /// [`Hb2149::build_controller`] with an explicit model mode:
+    ///
     /// [`ModelMode::Adaptive`] seeds an online RLS estimator from the
     /// profile instead of freezing the offline fit.
-    pub fn build_controller_with_mode(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
+    pub fn build_controller(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
         let goal = Goal::new("write_block_secs", self.phase_goals_secs.0);
         ControllerBuilder::new(goal)
             .profile(profile)
@@ -146,11 +120,13 @@ impl Hb2149 {
     /// The guard ladder shared by every chaos and campaign run.
     ///
     /// Profiled-safe fallback: the patched shallow lowerLimit keeps
-    /// every blocking flush short at the cost of flushing often.
+    /// every blocking flush short at the cost of flushing often. While
+    /// the guard holds a degraded channel, the in-force lowerLimit is
+    /// clamped to the shallow side of that fallback and the blocking
+    /// flush drains only to it: the store content above it is the
+    /// admitted work the guard sheds.
     fn guard(&self) -> GuardPolicy {
-        GuardPolicy::new()
-            .fallback_setting("memstore.lowerLimit_mb", 175.0)
-            .shed_admitted(self.shed_admitted)
+        GuardPolicy::new().fallback_setting("memstore.lowerLimit_mb", 175.0)
     }
 
     fn run_model(
@@ -279,137 +255,16 @@ impl Scenario for Hb2149 {
         )
     }
 
-    fn run_smartconf(&self, seed: u64) -> RunResult {
-        self.run_smartconf_profiled(seed, &self.evaluation_profiles(seed))
-    }
-
-    fn run_smartconf_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
+    fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
+        let controller = self.build_controller(&profiles[0], spec.model);
         let conf = SmartConf::new("global.memstore.lowerLimit", controller);
         self.run_model(
             Decider::Direct(Box::new(conf)),
             &self.eval.clone(),
             seed,
-            "SmartConf",
+            &spec.label(),
             self.phase_goals_secs,
-            None,
-        )
-    }
-
-    fn run_chaos(&self, seed: u64, class: FaultClass) -> RunResult {
-        self.run_chaos_profiled(seed, class, &self.evaluation_profiles(seed))
-    }
-
-    fn run_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConf::new("global.memstore.lowerLimit", controller);
-        let spec =
-            ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(self.guard());
-        self.run_model(
-            Decider::Direct(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("Chaos-{}", class.label()),
-            self.phase_goals_secs,
-            Some(spec),
-        )
-    }
-
-    fn run_plan_profiled(&self, seed: u64, plan: &FaultPlan, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConf::new("global.memstore.lowerLimit", controller);
-        let spec =
-            ChaosSpec::new(shard_seed(seed, CHAOS_STREAM), plan.clone()).with_guard(self.guard());
-        self.run_model(
-            Decider::Direct(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            "Plan-chaos",
-            self.phase_goals_secs,
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConf::new("global.memstore.lowerLimit", controller);
-        self.run_model(
-            Decider::Direct(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            "Adaptive",
-            self.phase_goals_secs,
-            None,
-        )
-    }
-
-    fn run_adaptive_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConf::new("global.memstore.lowerLimit", controller);
-        // Same profiled-safe fallback as the frozen chaos run, plus the
-        // model-doubt safety net for estimator collapse.
-        let guard = self.guard().confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
-        let spec = ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_model(
-            Decider::Direct(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("AdaptiveChaos-{}", class.label()),
-            self.phase_goals_secs,
-            Some(spec),
-        )
-    }
-
-    fn run_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConf::new("global.memstore.lowerLimit", controller);
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM))
-            .with_guard(self.guard().campaign_hardened());
-        self.run_model(
-            Decider::Direct(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("Campaign-{}", campaign.label()),
-            self.phase_goals_secs,
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConf::new("global.memstore.lowerLimit", controller);
-        let guard = self
-            .guard()
-            .confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR)
-            .campaign_hardened();
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_model(
-            Decider::Direct(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("AdaptiveCampaign-{}", campaign.label()),
-            self.phase_goals_secs,
-            Some(spec),
+            spec.chaos(seed, self.guard()),
         )
     }
 
@@ -531,6 +386,8 @@ impl Model for MemstoreModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartconf_harness::Faults;
+    use smartconf_runtime::FaultClass;
 
     fn quick() -> Hb2149 {
         let mut s = Hb2149::standard();
@@ -543,24 +400,25 @@ mod tests {
 
     #[test]
     fn shed_admitted_holds_block_goal_under_recoverable_faults() {
-        // With admitted-work shedding armed, every fault class the guard
-        // can recover from must leave the block-duration goal intact.
+        // With admitted-work shedding, every fault class the guard can
+        // recover from must leave the block-duration goal intact.
         // ActuatorSaturation is excluded: it caps the actuator *below*
         // the safe shallow watermark, so deep flushes are physically
         // unavoidable — no controller-side guard can reach a setting the
         // actuator cannot apply.
-        let t = quick().with_shed_admitted();
+        let t = quick();
         let profiles = t.evaluation_profiles(13);
         for class in FaultClass::ALL {
             if class == FaultClass::ActuatorSaturation {
                 continue;
             }
-            let out = t.run_chaos_profiled(13, class, &profiles);
+            let spec = RunSpec::new(ModelMode::Frozen, Faults::Class(class));
+            let out = t.run(13, &spec, &profiles);
             assert!(
                 out.constraint_ok,
                 "{class:?}: shed-armed chaos run violated the block goal"
             );
-            let again = t.run_chaos_profiled(13, class, &profiles);
+            let again = t.run(13, &spec, &profiles);
             assert_eq!(out.tradeoff.to_bits(), again.tradeoff.to_bits());
         }
     }

@@ -16,11 +16,10 @@ use smartconf_core::{
     Controller, ControllerBuilder, Goal, Hardness, ModelMode, ProfileSet, SmartConf,
     SmartConfIndirect,
 };
-use smartconf_harness::{Baseline, RunResult, Scenario, TradeoffDirection};
+use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_metrics::{RateCounter, TimeSeries};
 use smartconf_runtime::{
-    shard_seed, Campaign, ChannelId, ChaosSpec, ControlPlane, Decider, FaultClass, FaultPlan,
-    GuardPolicy, ProfileSchedule, Profiler, Sensed, ADAPTIVE_CONFIDENCE_FLOOR, CHAOS_STREAM,
+    ChannelId, ChaosSpec, ControlPlane, Decider, GuardPolicy, ProfileSchedule, Profiler, Sensed,
 };
 use smartconf_simkernel::{Context, Model, SimDuration, SimTime, Simulation};
 use smartconf_workload::{ArrivalProcess, PhasedWorkload, YcsbWorkload};
@@ -168,20 +167,14 @@ impl Hb3813 {
     }
 
     /// Builds the SmartConf controller (or an ablated variant) from a
-    /// profile.
+    /// profile. [`ModelMode::Adaptive`] seeds an online RLS estimator
+    /// from the profile instead of freezing the offline fit.
     ///
     /// # Panics
     ///
     /// Panics if synthesis fails — the standard profiling workload always
     /// yields a monotone, non-degenerate profile.
-    pub fn build_controller(&self, profile: &ProfileSet, variant: ControllerVariant) -> Controller {
-        self.build_controller_with_mode(profile, variant, ModelMode::Frozen)
-    }
-
-    /// [`Hb3813::build_controller`] with an explicit model mode:
-    /// [`ModelMode::Adaptive`] seeds an online RLS estimator from the
-    /// profile instead of freezing the offline fit.
-    pub fn build_controller_with_mode(
+    pub fn build_controller(
         &self,
         profile: &ProfileSet,
         variant: ControllerVariant,
@@ -243,47 +236,28 @@ impl Hb3813 {
         )
     }
 
-    /// Runs the evaluation workload under a controller variant.
+    /// Profiles at `seed ^ 0x5eed`, then runs the evaluation workload
+    /// under a controller variant.
     pub fn run_variant(&self, variant: ControllerVariant, seed: u64) -> RunResult {
         let profile = self.collect_profile(seed ^ 0x5eed);
-        self.run_variant_profiled(variant, seed, &profile)
-    }
-
-    /// [`Hb3813::run_variant`] with the §6.1 profiling phase already
-    /// done: `profile` must be `collect_profile(seed ^ 0x5eed)`.
-    pub fn run_variant_profiled(
-        &self,
-        variant: ControllerVariant,
-        seed: u64,
-        profile: &ProfileSet,
-    ) -> RunResult {
-        let controller = self.build_controller(profile, variant);
-        let (decider, label) = match variant {
-            ControllerVariant::SmartConf => (
-                Decider::Deputy(Box::new(SmartConfIndirect::new(
-                    "ipc.server.max.queue.size",
-                    controller,
-                ))),
-                "SmartConf",
-            ),
-            // The alternatives are traditional Eq-2 controllers that
-            // integrate on their own output (no deputy re-anchoring).
-            ControllerVariant::SinglePole => (
-                Decider::Direct(Box::new(SmartConf::new(
-                    "ipc.server.max.queue.size",
-                    controller,
-                ))),
-                "Single Pole",
-            ),
-            ControllerVariant::NoVirtualGoal => (
-                Decider::Direct(Box::new(SmartConf::new(
-                    "ipc.server.max.queue.size",
-                    controller,
-                ))),
-                "No Virtual Goal",
-            ),
+        let controller = self.build_controller(&profile, variant, ModelMode::Frozen);
+        let label = match variant {
+            ControllerVariant::SmartConf => {
+                return self.run_with_controller(controller, seed, "SmartConf")
+            }
+            ControllerVariant::SinglePole => "Single Pole",
+            ControllerVariant::NoVirtualGoal => "No Virtual Goal",
         };
-        self.run_model(decider, &self.eval.clone(), seed, label, None)
+        // The alternatives are traditional Eq-2 controllers that
+        // integrate on their own output (no deputy re-anchoring).
+        let conf = SmartConf::new("ipc.server.max.queue.size", controller);
+        self.run_model(
+            Decider::Direct(Box::new(conf)),
+            &self.eval.clone(),
+            seed,
+            label,
+            None,
+        )
     }
 
     /// The guard ladder shared by every chaos and campaign run.
@@ -428,134 +402,16 @@ impl Scenario for Hb3813 {
         self.run_static_setting(setting, seed)
     }
 
-    fn run_smartconf(&self, seed: u64) -> RunResult {
-        self.run_variant(ControllerVariant::SmartConf, seed)
-    }
-
-    fn run_smartconf_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        self.run_variant_profiled(ControllerVariant::SmartConf, seed, &profiles[0])
-    }
-
-    fn run_chaos(&self, seed: u64, class: FaultClass) -> RunResult {
-        self.run_chaos_profiled(seed, class, &self.evaluation_profiles(seed))
-    }
-
-    fn run_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0], ControllerVariant::SmartConf);
-        let conf = SmartConfIndirect::new("ipc.server.max.queue.size", controller);
-        let spec =
-            ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(self.guard());
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("Chaos-{}", class.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_plan_profiled(&self, seed: u64, plan: &FaultPlan, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0], ControllerVariant::SmartConf);
-        let conf = SmartConfIndirect::new("ipc.server.max.queue.size", controller);
-        let spec =
-            ChaosSpec::new(shard_seed(seed, CHAOS_STREAM), plan.clone()).with_guard(self.guard());
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            "Plan-chaos",
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller_with_mode(
-            &profiles[0],
-            ControllerVariant::SmartConf,
-            ModelMode::Adaptive,
-        );
+    fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
+        let controller =
+            self.build_controller(&profiles[0], ControllerVariant::SmartConf, spec.model);
         let conf = SmartConfIndirect::new("ipc.server.max.queue.size", controller);
         self.run_model(
             Decider::Deputy(Box::new(conf)),
             &self.eval.clone(),
             seed,
-            "Adaptive",
-            None,
-        )
-    }
-
-    fn run_adaptive_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(
-            &profiles[0],
-            ControllerVariant::SmartConf,
-            ModelMode::Adaptive,
-        );
-        let conf = SmartConfIndirect::new("ipc.server.max.queue.size", controller);
-        // Same profiled-safe fallback as the frozen chaos run, plus the
-        // model-doubt safety net for estimator collapse.
-        let guard = self.guard().confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
-        let spec = ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("AdaptiveChaos-{}", class.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0], ControllerVariant::SmartConf);
-        let conf = SmartConfIndirect::new("ipc.server.max.queue.size", controller);
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM))
-            .with_guard(self.guard().campaign_hardened());
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("Campaign-{}", campaign.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(
-            &profiles[0],
-            ControllerVariant::SmartConf,
-            ModelMode::Adaptive,
-        );
-        let conf = SmartConfIndirect::new("ipc.server.max.queue.size", controller);
-        let guard = self
-            .guard()
-            .confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR)
-            .campaign_hardened();
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("AdaptiveCampaign-{}", campaign.label()),
-            Some(spec),
+            &spec.label(),
+            spec.chaos(seed, self.guard()),
         )
     }
 
@@ -850,9 +706,9 @@ mod tests {
     fn variants_construct_distinct_controllers() {
         let s = Hb3813::standard();
         let p = s.collect_profile(5);
-        let full = s.build_controller(&p, ControllerVariant::SmartConf);
-        let single = s.build_controller(&p, ControllerVariant::SinglePole);
-        let raw = s.build_controller(&p, ControllerVariant::NoVirtualGoal);
+        let full = s.build_controller(&p, ControllerVariant::SmartConf, ModelMode::Frozen);
+        let single = s.build_controller(&p, ControllerVariant::SinglePole, ModelMode::Frozen);
+        let raw = s.build_controller(&p, ControllerVariant::NoVirtualGoal, ModelMode::Frozen);
         // Full targets below the limit; raw targets the limit itself.
         assert!(full.effective_target() < s.heap_goal_mb());
         assert!((raw.effective_target() - s.heap_goal_mb()).abs() < 1e-9);

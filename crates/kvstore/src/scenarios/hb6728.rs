@@ -14,12 +14,11 @@
 use smartconf_core::{
     Controller, ControllerBuilder, Goal, Hardness, ModelMode, ProfileSet, SmartConfIndirect,
 };
-use smartconf_harness::{Baseline, RunResult, Scenario, TradeoffDirection};
+use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_metrics::{RateCounter, TimeSeries};
 use smartconf_runtime::{
-    shard_seed, Campaign, ChannelId, ChaosSpec, ControlPlane, Decider, FaultClass, FaultPlan,
-    GuardPolicy, ProfileSchedule, Profiler, Sensed, ADAPTIVE_CONFIDENCE_FLOOR,
-    CAMPAIGN_VOTE_WINDOW, CHAOS_STREAM,
+    ChannelId, ChaosSpec, ControlPlane, Decider, GuardPolicy, ProfileSchedule, Profiler, Sensed,
+    CAMPAIGN_VOTE_WINDOW,
 };
 use smartconf_simkernel::{Context, Model, SimDuration, SimTime, Simulation};
 use smartconf_workload::{PhasedWorkload, YcsbWorkload};
@@ -114,18 +113,13 @@ impl Hb6728 {
 
     /// Synthesizes the SmartConf controller for the response queue. The
     /// deputy is the resident response bytes in MB.
+    /// [`ModelMode::Adaptive`] seeds an online RLS estimator from the
+    /// profile instead of freezing the offline fit.
     ///
     /// # Panics
     ///
     /// Panics if synthesis fails (the standard profile is well-formed).
-    pub fn build_controller(&self, profile: &ProfileSet) -> Controller {
-        self.build_controller_with_mode(profile, ModelMode::Frozen)
-    }
-
-    /// [`Hb6728::build_controller`] with an explicit model mode:
-    /// [`ModelMode::Adaptive`] seeds an online RLS estimator from the
-    /// profile instead of freezing the offline fit.
-    pub fn build_controller_with_mode(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
+    pub fn build_controller(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
         let goal = Goal::new("memory_mb", self.heap_goal_mb())
             .with_hardness(Hardness::Hard)
             .expect("positive target");
@@ -283,130 +277,15 @@ impl Scenario for Hb6728 {
         )
     }
 
-    fn run_smartconf(&self, seed: u64) -> RunResult {
-        self.run_smartconf_profiled(seed, &self.evaluation_profiles(seed))
-    }
-
-    fn run_smartconf_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
+    fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
+        let controller = self.build_controller(&profiles[0], spec.model);
         let conf = SmartConfIndirect::new("ipc.server.response.queue.maxsize", controller);
         self.run_model(
             Decider::Deputy(Box::new(conf)),
             &self.eval.clone(),
             seed,
-            "SmartConf",
-            None,
-        )
-    }
-
-    fn run_chaos(&self, seed: u64, class: FaultClass) -> RunResult {
-        self.run_chaos_profiled(seed, class, &self.evaluation_profiles(seed))
-    }
-
-    fn run_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConfIndirect::new("ipc.server.response.queue.maxsize", controller);
-        let spec =
-            ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(self.guard());
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("Chaos-{}", class.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_plan_profiled(&self, seed: u64, plan: &FaultPlan, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConfIndirect::new("ipc.server.response.queue.maxsize", controller);
-        let spec =
-            ChaosSpec::new(shard_seed(seed, CHAOS_STREAM), plan.clone()).with_guard(self.guard());
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            "Plan-chaos",
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConfIndirect::new("ipc.server.response.queue.maxsize", controller);
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            "Adaptive",
-            None,
-        )
-    }
-
-    fn run_adaptive_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConfIndirect::new("ipc.server.response.queue.maxsize", controller);
-        // Same guard ladder as the frozen chaos run, plus the
-        // model-doubt safety net for estimator collapse.
-        let guard = self.guard().confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
-        let spec = ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("AdaptiveChaos-{}", class.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConfIndirect::new("ipc.server.response.queue.maxsize", controller);
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM))
-            .with_guard(self.guard().campaign_hardened());
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("Campaign-{}", campaign.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConfIndirect::new("ipc.server.response.queue.maxsize", controller);
-        let guard = self
-            .guard()
-            .confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR)
-            .campaign_hardened();
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_model(
-            Decider::Deputy(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("AdaptiveCampaign-{}", campaign.label()),
-            Some(spec),
+            &spec.label(),
+            spec.chaos(seed, self.guard()),
         )
     }
 
@@ -584,6 +463,8 @@ impl Model for ResponseModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartconf_harness::Faults;
+    use smartconf_runtime::{Campaign, FaultClass};
 
     fn quick() -> Hb6728 {
         let mut s = Hb6728::standard();
@@ -680,13 +561,21 @@ mod tests {
             FaultClass::Corruption,
             FaultClass::ActuatorLag,
         ] {
-            let frozen = s.run_chaos_profiled(43, class, &profiles);
+            let frozen = s.run(
+                43,
+                &RunSpec::new(ModelMode::Frozen, Faults::Class(class)),
+                &profiles,
+            );
             assert!(
                 !frozen.constraint_ok,
                 "frozen seed-43 {} gap closed; update this pin and ROADMAP.md",
                 class.label()
             );
-            let adaptive = s.run_adaptive_chaos_profiled(43, class, &profiles);
+            let adaptive = s.run(
+                43,
+                &RunSpec::new(ModelMode::Adaptive, Faults::Class(class)),
+                &profiles,
+            );
             let expect_closed = class == FaultClass::SensorDropout;
             assert_eq!(
                 adaptive.constraint_ok,
@@ -702,10 +591,12 @@ mod tests {
     #[test]
     fn chaos_run_keeps_hard_goal_and_replays() {
         let s = quick();
-        let a = s.run_chaos(17, FaultClass::SensorDropout);
+        let spec = RunSpec::new(ModelMode::Frozen, Faults::Class(FaultClass::SensorDropout));
+        let profiles = s.evaluation_profiles(17);
+        let a = s.run(17, &spec, &profiles);
         assert!(a.constraint_ok, "chaos run violated the hard goal");
         assert!(a.epochs.summary("response.queue.maxsize_mb").is_some());
-        let b = s.run_chaos(17, FaultClass::SensorDropout);
+        let b = s.run(17, &spec, &profiles);
         assert_eq!(a.tradeoff, b.tradeoff);
     }
 
@@ -713,13 +604,24 @@ mod tests {
     fn campaign_run_replays_and_tracks_recovery() {
         let s = quick();
         let profiles = s.evaluation_profiles(17);
-        let a = s.run_campaign_profiled(17, Campaign::RestartUnderCorruption, &profiles);
+        let spec = RunSpec::new(
+            ModelMode::Frozen,
+            Faults::Campaign(Campaign::RestartUnderCorruption),
+        );
+        let a = s.run(17, &spec, &profiles);
         assert_eq!(a.label, "Campaign-restart-under-corruption");
         let sum = a.epochs.summary("response.queue.maxsize_mb").unwrap();
         assert!(sum.faults_injected > 0, "campaign injected no faults");
-        let b = s.run_campaign_profiled(17, Campaign::RestartUnderCorruption, &profiles);
+        let b = s.run(17, &spec, &profiles);
         assert_eq!(a.tradeoff, b.tradeoff, "campaign run failed to replay");
-        let ad = s.run_adaptive_campaign_profiled(17, Campaign::CascadingDropout, &profiles);
+        let ad = s.run(
+            17,
+            &RunSpec::new(
+                ModelMode::Adaptive,
+                Faults::Campaign(Campaign::CascadingDropout),
+            ),
+            &profiles,
+        );
         assert_eq!(ad.label, "AdaptiveCampaign-cascading-dropout");
         assert!(ad
             .epochs

@@ -9,15 +9,12 @@
 //! never violates the constraint while the two bounds trade the budget
 //! between themselves.
 
-use smartconf_core::{
-    ControllerBuilder, Goal, Hardness, ModelMode, ProfileSet, Registry, SmartConfIndirect,
-};
-use smartconf_harness::{Baseline, RunResult, Scenario, TradeoffDirection};
+use smartconf_core::{ControllerBuilder, Goal, Hardness, ProfileSet, Registry, SmartConfIndirect};
+use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_metrics::TimeSeries;
 use smartconf_runtime::{
-    shard_seed, Campaign, ChannelId, ChaosSpec, ControlPlane, ControlPlaneBuilder, Decider,
-    FaultClass, FaultPlan, GuardPolicy, ProfileSchedule, Profiler, Sensed,
-    ADAPTIVE_CONFIDENCE_FLOOR, CHAOS_STREAM,
+    ChannelId, ControlPlane, ControlPlaneBuilder, Decider, GuardPolicy, ProfileSchedule, Profiler,
+    Sensed,
 };
 use smartconf_simkernel::{Context, Model, SimDuration, SimTime, Simulation};
 use smartconf_workload::{PhasedWorkload, YcsbWorkload};
@@ -53,12 +50,6 @@ pub struct TwinQueues {
     /// Phase 1: writes only; phase 2 adds reads (paper: at 50 s).
     phase1: SimDuration,
     phase2: SimDuration,
-    /// When `true` (the default), chaos runs arm
-    /// [`GuardPolicy::shed_admitted`](smartconf_runtime::GuardPolicy::shed_admitted):
-    /// a guard-degraded channel also drops already-admitted queue items
-    /// beyond the in-force bound, instead of only refusing new ones.
-    /// With it TWIN holds its memory goal under all seven fault classes.
-    shed_admitted: bool,
 }
 
 impl TwinQueues {
@@ -75,21 +66,7 @@ impl TwinQueues {
             read_response_bytes: 2 * MB,
             phase1: SimDuration::from_secs(50),
             phase2: SimDuration::from_secs(190),
-            shed_admitted: true,
         }
-    }
-
-    /// Arms admitted-work shedding for chaos runs (already the
-    /// [`TwinQueues::standard`] default; this keeps call sites explicit):
-    /// when the guard ladder degrades a channel (watchdog or fallback),
-    /// the corresponding queue also drops already-admitted items beyond
-    /// the in-force bound. Admission-only guarding tolerates that
-    /// backlog (§4.2), which under injected faults can pin memory above
-    /// the hard goal.
-    #[must_use]
-    pub fn with_shed_admitted(mut self) -> Self {
-        self.shed_admitted = true;
-        self
     }
 
     /// The memory goal in MB.
@@ -204,20 +181,12 @@ impl TwinQueues {
         seed: u64,
         interaction: Option<u32>,
     ) -> TwinRunResult {
-        self.run_smart_inner(seed, interaction, None)
-    }
-
-    fn run_smart_inner(
-        &self,
-        seed: u64,
-        interaction: Option<u32>,
-        chaos: Option<ChaosSpec>,
-    ) -> TwinRunResult {
-        let profiles = [
-            self.profile_queue(WhichQueue::Request, seed ^ 0xaaaa),
-            self.profile_queue(WhichQueue::Response, seed ^ 0xbbbb),
-        ];
-        self.run_smart_inner_profiled(seed, interaction, chaos, &profiles, ModelMode::Frozen)
+        self.run_twin(
+            seed,
+            &RunSpec::default(),
+            &Scenario::evaluation_profiles(self, seed),
+            interaction,
+        )
     }
 
     /// The guard ladder shared by every chaos and campaign run.
@@ -228,20 +197,19 @@ impl TwinQueues {
         GuardPolicy::new()
             .fallback_setting("max.queue.size", 60.0)
             .fallback_setting("response.queue.maxsize_mb", 60.0)
-            .shed_admitted(self.shed_admitted)
     }
 
-    /// [`TwinQueues::run_smart_inner`] with both queue profiles already
-    /// collected: `profiles[0]` is the request queue at `seed ^ 0xaaaa`,
+    /// Runs both coordinated controllers as `spec` describes.
+    /// `profiles[0]` is the request queue at `seed ^ 0xaaaa`,
     /// `profiles[1]` the response queue at `seed ^ 0xbbbb` (the
-    /// [`Scenario::evaluation_profiles`] order).
-    fn run_smart_inner_profiled(
+    /// [`Scenario::evaluation_profiles`] order); `interaction` overrides
+    /// the §5.4 interaction factor.
+    fn run_twin(
         &self,
         seed: u64,
-        interaction: Option<u32>,
-        chaos: Option<ChaosSpec>,
+        spec: &RunSpec,
         profiles: &[ProfileSet],
-        mode: ModelMode,
+        interaction: Option<u32>,
     ) -> TwinRunResult {
         // Registry drives the coordination: two configurations mapped to
         // one super-hard metric gives each controller N = 2 (§5.4).
@@ -273,7 +241,7 @@ impl TwinQueues {
                 .expect("profile supports synthesis")
                 .bounds(0.0, 2_000.0)
                 .initial(0.0)
-                .model_mode(mode)
+                .model_mode(spec.model)
                 .build()
                 .expect("controller synthesis")
         };
@@ -302,13 +270,14 @@ impl TwinQueues {
             plane.set_interaction(req_chan, n).expect("positive N");
             plane.set_interaction(resp_chan, n).expect("positive N");
         }
-        if let Some(spec) = chaos {
-            plane.enable_chaos(spec);
+        if let Some(chaos) = spec.chaos(seed, self.guard()) {
+            plane.enable_chaos(chaos);
         }
 
         let phased = self.eval_phases();
         let mut out = self.run_plane(plane, req_chan, resp_chan, phased, seed);
         out.interaction_n = interaction_n;
+        out.result.label = spec.label();
         out
     }
 
@@ -438,100 +407,14 @@ impl Scenario for TwinQueues {
         TwinQueues::run_static(self, req_bound, setting, seed).result
     }
 
-    fn run_smartconf(&self, seed: u64) -> RunResult {
-        TwinQueues::run_smartconf(self, seed).result
-    }
-
-    fn run_smartconf_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        self.run_smart_inner_profiled(seed, None, None, profiles, ModelMode::Frozen)
-            .result
-    }
-
-    fn run_chaos(&self, seed: u64, class: FaultClass) -> RunResult {
-        self.run_chaos_profiled(seed, class, &self.evaluation_profiles(seed))
-    }
-
-    fn run_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let spec =
-            ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(self.guard());
-        let mut out =
-            self.run_smart_inner_profiled(seed, None, Some(spec), profiles, ModelMode::Frozen);
-        out.result.label = format!("Chaos-{}", class.label());
-        out.result
-    }
-
-    fn run_plan_profiled(&self, seed: u64, plan: &FaultPlan, profiles: &[ProfileSet]) -> RunResult {
-        let spec =
-            ChaosSpec::new(shard_seed(seed, CHAOS_STREAM), plan.clone()).with_guard(self.guard());
-        let mut out =
-            self.run_smart_inner_profiled(seed, None, Some(spec), profiles, ModelMode::Frozen);
-        out.result.label = "Plan-chaos".to_string();
-        out.result
-    }
-
-    fn run_adaptive_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let mut out =
-            self.run_smart_inner_profiled(seed, None, None, profiles, ModelMode::Adaptive);
-        out.result.label = "Adaptive".to_string();
-        out.result
-    }
-
-    fn run_adaptive_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        // Same profiled-safe fallback pair as the frozen chaos run, plus
-        // the model-doubt safety net for estimator collapse.
-        let guard = self.guard().confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
-        let spec = ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        let mut out =
-            self.run_smart_inner_profiled(seed, None, Some(spec), profiles, ModelMode::Adaptive);
-        out.result.label = format!("AdaptiveChaos-{}", class.label());
-        out.result
-    }
-
-    fn run_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM))
-            .with_guard(self.guard().campaign_hardened());
-        let mut out =
-            self.run_smart_inner_profiled(seed, None, Some(spec), profiles, ModelMode::Frozen);
-        out.result.label = format!("Campaign-{}", campaign.label());
-        out.result
-    }
-
-    fn run_adaptive_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let guard = self
-            .guard()
-            .confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR)
-            .campaign_hardened();
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        let mut out =
-            self.run_smart_inner_profiled(seed, None, Some(spec), profiles, ModelMode::Adaptive);
-        out.result.label = format!("AdaptiveCampaign-{}", campaign.label());
-        out.result
+    fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
+        self.run_twin(seed, spec, profiles, None).result
     }
 
     /// TWIN profiles each queue separately: the request queue at
     /// `seed ^ 0xaaaa` and the response queue at `seed ^ 0xbbbb`, in
-    /// that order (the order `run_smart_inner` consumed them before the
-    /// profile cache existed, so cached runs replay byte-identically).
+    /// that order (the order every committed TWIN render was profiled
+    /// in, so cached runs replay byte-identically).
     fn evaluation_profiles(&self, seed: u64) -> Vec<ProfileSet> {
         vec![
             self.profile_queue(WhichQueue::Request, seed ^ 0xaaaa),
@@ -774,6 +657,9 @@ impl Model for TwinModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartconf_core::ModelMode;
+    use smartconf_harness::Faults;
+    use smartconf_runtime::FaultClass;
 
     fn quick() -> TwinQueues {
         let mut s = TwinQueues::standard();
@@ -785,13 +671,14 @@ mod tests {
     #[test]
     fn shed_admitted_holds_hard_goal_under_every_fault_class() {
         // Admission-only guards cannot touch backlog the controller
-        // already let in; with `shed_admitted` armed, a guard-degraded
-        // channel also drops admitted items past the in-force bound, so
-        // no fault class may leave the super-hard memory goal violated.
-        let t = quick().with_shed_admitted();
+        // already let in; a guard-degraded channel also drops admitted
+        // items past the in-force bound, so no fault class may leave the
+        // super-hard memory goal violated.
+        let t = quick();
         let profiles = t.evaluation_profiles(13);
         for class in FaultClass::ALL {
-            let out = t.run_chaos_profiled(13, class, &profiles);
+            let spec = RunSpec::new(ModelMode::Frozen, Faults::Class(class));
+            let out = t.run(13, &spec, &profiles);
             assert!(
                 out.constraint_ok,
                 "{class:?}: shed-armed chaos run violated the hard goal \
@@ -799,7 +686,7 @@ mod tests {
                 out.crash_time_us
             );
             // Same spec, same seed: the chaos run must replay exactly.
-            let again = t.run_chaos_profiled(13, class, &profiles);
+            let again = t.run(13, &spec, &profiles);
             assert_eq!(out.tradeoff.to_bits(), again.tradeoff.to_bits());
         }
     }

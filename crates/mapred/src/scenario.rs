@@ -4,11 +4,8 @@ use smartconf_core::{
     Controller, ControllerBuilder, FnTransducer, Goal, Hardness, ModelMode, ProfileSet,
     SmartConfIndirect,
 };
-use smartconf_harness::{Baseline, RunResult, Scenario, TradeoffDirection};
-use smartconf_runtime::{
-    shard_seed, Campaign, ChaosSpec, Decider, FaultClass, FaultPlan, GuardPolicy, ProfileSchedule,
-    Profiler, ADAPTIVE_CONFIDENCE_FLOOR, CHAOS_STREAM,
-};
+use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
+use smartconf_runtime::{ChaosSpec, Decider, GuardPolicy, ProfileSchedule, Profiler};
 use smartconf_simkernel::{BackgroundChurn, SimDuration, SimRng, SimTime, Simulation};
 use smartconf_workload::WordCountJob;
 
@@ -86,17 +83,6 @@ impl Mr2820 {
         .with_reversion(0.02)
     }
 
-    fn run_cluster(
-        &self,
-        decider: Decider,
-        initial_minspace: u64,
-        jobs: Vec<Vec<smartconf_workload::MapTask>>,
-        seed: u64,
-        label: &str,
-    ) -> RunResult {
-        self.run_cluster_chaos(decider, initial_minspace, jobs, seed, label, None)
-    }
-
     /// The guard ladder shared by every chaos and campaign run.
     ///
     /// Fallback in controller space: aim for 60% of the usage goal,
@@ -105,8 +91,7 @@ impl Mr2820 {
         GuardPolicy::new().fallback_setting("local.dir.minspacestart_mb", self.disk_goal_mb() * 0.6)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_cluster_chaos(
+    fn run_cluster(
         &self,
         decider: Decider,
         initial_minspace: u64,
@@ -172,6 +157,7 @@ impl Mr2820 {
                 vec![job],
                 s,
                 "profiling",
+                None,
             )
             .series("worst_worker_disk_mb")
             .expect("disk series")
@@ -180,23 +166,14 @@ impl Mr2820 {
     }
 
     /// Synthesizes the SmartConf controller (direct on the reserve, hard
-    /// goal on worst-worker disk usage).
+    /// goal on worst-worker disk usage). [`ModelMode::Adaptive`] seeds an
+    /// online RLS estimator (from the overridden unit gain, not the
+    /// profiled fit) instead of freezing it.
     ///
     /// # Panics
     ///
     /// Panics if synthesis fails (the standard profile is well-formed).
-    pub fn build_controller(&self, profile: &ProfileSet) -> Controller {
-        self.build_controller_with_mode(profile, ModelMode::Frozen)
-    }
-
-    /// [`Mr2820::build_controller`] with an explicit model mode:
-    /// [`ModelMode::Adaptive`] seeds an online RLS estimator (from the
-    /// overridden unit gain, not the profiled fit) instead of freezing it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if synthesis fails (the standard profile is well-formed).
-    pub fn build_controller_with_mode(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
+    pub fn build_controller(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
         let goal = Goal::new("worker_disk_mb", self.disk_goal_mb())
             .with_hardness(Hardness::Hard)
             .expect("positive target");
@@ -261,15 +238,12 @@ impl Scenario for Mr2820 {
             self.eval_jobs(seed),
             seed,
             &format!("static-{setting}MB"),
+            None,
         )
     }
 
-    fn run_smartconf(&self, seed: u64) -> RunResult {
-        self.run_smartconf_profiled(seed, &self.evaluation_profiles(seed))
-    }
-
-    fn run_smartconf_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
+    fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
+        let controller = self.build_controller(&profiles[0], spec.model);
         let initial = ((self.disk_goal_mb() - controller.current()) * MB as f64) as u64;
         // minspace = capacity − desired usage: the §5.3 transducer for a
         // threshold expressed as *free* rather than *used* space.
@@ -286,171 +260,8 @@ impl Scenario for Mr2820 {
             initial,
             self.eval_jobs(seed),
             seed,
-            "SmartConf",
-        )
-    }
-
-    fn run_chaos(&self, seed: u64, class: FaultClass) -> RunResult {
-        self.run_chaos_profiled(seed, class, &self.evaluation_profiles(seed))
-    }
-
-    fn run_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let initial = ((self.disk_goal_mb() - controller.current()) * MB as f64) as u64;
-        let cap = self.disk_capacity as f64 / MB as f64;
-        let conf = SmartConfIndirect::with_transducer(
-            "local.dir.minspacestart",
-            controller,
-            Box::new(FnTransducer::new(move |desired: f64| {
-                (cap - desired).max(0.0)
-            })),
-        );
-        let spec =
-            ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(self.guard());
-        self.run_cluster_chaos(
-            Decider::Deputy(Box::new(conf)),
-            initial,
-            self.eval_jobs(seed),
-            seed,
-            &format!("Chaos-{}", class.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_plan_profiled(&self, seed: u64, plan: &FaultPlan, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let initial = ((self.disk_goal_mb() - controller.current()) * MB as f64) as u64;
-        let cap = self.disk_capacity as f64 / MB as f64;
-        let conf = SmartConfIndirect::with_transducer(
-            "local.dir.minspacestart",
-            controller,
-            Box::new(FnTransducer::new(move |desired: f64| {
-                (cap - desired).max(0.0)
-            })),
-        );
-        let spec =
-            ChaosSpec::new(shard_seed(seed, CHAOS_STREAM), plan.clone()).with_guard(self.guard());
-        self.run_cluster_chaos(
-            Decider::Deputy(Box::new(conf)),
-            initial,
-            self.eval_jobs(seed),
-            seed,
-            "Plan-chaos",
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let initial = ((self.disk_goal_mb() - controller.current()) * MB as f64) as u64;
-        let cap = self.disk_capacity as f64 / MB as f64;
-        let conf = SmartConfIndirect::with_transducer(
-            "local.dir.minspacestart",
-            controller,
-            Box::new(FnTransducer::new(move |desired: f64| {
-                (cap - desired).max(0.0)
-            })),
-        );
-        self.run_cluster(
-            Decider::Deputy(Box::new(conf)),
-            initial,
-            self.eval_jobs(seed),
-            seed,
-            "Adaptive",
-        )
-    }
-
-    fn run_adaptive_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let initial = ((self.disk_goal_mb() - controller.current()) * MB as f64) as u64;
-        let cap = self.disk_capacity as f64 / MB as f64;
-        let conf = SmartConfIndirect::with_transducer(
-            "local.dir.minspacestart",
-            controller,
-            Box::new(FnTransducer::new(move |desired: f64| {
-                (cap - desired).max(0.0)
-            })),
-        );
-        // Same profiled-safe fallback as the frozen chaos run, plus the
-        // model-doubt safety net for estimator collapse.
-        let guard = self.guard().confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
-        let spec = ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_cluster_chaos(
-            Decider::Deputy(Box::new(conf)),
-            initial,
-            self.eval_jobs(seed),
-            seed,
-            &format!("AdaptiveChaos-{}", class.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let initial = ((self.disk_goal_mb() - controller.current()) * MB as f64) as u64;
-        let cap = self.disk_capacity as f64 / MB as f64;
-        let conf = SmartConfIndirect::with_transducer(
-            "local.dir.minspacestart",
-            controller,
-            Box::new(FnTransducer::new(move |desired: f64| {
-                (cap - desired).max(0.0)
-            })),
-        );
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM))
-            .with_guard(self.guard().campaign_hardened());
-        self.run_cluster_chaos(
-            Decider::Deputy(Box::new(conf)),
-            initial,
-            self.eval_jobs(seed),
-            seed,
-            &format!("Campaign-{}", campaign.label()),
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let initial = ((self.disk_goal_mb() - controller.current()) * MB as f64) as u64;
-        let cap = self.disk_capacity as f64 / MB as f64;
-        let conf = SmartConfIndirect::with_transducer(
-            "local.dir.minspacestart",
-            controller,
-            Box::new(FnTransducer::new(move |desired: f64| {
-                (cap - desired).max(0.0)
-            })),
-        );
-        let guard = self
-            .guard()
-            .confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR)
-            .campaign_hardened();
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_cluster_chaos(
-            Decider::Deputy(Box::new(conf)),
-            initial,
-            self.eval_jobs(seed),
-            seed,
-            &format!("AdaptiveCampaign-{}", campaign.label()),
-            Some(spec),
+            &spec.label(),
+            spec.chaos(seed, self.guard()),
         )
     }
 
@@ -468,6 +279,8 @@ impl Scenario for Mr2820 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartconf_harness::Faults;
+    use smartconf_runtime::FaultClass;
 
     #[test]
     fn profile_slopes_down() {
@@ -521,9 +334,11 @@ mod tests {
     #[test]
     fn chaos_run_survives_restarts_and_replays() {
         let s = Mr2820::standard();
-        let a = s.run_chaos(23, FaultClass::PlantRestart);
+        let spec = RunSpec::new(ModelMode::Frozen, Faults::Class(FaultClass::PlantRestart));
+        let profiles = s.evaluation_profiles(23);
+        let a = s.run(23, &spec, &profiles);
         assert!(a.constraint_ok, "OOD or hang under injected restarts");
-        let b = s.run_chaos(23, FaultClass::PlantRestart);
+        let b = s.run(23, &spec, &profiles);
         assert_eq!(a.tradeoff, b.tradeoff, "chaos run must replay exactly");
     }
 

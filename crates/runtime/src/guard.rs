@@ -58,8 +58,9 @@ impl GuardSet {
     pub const ANTI_WINDUP: GuardSet = GuardSet(1 << 7);
     /// A restart raised the channel's re-profiling request.
     pub const REPROFILE: GuardSet = GuardSet(1 << 8);
-    /// The guard asked the plant to shed already-admitted work down to
-    /// the in-force bound (see [`GuardPolicy::shed_admitted`]).
+    /// The guard asked a degraded channel's plant to shed
+    /// already-admitted work down to the in-force bound (see
+    /// [`ControlPlane::take_plant_shed`](crate::ControlPlane::take_plant_shed)).
     pub const SHED: GuardSet = GuardSet(1 << 9);
     /// A restart reset an adaptive channel's estimator covariance for
     /// in-place relearning (instead of raising [`GuardSet::REPROFILE`]).
@@ -157,22 +158,6 @@ pub struct GuardPolicy {
     pub cooldown_epochs: u64,
     /// Whether to back-calculate the integrator on actuator saturation.
     pub anti_windup: bool,
-    /// Whether a degraded channel (watchdog revert or fallback hold) may
-    /// also shed *already-admitted* work: the plane raises a shed
-    /// notification ([`ControlPlane::take_plant_shed`](crate::ControlPlane::take_plant_shed))
-    /// asking the plant to trim queue items admitted before the guard
-    /// engaged down to the in-force bound, and clamps that bound to the
-    /// safe side of the channel's profiled-safe fallback (a watchdog's
-    /// reverted setting was only ever safe against the load it was
-    /// decided under). Without this, the admission filter only bounds
-    /// what the controller admits *next* — work that entered the queue
-    /// under a doomed setting stays there, which is how TWIN/HB2149
-    /// could still violate a hard goal under chaos. On by default (the
-    /// initial opt-in default was flipped once its chaos-report
-    /// trajectory change was worth the baseline refresh); pass
-    /// `shed_admitted(false)` for plants whose admitted work must never
-    /// be dropped.
-    pub shed_admitted: bool,
     /// Adaptive channels only: when the online estimator's confidence
     /// falls below this floor, the channel degrades to its profiled-safe
     /// fallback (one divergence-style cooldown) and re-engages once the
@@ -213,7 +198,6 @@ impl Default for GuardPolicy {
             divergence_streak: 3,
             cooldown_epochs: 60,
             anti_windup: true,
-            shed_admitted: true,
             confidence_floor: 0.0,
             vote_window: 0,
             reengage_backoff: 0,
@@ -276,16 +260,6 @@ impl GuardPolicy {
     #[must_use]
     pub fn anti_windup(mut self, on: bool) -> Self {
         self.anti_windup = on;
-        self
-    }
-
-    /// Enables shedding of already-admitted work while a channel is
-    /// degraded (watchdog revert or fallback hold): the plane raises a
-    /// per-channel shed notification that [`Plant::shed`](crate::Plant::shed)
-    /// consumes. See the [`GuardPolicy::shed_admitted`] field docs.
-    #[must_use]
-    pub fn shed_admitted(mut self, on: bool) -> Self {
-        self.shed_admitted = on;
         self
     }
 
@@ -479,8 +453,7 @@ pub(crate) struct ChannelGuard {
     /// Raised by a restart until the embedder polls it (plant-side reset).
     pub plant_restart: bool,
     /// Raised while a degraded channel asks the plant to shed
-    /// already-admitted work (see [`GuardPolicy::shed_admitted`]); held
-    /// until the embedder polls
+    /// already-admitted work; held until the embedder polls
     /// [`take_plant_shed`](crate::ControlPlane::take_plant_shed).
     pub plant_shed: bool,
     /// Lifetime restart count.

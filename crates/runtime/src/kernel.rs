@@ -478,7 +478,7 @@ mod tests {
     /// The plane shapes of the scenario roster: single direct (CA6059,
     /// HB2149, HB3813, HB6728, HD4995, MR2820 style) and dual deputy
     /// sharing a super-hard metric (TWIN style).
-    fn build_plane(shape: usize, shed: bool) -> ControlPlane {
+    fn build_plane(shape: usize) -> ControlPlane {
         let mut b = ControlPlane::builder();
         match shape {
             0 => {
@@ -512,23 +512,18 @@ mod tests {
                 b.channel("fixed", Decider::Static(30.0));
             }
         }
-        let plane = b.build();
-        let _ = shed;
-        plane
+        b.build()
     }
 
-    fn arm(plane: &mut ControlPlane, class: Option<FaultClass>, seed: u64, shed: bool) {
+    fn arm(plane: &mut ControlPlane, class: Option<FaultClass>, seed: u64) {
         if let Some(class) = class {
-            let mut guard = GuardPolicy::new()
+            let guard = GuardPolicy::new()
                 .watchdog_epochs(3)
                 .divergence(3, 20)
                 .fallback_setting("solo", 25.0)
                 .fallback_setting("qa", 35.0)
                 .fallback_setting("qb", 35.0)
                 .fallback_setting("smart", 25.0);
-            if shed {
-                guard = guard.shed_admitted(true);
-            }
             plane.enable_chaos(ChaosSpec::standard(class, seed).with_guard(guard));
         }
     }
@@ -538,10 +533,9 @@ mod tests {
         class: Option<FaultClass>,
         seed: u64,
         horizon: u64,
-        shed: bool,
     ) -> (Vec<crate::EpochEvent>, TwinPlant) {
-        let mut plane = build_plane(shape, shed);
-        arm(&mut plane, class, seed, shed);
+        let mut plane = build_plane(shape);
+        arm(&mut plane, class, seed);
         let channels = plane.channel_count();
         let mut plant = TwinPlant::new(channels, 1.0, seed ^ 0xD15C, horizon);
         plane.run(&mut plant);
@@ -553,10 +547,9 @@ mod tests {
         class: Option<FaultClass>,
         seed: u64,
         horizon: u64,
-        shed: bool,
     ) -> (Vec<crate::EpochEvent>, TwinPlant) {
-        let mut plane = build_plane(shape, shed);
-        arm(&mut plane, class, seed, shed);
+        let mut plane = build_plane(shape);
+        arm(&mut plane, class, seed);
         let channels = plane.channel_count();
         let plant = TwinPlant::new(channels, 1.0, seed ^ 0xD15C, horizon);
         let mut events = EventPlane::new(plane, plant);
@@ -584,7 +577,7 @@ mod tests {
         seed: u64,
         horizon: u64,
     ) -> (Vec<crate::EpochEvent>, TwinPlant) {
-        let mut plane = build_plane(shape, false);
+        let mut plane = build_plane(shape);
         arm_campaign(&mut plane, campaign, seed);
         let channels = plane.channel_count();
         let mut plant = TwinPlant::new(channels, 1.0, seed ^ 0xD15C, horizon);
@@ -626,8 +619,8 @@ mod tests {
     #[test]
     fn uniform_periods_match_lockstep_clean() {
         for shape in 0..3 {
-            let (a, pa) = lockstep_run(shape, None, 7, 120, false);
-            let (b, pb) = kernel_run(shape, None, 7, 120, false);
+            let (a, pa) = lockstep_run(shape, None, 7, 120);
+            let (b, pb) = kernel_run(shape, None, 7, 120);
             if let Some(d) = first_divergence(&a, &b) {
                 panic!("shape {shape}: {d}");
             }
@@ -640,8 +633,8 @@ mod tests {
     fn uniform_periods_match_lockstep_under_every_fault_class() {
         for class in FaultClass::ALL {
             for shape in 0..3 {
-                let (a, pa) = lockstep_run(shape, Some(class), 11, 400, false);
-                let (b, pb) = kernel_run(shape, Some(class), 11, 400, false);
+                let (a, pa) = lockstep_run(shape, Some(class), 11, 400);
+                let (b, pb) = kernel_run(shape, Some(class), 11, 400);
                 if let Some(d) = first_divergence(&a, &b) {
                     panic!("{class} shape {shape}: {d}");
                 }
@@ -653,10 +646,10 @@ mod tests {
 
     #[test]
     fn shed_notifications_reach_the_plant_identically() {
-        // SensorDropout trips the watchdog; with shed_admitted the plant
-        // must see the same shed() calls from both drivers.
-        let (a, pa) = lockstep_run(0, Some(FaultClass::SensorDropout), 3, 400, true);
-        let (b, pb) = kernel_run(0, Some(FaultClass::SensorDropout), 3, 400, true);
+        // SensorDropout trips the watchdog, which sheds admitted work;
+        // the plant must see the same shed() calls from both drivers.
+        let (a, pa) = lockstep_run(0, Some(FaultClass::SensorDropout), 3, 400);
+        let (b, pb) = kernel_run(0, Some(FaultClass::SensorDropout), 3, 400);
         if let Some(d) = first_divergence(&a, &b) {
             panic!("{d}");
         }
@@ -798,11 +791,10 @@ mod tests {
             class_idx in 0usize..=FaultClass::ALL.len(), // == len ⇒ clean
             seed in 0u64..10_000,
             horizon in 50u64..300,
-            shed in proptest::bool::ANY,
         ) {
             let class = FaultClass::ALL.get(class_idx).copied();
-            let (a, pa) = lockstep_run(shape, class, seed, horizon, shed);
-            let (b, pb) = kernel_run(shape, class, seed, horizon, shed);
+            let (a, pa) = lockstep_run(shape, class, seed, horizon);
+            let (b, pb) = kernel_run(shape, class, seed, horizon);
             if let Some(d) = first_divergence(&a, &b) {
                 panic!("{d}");
             }

@@ -735,13 +735,12 @@ impl ControlPlane {
         //    previous in-force value: a degraded channel must never
         //    *loosen* its bound (a goal flap can squeeze the engaged
         //    controller well below the fallback; reverting up to it
-        //    mid-crisis releases a refill spike). Opt-in: admission-only
-        //    guards cannot stop an already-enqueued backlog from
-        //    violating a hard goal (TWIN/HB2149's queues).
-        if policy.shed_admitted
-            && (guards.contains(GuardSet::WATCHDOG)
-                || guards.contains(GuardSet::FALLBACK)
-                || guards.contains(GuardSet::FALLBACK_ENTER))
+        //    mid-crisis releases a refill spike). Admission-only guards
+        //    cannot stop an already-enqueued backlog from violating a
+        //    hard goal (TWIN/HB2149's queues).
+        if guards.contains(GuardSet::WATCHDOG)
+            || guards.contains(GuardSet::FALLBACK)
+            || guards.contains(GuardSet::FALLBACK_ENTER)
         {
             // Which direction of the *setting* is safe depends on both
             // the goal sense and the profiled response slope: a queue
@@ -887,11 +886,14 @@ impl ControlPlane {
     }
 
     /// Consumes the channel's pending shed notification: `true` when a
-    /// degraded channel under a [`GuardPolicy::shed_admitted`] policy
-    /// wants the plant to trim already-admitted work to the in-force
-    /// bound ([`ControlPlane::epoch_for`] polls this to call
-    /// [`Plant::shed`]; event-driven plants that call
-    /// [`ControlPlane::decide`] directly poll it themselves).
+    /// degraded channel (watchdog revert or fallback hold) wants the
+    /// plant to trim already-admitted work to the in-force bound
+    /// ([`ControlPlane::epoch_for`] polls this to call [`Plant::shed`];
+    /// event-driven plants that call [`ControlPlane::decide`] directly
+    /// poll it themselves). The admission filter alone only bounds what
+    /// the controller admits *next*: work that entered a queue under a
+    /// doomed setting stays there, which is how TWIN/HB2149 could
+    /// violate a hard goal under chaos.
     pub fn take_plant_shed(&mut self, id: ChannelId) -> bool {
         match &mut self.chaos {
             Some(c) => std::mem::take(&mut c.guards[id.0].plant_shed),

@@ -90,8 +90,7 @@ pub trait Plant {
 
     /// Sheds already-admitted work for one channel down to the setting
     /// currently in force, when the guard ladder degrades the channel
-    /// under a [`GuardPolicy`](crate::GuardPolicy) with
-    /// [`shed_admitted`](crate::GuardPolicy::shed_admitted) enabled.
+    /// (watchdog revert or fallback hold).
     /// [`ControlPlane::epoch_for`](crate::ControlPlane::epoch_for) calls
     /// this after actuation; event-driven plants poll
     /// [`ControlPlane::take_plant_shed`](crate::ControlPlane::take_plant_shed)

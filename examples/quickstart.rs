@@ -3,7 +3,8 @@
 //! Walks the full paper workflow on a toy system whose memory is
 //! `100 + 2 × cache_size` MB plus noise:
 //!
-//! 1. profile the metric at a few settings (paper §6.1: 4 × 10 samples),
+//! 1. profile the metric at a few settings (paper §6.1: 4 × 10 samples)
+//!    under the disturbance range the system will meet,
 //! 2. state the user's goal (memory ≤ 495 MB, hard),
 //! 3. synthesize the controller (gain, pole, virtual goal — all derived),
 //! 4. run the set_perf/conf loop at the configuration's use site.
@@ -22,11 +23,15 @@ fn measure_memory(setting: f64, disturbance: f64, rng: &mut SimRng) -> f64 {
 fn main() -> Result<(), Error> {
     let mut rng = SimRng::seed_from_u64(7);
 
-    // 1. Profile: 4 settings x 10 measurements.
+    // 1. Profile: 4 settings x 10 measurements, each under a disturbance
+    //    drawn from the 0-120 MB range the run will meet. The spread it
+    //    adds is what sizes the virtual goal's safety margin (lambda): a
+    //    profile taken without it leaves only noise-sized headroom.
     let mut profile = ProfileSet::new();
     for setting in [40.0, 80.0, 120.0, 160.0] {
         for _ in 0..10 {
-            profile.add(setting, measure_memory(setting, 0.0, &mut rng));
+            let disturbance = rng.uniform(0.0, 120.0);
+            profile.add(setting, measure_memory(setting, disturbance, &mut rng));
         }
     }
     let fit = profile.fit()?;
