@@ -34,8 +34,8 @@
 
 use smartconf_core::{ControlLaw, Controller, ControllerBuilder, Goal, SmartConf};
 use smartconf_runtime::{
-    ChannelId, ChaosSpec, ControlPlane, Decider, FaultClass, GuardPolicy, Plant, Sensed,
-    ADAPTIVE_CONFIDENCE_FLOOR,
+    ChannelId, ChaosSpec, ControlPlane, Decider, EventPlane, FaultClass, GuardPolicy, Plant,
+    Sensed, ADAPTIVE_CONFIDENCE_FLOOR,
 };
 
 /// True plant gain the controllers were synthesized against.
@@ -172,19 +172,17 @@ pub fn run_cell(strategy: Strategy, class: Option<FaultClass>, seed: u64) -> Cel
         }
         plane.enable_chaos(ChaosSpec::standard(class, seed).with_guard(guard));
     }
-    let mut plant = DriftingPlant {
+    let plant = DriftingPlant {
         setting: plane.setting(chan),
         epoch: 0,
     };
-    for _ in 0..EPOCHS {
-        plane.epoch(&mut plant);
-        // The bench loop does not re-profile; a restarted plant keeps
-        // its (possibly drifted) gain and the frozen model its stale
-        // one — exactly the gap the adaptive path closes in place.
-        let _ = plane.take_plant_restart(chan);
-        let _ = plane.take_plant_shed(chan);
-    }
-    let log = plane.into_log();
+    // One epoch per default 1 s period. The bench does not re-profile;
+    // the plant keeps the no-op restart/shed hooks, so a restarted plant
+    // keeps its (possibly drifted) gain and the frozen model its stale
+    // one — exactly the gap the adaptive path closes in place.
+    let mut events = EventPlane::new(plane, plant);
+    events.run_until_us(EPOCHS * 1_000_000);
+    let log = events.into_log();
     let summary = log.summary("bench.adaptive").expect("channel logged");
     let (mut abs_sum, mut n) = (0.0, 0u64);
     for e in log.events_for("bench.adaptive") {

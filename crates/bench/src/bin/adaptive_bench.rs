@@ -11,28 +11,20 @@
 //!   `BENCH_adaptive.json`.
 
 use smartconf_bench::adaptive::{adaptive_json, render_table, run_matrix};
+use smartconf_bench::suite::Flags;
 
 fn main() {
-    let mut seed: u64 = 42;
-    let mut out_path = "BENCH_adaptive.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--seed" => seed = value("--seed").parse().expect("--seed takes a number"),
-            "--out" => out_path = value("--out"),
-            other => panic!("unknown argument {other}"),
-        }
-    }
+    let flags = Flags::from_env(&[
+        ("--seed", Some("42")),
+        ("--out", Some("BENCH_adaptive.json")),
+    ]);
+    let (seed, out_path) = (flags.count("--seed"), flags.out());
     eprintln!(
         "adaptive bench: drifting-gain plant, 3 strategies x (clean + 7 fault classes), seed {seed}"
     );
     let rows = run_matrix(seed);
     print!("{}", render_table(&rows));
     let json = adaptive_json(seed, &rows);
-    std::fs::write(&out_path, &json).expect("write BENCH_adaptive.json");
+    std::fs::write(out_path, &json).expect("write BENCH_adaptive.json");
     eprintln!("wrote {out_path}");
 }

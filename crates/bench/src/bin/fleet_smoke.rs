@@ -14,72 +14,13 @@
 //!
 //! [`FleetReport`]: smartconf_harness::FleetReport
 
-use smartconf_bench::fleet::{bench_json, smoke_run};
+use smartconf_bench::suite::{drive, fleet_flags, Flags};
 
 fn main() {
-    let mut seeds_n: u64 = 4;
-    let mut threads: usize = 4;
-    let mut out_path = "BENCH_fleet.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--seeds" => seeds_n = value("--seeds").parse().expect("--seeds takes a count"),
-            "--threads" => threads = value("--threads").parse().expect("--threads takes a count"),
-            "--out" => out_path = value("--out"),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    let seeds: Vec<u64> = (42..42 + seeds_n.max(1)).collect();
-
-    eprintln!(
-        "fleet smoke: 7 scenarios x {} seeds x {} policies",
-        seeds.len(),
-        smartconf_bench::fleet::SMOKE_POLICIES.len()
+    let flags = Flags::from_env(&fleet_flags("4", "BENCH_fleet.json"));
+    drive(
+        &smartconf_bench::fleet::smoke(flags.seeds(42)),
+        flags.threads(),
+        flags.out(),
     );
-    let (serial_report, serial_phase) = smoke_run(&seeds, 1);
-    eprintln!(
-        "  {}: {:.3} s",
-        serial_phase.name,
-        serial_phase.wall.as_secs_f64()
-    );
-    let (parallel_report, parallel_phase) = smoke_run(&seeds, threads);
-    eprintln!(
-        "  {}: {:.3} s",
-        parallel_phase.name,
-        parallel_phase.wall.as_secs_f64()
-    );
-
-    let serial_bytes = serial_report.render();
-    let parallel_bytes = parallel_report.render();
-    let identical = serial_bytes == parallel_bytes;
-
-    let json = bench_json(
-        &seeds,
-        &serial_report,
-        identical,
-        &[serial_phase, parallel_phase],
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_fleet.json");
-    eprintln!("wrote {out_path}");
-    print!("{serial_bytes}");
-
-    if !identical {
-        // Show where the renderings diverge, then fail.
-        for (i, (a, b)) in serial_bytes.lines().zip(parallel_bytes.lines()).enumerate() {
-            if a != b {
-                eprintln!(
-                    "first diff at line {}:\n  1-thread: {a}\n  {threads}-thread: {b}",
-                    i + 1
-                );
-                break;
-            }
-        }
-        eprintln!("FAIL: fleet reports differ between 1 and {threads} threads");
-        std::process::exit(1);
-    }
-    eprintln!("OK: fleet reports byte-identical at 1 and {threads} threads");
 }

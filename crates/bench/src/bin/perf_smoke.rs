@@ -7,71 +7,51 @@
 //! * `--seeds K` — number of fleet seeds (42, 43, …); default 2.
 //! * `--out PATH` — where to write the JSON artifact; default
 //!   `BENCH_perf.json`.
-//! * `--check BASELINE` — read a previously committed `BENCH_perf.json`
-//!   and exit non-zero when the fresh fleet wall-clock (or kernel rate)
-//!   regresses. While the baseline's `"history"` trend is short the
-//!   gate is the raw ±25% band ([`smartconf_bench::perf::TOLERANCE`])
-//!   around the committed headline; once the trend holds
-//!   [`smartconf_bench::perf::STAT_MIN_HISTORY`] runs it becomes the
-//!   robust median ± k·MAD band over the whole series
-//!   ([`smartconf_bench::perf::stat_gate`]). Running *faster* than the
-//!   lower bound is reported as a stale baseline but does not fail, so
-//!   perf improvements land without a lockstep baseline bump.
+//! * `--check BASELINE` — gate the fresh fleet wall-clock (lower is
+//!   better) and event-kernel events/sec (higher is better) against a
+//!   committed `BENCH_perf.json` with [`gate`]: ±25% around its headline
+//!   while its `"history"` is short, median ± k·MAD over the history
+//!   once it holds [`STAT_MIN_HISTORY`] runs. Beating the band reports a
+//!   stale baseline but does not fail, so perf improvements land without
+//!   a baseline bump in the same change.
 //!
-//! When the output file already exists, its headline numbers are
-//! appended to a `"history"` array in the fresh artifact (capped at
-//! [`smartconf_bench::perf::HISTORY_CAP`] entries) instead of being
-//! overwritten, so repeated `--check` cycles accumulate a trend record.
+//! An existing output file's headline numbers are carried into the
+//! fresh artifact's `"history"` (capped at [`HISTORY_CAP`] entries), so
+//! repeated `--check` cycles accumulate a trend record.
 //!
-//! Every measurement is preceded by one discarded warmup pass
-//! ([`smartconf_bench::perf::warmup_pass`]): first-touch costs (cold
-//! page cache, HD4995's process-wide namespace memo) would otherwise
-//! pollute the first sample — and through it the history median — with
-//! a cold/warm bimodal mixture. The artifact records
-//! `"warmup_pass": true` and each carried history entry is annotated
-//! with the `"warmup"` flag of the run it came from, so pre-warmup
-//! entries remain distinguishable in the trend.
+//! Every measurement follows one discarded [`warmup_pass`]: first-touch
+//! costs (cold page cache, HD4995's process-wide namespace memo) would
+//! otherwise pollute the first sample, and through it the history
+//! median. The artifact records `"warmup_pass": true`, and each carried
+//! history entry keeps the `"warmup"` flag of its run.
 //!
-//! Alongside the per-scenario epochs/sec the artifact records the event
-//! kernel's events/sec ([`smartconf_bench::perf::measure_kernel`]): a
-//! synthetic heterogeneous-period plane run through `EventPlane`,
-//! isolating the calendar + decide cost per event. Under `--check` the
-//! kernel rate is gated with the same ±25% band as the fleet wall-clock
-//! (directions inverted — a rate regresses by *dropping*); the kernel
-//! processes millions of events per measurement, so its rate is stable
-//! enough to gate where the sub-millisecond per-scenario loops are not.
+//! Epochs/sec per scenario is recorded but never gated: sub-millisecond
+//! decide loops jitter by integer factors on shared CI hosts, while the
+//! fleet wall-clock and the kernel rate ([`measure_kernel`], millions of
+//! events per measurement) are stable enough for a band.
 //!
-//! Epochs/sec per scenario is recorded in the artifact but never gated:
-//! sub-millisecond decide loops jitter by integer factors on shared CI
-//! hosts, while the multi-second fleet wall-clock is stable enough for a
-//! 25% band.
+//! [`gate`]: smartconf_bench::perf::gate
+//! [`STAT_MIN_HISTORY`]: smartconf_bench::perf::STAT_MIN_HISTORY
+//! [`HISTORY_CAP`]: smartconf_bench::perf::HISTORY_CAP
+//! [`warmup_pass`]: smartconf_bench::perf::warmup_pass
+//! [`measure_kernel`]: smartconf_bench::perf::measure_kernel
 
 use smartconf_bench::perf::{
-    bench_json, carry_history, check_fleet_wall, check_fleet_wall_stat, check_kernel_rate,
-    check_kernel_rate_stat, fleet_wall_series, kernel_rate_series, measure_fleet, measure_kernel,
-    measure_scenarios, parse_fleet_wall, parse_kernel_rate, stat_gate, warmup_pass, CheckVerdict,
-    STAT_K, TOLERANCE,
+    bench_json, carry_history, fleet_wall_series, gate, kernel_rate_series, measure_fleet,
+    measure_kernel, measure_scenarios, parse_fleet_wall, parse_kernel_rate, warmup_pass, Better,
+    CheckVerdict,
 };
+use smartconf_bench::suite::{finish, Flags};
 use std::time::Instant;
 
 fn main() {
-    let mut seeds_n: u64 = 2;
-    let mut out_path = "BENCH_perf.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--seeds" => seeds_n = value("--seeds").parse().expect("--seeds takes a count"),
-            "--out" => out_path = value("--out"),
-            "--check" => check_path = Some(value("--check")),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    let seeds: Vec<u64> = (42..42 + seeds_n.max(1)).collect();
+    let flags = Flags::from_env(&[
+        ("--seeds", Some("2")),
+        ("--out", Some("BENCH_perf.json")),
+        ("--check", None),
+    ]);
+    let seeds = flags.seeds(42);
+    let out_path = flags.out();
 
     // One discarded pass over every timed path: first-touch costs
     // (cold page cache, HD4995's process-wide namespace memo, branch
@@ -115,107 +95,49 @@ fn main() {
     // Rewriting the artifact appends the previous run to its `history`
     // array instead of discarding it, so `--check` cycles accumulate a
     // trend record rather than overwriting each other.
-    let history = match std::fs::read_to_string(&out_path) {
+    let history = match std::fs::read_to_string(out_path) {
         Ok(previous) => carry_history(&previous),
         Err(_) => Vec::new(),
     };
     let json = bench_json(42, &scenarios, &kernel, &seeds, &fleet, true, &history);
-    std::fs::write(&out_path, &json).expect("write BENCH_perf.json");
+    std::fs::write(out_path, &json).expect("write BENCH_perf.json");
     eprintln!("wrote {out_path}");
     print!("{json}");
 
-    let Some(baseline_path) = check_path else {
+    let Some(path) = flags.get("--check") else {
         return;
     };
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("--check: cannot read {baseline_path}: {e}"));
-    let new_secs = fleet.wall.as_secs_f64();
-    let mut failed = false;
-
-    // Fleet wall-clock: statistical gate over the recorded trend when
-    // the baseline carries enough history, else the raw ±25% band.
-    let (wall_verdict, band) = match stat_gate(&fleet_wall_series(&baseline)) {
-        Some(gate) => (
-            check_fleet_wall_stat(&gate, new_secs),
-            format!(
-                "history median {:.3} s over {} runs, ±{STAT_K}·MAD -> [{:.3}, {:.3}] s, \
-                 measured {new_secs:.3} s",
-                gate.median,
-                gate.n,
-                gate.lo(),
-                gate.hi()
-            ),
+    let baseline = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("--check: cannot read {path}: {e}"));
+    let failures: Vec<String> = [
+        (
+            "fleet wall-clock (s)",
+            fleet_wall_series(&baseline),
+            parse_fleet_wall(&baseline),
+            fleet.wall.as_secs_f64(),
+            Better::Lower,
         ),
-        None => {
-            let baseline_secs = parse_fleet_wall(&baseline)
-                .unwrap_or_else(|| panic!("--check: no fleet_wall_clock_secs in {baseline_path}"));
-            (
-                check_fleet_wall(baseline_secs, new_secs),
-                format!(
-                    "baseline {:.3} s, tolerance ±{:.0}% -> [{:.3}, {:.3}] s, measured {:.3} s",
-                    baseline_secs,
-                    TOLERANCE * 100.0,
-                    baseline_secs * (1.0 - TOLERANCE),
-                    baseline_secs * (1.0 + TOLERANCE),
-                    new_secs
-                ),
-            )
-        }
-    };
-    match wall_verdict {
-        CheckVerdict::Ok => eprintln!("OK: fleet wall-clock within tolerance ({band})"),
-        CheckVerdict::BaselineStale => eprintln!(
-            "OK: fleet wall-clock beats the lower tolerance bound ({band}); \
-             consider regenerating the committed {baseline_path}"
+        (
+            "kernel events/sec",
+            kernel_rate_series(&baseline),
+            parse_kernel_rate(&baseline),
+            kernel.events_per_sec(),
+            Better::Higher,
         ),
-        CheckVerdict::Regression => {
-            eprintln!("FAIL: fleet wall-clock regression ({band})");
-            failed = true;
+    ]
+    .into_iter()
+    .filter_map(|(what, series, headline, measured, better)| {
+        let (verdict, [lo, hi]) = gate(&series, headline, measured, better);
+        let band = format!("band [{lo:.3}, {hi:.3}] from {path}, measured {measured:.3}");
+        match verdict {
+            CheckVerdict::Ok => eprintln!("OK: {what} within the {band}"),
+            CheckVerdict::BaselineStale => {
+                eprintln!("OK: {what} beats the {band}; consider regenerating the baseline")
+            }
+            CheckVerdict::Regression => return Some(format!("{what} regression: {band}")),
         }
-    }
-
-    let new_rate = kernel.events_per_sec();
-    let (rate_verdict, rate_band) = match stat_gate(&kernel_rate_series(&baseline)) {
-        Some(gate) => (
-            check_kernel_rate_stat(&gate, new_rate),
-            format!(
-                "history median {:.0} events/s over {} runs, ±{STAT_K}·MAD -> [{:.0}, {:.0}] \
-                 events/s, measured {new_rate:.0}",
-                gate.median,
-                gate.n,
-                gate.lo(),
-                gate.hi()
-            ),
-        ),
-        None => {
-            let baseline_rate = parse_kernel_rate(&baseline)
-                .unwrap_or_else(|| panic!("--check: no kernel events_per_sec in {baseline_path}"));
-            (
-                check_kernel_rate(baseline_rate, new_rate),
-                format!(
-                    "baseline {:.0} events/s, tolerance ±{:.0}% -> [{:.0}, {:.0}] events/s, \
-                     measured {:.0}",
-                    baseline_rate,
-                    TOLERANCE * 100.0,
-                    baseline_rate * (1.0 - TOLERANCE),
-                    baseline_rate * (1.0 + TOLERANCE),
-                    new_rate
-                ),
-            )
-        }
-    };
-    match rate_verdict {
-        CheckVerdict::Ok => eprintln!("OK: kernel events/sec within tolerance ({rate_band})"),
-        CheckVerdict::BaselineStale => eprintln!(
-            "OK: kernel events/sec beats the upper tolerance bound ({rate_band}); \
-             consider regenerating the committed {baseline_path}"
-        ),
-        CheckVerdict::Regression => {
-            eprintln!("FAIL: kernel events/sec regression ({rate_band})");
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+        None
+    })
+    .collect();
+    finish(&failures, "perf within tolerance");
 }

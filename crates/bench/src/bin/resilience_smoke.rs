@@ -18,116 +18,20 @@
 //! * `--out PATH` — where to write the JSON artifact; default
 //!   `BENCH_resilience.json`.
 //!
-//! Exits non-zero if the serial and parallel reports differ, or if any
-//! hard-goal scenario violated its constraint under any campaign.
+//! Exits non-zero if the serial and parallel reports differ, if any
+//! hard-goal scenario violated its constraint under any campaign, or if
+//! the report is missing an outcome ([`resilience_gate`]).
 //!
 //! [`FleetReport`]: smartconf_harness::FleetReport
+//! [`resilience_gate`]: smartconf_bench::resilience::resilience_gate
 
-use smartconf_bench::chaos::HARD_GOAL_SCENARIOS;
-use smartconf_bench::resilience::{
-    campaign_outcomes, hard_goal_violations, resilience_json, resilience_run,
-};
-
-/// First seed of the default set; see the module docs for why the
-/// default count stops at 1.
-const BASE_SEED: u64 = 42;
+use smartconf_bench::suite::{drive, fleet_flags, Flags};
 
 fn main() {
-    let mut seeds_n: u64 = 1;
-    let mut threads: usize = 4;
-    let mut out_path = "BENCH_resilience.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--seeds" => seeds_n = value("--seeds").parse().expect("--seeds takes a count"),
-            "--threads" => threads = value("--threads").parse().expect("--threads takes a count"),
-            "--out" => out_path = value("--out"),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    let seeds: Vec<u64> = (BASE_SEED..BASE_SEED + seeds_n.max(1)).collect();
-
-    eprintln!(
-        "resilience smoke: 7 scenarios x {} seeds x 10 policies \
-         (SmartConf + Adaptive, frozen + adaptive per compound-fault campaign)",
-        seeds.len()
-    );
-    let (serial_report, serial_phase) = resilience_run(&seeds, 1);
-    eprintln!(
-        "  {}: {:.3} s",
-        serial_phase.name,
-        serial_phase.wall.as_secs_f64()
-    );
-    let (parallel_report, parallel_phase) = resilience_run(&seeds, threads);
-    eprintln!(
-        "  {}: {:.3} s",
-        parallel_phase.name,
-        parallel_phase.wall.as_secs_f64()
-    );
-
-    let serial_bytes = serial_report.render();
-    let parallel_bytes = parallel_report.render();
-    let identical = serial_bytes == parallel_bytes;
-
-    let json = resilience_json(
-        &seeds,
-        &serial_report,
-        identical,
-        &[serial_phase, parallel_phase],
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_resilience.json");
-    eprintln!("wrote {out_path}");
-    print!("{serial_bytes}");
-
-    let mut failed = false;
-    if !identical {
-        for (i, (a, b)) in serial_bytes.lines().zip(parallel_bytes.lines()).enumerate() {
-            if a != b {
-                eprintln!(
-                    "first diff at line {}:\n  1-thread: {a}\n  {threads}-thread: {b}",
-                    i + 1
-                );
-                break;
-            }
-        }
-        eprintln!("FAIL: resilience reports differ between 1 and {threads} threads");
-        failed = true;
-    }
-    let outcomes = campaign_outcomes(&serial_report);
-    for o in &outcomes {
-        eprintln!(
-            "  {} / {}: {} violations, {} faults, {} reengages (max dwell {}), \
-             burst p99 {} max {}, mttr {:.1} epochs, {} unrecovered",
-            o.scenario,
-            o.policy,
-            o.violations,
-            o.faults_injected,
-            o.reengages,
-            o.max_epochs_to_reengage,
-            o.violation_burst_p99,
-            o.violation_burst_max,
-            o.mttr_overall(),
-            o.unrecovered
-        );
-        if o.hard_goal && o.violations > 0 {
-            eprintln!(
-                "FAIL: {} violated its hard goal under {} (hard scenarios: {:?})",
-                o.scenario, o.policy, HARD_GOAL_SCENARIOS
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    assert_eq!(hard_goal_violations(&outcomes), 0);
-    eprintln!(
-        "OK: resilience reports byte-identical at 1 and {threads} threads, \
-         zero hard-goal violations across {} campaign cells",
-        outcomes.len()
+    let flags = Flags::from_env(&fleet_flags("1", "BENCH_resilience.json"));
+    drive(
+        &smartconf_bench::resilience::smoke(flags.seeds(42)),
+        flags.threads(),
+        flags.out(),
     );
 }

@@ -30,185 +30,23 @@
 //! [`SoakReport`]: smartconf_harness::SoakReport
 //! [`check_soak`]: smartconf_bench::soak::check_soak
 
-use std::time::Instant;
+use smartconf_bench::soak::SoakSmoke;
+use smartconf_bench::suite::{drive, Flags};
 
-use smartconf_bench::fleet::FleetPhase;
-use smartconf_bench::soak::{
-    build_templates, check_soak, cross_check_failures, cross_check_run, soak_json, soak_run,
-    SoakConfig,
-};
-use smartconf_runtime::FleetExecutor;
+const FLAGS: [(&str, Option<&str>); 5] = [
+    ("--tenants", Some("100000")),
+    ("--threads", Some("4")),
+    ("--real-tenants", Some("64")),
+    ("--out", Some("BENCH_soak.json")),
+    ("--check", None),
+];
 
 fn main() {
-    let mut tenants: u64 = 100_000;
-    let mut threads: usize = 4;
-    let mut real_tenants: u64 = 64;
-    let mut out_path = "BENCH_soak.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--tenants" => tenants = value("--tenants").parse().expect("--tenants takes a count"),
-            "--threads" => threads = value("--threads").parse().expect("--threads takes a count"),
-            "--real-tenants" => {
-                real_tenants = value("--real-tenants")
-                    .parse()
-                    .expect("--real-tenants takes a count")
-            }
-            "--out" => out_path = value("--out"),
-            "--check" => check_path = Some(value("--check")),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-
-    let config = SoakConfig::standard(tenants);
-    eprintln!(
-        "soak smoke: {} tenants x 7 scenarios x {} arms, {} cohorts, {} h horizon",
-        tenants,
-        config.arms.len(),
-        config.periods_us.len(),
-        config.horizon_us / 3_600_000_000
-    );
-
-    let setup_start = Instant::now();
-    let scenarios = build_templates(config.seed);
-    eprintln!(
-        "  templates: {} scenarios profiled once in {:.3} s (slowest {})",
-        scenarios.len(),
-        setup_start.elapsed().as_secs_f64(),
-        scenarios
-            .iter()
-            .max_by(|a, b| a.setup_secs.total_cmp(&b.setup_secs))
-            .map(|s| format!("{} {:.3} s", s.template.scenario, s.setup_secs))
-            .unwrap_or_default()
-    );
-
-    let start = Instant::now();
-    let serial_report = soak_run(&config, &scenarios, &FleetExecutor::new(1));
-    let serial_phase = FleetPhase {
-        name: "soak-1-thread".into(),
-        threads: 1,
-        wall: start.elapsed(),
-    };
-    let total_tenants = tenants * scenarios.len() as u64 * config.arms.len() as u64;
-    eprintln!(
-        "  {}: {:.3} s ({:.0} tenants/s, {:.0} senses/s)",
-        serial_phase.name,
-        serial_phase.wall.as_secs_f64(),
-        total_tenants as f64 / serial_phase.wall.as_secs_f64(),
-        serial_report.total_senses() as f64 / serial_phase.wall.as_secs_f64()
-    );
-
-    let start = Instant::now();
-    let parallel_report = soak_run(&config, &scenarios, &FleetExecutor::new(threads));
-    let parallel_phase = FleetPhase {
-        name: format!("soak-{threads}-threads"),
-        threads,
-        wall: start.elapsed(),
-    };
-    eprintln!(
-        "  {}: {:.3} s",
-        parallel_phase.name,
-        parallel_phase.wall.as_secs_f64()
-    );
-
-    let mut serial_bytes = serial_report.render();
-    let mut parallel_bytes = parallel_report.render();
-
-    let cross = if real_tenants > 0 {
-        let start = Instant::now();
-        let serial_cross =
-            cross_check_run(&config, &scenarios, real_tenants, &FleetExecutor::new(1));
-        let parallel_cross = cross_check_run(
-            &config,
-            &scenarios,
-            real_tenants,
-            &FleetExecutor::new(threads),
-        );
-        eprintln!(
-            "  cross-check: {} real plants x {} scenarios in {:.3} s",
-            real_tenants,
-            scenarios.len(),
-            start.elapsed().as_secs_f64()
-        );
-        // The cross-check renders join the byte-identity diff.
-        serial_bytes.push_str(&serial_cross.render());
-        parallel_bytes.push_str(&parallel_cross.render());
-        Some(serial_cross)
-    } else {
-        None
-    };
-    let identical = serial_bytes == parallel_bytes;
-
-    let json = soak_json(
-        &config,
-        &scenarios,
-        &serial_report,
-        cross.as_ref(),
-        identical,
-        &[serial_phase, parallel_phase],
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_soak.json");
-    eprintln!("wrote {out_path}");
-    print!("{serial_bytes}");
-
-    let mut failed = false;
-    if !identical {
-        for (i, (a, b)) in serial_bytes.lines().zip(parallel_bytes.lines()).enumerate() {
-            if a != b {
-                eprintln!(
-                    "first diff at line {}:\n  1-thread: {a}\n  {threads}-thread: {b}",
-                    i + 1
-                );
-                break;
-            }
-        }
-        eprintln!("FAIL: soak reports differ between 1 and {threads} threads");
-        failed = true;
-    }
-    let breaches = serial_report.hard_gate_breaches();
-    if !breaches.is_empty() {
-        eprintln!("FAIL: hard-goal cohort gate breached (p99 > delta) in: {breaches:?}");
-        failed = true;
-    }
-    let unrecovered = serial_report.unrecovered_hard_tenants();
-    if unrecovered > 0 {
-        eprintln!("FAIL: {unrecovered} unrecovered hard-goal tenants at end of soak");
-        failed = true;
-    }
-    if let Some(cross) = &cross {
-        let bracket = cross_check_failures(&serial_report, cross);
-        for f in &bracket {
-            eprintln!("FAIL: cross-check {f}");
-        }
-        if bracket.is_empty() {
-            eprintln!("cross-check bracket: OK");
-        } else {
-            failed = true;
-        }
-    }
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let failures = check_soak(&json, &baseline);
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        if failures.is_empty() {
-            eprintln!("baseline check against {path}: OK");
-        } else {
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!(
-        "OK: soak reports byte-identical at 1 and {threads} threads, zero hard cohort \
-         breaches, zero unrecovered hard tenants"
+    let flags = Flags::from_env(&FLAGS);
+    let (tenants, real) = (flags.count("--tenants"), flags.count("--real-tenants"));
+    drive(
+        &SoakSmoke::new(tenants, real, flags.get("--check")),
+        flags.threads(),
+        flags.out(),
     );
 }

@@ -10,12 +10,12 @@
 //! how many shards violated their constraint. The report must be
 //! byte-identical at 1 and N worker threads, like the clean fleet.
 
-use std::time::Instant;
+use smartconf_harness::{FleetReport, Policy};
+use smartconf_runtime::FaultClass;
 
-use smartconf_harness::{run_fleet, FleetReport, Policy};
-use smartconf_runtime::{FaultClass, FleetExecutor};
-
-use crate::fleet::{fleet_scenarios, FleetPhase};
+use crate::fleet::{
+    coverage_failures, phases_json, roster_json_head, FleetPhase, FleetSmoke, PHASE_NOTE,
+};
 
 /// Scenarios whose constraint is a hard goal (crash / outage above it):
 /// the chaos sweep demands *zero* violations from these under every
@@ -33,26 +33,47 @@ pub fn chaos_policies() -> Vec<Policy> {
     policies
 }
 
-/// Runs the seven-scenario chaos fleet over `seeds` at `threads`
-/// workers, returning the merged report and the phase's wall-clock.
-pub fn chaos_run(seeds: &[u64], threads: usize) -> (FleetReport, FleetPhase) {
-    let scenarios = fleet_scenarios();
-    let policies = chaos_policies();
-    let start = Instant::now();
-    let report = run_fleet(&scenarios, seeds, &policies, &FleetExecutor::new(threads));
-    let phase = FleetPhase {
-        name: format!(
-            "chaos-{threads}-thread{}",
-            if threads == 1 { "" } else { "s" }
-        ),
-        threads,
-        wall: start.elapsed(),
-    };
-    (report, phase)
+/// The chaos smoke over `seeds`: [`chaos_policies`], written as
+/// `BENCH_chaos.json` and gated by [`chaos_gate`].
+pub fn smoke(seeds: Vec<u64>) -> FleetSmoke {
+    FleetSmoke {
+        label: "chaos",
+        policies: chaos_policies(),
+        seeds,
+        artifact: chaos_json,
+        gate: chaos_gate,
+    }
+}
+
+/// The chaos gate: every policy resolved on a non-empty report
+/// ([`coverage_failures`]) and zero hard-goal violations under every
+/// fault class. Prints each class's aggregates on stderr.
+pub fn chaos_gate(report: &FleetReport, policies: &[Policy]) -> Vec<String> {
+    let mut failures = coverage_failures(report, policies);
+    for o in class_outcomes(report) {
+        eprintln!(
+            "  {}: {} shards, {} violations ({} hard), {} faults, {} guard activations, \
+             {} fallback epochs",
+            o.policy,
+            o.shards,
+            o.violations,
+            o.hard_goal_violations,
+            o.faults_injected,
+            o.guard_activations,
+            o.fallback_epochs
+        );
+        if o.hard_goal_violations > 0 {
+            failures.push(format!(
+                "{} hard-goal violation(s) under {} (hard scenarios: {:?})",
+                o.hard_goal_violations, o.policy, HARD_GOAL_SCENARIOS
+            ));
+        }
+    }
+    failures
 }
 
 /// Per-fault-class aggregates over one chaos fleet report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassOutcome {
     /// Policy label, e.g. `"Chaos-SensorDropout"` (or `"SmartConf"` for
     /// the clean baseline).
@@ -84,12 +105,7 @@ pub fn class_outcomes(report: &FleetReport) -> Vec<ClassOutcome> {
             None => {
                 outcomes.push(ClassOutcome {
                     policy: shard.policy.clone(),
-                    shards: 0,
-                    violations: 0,
-                    hard_goal_violations: 0,
-                    faults_injected: 0,
-                    guard_activations: 0,
-                    fallback_epochs: 0,
+                    ..ClassOutcome::default()
                 });
                 outcomes.last_mut().expect("just pushed")
             }
@@ -119,20 +135,7 @@ pub fn chaos_json(
 ) -> String {
     let outcomes = class_outcomes(report);
     let hard_total: usize = outcomes.iter().map(|o| o.hard_goal_violations).sum();
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scenarios\": {},\n", fleet_scenarios().len()));
-    let seed_list: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
-    out.push_str(&format!("  \"seeds\": [{}],\n", seed_list.join(", ")));
-    out.push_str(&format!("  \"shards\": {},\n", report.shards.len()));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        FleetExecutor::available_parallelism().threads()
-    ));
-    out.push_str(
-        "  \"note\": \"wall-clock figures are host-dependent; a 1-CPU host \
-         cannot show parallel speedup, so phase timings there only measure \
-         scheduling overhead\",\n",
-    );
+    let mut out = roster_json_head(seeds, None, report, PHASE_NOTE);
     out.push_str(&format!("  \"reports_identical\": {reports_identical},\n"));
     out.push_str(&format!("  \"hard_goal_violations\": {hard_total},\n"));
     out.push_str("  \"classes\": [\n");
@@ -155,21 +158,8 @@ pub fn chaos_json(
         .collect();
     out.push_str(&class_lines.join(",\n"));
     out.push_str("\n  ],\n");
-    out.push_str("  \"phases\": [\n");
-    let phase_lines: Vec<String> = phases
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"name\": \"{}\", \"threads\": {}, \"wall_clock_secs\": {:.3}}}",
-                p.name,
-                p.threads,
-                p.wall.as_secs_f64()
-            )
-        })
-        .collect();
-    out.push_str(&phase_lines.join(",\n"));
-    out.push_str("\n  ]\n");
-    out.push_str("}\n");
+    out.push_str(&phases_json(phases));
+    out.push_str("\n}\n");
     out
 }
 
@@ -220,6 +210,33 @@ mod tests {
         assert_eq!(chaos.hard_goal_violations, 1);
         let clean = &outcomes[1];
         assert_eq!(clean.violations, 0);
+    }
+
+    #[test]
+    fn chaos_gate_fails_closed_on_missing_outcomes() {
+        let policies = chaos_policies();
+        assert!(!chaos_gate(&FleetReport::default(), &policies).is_empty());
+        // Only the clean baseline resolved: every chaos policy is missing.
+        let mut report = FleetReport::default();
+        report.shards.push(smartconf_harness::ShardReport {
+            scenario_id: "HB6728".into(),
+            seed: 42,
+            policy: "SmartConf".into(),
+            resolved: true,
+            constraint_ok: true,
+            crashed: false,
+            tradeoff: 1.0,
+            tradeoff_name: "t".into(),
+            channels: Vec::new(),
+        });
+        let failures = chaos_gate(&report, &policies);
+        assert_eq!(failures.len(), policies.len() - 1, "{failures:?}");
+        assert!(chaos_gate(&report, &policies[..1]).is_empty());
+        // An unresolved shard fails even when every policy has an outcome.
+        let mut unresolved = report.shards[0].clone();
+        unresolved.resolved = false;
+        report.shards.push(unresolved);
+        assert_eq!(chaos_gate(&report, &policies[..1]).len(), 1);
     }
 
     #[test]

@@ -14,6 +14,8 @@ use smartconf_harness::{run_fleet, Baseline, FleetReport, Policy, Scenario};
 use smartconf_kvstore::scenarios::TwinQueues;
 use smartconf_runtime::FleetExecutor;
 
+use crate::suite::Smoke;
+
 /// All seven scenarios — the six Figure 5 case studies plus the §6.5
 /// twin-queue experiment — boxed behind the common trait.
 pub fn fleet_scenarios() -> Vec<Box<dyn Scenario + Send + Sync>> {
@@ -33,7 +35,7 @@ pub const SMOKE_POLICIES: [Policy; 4] = [
     Policy::Adaptive,
 ];
 
-/// One timed phase of the smoke run.
+/// One timed phase of a smoke run.
 #[derive(Debug, Clone)]
 pub struct FleetPhase {
     /// Phase name, e.g. `"fleet-1-thread"`.
@@ -44,26 +46,174 @@ pub struct FleetPhase {
     pub wall: Duration,
 }
 
-/// Runs the seven-scenario smoke fleet over `seeds` at `threads`
-/// workers, returning the merged report and the phase's wall-clock.
-pub fn smoke_run(seeds: &[u64], threads: usize) -> (FleetReport, FleetPhase) {
+impl FleetPhase {
+    /// Runs `f`, timed as the phase `"{label}-{threads}-thread[s]"`.
+    pub fn time<T>(label: &str, threads: usize, f: impl FnOnce() -> T) -> (T, FleetPhase) {
+        let start = Instant::now();
+        let out = f();
+        let phase = FleetPhase {
+            name: format!(
+                "{label}-{threads}-thread{}",
+                if threads == 1 { "" } else { "s" }
+            ),
+            threads,
+            wall: start.elapsed(),
+        };
+        (out, phase)
+    }
+}
+
+/// Runs the seven-scenario roster under `policies` over `seeds` at
+/// `threads` workers, returning the merged report and the phase
+/// `"{label}-{threads}-thread[s]"`.
+pub fn fleet_run(
+    label: &str,
+    policies: &[Policy],
+    seeds: &[u64],
+    threads: usize,
+) -> (FleetReport, FleetPhase) {
     let scenarios = fleet_scenarios();
-    let start = Instant::now();
-    let report = run_fleet(
-        &scenarios,
-        seeds,
-        &SMOKE_POLICIES,
-        &FleetExecutor::new(threads),
+    FleetPhase::time(label, threads, || {
+        run_fleet(&scenarios, seeds, policies, &FleetExecutor::new(threads))
+    })
+}
+
+/// Renders the `"phases"` block every smoke artifact carries, without
+/// a trailing separator.
+pub fn phases_json(phases: &[FleetPhase]) -> String {
+    let lines: Vec<String> = phases
+        .iter()
+        .map(|p| {
+            format!(
+                "    {{\"name\": \"{}\", \"threads\": {}, \"wall_clock_secs\": {:.3}}}",
+                p.name,
+                p.threads,
+                p.wall.as_secs_f64()
+            )
+        })
+        .collect();
+    format!("  \"phases\": [\n{}\n  ]", lines.join(",\n"))
+}
+
+/// The `"note"` of the chaos and resilience artifacts.
+pub const PHASE_NOTE: &str = "wall-clock figures are host-dependent; a 1-CPU host cannot show \
+     parallel speedup, so phase timings there only measure scheduling overhead";
+
+/// The opening lines every roster artifact shares, through `"note"`:
+/// the roster size, the seeds, an optional `(key, labels)` list, the
+/// shard count and the host's CPUs.
+pub fn roster_json_head(
+    seeds: &[u64],
+    labels: Option<(&str, Vec<String>)>,
+    report: &FleetReport,
+    note: &str,
+) -> String {
+    let seeds: Vec<String> = seeds.iter().map(u64::to_string).collect();
+    let mut out = format!(
+        "{{\n  \"scenarios\": {},\n  \"seeds\": [{}],\n",
+        fleet_scenarios().len(),
+        seeds.join(", ")
     );
-    let phase = FleetPhase {
-        name: format!(
-            "fleet-{threads}-thread{}",
-            if threads == 1 { "" } else { "s" }
-        ),
-        threads,
-        wall: start.elapsed(),
-    };
-    (report, phase)
+    if let Some((key, labels)) = labels {
+        let quoted: Vec<String> = labels.iter().map(|l| format!("\"{l}\"")).collect();
+        out.push_str(&format!("  \"{key}\": [{}],\n", quoted.join(", ")));
+    }
+    out.push_str(&format!(
+        "  \"shards\": {},\n  \"host_cpus\": {},\n  \"note\": \"{note}\",\n",
+        report.shards.len(),
+        FleetExecutor::available_parallelism().threads()
+    ));
+    out
+}
+
+/// The fail-closed half of a fleet gate: a report with no shards, an
+/// unresolved shard, or a policy in `policies` without a resolved shard
+/// is a failure, so a gate over outcomes never passes because the
+/// outcomes are missing.
+pub fn coverage_failures(report: &FleetReport, policies: &[Policy]) -> Vec<String> {
+    let mut failures = Vec::new();
+    if report.shards.is_empty() {
+        failures.push("report has no shards".to_string());
+    }
+    for s in report.shards.iter().filter(|s| !s.resolved) {
+        failures.push(format!(
+            "{} / {} seed {} is unresolved",
+            s.scenario_id, s.policy, s.seed
+        ));
+    }
+    for label in policies.iter().map(Policy::label) {
+        if !report
+            .shards
+            .iter()
+            .any(|s| s.resolved && s.policy == label)
+        {
+            failures.push(format!("policy {label} has no outcome"));
+        }
+    }
+    failures
+}
+
+/// A [`Smoke`] over the seven-scenario roster: what `fleet_smoke`,
+/// `chaos_smoke` and `resilience_smoke` drive, differing only in
+/// policies, artifact and gate.
+#[derive(Debug)]
+pub struct FleetSmoke {
+    /// Phase-name and FAIL/OK label, e.g. `"chaos"`.
+    pub label: &'static str,
+    /// Policies run against every (scenario, seed).
+    pub policies: Vec<Policy>,
+    /// Seeds run against every (scenario, policy).
+    pub seeds: Vec<u64>,
+    /// Renders the artifact from the seeds, serial report, 1-vs-N
+    /// verdict and phases.
+    pub artifact: fn(&[u64], &FleetReport, bool, &[FleetPhase]) -> String,
+    /// Gate failures of the serial report, given the policies it ran.
+    pub gate: fn(&FleetReport, &[Policy]) -> Vec<String>,
+}
+
+impl Smoke for FleetSmoke {
+    type Report = FleetReport;
+
+    fn label(&self) -> &str {
+        self.label
+    }
+
+    fn banner(&self) -> String {
+        format!(
+            "{} scenarios x {} seeds x {} policies",
+            fleet_scenarios().len(),
+            self.seeds.len(),
+            self.policies.len()
+        )
+    }
+
+    fn run(&self, threads: usize) -> (FleetReport, FleetPhase) {
+        fleet_run(self.label, &self.policies, &self.seeds, threads)
+    }
+
+    fn render(&self, report: &FleetReport) -> String {
+        report.render()
+    }
+
+    fn artifact(&self, report: &FleetReport, identical: bool, phases: &[FleetPhase]) -> String {
+        (self.artifact)(&self.seeds, report, identical, phases)
+    }
+
+    fn gate(&self, report: &FleetReport, _artifact: &str) -> Vec<String> {
+        (self.gate)(report, &self.policies)
+    }
+}
+
+/// The clean fleet smoke over `seeds`: [`SMOKE_POLICIES`], gated on
+/// 1-vs-N byte identity alone.
+pub fn smoke(seeds: Vec<u64>) -> FleetSmoke {
+    FleetSmoke {
+        label: "fleet",
+        policies: SMOKE_POLICIES.to_vec(),
+        seeds,
+        artifact: bench_json,
+        gate: |_, _| Vec::new(),
+    }
 }
 
 /// Renders the `BENCH_fleet.json` artifact: the fleet's shape, whether
@@ -75,44 +225,21 @@ pub fn bench_json(
     reports_identical: bool,
     phases: &[FleetPhase],
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scenarios\": {},\n", fleet_scenarios().len()));
-    let seed_list: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
-    out.push_str(&format!("  \"seeds\": [{}],\n", seed_list.join(", ")));
-    let policy_list: Vec<String> = SMOKE_POLICIES
-        .iter()
-        .map(|p| format!("\"{}\"", p.label()))
-        .collect();
-    out.push_str(&format!("  \"policies\": [{}],\n", policy_list.join(", ")));
-    out.push_str(&format!("  \"shards\": {},\n", report.shards.len()));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        FleetExecutor::available_parallelism().threads()
-    ));
-    out.push_str(
-        "  \"note\": \"wall-clock figures are host-dependent; a 1-CPU host \
-         cannot show parallel speedup, so parallel_speedup below 1.0 there \
-         only measures scheduling overhead\",\n",
+    let policies = SMOKE_POLICIES.iter().map(Policy::label).collect();
+    let mut out = roster_json_head(
+        seeds,
+        Some(("policies", policies)),
+        report,
+        "wall-clock figures are host-dependent; a 1-CPU host cannot show parallel \
+         speedup, so parallel_speedup below 1.0 there only measures scheduling overhead",
     );
     out.push_str(&format!(
         "  \"constraint_satisfaction_rate\": {:.4},\n",
         report.constraint_satisfaction_rate()
     ));
     out.push_str(&format!("  \"reports_identical\": {reports_identical},\n"));
-    out.push_str("  \"phases\": [\n");
-    let phase_lines: Vec<String> = phases
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"name\": \"{}\", \"threads\": {}, \"wall_clock_secs\": {:.3}}}",
-                p.name,
-                p.threads,
-                p.wall.as_secs_f64()
-            )
-        })
-        .collect();
-    out.push_str(&phase_lines.join(",\n"));
-    out.push_str("\n  ],\n");
+    out.push_str(&phases_json(phases));
+    out.push_str(",\n");
     let serial = phases.iter().find(|p| p.threads == 1);
     let fastest_parallel = phases
         .iter()

@@ -14,11 +14,18 @@
 //! | `table7` | Table 7 (integration effort) |
 //! | `ablations` | outcome ablations of the design choices (DESIGN.md §5) |
 //! | `seeds` | constraint-satisfaction rates across seeds |
-//! | `fleet_smoke` | all 7 scenarios × seeds × policies at 1 and N threads, diffed |
-//! | `chaos_smoke` | all 7 scenarios × every fault class, hard-goal gated |
-//! | `resilience_smoke` | all 7 scenarios × every compound-fault campaign, recovery-SLO gated |
-//! | `perf_smoke` | epoch throughput + fleet wall-clock, baseline gated |
-//! | `soak_smoke` | 100k-tenant-per-scenario soak under time-varying traffic, cohort-tail gated |
+//! | `adaptive_bench` | online vs. frozen vs. proportional model under every fault class |
+//! | `fleet_smoke` | all 7 scenarios × seeds × 4 policies at 1 and N threads, diffed |
+//! | `chaos_smoke` | all 7 scenarios × every fault class at 1 and N threads, hard-goal gated |
+//! | `resilience_smoke` | all 7 scenarios × every compound-fault campaign at 1 and N threads, hard-goal gated |
+//! | `soak_smoke` | 100k-tenant-per-scenario soak at 1 and N threads, cohort-tail gated |
+//! | `perf_smoke` | epoch throughput + kernel rate + fleet wall-clock, baseline gated |
+//!
+//! The four 1-vs-N smokes are `main`s of a few lines over one function,
+//! [`suite::drive`]: each supplies a [`suite::Smoke`] (its run, render,
+//! artifact and gate) and `drive` owns the run-twice, diff, write,
+//! print and exit-code cycle. `perf_smoke` and `adaptive_bench` share its
+//! flag parser ([`suite::Flags`]).
 //!
 //! Criterion microbenchmarks (`cargo bench`) cover controller overhead,
 //! design-choice ablations, and simulator throughput.
@@ -37,6 +44,7 @@ pub mod fleet;
 pub mod perf;
 pub mod resilience;
 pub mod soak;
+pub mod suite;
 pub mod table6;
 pub mod table7;
 

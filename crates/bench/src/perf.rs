@@ -9,7 +9,7 @@
 //!   overhead story). Measured on a SmartConf run fed pre-collected
 //!   profiles, so the §6.1 profiling loop is excluded from the timing.
 //! * **fleet wall-clock** — the serial end-to-end cost of the standard
-//!   smoke fleet (all seven scenarios × seeds × the three smoke
+//!   smoke fleet (all seven scenarios × seeds × the four smoke
 //!   policies), profiling included. This is what the CI gate watches.
 //!
 //! Only the fleet wall-clock and kernel rate are hard-gated: epochs/sec
@@ -35,7 +35,7 @@ use smartconf_runtime::{
     ChannelId, ControlPlane, Decider, EventPlane, FleetExecutor, Plant, Sensed,
 };
 
-use crate::fleet::{fleet_scenarios, smoke_run, FleetPhase, SMOKE_POLICIES};
+use crate::fleet::{fleet_run, fleet_scenarios, FleetPhase, SMOKE_POLICIES};
 
 /// Fractional wall-clock tolerance of the `--check` gate: a new fleet
 /// wall-clock above `baseline * (1 + TOLERANCE)` fails, and one below
@@ -181,7 +181,7 @@ pub fn measure_scenarios(seed: u64) -> Vec<ScenarioPerf> {
 /// Runs the standard smoke fleet serially over `seeds` and returns the
 /// timed phase — the end-to-end number the CI gate compares.
 pub fn measure_fleet(seeds: &[u64]) -> FleetPhase {
-    smoke_run(seeds, 1).1
+    fleet_run("fleet", &SMOKE_POLICIES, seeds, 1).1
 }
 
 /// One discarded pass over every timed path before the real
@@ -214,7 +214,7 @@ pub fn parse_scenario_rates(json: &str) -> Vec<(String, f64)> {
         rest = &rest[pos + "\"id\": \"".len()..];
         let Some(end) = rest.find('"') else { break };
         let id = rest[..end].to_string();
-        let Some(rate) = parse_number_after(rest, "\"epochs_per_sec\":") else {
+        let Some(rate) = parse_number_after(rest, "epochs_per_sec") else {
             break;
         };
         out.push((id, rate));
@@ -370,32 +370,6 @@ pub fn kernel_rate_series(baseline: &str) -> Vec<f64> {
     series
 }
 
-/// Gates a fresh fleet wall-clock against the statistical band: slower
-/// than the upper edge is a regression, faster than the lower edge
-/// means the history understates the current code (stale).
-pub fn check_fleet_wall_stat(gate: &StatGate, new_secs: f64) -> CheckVerdict {
-    if new_secs > gate.hi() {
-        CheckVerdict::Regression
-    } else if new_secs < gate.lo() {
-        CheckVerdict::BaselineStale
-    } else {
-        CheckVerdict::Ok
-    }
-}
-
-/// Gates a fresh kernel rate against the statistical band, directions
-/// inverted relative to [`check_fleet_wall_stat`]: a rate regresses by
-/// *dropping* below the band.
-pub fn check_kernel_rate_stat(gate: &StatGate, new_rate: f64) -> CheckVerdict {
-    if new_rate < gate.lo() {
-        CheckVerdict::Regression
-    } else if new_rate > gate.hi() {
-        CheckVerdict::BaselineStale
-    } else {
-        CheckVerdict::Ok
-    }
-}
-
 /// Renders the `BENCH_perf.json` artifact. `history` holds prior runs'
 /// compact entries (see [`carry_history`]); pass `&[]` for a fresh
 /// artifact with no predecessors.
@@ -473,64 +447,77 @@ pub fn bench_json(
 /// Extracts `"fleet_wall_clock_secs"` from a `BENCH_perf.json` rendering
 /// (the artifact is hand-rolled, so so is the parse).
 pub fn parse_fleet_wall(json: &str) -> Option<f64> {
-    parse_number_after(json, "\"fleet_wall_clock_secs\":")
+    parse_number_after(json, "fleet_wall_clock_secs")
 }
 
 /// Extracts the kernel's `"events_per_sec"` from a `BENCH_perf.json`
 /// rendering (the key only occurs inside the `"kernel"` object; the
 /// per-scenario entries record `epochs_per_sec`).
 pub fn parse_kernel_rate(json: &str) -> Option<f64> {
-    parse_number_after(json, "\"events_per_sec\":")
+    parse_number_after(json, "events_per_sec")
 }
 
 fn parse_number_after(json: &str, key: &str) -> Option<f64> {
-    let rest = &json[json.find(key)? + key.len()..];
-    rest.trim_start()
-        .trim_end_matches(char::is_whitespace)
-        .split(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .next()?
-        .parse()
-        .ok()
+    parse_series(json, key).first().copied()
 }
 
-/// The `--check` verdict: how a fresh fleet wall-clock compares to the
-/// committed baseline under [`TOLERANCE`].
+/// The `--check` verdict: how a fresh measurement compares to the
+/// committed baseline's band.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckVerdict {
-    /// Within tolerance of the baseline.
+    /// Inside the band.
     Ok,
-    /// Faster than the lower tolerance bound — not a failure, but the
+    /// Past the band on the better side — not a failure, but the
     /// committed baseline understates the current code and should be
     /// regenerated.
     BaselineStale,
-    /// Slower than the upper tolerance bound — a perf regression.
+    /// Past the band on the worse side (or not measurable) — a perf
+    /// regression.
     Regression,
 }
 
-/// Gates `new_secs` against `baseline_secs` under [`TOLERANCE`].
-pub fn check_fleet_wall(baseline_secs: f64, new_secs: f64) -> CheckVerdict {
-    if new_secs > baseline_secs * (1.0 + TOLERANCE) {
-        CheckVerdict::Regression
-    } else if new_secs < baseline_secs * (1.0 - TOLERANCE) {
-        CheckVerdict::BaselineStale
-    } else {
-        CheckVerdict::Ok
-    }
+/// Which way a gated measurement improves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Smaller is better (wall-clock seconds).
+    Lower,
+    /// Larger is better (events per second).
+    Higher,
 }
 
-/// Gates the kernel's events/sec against a baseline under the same
-/// ±[`TOLERANCE`] band, with the directions inverted relative to
-/// [`check_fleet_wall`]: a *rate* regresses by dropping below
-/// `baseline * (1 − TOLERANCE)`, and beats the baseline (stale) above
-/// `baseline * (1 + TOLERANCE)`.
-pub fn check_kernel_rate(baseline_rate: f64, new_rate: f64) -> CheckVerdict {
-    if new_rate < baseline_rate * (1.0 - TOLERANCE) {
+/// Gates a fresh measurement against a committed baseline, returning
+/// the verdict and the `[lo, hi]` band. Once `series` (the baseline's
+/// history plus its headline) holds [`STAT_MIN_HISTORY`] finite runs
+/// the band is median ± [`STAT_K`]·MAD ([`stat_gate`]); before that it
+/// is ±[`TOLERANCE`] around `headline`. Past the band on the worse side
+/// per `better` is a regression; on the better side the baseline is
+/// merely stale. The gate fails closed: a non-finite measurement or band
+/// (no headline to fall back on) is a regression, never a comparison
+/// that reads `false` both ways.
+pub fn gate(
+    series: &[f64],
+    headline: Option<f64>,
+    measured: f64,
+    better: Better,
+) -> (CheckVerdict, [f64; 2]) {
+    let band = match (stat_gate(series), headline) {
+        (Some(g), _) => [g.lo(), g.hi()],
+        (None, Some(b)) => [b * (1.0 - TOLERANCE), b * (1.0 + TOLERANCE)],
+        (None, None) => [f64::NAN; 2],
+    };
+    let (worse, improved) = match better {
+        Better::Lower => (measured > band[1], measured < band[0]),
+        Better::Higher => (measured < band[0], measured > band[1]),
+    };
+    let finite = measured.is_finite() && band.iter().all(|e| e.is_finite());
+    let verdict = if worse || !finite {
         CheckVerdict::Regression
-    } else if new_rate > baseline_rate * (1.0 + TOLERANCE) {
+    } else if improved {
         CheckVerdict::BaselineStale
     } else {
         CheckVerdict::Ok
-    }
+    };
+    (verdict, band)
 }
 
 #[cfg(test)]
@@ -544,16 +531,7 @@ mod tests {
             epochs: 1200,
             wall: Duration::from_millis(60),
         }];
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
+        let (kernel, fleet) = fixture();
         let json = bench_json(42, &scenarios, &kernel, &[42, 43], &fleet, true, &[]);
         assert!(json.contains("\"epochs\": 1200"));
         assert!(json.contains("\"epochs_per_sec\": 20000"));
@@ -573,13 +551,48 @@ mod tests {
         assert_eq!(k.events, 2 * 2 * (14_400 + 7_200 + 3_600 + 720));
     }
 
+    /// A kernel measurement at 2 M events/s and a 2.5 s serial fleet.
+    fn fixture() -> (KernelPerf, FleetPhase) {
+        let kernel = KernelPerf {
+            channels: 8,
+            events: 100_000,
+            wall: Duration::from_millis(50),
+        };
+        let fleet = FleetPhase {
+            name: "fleet-1-thread".into(),
+            threads: 1,
+            wall: Duration::from_millis(2500),
+        };
+        (kernel, fleet)
+    }
+
+    /// The ±TOLERANCE verdict for `measured` against headline `baseline`.
+    fn raw(baseline: f64, measured: f64, better: Better) -> CheckVerdict {
+        gate(&[], Some(baseline), measured, better).0
+    }
+
     #[test]
     fn check_gates_on_the_upper_bound_only() {
-        assert_eq!(check_fleet_wall(4.0, 4.0), CheckVerdict::Ok);
-        assert_eq!(check_fleet_wall(4.0, 4.99), CheckVerdict::Ok);
-        assert_eq!(check_fleet_wall(4.0, 5.01), CheckVerdict::Regression);
-        assert_eq!(check_fleet_wall(4.0, 3.01), CheckVerdict::Ok);
-        assert_eq!(check_fleet_wall(4.0, 2.99), CheckVerdict::BaselineStale);
+        assert_eq!(raw(4.0, 4.0, Better::Lower), CheckVerdict::Ok);
+        assert_eq!(raw(4.0, 4.99, Better::Lower), CheckVerdict::Ok);
+        assert_eq!(raw(4.0, 5.01, Better::Lower), CheckVerdict::Regression);
+        assert_eq!(raw(4.0, 3.01, Better::Lower), CheckVerdict::Ok);
+        assert_eq!(raw(4.0, 2.99, Better::Lower), CheckVerdict::BaselineStale);
+    }
+
+    #[test]
+    fn gate_fails_closed_on_non_finite_measurements() {
+        for better in [Better::Lower, Better::Higher] {
+            assert_eq!(raw(4.0, f64::NAN, better), CheckVerdict::Regression);
+            assert_eq!(raw(4.0, f64::INFINITY, better), CheckVerdict::Regression);
+            let history = [4.0; STAT_MIN_HISTORY];
+            assert_eq!(
+                gate(&history, None, f64::NAN, better).0,
+                CheckVerdict::Regression
+            );
+            // No history and no headline: nothing to pass against.
+            assert_eq!(gate(&[], None, 4.0, better).0, CheckVerdict::Regression);
+        }
     }
 
     #[test]
@@ -600,41 +613,26 @@ mod tests {
 
     #[test]
     fn kernel_check_gates_on_the_lower_bound_only() {
-        assert_eq!(check_kernel_rate(4e6, 4e6), CheckVerdict::Ok);
-        assert_eq!(check_kernel_rate(4e6, 3.01e6), CheckVerdict::Ok);
-        assert_eq!(check_kernel_rate(4e6, 2.99e6), CheckVerdict::Regression);
-        assert_eq!(check_kernel_rate(4e6, 4.99e6), CheckVerdict::Ok);
-        assert_eq!(check_kernel_rate(4e6, 5.01e6), CheckVerdict::BaselineStale);
+        assert_eq!(raw(4e6, 4e6, Better::Higher), CheckVerdict::Ok);
+        assert_eq!(raw(4e6, 3.01e6, Better::Higher), CheckVerdict::Ok);
+        assert_eq!(raw(4e6, 2.99e6, Better::Higher), CheckVerdict::Regression);
+        assert_eq!(raw(4e6, 4.99e6, Better::Higher), CheckVerdict::Ok);
+        assert_eq!(
+            raw(4e6, 5.01e6, Better::Higher),
+            CheckVerdict::BaselineStale
+        );
     }
 
     #[test]
     fn kernel_rate_parses_from_rendered_json() {
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
+        let (kernel, fleet) = fixture();
         let json = bench_json(42, &[], &kernel, &[42], &fleet, true, &[]);
         assert_eq!(parse_kernel_rate(&json), Some(2_000_000.0));
     }
 
     #[test]
     fn history_accumulates_across_rewrites() {
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
+        let (kernel, fleet) = fixture();
         // First write: no predecessor, empty history.
         let first = bench_json(42, &[], &kernel, &[42], &fleet, true, &[]);
         assert!(first.contains("\"history\": []"));
@@ -682,16 +680,7 @@ mod tests {
                 wall: Duration::from_millis(100),
             },
         ];
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
+        let (kernel, fleet) = fixture();
         let first = bench_json(42, &scenarios, &kernel, &[42], &fleet, true, &[]);
         assert_eq!(
             parse_scenario_rates(&first),
@@ -731,40 +720,36 @@ mod tests {
     fn stat_gate_uses_median_and_mad() {
         // Series with one outlier: the median/MAD shrug it off where a
         // mean/stddev gate would be dragged wide.
-        let g = stat_gate(&[4.0, 4.1, 3.9, 4.05, 40.0]).expect("gate");
+        let series = [4.0, 4.1, 3.9, 4.05, 40.0];
+        let g = stat_gate(&series).expect("gate");
         assert!((g.median - 4.05).abs() < 1e-12);
         assert!(g.mad < 0.2, "mad {}", g.mad);
-        assert_eq!(check_fleet_wall_stat(&g, g.median), CheckVerdict::Ok);
-        assert_eq!(check_fleet_wall_stat(&g, 40.0), CheckVerdict::Regression);
-        assert_eq!(check_fleet_wall_stat(&g, 0.5), CheckVerdict::BaselineStale);
+        // The history band wins over the (far-off) headline.
+        let verdict = |x| gate(&series, Some(40.0), x, Better::Lower).0;
+        assert_eq!(verdict(g.median), CheckVerdict::Ok);
+        assert_eq!(verdict(40.0), CheckVerdict::Regression);
+        assert_eq!(verdict(0.5), CheckVerdict::BaselineStale);
     }
 
     #[test]
     fn stat_gate_floors_mad_on_identical_history() {
         // Five byte-identical runs: raw MAD is 0; the floor keeps a
         // ±STAT_K·2% band so normal noise does not fail the gate.
-        let g = stat_gate(&[4.0; 5]).expect("gate");
+        let series = [4.0; 5];
+        let g = stat_gate(&series).expect("gate");
         assert_eq!(g.mad, STAT_MAD_FLOOR * 4.0);
-        assert_eq!(check_fleet_wall_stat(&g, 4.3), CheckVerdict::Ok);
-        assert_eq!(check_fleet_wall_stat(&g, 4.5), CheckVerdict::Regression);
-        // Kernel direction is inverted.
-        assert_eq!(check_kernel_rate_stat(&g, 3.5), CheckVerdict::Regression);
-        assert_eq!(check_kernel_rate_stat(&g, 4.5), CheckVerdict::BaselineStale);
-        assert_eq!(check_kernel_rate_stat(&g, 4.1), CheckVerdict::Ok);
+        let verdict = |x, better| gate(&series, None, x, better).0;
+        assert_eq!(verdict(4.3, Better::Lower), CheckVerdict::Ok);
+        assert_eq!(verdict(4.5, Better::Lower), CheckVerdict::Regression);
+        // A rate's direction is inverted.
+        assert_eq!(verdict(3.5, Better::Higher), CheckVerdict::Regression);
+        assert_eq!(verdict(4.5, Better::Higher), CheckVerdict::BaselineStale);
+        assert_eq!(verdict(4.1, Better::Higher), CheckVerdict::Ok);
     }
 
     #[test]
     fn series_parsers_recover_history_plus_headline() {
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
+        let (kernel, fleet) = fixture();
         let mut json = bench_json(42, &[], &kernel, &[42], &fleet, true, &[]);
         // Grow a 6-entry history by repeated rewrites.
         for _ in 0..6 {
@@ -780,16 +765,7 @@ mod tests {
 
     #[test]
     fn warmup_flag_is_carried_into_history_entries() {
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
+        let (kernel, fleet) = fixture();
         // A warmed artifact's headline carries into history flagged true.
         let warmed = bench_json(42, &[], &kernel, &[42], &fleet, true, &[]);
         assert!(warmed.contains("\"warmup_pass\": true"));
@@ -809,16 +785,7 @@ mod tests {
         let seeded: Vec<String> = (0..HISTORY_CAP + 5)
             .map(|i| format!("{{\"fleet_secs\": {i}.000, \"kernel_rate\": 1}}"))
             .collect();
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
+        let (kernel, fleet) = fixture();
         let json = bench_json(42, &[], &kernel, &[42], &fleet, true, &seeded);
         let carried = carry_history(&json);
         assert_eq!(carried.len(), HISTORY_CAP);

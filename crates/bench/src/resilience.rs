@@ -14,14 +14,15 @@
 //! like the clean fleet and the chaos sweep.
 //!
 //! [`EpochSummary`]: smartconf_runtime::EpochSummary
+//! [`FleetExecutor`]: smartconf_runtime::FleetExecutor
 
-use std::time::Instant;
-
-use smartconf_harness::{run_fleet, FleetReport, Policy};
-use smartconf_runtime::{Campaign, FaultSet, FleetExecutor};
+use smartconf_harness::{FleetReport, Policy};
+use smartconf_runtime::{Campaign, FaultSet};
 
 use crate::chaos::HARD_GOAL_SCENARIOS;
-use crate::fleet::{fleet_scenarios, FleetPhase};
+use crate::fleet::{
+    coverage_failures, phases_json, roster_json_head, FleetPhase, FleetSmoke, PHASE_NOTE,
+};
 
 /// The campaign policies: the clean SmartConf baseline and its
 /// adaptive-model variant (both must survive trivially), then one
@@ -35,27 +36,52 @@ pub fn campaign_policies() -> Vec<Policy> {
     policies
 }
 
-/// Runs the seven-scenario campaign fleet over `seeds` at `threads`
-/// workers, returning the merged report and the phase's wall-clock.
-pub fn resilience_run(seeds: &[u64], threads: usize) -> (FleetReport, FleetPhase) {
-    let scenarios = fleet_scenarios();
-    let policies = campaign_policies();
-    let start = Instant::now();
-    let report = run_fleet(&scenarios, seeds, &policies, &FleetExecutor::new(threads));
-    let phase = FleetPhase {
-        name: format!(
-            "resilience-{threads}-thread{}",
-            if threads == 1 { "" } else { "s" }
-        ),
-        threads,
-        wall: start.elapsed(),
-    };
-    (report, phase)
+/// The resilience smoke over `seeds`: [`campaign_policies`], written
+/// as `BENCH_resilience.json` and gated by [`resilience_gate`].
+pub fn smoke(seeds: Vec<u64>) -> FleetSmoke {
+    FleetSmoke {
+        label: "resilience",
+        policies: campaign_policies(),
+        seeds,
+        artifact: resilience_json,
+        gate: resilience_gate,
+    }
+}
+
+/// The resilience gate: every policy resolved on a non-empty report
+/// ([`coverage_failures`]) and no hard-goal scenario violating its
+/// constraint under any campaign. Prints each cell's recovery-SLO
+/// aggregates on stderr.
+pub fn resilience_gate(report: &FleetReport, policies: &[Policy]) -> Vec<String> {
+    let mut failures = coverage_failures(report, policies);
+    for o in campaign_outcomes(report) {
+        eprintln!(
+            "  {} / {}: {} violations, {} faults, {} reengages (max dwell {}), \
+             burst p99 {} max {}, mttr {:.1} epochs, {} unrecovered",
+            o.scenario,
+            o.policy,
+            o.violations,
+            o.faults_injected,
+            o.reengages,
+            o.max_epochs_to_reengage,
+            o.violation_burst_p99,
+            o.violation_burst_max,
+            o.mttr_overall(),
+            o.unrecovered
+        );
+        if o.hard_goal && o.violations > 0 {
+            failures.push(format!(
+                "{} violated its hard goal under {} (hard scenarios: {:?})",
+                o.scenario, o.policy, HARD_GOAL_SCENARIOS
+            ));
+        }
+    }
+    failures
 }
 
 /// Recovery-SLO aggregates for one (scenario, policy) cell of the
 /// campaign sweep, merged across that cell's seeds and channels.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignOutcome {
     /// Scenario identifier, e.g. `"HB6728"`.
     pub scenario: String,
@@ -138,19 +164,7 @@ pub fn campaign_outcomes(report: &FleetReport) -> Vec<CampaignOutcome> {
                     scenario: shard.scenario_id.clone(),
                     policy: shard.policy.clone(),
                     hard_goal: HARD_GOAL_SCENARIOS.contains(&shard.scenario_id.as_str()),
-                    shards: 0,
-                    violations: 0,
-                    faults_injected: 0,
-                    guard_activations: 0,
-                    fallback_epochs: 0,
-                    reengages: 0,
-                    max_epochs_to_reengage: 0,
-                    violation_bursts: 0,
-                    violation_burst_max: 0,
-                    violation_burst_p99: 0,
-                    recoveries: [0; 8],
-                    mttr_weight: [0.0; 8],
-                    unrecovered: 0,
+                    ..CampaignOutcome::default()
                 });
                 outcomes.last_mut().expect("just pushed")
             }
@@ -217,27 +231,12 @@ pub fn resilience_json(
 ) -> String {
     let outcomes = campaign_outcomes(report);
     let hard_total = hard_goal_violations(&outcomes);
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scenarios\": {},\n", fleet_scenarios().len()));
-    let seed_list: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
-    out.push_str(&format!("  \"seeds\": [{}],\n", seed_list.join(", ")));
-    let campaign_list: Vec<String> = Campaign::ALL
-        .iter()
-        .map(|c| format!("\"{}\"", c.label()))
-        .collect();
-    out.push_str(&format!(
-        "  \"campaigns\": [{}],\n",
-        campaign_list.join(", ")
-    ));
-    out.push_str(&format!("  \"shards\": {},\n", report.shards.len()));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        FleetExecutor::available_parallelism().threads()
-    ));
-    out.push_str(
-        "  \"note\": \"wall-clock figures are host-dependent; a 1-CPU host \
-         cannot show parallel speedup, so phase timings there only measure \
-         scheduling overhead\",\n",
+    let campaigns = Campaign::ALL.iter().map(|c| c.label().to_string());
+    let mut out = roster_json_head(
+        seeds,
+        Some(("campaigns", campaigns.collect())),
+        report,
+        PHASE_NOTE,
     );
     out.push_str(&format!("  \"reports_identical\": {reports_identical},\n"));
     out.push_str(&format!("  \"hard_goal_violations\": {hard_total},\n"));
@@ -272,21 +271,8 @@ pub fn resilience_json(
         .collect();
     out.push_str(&outcome_lines.join(",\n"));
     out.push_str("\n  ],\n");
-    out.push_str("  \"phases\": [\n");
-    let phase_lines: Vec<String> = phases
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"name\": \"{}\", \"threads\": {}, \"wall_clock_secs\": {:.3}}}",
-                p.name,
-                p.threads,
-                p.wall.as_secs_f64()
-            )
-        })
-        .collect();
-    out.push_str(&phase_lines.join(",\n"));
-    out.push_str("\n  ]\n");
-    out.push_str("}\n");
+    out.push_str(&phases_json(phases));
+    out.push_str("\n}\n");
     out
 }
 
@@ -378,6 +364,32 @@ mod tests {
         // count toward the gate.
         assert!(!outcomes[1].hard_goal);
         assert_eq!(hard_goal_violations(&outcomes), 1);
+    }
+
+    #[test]
+    fn resilience_gate_fails_closed_on_missing_outcomes() {
+        let policies = campaign_policies();
+        assert!(!resilience_gate(&FleetReport::default(), &policies).is_empty());
+        let mut report = FleetReport {
+            shards: vec![shard_with(
+                "HB6728",
+                "SmartConf",
+                true,
+                EpochSummary::default(),
+            )],
+            workers: 1,
+        };
+        assert_eq!(
+            resilience_gate(&report, &policies).len(),
+            policies.len() - 1
+        );
+        assert!(resilience_gate(&report, &policies[..1]).is_empty());
+        report.shards[0].resolved = false;
+        assert!(!resilience_gate(&report, &policies[..1]).is_empty());
+        // A hard-goal violation fails the gate.
+        report.shards[0].resolved = true;
+        report.shards[0].constraint_ok = false;
+        assert_eq!(resilience_gate(&report, &policies[..1]).len(), 1);
     }
 
     #[test]

@@ -73,7 +73,8 @@ use smartconf_runtime::{
 use smartconf_workload::{KeyDistribution, TrafficShape};
 
 use crate::chaos::HARD_GOAL_SCENARIOS;
-use crate::fleet::{fleet_scenarios, FleetPhase};
+use crate::fleet::{fleet_scenarios, phases_json, FleetPhase};
+use crate::suite::Smoke;
 
 /// Relative tolerance for comparing committed cohort tail numbers
 /// across machines: one sketch bucket width (1/64 ≈ 1.6 %) plus margin
@@ -888,21 +889,8 @@ pub fn soak_json(
         "  \"unrecovered_hard_tenants\": {},\n",
         report.unrecovered_hard_tenants()
     ));
-    out.push_str("  \"phases\": [\n");
-    let phase_lines: Vec<String> = phases
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"name\": \"{}\", \"threads\": {}, \"wall_clock_secs\": {:.3}}}",
-                p.name,
-                p.threads,
-                p.wall.as_secs_f64()
-            )
-        })
-        .collect();
-    out.push_str(&phase_lines.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str("  \"cohorts\": [\n");
+    out.push_str(&phases_json(phases));
+    out.push_str(",\n  \"cohorts\": [\n");
     let n_arms = config.arms.len().max(1);
     let mut lines = Vec::new();
     for (i, s) in report.scenarios.iter().enumerate() {
@@ -975,6 +963,118 @@ pub fn soak_json(
     }
     out.push_str("\n  ]\n}\n");
     out
+}
+
+/// The soak smoke: `tenants` template tenants per scenario per arm on
+/// the standard configuration, plus `real_tenants` full-plane plants
+/// per scenario for the cross-check arm (0 disables it), optionally
+/// gated against a committed baseline artifact.
+#[derive(Debug)]
+pub struct SoakSmoke {
+    config: SoakConfig,
+    scenarios: Vec<SoakScenario>,
+    real_tenants: u64,
+    check: Option<String>,
+}
+
+impl SoakSmoke {
+    /// The standard configuration at `tenants`, with every scenario's
+    /// template profiled once.
+    pub fn new(tenants: u64, real_tenants: u64, check: Option<&str>) -> SoakSmoke {
+        let config = SoakConfig::standard(tenants);
+        SoakSmoke {
+            scenarios: build_templates(config.seed),
+            config,
+            real_tenants,
+            check: check.map(str::to_string),
+        }
+    }
+}
+
+impl Smoke for SoakSmoke {
+    type Report = (SoakReport, Option<CrossCheckReport>);
+
+    fn label(&self) -> &str {
+        "soak"
+    }
+
+    fn banner(&self) -> String {
+        let c = &self.config;
+        format!(
+            "{} tenants x {} scenarios x {} arms, {} cohorts, {} h horizon",
+            c.tenants,
+            self.scenarios.len(),
+            c.arms.len(),
+            c.periods_us.len(),
+            c.horizon_us / 3_600_000_000
+        )
+    }
+
+    /// The phase times the soak alone; the cross-check arm runs after
+    /// it, untimed, so `tenants_per_sec` measures the template soak.
+    fn run(&self, threads: usize) -> (Self::Report, FleetPhase) {
+        let executor = FleetExecutor::new(threads);
+        let (report, phase) = FleetPhase::time("soak", threads, || {
+            soak_run(&self.config, &self.scenarios, &executor)
+        });
+        let cross = (self.real_tenants > 0)
+            .then(|| cross_check_run(&self.config, &self.scenarios, self.real_tenants, &executor));
+        ((report, cross), phase)
+    }
+
+    fn render(&self, (report, cross): &Self::Report) -> String {
+        let mut out = report.render();
+        if let Some(cross) = cross {
+            out.push_str(&cross.render());
+        }
+        out
+    }
+
+    fn artifact(
+        &self,
+        (report, cross): &Self::Report,
+        identical: bool,
+        phases: &[FleetPhase],
+    ) -> String {
+        soak_json(
+            &self.config,
+            &self.scenarios,
+            report,
+            cross.as_ref(),
+            identical,
+            phases,
+        )
+    }
+
+    fn gate(&self, (report, cross): &Self::Report, artifact: &str) -> Vec<String> {
+        let mut failures = Vec::new();
+        let breaches = report.hard_gate_breaches();
+        if !breaches.is_empty() {
+            failures.push(format!(
+                "hard-goal cohort gate breached (p99 > delta) in: {breaches:?}"
+            ));
+        }
+        let unrecovered = report.unrecovered_hard_tenants();
+        if unrecovered > 0 {
+            failures.push(format!(
+                "{unrecovered} unrecovered hard-goal tenants at end of soak"
+            ));
+        }
+        if let Some(cross) = cross {
+            failures.extend(
+                cross_check_failures(report, cross)
+                    .into_iter()
+                    .map(|f| format!("cross-check {f}")),
+            );
+        }
+        if let Some(path) = &self.check {
+            match std::fs::read_to_string(path) {
+                Ok(baseline) => failures.extend(check_soak(artifact, &baseline)),
+                Err(e) => failures.push(format!("cannot read baseline {path}: {e}")),
+            }
+        }
+        failures
+    }
 }
 
 /// Every value of `"key": <number>` in `json`, in document order.

@@ -39,10 +39,7 @@
 //!   scheduled on the `smartconf-simkernel` calendar, one `Sense` per
 //!   channel per [`period_us`](ControlPlane::period_us)
 //!   ([`channel_with_period`](ControlPlaneBuilder::channel_with_period)),
-//!   fault windows as scheduled edge events. The lockstep
-//!   [`epoch`](ControlPlane::epoch)/[`run`](ControlPlane::run) API is a
-//!   compatibility shim over the same decide path; with uniform periods
-//!   the two produce byte-identical logs.
+//!   fault windows as scheduled edge events.
 //! - [`run_cohort_calendar`] — batched soak dispatch: one heap event per
 //!   (cohort, tick) instead of per tenant, so million-tenant soaks keep
 //!   the calendar tiny and idle tenants cost zero between senses.

@@ -9,7 +9,7 @@ use smartconf_core::{Hardness, PerfModel, Result, Sense, SmartConf, SmartConfInd
 
 use crate::fault::{ActiveFaults, FaultInjector, SensorFault};
 use crate::guard::{ChannelGuard, ChaosSpec, GuardMode, GuardPolicy, GuardSet};
-use crate::{ChannelId, EpochEvent, EpochLog, Plant, Sensed};
+use crate::{ChannelId, EpochEvent, EpochLog, Sensed};
 
 /// How one channel turns a sensor reading into a setting.
 ///
@@ -116,7 +116,7 @@ struct ChaosState {
 
 /// The sensing period assigned to channels declared without an explicit
 /// one ([`ControlPlaneBuilder::channel`]): one second, the uniform
-/// quantum the lockstep scenarios have always used. Channels that need
+/// quantum the scenarios have always used. Channels that need
 /// their own cadence declare it via
 /// [`ControlPlaneBuilder::channel_with_period`].
 pub const DEFAULT_PERIOD_US: u64 = 1_000_000;
@@ -127,11 +127,10 @@ struct Channel {
     name: String,
     decider: Decider,
     epochs: u64,
-    /// Sensing period of this channel, microseconds. The lockstep shim
-    /// ([`ControlPlane::epoch_for`]) treats it as metadata (the plant
-    /// owns the clock); the event kernel
+    /// Sensing period of this channel, microseconds. The event kernel
     /// ([`EventPlane`](crate::EventPlane)) schedules one Sense event per
-    /// period.
+    /// period; plants that call [`ControlPlane::decide`] at their own
+    /// decision points read it as metadata.
     period_us: u64,
 }
 
@@ -158,9 +157,9 @@ impl ControlPlaneBuilder {
     /// Declares a channel with its own sensing period in microseconds
     /// (clamped ≥ 1). Under the event kernel
     /// ([`EventPlane`](crate::EventPlane)) the channel senses once per
-    /// period; under the lockstep shim the period is advisory metadata a
-    /// scenario can read back via [`ControlPlane::period_us`] to pace
-    /// its own control ticks.
+    /// period; a scenario that calls [`ControlPlane::decide`] itself
+    /// reads it back via [`ControlPlane::period_us`] to pace its own
+    /// control ticks.
     pub fn channel_with_period(
         &mut self,
         name: impl Into<String>,
@@ -213,32 +212,33 @@ impl ControlPlaneBuilder {
     }
 }
 
-/// Drives one or more controllers over a [`Plant`] and records every
-/// decision as an [`EpochEvent`].
+/// Decides one or more controllers' settings for a
+/// [`Plant`](crate::Plant) and records every decision as an
+/// [`EpochEvent`]. [`EventPlane`](crate::EventPlane) schedules the
+/// decisions on the calendar; plants with their own event loop call
+/// [`ControlPlane::decide`] at their decision sites.
 ///
 /// # Example
 ///
 /// ```
 /// use smartconf_core::{Controller, Goal, SmartConf};
-/// use smartconf_runtime::{ChannelId, ControlPlane, Decider, Plant, Sensed};
+/// use smartconf_runtime::{ChannelId, ControlPlane, Decider, EventPlane, Plant, Sensed};
 ///
 /// // Plant: metric = 2 × setting. Goal: metric == 400.
-/// struct Linear { setting: f64, steps: u32, chan: ChannelId }
+/// struct Linear { setting: f64 }
 /// impl Plant for Linear {
-///     fn now_us(&self) -> u64 { self.steps as u64 * 1_000_000 }
+///     fn now_us(&self) -> u64 { 0 } // the kernel owns the clock
 ///     fn sense(&mut self, _: ChannelId) -> Sensed { Sensed::direct(2.0 * self.setting) }
 ///     fn apply(&mut self, _: ChannelId, setting: f64) { self.setting = setting; }
-///     fn advance(&mut self) -> bool { self.steps += 1; self.steps <= 50 }
 /// }
 ///
 /// let ctl = Controller::new(2.0, 0.0, Goal::new("m", 400.0), 0.0, (0.0, 1e6), 0.0)?;
 /// let mut builder = ControlPlane::builder();
-/// let chan = builder.channel("cache.size", Decider::Direct(Box::new(SmartConf::new("cache.size", ctl))));
-/// let mut plane = builder.build();
-/// let mut plant = Linear { setting: 0.0, steps: 0, chan };
-/// plane.run(&mut plant);
-/// assert!((2.0 * plant.setting - 400.0).abs() < 1.0);
-/// assert_eq!(plane.log().events_for("cache.size").count(), 50);
+/// builder.channel("cache.size", Decider::Direct(Box::new(SmartConf::new("cache.size", ctl))));
+/// let mut events = EventPlane::new(builder.build(), Linear { setting: 0.0 });
+/// events.run_until_us(50_000_000); // one epoch per default 1 s period
+/// assert!((2.0 * events.plant().setting - 400.0).abs() < 1.0);
+/// assert_eq!(events.plane().log().events_for("cache.size").count(), 50);
 /// # Ok::<(), smartconf_core::Error>(())
 /// ```
 #[derive(Debug)]
@@ -295,54 +295,6 @@ impl ControlPlane {
             .iter()
             .position(|c| c.name == name)
             .map(ChannelId)
-    }
-
-    /// One sense→decide→actuate epoch for one channel, at the plant's
-    /// current time. Returns the decided setting (already applied to the
-    /// plant).
-    ///
-    /// This is the lockstep compatibility shim over the event kernel:
-    /// it delivers, synchronously at the caller's site, exactly the
-    /// Sense→Actuate pair [`EventPlane`](crate::EventPlane) schedules
-    /// through the calendar (sense, decide, restart poll, apply, shed
-    /// poll — in that order). Plants that own their own clock call this
-    /// at every site where the configuration takes effect;
-    /// [`ControlPlane::run`] calls it once per advance for loop-driven
-    /// plants.
-    pub fn epoch_for<P: Plant + ?Sized>(&mut self, plant: &mut P, id: ChannelId) -> f64 {
-        let sensed = plant.sense(id);
-        let t_us = plant.now_us();
-        let setting = self.decide(id, t_us, sensed);
-        if self.chaos.is_some() && self.take_plant_restart(id) {
-            plant.restart(id);
-        }
-        plant.apply(id, setting);
-        if self.chaos.is_some() && self.take_plant_shed(id) {
-            plant.shed(id);
-        }
-        setting
-    }
-
-    /// One epoch for every channel, in declaration order — the lockstep
-    /// equivalent of one uniform-period round of the event kernel's
-    /// calendar.
-    pub fn epoch<P: Plant + ?Sized>(&mut self, plant: &mut P) {
-        for i in 0..self.channels.len() {
-            self.epoch_for(plant, ChannelId(i));
-        }
-    }
-
-    /// Owns the whole loop for plants that implement [`Plant::advance`]:
-    /// advance one epoch, then sense/decide/apply every channel. With
-    /// all channels on the same period this produces byte-identical
-    /// [`EpochLog`] output to driving the same plant through
-    /// [`EventPlane`](crate::EventPlane) (the event kernel's property
-    /// tests pin that equivalence); heterogeneous periods require the
-    /// kernel.
-    pub fn run<P: Plant>(&mut self, plant: &mut P) {
-        while plant.advance() {
-            self.epoch(plant);
-        }
     }
 
     /// The decide half of an epoch: feeds the measurement, logs the
@@ -875,8 +827,8 @@ impl ControlPlane {
     }
 
     /// Consumes the channel's pending plant-restart notification
-    /// ([`ControlPlane::epoch_for`] polls this to call
-    /// [`Plant::restart`]; event-driven plants that call
+    /// ([`EventPlane`](crate::EventPlane) polls this to call
+    /// [`Plant::restart`](crate::Plant::restart); plants that call
     /// [`ControlPlane::decide`] directly poll it themselves).
     pub fn take_plant_restart(&mut self, id: ChannelId) -> bool {
         match &mut self.chaos {
@@ -888,9 +840,9 @@ impl ControlPlane {
     /// Consumes the channel's pending shed notification: `true` when a
     /// degraded channel (watchdog revert or fallback hold) wants the
     /// plant to trim already-admitted work to the in-force bound
-    /// ([`ControlPlane::epoch_for`] polls this to call [`Plant::shed`];
-    /// event-driven plants that call [`ControlPlane::decide`] directly
-    /// poll it themselves). The admission filter alone only bounds what
+    /// ([`EventPlane`](crate::EventPlane) polls this to call
+    /// [`Plant::shed`](crate::Plant::shed); plants that call
+    /// [`ControlPlane::decide`] directly poll it themselves). The admission filter alone only bounds what
     /// the controller admits *next*: work that entered a queue under a
     /// doomed setting stays there, which is how TWIN/HB2149 could
     /// violate a hard goal under chaos.
@@ -1041,6 +993,7 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Plant;
     use smartconf_core::{Controller, Goal};
 
     fn controller(alpha: f64, target: f64, hardness: Hardness, bounds: (f64, f64)) -> Controller {
@@ -1052,12 +1005,11 @@ mod tests {
     struct LinearPlant {
         gain: f64,
         settings: Vec<f64>,
-        t_us: u64,
     }
 
     impl Plant for LinearPlant {
         fn now_us(&self) -> u64 {
-            self.t_us
+            0 // the kernel owns the clock
         }
         fn sense(&mut self, chan: ChannelId) -> Sensed {
             let total: f64 = self.settings.iter().sum();
@@ -1065,10 +1017,6 @@ mod tests {
         }
         fn apply(&mut self, chan: ChannelId, setting: f64) {
             self.settings[chan.index()] = setting;
-        }
-        fn advance(&mut self) -> bool {
-            self.t_us += 1_000_000;
-            self.t_us <= 100_000_000
         }
     }
 
@@ -1100,13 +1048,14 @@ mod tests {
     #[test]
     fn run_drives_plant_to_goal_and_logs_epochs() {
         let sc = SmartConf::new("c", controller(2.0, 400.0, Hardness::Soft, (0.0, 1e6)));
-        let (mut plane, id) = ControlPlane::single("c", Decider::Direct(Box::new(sc)));
-        let mut plant = LinearPlant {
+        let (plane, id) = ControlPlane::single("c", Decider::Direct(Box::new(sc)));
+        let plant = LinearPlant {
             gain: 2.0,
             settings: vec![0.0],
-            t_us: 0,
         };
-        plane.run(&mut plant);
+        let mut events = crate::EventPlane::new(plane, plant);
+        events.run_until_us(100_000_000);
+        let (mut plane, plant) = events.into_parts();
         assert!((2.0 * plant.settings[0] - 400.0).abs() < 1.0);
         assert_eq!(plane.log().events_for("c").count(), 100);
         assert_eq!(plane.setting(id), plant.settings[0]);

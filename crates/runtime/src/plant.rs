@@ -1,13 +1,13 @@
 //! The plant abstraction: the system under control.
 //!
 //! A plant is anything with a clock, a sensor per control channel, and
-//! an actuator per control channel. The discrete-event simulators in the
-//! scenario crates implement [`Plant`] on their mechanism state and call
-//! [`ControlPlane::epoch_for`](crate::ControlPlane::epoch_for) at the
-//! code sites where the configuration takes effect (the paper invokes
+//! an actuator per control channel. [`EventPlane`](crate::EventPlane)
+//! schedules its senses and actuations on the simkernel calendar; the
+//! discrete-event simulators in the scenario crates instead call
+//! [`ControlPlane::decide`](crate::ControlPlane::decide) at the code
+//! sites where the configuration takes effect (the paper invokes
 //! SmartConf "at every point where the software would read the
-//! configuration"); simpler plants implement [`Plant::advance`] and let
-//! [`ControlPlane::run`](crate::ControlPlane::run) own the whole loop.
+//! configuration").
 
 /// Identifies one control channel of a [`ControlPlane`](crate::ControlPlane).
 ///
@@ -58,8 +58,7 @@ impl From<f64> for Sensed {
     }
 }
 
-/// The system under control: sense the metric, apply the configuration,
-/// (optionally) advance one epoch.
+/// The system under control: sense the metric, apply the configuration.
 pub trait Plant {
     /// Current time in microseconds (simulated or wall clock).
     fn now_us(&self) -> u64;
@@ -71,30 +70,20 @@ pub trait Plant {
     /// Applies a newly decided setting for one channel.
     fn apply(&mut self, channel: ChannelId, setting: f64);
 
-    /// Advances the plant by one epoch, returning `false` when the run
-    /// is over. Only used by [`ControlPlane::run`](crate::ControlPlane::run);
-    /// event-driven plants that invoke
-    /// [`epoch_for`](crate::ControlPlane::epoch_for) at their own
-    /// decision points keep the default.
-    fn advance(&mut self) -> bool {
-        false
-    }
-
     /// Resets plant-side state for one channel after an injected plant
     /// restart (chaos mode: queues drain, accumulated state is lost).
-    /// [`ControlPlane::epoch_for`](crate::ControlPlane::epoch_for) calls
-    /// this when the fault plane restarts mid-run; event-driven plants
-    /// poll [`ControlPlane::take_plant_restart`](crate::ControlPlane::take_plant_restart)
-    /// themselves. The default does nothing.
+    /// [`EventPlane`](crate::EventPlane) calls this when the fault plane
+    /// restarts mid-run; plants that call `decide` themselves poll
+    /// [`ControlPlane::take_plant_restart`](crate::ControlPlane::take_plant_restart).
+    /// The default does nothing.
     fn restart(&mut self, _channel: ChannelId) {}
 
     /// Sheds already-admitted work for one channel down to the setting
     /// currently in force, when the guard ladder degrades the channel
     /// (watchdog revert or fallback hold).
-    /// [`ControlPlane::epoch_for`](crate::ControlPlane::epoch_for) calls
-    /// this after actuation; event-driven plants poll
-    /// [`ControlPlane::take_plant_shed`](crate::ControlPlane::take_plant_shed)
-    /// themselves. The default does nothing (most plants have no
-    /// sheddable queue).
+    /// [`EventPlane`](crate::EventPlane) calls this after actuation;
+    /// plants that call `decide` themselves poll
+    /// [`ControlPlane::take_plant_shed`](crate::ControlPlane::take_plant_shed).
+    /// The default does nothing (most plants have no sheddable queue).
     fn shed(&mut self, _channel: ChannelId) {}
 }

@@ -14,8 +14,6 @@
 use smartconf_core::ProfileSet;
 use smartconf_metrics::TimeSeries;
 
-use crate::{ControlPlane, Decider, Plant};
-
 /// How measurements are extracted from one profiling run's series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleMode {
@@ -156,23 +154,6 @@ impl Profiler {
         profile
     }
 
-    /// Like [`Profiler::collect`], but drives a [`Plant`] directly: each
-    /// setting gets a fresh plant from `make(setting, seed)`, a
-    /// single-channel static [`ControlPlane`] runs it to completion, and
-    /// the sensed-metric trajectory is sampled per the schedule.
-    pub fn collect_plant<P: Plant>(
-        &self,
-        seed: u64,
-        mut make: impl FnMut(f64, u64) -> P,
-    ) -> ProfileSet {
-        self.collect(seed, |setting, s| {
-            let (mut plane, _chan) = ControlPlane::single("profile", Decider::Static(setting));
-            let mut plant = make(setting, s);
-            plane.run(&mut plant);
-            plane.log().measured_series("profile")
-        })
-    }
-
     fn sample_into(&self, profile: &mut ProfileSet, setting: f64, series: &TimeSeries) {
         match self.schedule.mode {
             SampleMode::Grid {
@@ -280,42 +261,5 @@ mod tests {
                 proptest::prop_assert_eq!(stats.count(), measurements as u64);
             }
         }
-    }
-
-    #[test]
-    fn collect_plant_drives_a_static_plane() {
-        use crate::{ChannelId, Sensed};
-
-        struct Gauge {
-            setting: f64,
-            t_us: u64,
-            epochs: u64,
-        }
-        impl Plant for Gauge {
-            fn now_us(&self) -> u64 {
-                self.t_us
-            }
-            fn sense(&mut self, _chan: ChannelId) -> Sensed {
-                Sensed::direct(2.0 * self.setting)
-            }
-            fn apply(&mut self, _chan: ChannelId, setting: f64) {
-                self.setting = setting;
-            }
-            fn advance(&mut self) -> bool {
-                self.t_us += 1_000_000;
-                self.epochs += 1;
-                self.epochs < 20
-            }
-        }
-
-        let schedule = ProfileSchedule::grid(vec![5.0, 10.0], 4, 2_000_000, 1_000_000);
-        let profile = Profiler::new(schedule).collect_plant(9, |setting, _seed| Gauge {
-            setting,
-            t_us: 0,
-            epochs: 0,
-        });
-        assert_eq!(profile.len(), 8);
-        let fit = profile.fit().unwrap();
-        assert!((fit.alpha() - 2.0).abs() < 1e-9);
     }
 }
