@@ -19,7 +19,7 @@
 //! | `chaos_smoke` | all 7 scenarios × every fault class at 1 and N threads, hard-goal gated |
 //! | `resilience_smoke` | all 7 scenarios × every compound-fault campaign at 1 and N threads, hard-goal gated |
 //! | `soak_smoke` | 100k-tenant-per-scenario soak at 1 and N threads, cohort-tail gated |
-//! | `perf_smoke` | epoch throughput + kernel rate + fleet wall-clock, baseline gated |
+//! | `perf_smoke` | host-speed-corrected median of 5 in-process repetitions of epoch throughput, kernel rate and fleet wall-clock; kernel rate and fleet gated ±25% |
 //!
 //! The four 1-vs-N smokes are `main`s of a few lines over one function,
 //! [`suite::drive`]: each supplies a [`suite::Smoke`] (its run, render,

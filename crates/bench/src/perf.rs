@@ -1,47 +1,91 @@
-//! The perf smoke benchmark: per-scenario epoch-loop throughput plus the
-//! end-to-end fleet wall-clock, with a regression gate against a
-//! committed baseline.
+//! The perf smoke benchmark: per-scenario epoch-loop throughput, the
+//! event kernel's rate and the end-to-end fleet wall-clock, each the
+//! host-speed-corrected median of [`REPS`] in-process repetitions, with
+//! a regression gate against a committed baseline.
 //!
-//! Two numbers matter for the fleet-scale hot path:
+//! Three numbers matter for the fleet-scale hot path:
 //!
 //! * **epochs/sec per scenario** — how fast one control plane's decide
 //!   loop turns over once profiling is out of the way (the §6.2 runtime
 //!   overhead story). Measured on a SmartConf run fed pre-collected
 //!   profiles, so the §6.1 profiling loop is excluded from the timing.
+//! * **kernel events/sec** — the event kernel alone on a synthetic
+//!   eight-channel plane ([`measure_kernel`]).
 //! * **fleet wall-clock** — the serial end-to-end cost of the standard
 //!   smoke fleet (all seven scenarios × seeds × the four smoke
-//!   policies), profiling included. This is what the CI gate watches.
+//!   policies), profiling included.
 //!
-//! Only the fleet wall-clock and kernel rate are hard-gated: epochs/sec
-//! is recorded for trend-watching (and carried into the `"history"`
-//! record per scenario) but a per-scenario gate would be too noisy on
-//! shared CI hosts, where a sub-millisecond decide loop can jitter by
-//! integer factors.
+//! Every timing is repeated [`REPS`] times in process, and the
+//! calibration kernel of [`smartconf_metrics::calibrate`] runs right
+//! after each repetition. The recorded figure is the median ratio of
+//! timing to calibration, quoted at the reference host speed
+//! ([`Timing`]), with its spread across the repetitions. The median
+//! absorbs the cold first repetition; the calibration cancels how fast
+//! the shared host happens to run at the moment.
 //!
-//! The gate has two modes. With fewer than [`STAT_MIN_HISTORY`] runs on
-//! record, a fresh number is compared to the committed headline with a
-//! raw ±[`TOLERANCE`] band. Once the baseline's `"history"` array holds
-//! [`STAT_MIN_HISTORY`] or more entries, the gate switches to the
-//! robust statistical band median ± [`STAT_K`]·MAD over the recorded
-//! trend ([`stat_gate`]) — a single slow committed run no longer skews
-//! the acceptance window, and genuine drifts are caught tighter than
-//! ±25 %.
+//! Only the fleet wall-clock and the kernel rate are gated, each by one
+//! ±[`TOLERANCE`] band around the committed corrected headline
+//! ([`check_perf`]). Epochs/sec is recorded but not gated: a
+//! sub-millisecond decide loop jitters too much for a band.
 
 use std::time::{Duration, Instant};
 
 use smartconf_core::{Controller, Goal, Hardness, SmartConf};
 use smartconf_harness::RunSpec;
+use smartconf_metrics::calibrate::{calibration_secs, corrected_secs, CALIBRATION_REF_S};
 use smartconf_runtime::{
     ChannelId, ControlPlane, Decider, EventPlane, FleetExecutor, Plant, Sensed,
 };
 
-use crate::fleet::{fleet_run, fleet_scenarios, FleetPhase, SMOKE_POLICIES};
+use crate::fleet::{fleet_run, fleet_scenarios, SMOKE_POLICIES};
+use crate::suite::numbers_after;
 
-/// Fractional wall-clock tolerance of the `--check` gate: a new fleet
+/// Fractional tolerance of the `--check` gate: a fresh corrected fleet
 /// wall-clock above `baseline * (1 + TOLERANCE)` fails, and one below
 /// `baseline * (1 - TOLERANCE)` asks for a baseline refresh (reported,
-/// not failed — running faster is not a defect).
+/// not failed — running faster is not a defect). The kernel rate is
+/// gated the same way with the directions swapped.
 pub const TOLERANCE: f64 = 0.25;
+
+/// In-process repetitions behind every recorded timing.
+pub const REPS: usize = 5;
+
+/// A timing taken [`REPS`] times, each repetition followed by one run
+/// of the calibration kernel.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Timing {
+    /// Host-speed-corrected median seconds ([`corrected_secs`]).
+    pub secs: f64,
+    /// `(max − min) / median` of the repetitions' corrected seconds.
+    pub spread: f64,
+}
+
+impl Timing {
+    /// Runs `rep` [`REPS`] times, each call returning the wall-clock of
+    /// its timed region, and calibrates after each.
+    pub fn measure(mut rep: impl FnMut() -> Duration) -> Timing {
+        let pairs: Vec<(f64, f64)> = (0..REPS)
+            .map(|_| (rep().as_secs_f64(), calibration_secs()))
+            .collect();
+        let secs = corrected_secs(pairs.iter().copied());
+        let corrected = pairs.iter().map(|(s, c)| s / c * CALIBRATION_REF_S);
+        let lo = corrected.clone().fold(f64::INFINITY, f64::min);
+        let hi = corrected.fold(f64::NEG_INFINITY, f64::max);
+        Timing {
+            secs,
+            spread: (hi - lo) / secs,
+        }
+    }
+
+    /// `count` per corrected second; 0 when the timing rounds to zero.
+    pub fn rate(&self, count: u64) -> f64 {
+        if self.secs > 0.0 {
+            count as f64 / self.secs
+        } else {
+            0.0
+        }
+    }
+}
 
 /// One scenario's epoch-loop throughput measurement.
 #[derive(Debug, Clone)]
@@ -50,19 +94,14 @@ pub struct ScenarioPerf {
     pub id: String,
     /// Total decide epochs across the run's channels.
     pub epochs: u64,
-    /// Wall-clock of the profiled SmartConf run (profiling excluded).
-    pub wall: Duration,
+    /// The profiled SmartConf run (profiling excluded).
+    pub time: Timing,
 }
 
 impl ScenarioPerf {
-    /// Epoch-loop throughput; 0 when the wall-clock rounds to zero.
+    /// Epoch-loop throughput; 0 when the timing rounds to zero.
     pub fn epochs_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.epochs as f64 / secs
-        } else {
-            0.0
-        }
+        self.time.rate(self.epochs)
     }
 }
 
@@ -79,19 +118,14 @@ pub struct KernelPerf {
     pub channels: usize,
     /// Calendar events processed over the simulated horizon.
     pub events: u64,
-    /// Wall-clock of the kernel run.
-    pub wall: Duration,
+    /// The kernel run.
+    pub time: Timing,
 }
 
 impl KernelPerf {
-    /// Event throughput; 0 when the wall-clock rounds to zero.
+    /// Event throughput; 0 when the timing rounds to zero.
     pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.events as f64 / secs
-        } else {
-            0.0
-        }
+        self.time.rate(self.events)
     }
 }
 
@@ -122,265 +156,86 @@ impl Plant for KernelPlant {
 
 /// Times the event kernel on a synthetic eight-channel plane spanning
 /// the roster's sensing periods (250 ms … 5 s), returning the processed
-/// event count and wall-clock. Pure decide-loop + calendar cost — no
-/// profiling, no scenario plant — so the number isolates what the
-/// kernel itself adds per event.
+/// event count and corrected timing. Pure decide-loop + calendar cost —
+/// no profiling, no scenario plant — so the number isolates what the
+/// kernel itself adds per event. Each repetition builds a fresh plane
+/// outside its timed region.
 pub fn measure_kernel() -> KernelPerf {
     let periods: [u64; 8] = [
         250_000, 250_000, 500_000, 500_000, 1_000_000, 1_000_000, 5_000_000, 5_000_000,
     ];
-    let mut b = ControlPlane::builder();
-    for (i, period_us) in periods.iter().enumerate() {
-        let goal = Goal::new("m", 200.0)
-            .with_hardness(Hardness::Hard)
-            .expect("positive target");
-        let ctl = Controller::new(1.3, 0.3, goal, 0.1, (0.0, 500.0), 10.0).expect("stable pole");
-        let name = format!("kernel.chan{i}");
-        b.channel_with_period(
-            &name,
-            Decider::Direct(Box::new(SmartConf::new(name.clone(), ctl))),
-            *period_us,
-        );
-    }
-    let plant = KernelPlant {
-        settings: vec![10.0; periods.len()],
-        measured: vec![0.0; periods.len()],
-    };
-    let mut kernel = EventPlane::new(b.build(), plant);
-    let start = Instant::now();
-    kernel.run_until_us(KERNEL_HORIZON_US);
-    let wall = start.elapsed();
+    let mut events = 0;
+    let time = Timing::measure(|| {
+        let mut b = ControlPlane::builder();
+        for (i, period_us) in periods.iter().enumerate() {
+            let goal = Goal::new("m", 200.0)
+                .with_hardness(Hardness::Hard)
+                .expect("positive target");
+            let ctl =
+                Controller::new(1.3, 0.3, goal, 0.1, (0.0, 500.0), 10.0).expect("stable pole");
+            let name = format!("kernel.chan{i}");
+            b.channel_with_period(
+                &name,
+                Decider::Direct(Box::new(SmartConf::new(name.clone(), ctl))),
+                *period_us,
+            );
+        }
+        let plant = KernelPlant {
+            settings: vec![10.0; periods.len()],
+            measured: vec![0.0; periods.len()],
+        };
+        let mut kernel = EventPlane::new(b.build(), plant);
+        let start = Instant::now();
+        kernel.run_until_us(KERNEL_HORIZON_US);
+        let wall = start.elapsed();
+        events = kernel.events_processed();
+        wall
+    });
     KernelPerf {
         channels: periods.len(),
-        events: kernel.events_processed(),
-        wall,
+        events,
+        time,
     }
 }
 
 /// Times one profiled SmartConf run per scenario at `seed`: profiles are
-/// collected outside the timed region, so the measurement isolates the
-/// evaluation run's decide loop and plant stepping.
+/// collected once, outside the timed region, so the measurement isolates
+/// the evaluation run's decide loop and plant stepping.
 pub fn measure_scenarios(seed: u64) -> Vec<ScenarioPerf> {
     fleet_scenarios()
         .iter()
         .map(|scenario| {
             let profiles = scenario.evaluation_profiles(seed);
-            let start = Instant::now();
-            let run = scenario.run(seed, &RunSpec::default(), &profiles);
-            let wall = start.elapsed();
-            let epochs = run.epochs.summaries().map(|(_, c)| c.epochs).sum();
+            let mut epochs = 0;
+            let time = Timing::measure(|| {
+                let start = Instant::now();
+                let run = scenario.run(seed, &RunSpec::default(), &profiles);
+                let wall = start.elapsed();
+                epochs = run.epochs.summaries().map(|(_, c)| c.epochs).sum();
+                wall
+            });
             ScenarioPerf {
                 id: scenario.id().to_string(),
                 epochs,
-                wall,
+                time,
             }
         })
         .collect()
 }
 
-/// Runs the standard smoke fleet serially over `seeds` and returns the
-/// timed phase — the end-to-end number the CI gate compares.
-pub fn measure_fleet(seeds: &[u64]) -> FleetPhase {
-    fleet_run("fleet", &SMOKE_POLICIES, seeds, 1).1
+/// Times the standard smoke fleet, run serially over `seeds` — the
+/// end-to-end number the CI gate compares.
+pub fn measure_fleet(seeds: &[u64]) -> Timing {
+    Timing::measure(|| fleet_run("fleet", &SMOKE_POLICIES, seeds, 1).1.wall)
 }
 
-/// One discarded pass over every timed path before the real
-/// measurements: first-touch costs (page faults on cold binaries,
-/// process-wide memos like HD4995's shared-namespace synthesis, branch
-/// predictor and allocator warm-up) otherwise land entirely in the
-/// first sample and pollute the median ± k·MAD history gate with a
-/// bimodal cold/warm mixture. The timings are thrown away; only the
-/// side effects (hot caches) persist.
-pub fn warmup_pass(seed: u64) {
-    let _ = measure_scenarios(seed);
-    let _ = measure_kernel();
-    let _ = measure_fleet(&[seed]);
-}
-
-/// Maximum prior runs retained in the artifact's `"history"` array.
-pub const HISTORY_CAP: usize = 32;
-
-/// Extracts the previous artifact's per-scenario epochs/sec as
-/// `(id, rate)` pairs, in document order. Used by [`carry_history`] so
-/// per-scenario trends survive into the history record instead of being
-/// lost between baseline rewrites.
-pub fn parse_scenario_rates(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    // Only the entries of the top-level "scenarios" array carry both an
-    // "id" and an "epochs_per_sec"; history entries embed rates under
-    // "scenario_rates" (no "id" keys), so this scan cannot double-count.
-    while let Some(pos) = rest.find("\"id\": \"") {
-        rest = &rest[pos + "\"id\": \"".len()..];
-        let Some(end) = rest.find('"') else { break };
-        let id = rest[..end].to_string();
-        let Some(rate) = parse_number_after(rest, "epochs_per_sec") else {
-            break;
-        };
-        out.push((id, rate));
-    }
-    out
-}
-
-/// Carries the run history forward when rewriting `BENCH_perf.json`:
-/// extracts the previous artifact's `"history"` entries, appends the
-/// previous run's own headline numbers — fleet wall, kernel rate, *and*
-/// per-scenario epochs/sec — as the newest entry, and clamps to the most
-/// recent [`HISTORY_CAP`]. The entries use the keys `fleet_secs` /
-/// `kernel_rate` / `scenario_rates` (not the top-level key names) so the
-/// headline parsers keep finding the *current* run first.
-pub fn carry_history(previous: &str) -> Vec<String> {
-    let mut entries: Vec<String> = Vec::new();
-    if let Some(start) = previous.find("\"history\": [") {
-        let rest = &previous[start + "\"history\": [".len()..];
-        if let Some(end) = rest.find(']') {
-            entries.extend(
-                rest[..end]
-                    .lines()
-                    .map(str::trim)
-                    .filter(|l| l.starts_with('{'))
-                    .map(|l| l.trim_end_matches(',').to_string()),
-            );
-        }
-    }
-    if let (Some(fleet), Some(rate)) = (parse_fleet_wall(previous), parse_kernel_rate(previous)) {
-        let rates: Vec<String> = parse_scenario_rates(previous)
-            .iter()
-            .map(|(id, r)| format!("\"{id}\": {r:.0}"))
-            .collect();
-        // Carry the previous run's warmup flag into its history entry,
-        // so a trend mixing pre-warmup (cold-start-polluted) and warmed
-        // samples stays auditable. Artifacts written before the flag
-        // existed are recorded as un-warmed.
-        let warmed = previous.contains("\"warmup_pass\": true");
-        entries.push(format!(
-            "{{\"fleet_secs\": {fleet:.3}, \"kernel_rate\": {rate:.0}, \
-             \"warmup\": {warmed}, \"scenario_rates\": {{{}}}}}",
-            rates.join(", ")
-        ));
-    }
-    if entries.len() > HISTORY_CAP {
-        entries.drain(..entries.len() - HISTORY_CAP);
-    }
-    entries
-}
-
-/// Minimum history entries before the statistical gate replaces the raw
-/// ±[`TOLERANCE`] band.
-pub const STAT_MIN_HISTORY: usize = 5;
-
-/// Width of the statistical gate in MADs: a fresh number farther than
-/// `STAT_K · MAD` from the history median is out of band. k = 5 on a
-/// MAD (≈ 0.674 σ for normal noise) is roughly a 3.4 σ gate.
-pub const STAT_K: f64 = 5.0;
-
-/// Floor on the MAD as a fraction of the median: a history of
-/// near-identical runs would otherwise produce a near-zero MAD and gate
-/// on measurement noise.
-pub const STAT_MAD_FLOOR: f64 = 0.02;
-
-/// The history-derived statistical gate: median ± [`STAT_K`] · MAD.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatGate {
-    /// Median of the history series.
-    pub median: f64,
-    /// Median absolute deviation, floored at
-    /// [`STAT_MAD_FLOOR`] × |median|.
-    pub mad: f64,
-    /// Series length the gate was fit on.
-    pub n: usize,
-}
-
-impl StatGate {
-    /// Lower edge of the acceptance band.
-    pub fn lo(&self) -> f64 {
-        self.median - STAT_K * self.mad
-    }
-
-    /// Upper edge of the acceptance band.
-    pub fn hi(&self) -> f64 {
-        self.median + STAT_K * self.mad
-    }
-}
-
-fn median_of(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
-}
-
-/// Fits the median ± k·MAD gate over a history series, or `None` when
-/// the series is shorter than [`STAT_MIN_HISTORY`] (callers fall back
-/// to the raw ±[`TOLERANCE`] band).
-pub fn stat_gate(series: &[f64]) -> Option<StatGate> {
-    let mut sorted: Vec<f64> = series.iter().copied().filter(|v| v.is_finite()).collect();
-    if sorted.len() < STAT_MIN_HISTORY {
-        return None;
-    }
-    sorted.sort_by(f64::total_cmp);
-    let median = median_of(&sorted);
-    let mut devs: Vec<f64> = sorted.iter().map(|v| (v - median).abs()).collect();
-    devs.sort_by(f64::total_cmp);
-    let mad = median_of(&devs).max(STAT_MAD_FLOOR * median.abs());
-    Some(StatGate {
-        median,
-        mad,
-        n: sorted.len(),
-    })
-}
-
-/// Every occurrence of `"key": <number>` in `json`, in document order —
-/// applied to a baseline artifact whose history entries use the key,
-/// this recovers the full trend series (history entries first, then the
-/// headline run if it shares the key).
-pub fn parse_series(json: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        if let Some(v) = rest
-            .trim_start()
-            .split(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .next()
-            .and_then(|t| t.parse::<f64>().ok())
-        {
-            out.push(v);
-        }
-    }
-    out
-}
-
-/// The baseline's fleet wall-clock trend: history entries
-/// (`fleet_secs`) plus the headline run (`fleet_wall_clock_secs`).
-pub fn fleet_wall_series(baseline: &str) -> Vec<f64> {
-    let mut series = parse_series(baseline, "fleet_secs");
-    series.extend(parse_fleet_wall(baseline));
-    series
-}
-
-/// The baseline's kernel-rate trend: history entries (`kernel_rate`)
-/// plus the headline run (`events_per_sec`).
-pub fn kernel_rate_series(baseline: &str) -> Vec<f64> {
-    let mut series = parse_series(baseline, "kernel_rate");
-    series.extend(parse_kernel_rate(baseline));
-    series
-}
-
-/// Renders the `BENCH_perf.json` artifact. `history` holds prior runs'
-/// compact entries (see [`carry_history`]); pass `&[]` for a fresh
-/// artifact with no predecessors.
+/// Renders the `BENCH_perf.json` artifact.
 pub fn bench_json(
     seed: u64,
     scenarios: &[ScenarioPerf],
     kernel: &KernelPerf,
     seeds: &[u64],
-    fleet: &FleetPhase,
-    warmed: bool,
-    history: &[String],
+    fleet: &Timing,
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!(
@@ -388,20 +243,27 @@ pub fn bench_json(
         FleetExecutor::available_parallelism().threads()
     ));
     out.push_str(
-        "  \"note\": \"wall-clock figures are host-dependent; on a 1-CPU host \
-         parallel phases cannot show speedup, so only the serial fleet \
-         wall-clock is gated\",\n",
+        "  \"note\": \"each timing is the median of reps in-process repetitions, \
+         each divided by a calibration kernel timed right after it and quoted \
+         at the host speed where that kernel takes calibration_ref_secs; spread \
+         is (max - min) / median over the repetitions. Only the serial fleet \
+         wall-clock and kernel events_per_sec are gated\",\n",
     );
+    out.push_str(&format!("  \"reps\": {REPS},\n"));
+    out.push_str(&format!(
+        "  \"calibration_ref_secs\": {CALIBRATION_REF_S},\n"
+    ));
     out.push_str(&format!("  \"scenario_seed\": {seed},\n"));
     out.push_str("  \"scenarios\": [\n");
     let lines: Vec<String> = scenarios
         .iter()
         .map(|s| {
             format!(
-                "    {{\"id\": \"{}\", \"epochs\": {}, \"wall_clock_secs\": {:.6}, \"epochs_per_sec\": {:.0}}}",
+                "    {{\"id\": \"{}\", \"epochs\": {}, \"wall_clock_secs\": {:.6}, \"spread\": {:.3}, \"epochs_per_sec\": {:.0}}}",
                 s.id,
                 s.epochs,
-                s.wall.as_secs_f64(),
+                s.time.secs,
+                s.time.spread,
                 s.epochs_per_sec()
             )
         })
@@ -409,10 +271,11 @@ pub fn bench_json(
     out.push_str(&lines.join(",\n"));
     out.push_str("\n  ],\n");
     out.push_str(&format!(
-        "  \"kernel\": {{\"channels\": {}, \"events\": {}, \"wall_clock_secs\": {:.6}, \"events_per_sec\": {:.0}}},\n",
+        "  \"kernel\": {{\"channels\": {}, \"events\": {}, \"wall_clock_secs\": {:.6}, \"spread\": {:.3}, \"events_per_sec\": {:.0}}},\n",
         kernel.channels,
         kernel.events,
-        kernel.wall.as_secs_f64(),
+        kernel.time.secs,
+        kernel.time.spread,
         kernel.events_per_sec()
     ));
     let seed_list: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
@@ -425,21 +288,11 @@ pub fn bench_json(
         "  \"fleet_policies\": [{}],\n",
         policy_list.join(", ")
     ));
-    out.push_str(&format!("  \"warmup_pass\": {warmed},\n"));
     out.push_str(&format!(
         "  \"fleet_wall_clock_secs\": {:.3},\n",
-        fleet.wall.as_secs_f64()
+        fleet.secs
     ));
-    // History goes last so the headline parsers above (which take the
-    // first occurrence of their key) always read the current run.
-    if history.is_empty() {
-        out.push_str("  \"history\": []\n");
-    } else {
-        out.push_str("  \"history\": [\n");
-        let lines: Vec<String> = history.iter().map(|h| format!("    {h}")).collect();
-        out.push_str(&lines.join(",\n"));
-        out.push_str("\n  ]\n");
-    }
+    out.push_str(&format!("  \"fleet_spread\": {:.3}\n", fleet.spread));
     out.push_str("}\n");
     out
 }
@@ -447,18 +300,16 @@ pub fn bench_json(
 /// Extracts `"fleet_wall_clock_secs"` from a `BENCH_perf.json` rendering
 /// (the artifact is hand-rolled, so so is the parse).
 pub fn parse_fleet_wall(json: &str) -> Option<f64> {
-    parse_number_after(json, "fleet_wall_clock_secs")
+    numbers_after(json, "fleet_wall_clock_secs")
+        .first()
+        .copied()
 }
 
 /// Extracts the kernel's `"events_per_sec"` from a `BENCH_perf.json`
 /// rendering (the key only occurs inside the `"kernel"` object; the
 /// per-scenario entries record `epochs_per_sec`).
 pub fn parse_kernel_rate(json: &str) -> Option<f64> {
-    parse_number_after(json, "events_per_sec")
-}
-
-fn parse_number_after(json: &str, key: &str) -> Option<f64> {
-    parse_series(json, key).first().copied()
+    numbers_after(json, "events_per_sec").first().copied()
 }
 
 /// The `--check` verdict: how a fresh measurement compares to the
@@ -485,26 +336,16 @@ pub enum Better {
     Higher,
 }
 
-/// Gates a fresh measurement against a committed baseline, returning
-/// the verdict and the `[lo, hi]` band. Once `series` (the baseline's
-/// history plus its headline) holds [`STAT_MIN_HISTORY`] finite runs
-/// the band is median ± [`STAT_K`]·MAD ([`stat_gate`]); before that it
-/// is ±[`TOLERANCE`] around `headline`. Past the band on the worse side
-/// per `better` is a regression; on the better side the baseline is
-/// merely stale. The gate fails closed: a non-finite measurement or band
-/// (no headline to fall back on) is a regression, never a comparison
-/// that reads `false` both ways.
-pub fn gate(
-    series: &[f64],
-    headline: Option<f64>,
-    measured: f64,
-    better: Better,
-) -> (CheckVerdict, [f64; 2]) {
-    let band = match (stat_gate(series), headline) {
-        (Some(g), _) => [g.lo(), g.hi()],
-        (None, Some(b)) => [b * (1.0 - TOLERANCE), b * (1.0 + TOLERANCE)],
-        (None, None) => [f64::NAN; 2],
-    };
+/// Gates a fresh measurement against a committed headline, returning
+/// the verdict and the ±[`TOLERANCE`] `[lo, hi]` band around it. Past
+/// the band on the worse side per `better` is a regression; on the
+/// better side the baseline is merely stale. The gate fails closed: a
+/// non-finite measurement, or no headline, is a regression, never a
+/// comparison that reads `false` both ways.
+pub fn gate(headline: Option<f64>, measured: f64, better: Better) -> (CheckVerdict, [f64; 2]) {
+    let band = headline.map_or([f64::NAN; 2], |b| {
+        [b * (1.0 - TOLERANCE), b * (1.0 + TOLERANCE)]
+    });
     let (worse, improved) = match better {
         Better::Lower => (measured > band[1], measured < band[0]),
         Better::Higher => (measured < band[0], measured > band[1]),
@@ -520,25 +361,81 @@ pub fn gate(
     (verdict, band)
 }
 
+/// Gates a fresh `BENCH_perf.json` against a committed baseline with
+/// [`gate`]: the fleet wall-clock (lower is better) and the kernel's
+/// events/sec (higher is better). Returns the failure lines (empty =
+/// pass) and prints every verdict that is not one to stderr. A baseline
+/// whose figures are not corrected at this build's
+/// [`CALIBRATION_REF_S`] is stale, not compared: raw or
+/// differently-scaled seconds against corrected ones would gate on the
+/// host, not the code.
+pub fn check_perf(fresh: &str, baseline: &str) -> Vec<String> {
+    let calibrated_at = numbers_after(baseline, "calibration_ref_secs");
+    if calibrated_at != [CALIBRATION_REF_S] {
+        return vec![format!(
+            "baseline stale — regenerate BENCH_perf.json (calibration_ref_secs {calibrated_at:?}, \
+             this build quotes timings at {CALIBRATION_REF_S})"
+        )];
+    }
+    [
+        (
+            "fleet wall-clock (s)",
+            parse_fleet_wall(baseline),
+            parse_fleet_wall(fresh),
+            Better::Lower,
+        ),
+        (
+            "kernel events/sec",
+            parse_kernel_rate(baseline),
+            parse_kernel_rate(fresh),
+            Better::Higher,
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(what, headline, measured, better)| {
+        let measured = measured.unwrap_or(f64::NAN);
+        let (verdict, [lo, hi]) = gate(headline, measured, better);
+        let band = format!("band [{lo:.3}, {hi:.3}], measured {measured:.3}");
+        match verdict {
+            CheckVerdict::Ok => eprintln!("OK: {what} within the {band}"),
+            CheckVerdict::BaselineStale => {
+                eprintln!("OK: {what} beats the {band}; consider regenerating the baseline")
+            }
+            CheckVerdict::Regression => return Some(format!("{what} regression: {band}")),
+        }
+        None
+    })
+    .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn timing(millis: u64) -> Timing {
+        Timing {
+            secs: millis as f64 / 1e3,
+            spread: 0.125,
+        }
+    }
 
     #[test]
     fn bench_json_is_well_formed_and_round_trips() {
         let scenarios = vec![ScenarioPerf {
             id: "TOY".into(),
             epochs: 1200,
-            wall: Duration::from_millis(60),
+            time: timing(60),
         }];
         let (kernel, fleet) = fixture();
-        let json = bench_json(42, &scenarios, &kernel, &[42, 43], &fleet, true, &[]);
+        let json = bench_json(42, &scenarios, &kernel, &[42, 43], &fleet);
         assert!(json.contains("\"epochs\": 1200"));
         assert!(json.contains("\"epochs_per_sec\": 20000"));
         assert!(json.contains("\"events\": 100000"));
         assert!(json.contains("\"events_per_sec\": 2000000"));
         assert!(json.contains("\"fleet_seeds\": [42, 43]"));
         assert!(json.contains("\"host_cpus\": "));
+        assert!(json.contains("\"reps\": 5,\n  \"calibration_ref_secs\": 0.0625,"));
+        assert!(json.contains("\"fleet_spread\": 0.125\n}"));
         assert_eq!(parse_fleet_wall(&json), Some(2.5));
     }
 
@@ -549,26 +446,22 @@ mod tests {
         // 2 × 14 400 + 2 × 7 200 + 2 × 3 600 + 2 × 720 epochs, two
         // calendar events (Sense + Actuate) each.
         assert_eq!(k.events, 2 * 2 * (14_400 + 7_200 + 3_600 + 720));
+        assert!(k.time.secs > 0.0 && k.time.spread >= 0.0, "{:?}", k.time);
     }
 
     /// A kernel measurement at 2 M events/s and a 2.5 s serial fleet.
-    fn fixture() -> (KernelPerf, FleetPhase) {
+    fn fixture() -> (KernelPerf, Timing) {
         let kernel = KernelPerf {
             channels: 8,
             events: 100_000,
-            wall: Duration::from_millis(50),
+            time: timing(50),
         };
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
-        (kernel, fleet)
+        (kernel, timing(2500))
     }
 
     /// The ±TOLERANCE verdict for `measured` against headline `baseline`.
     fn raw(baseline: f64, measured: f64, better: Better) -> CheckVerdict {
-        gate(&[], Some(baseline), measured, better).0
+        gate(Some(baseline), measured, better).0
     }
 
     #[test]
@@ -585,13 +478,8 @@ mod tests {
         for better in [Better::Lower, Better::Higher] {
             assert_eq!(raw(4.0, f64::NAN, better), CheckVerdict::Regression);
             assert_eq!(raw(4.0, f64::INFINITY, better), CheckVerdict::Regression);
-            let history = [4.0; STAT_MIN_HISTORY];
-            assert_eq!(
-                gate(&history, None, f64::NAN, better).0,
-                CheckVerdict::Regression
-            );
-            // No history and no headline: nothing to pass against.
-            assert_eq!(gate(&[], None, 4.0, better).0, CheckVerdict::Regression);
+            // No headline: nothing to pass against.
+            assert_eq!(gate(None, 4.0, better).0, CheckVerdict::Regression);
         }
     }
 
@@ -600,7 +488,7 @@ mod tests {
         let s = ScenarioPerf {
             id: "Z".into(),
             epochs: 10,
-            wall: Duration::ZERO,
+            time: timing(0),
         };
         assert_eq!(s.epochs_per_sec(), 0.0);
     }
@@ -626,176 +514,48 @@ mod tests {
     #[test]
     fn kernel_rate_parses_from_rendered_json() {
         let (kernel, fleet) = fixture();
-        let json = bench_json(42, &[], &kernel, &[42], &fleet, true, &[]);
+        let json = bench_json(42, &[], &kernel, &[42], &fleet);
         assert_eq!(parse_kernel_rate(&json), Some(2_000_000.0));
     }
 
     #[test]
-    fn history_accumulates_across_rewrites() {
+    fn check_perf_gates_both_headlines_against_a_calibrated_baseline() {
         let (kernel, fleet) = fixture();
-        // First write: no predecessor, empty history.
-        let first = bench_json(42, &[], &kernel, &[42], &fleet, true, &[]);
-        assert!(first.contains("\"history\": []"));
-        // Second write: the first run's headline numbers become history.
-        let second = bench_json(
-            42,
-            &[],
-            &kernel,
-            &[42],
-            &fleet,
-            true,
-            &carry_history(&first),
+        let fresh = bench_json(42, &[], &kernel, &[42], &fleet);
+        assert_eq!(check_perf(&fresh, &fresh), Vec::<String>::new());
+        let halved = fresh.replace(
+            "\"fleet_wall_clock_secs\": 2.500",
+            "\"fleet_wall_clock_secs\": 1.250",
         );
-        assert!(second.contains(
-            "{\"fleet_secs\": 2.500, \"kernel_rate\": 2000000, \"warmup\": true, \
-             \"scenario_rates\": {}}"
-        ));
-        // Third write: both prior runs are retained, in order.
-        let third = bench_json(
-            42,
-            &[],
-            &kernel,
-            &[42],
-            &fleet,
-            true,
-            &carry_history(&second),
-        );
-        assert_eq!(third.matches("\"fleet_secs\"").count(), 2);
-        // The headline parsers still read the current run, not history.
-        assert_eq!(parse_fleet_wall(&third), Some(2.5));
-        assert_eq!(parse_kernel_rate(&third), Some(2_000_000.0));
-    }
-
-    #[test]
-    fn history_entries_carry_scenario_rates() {
-        let scenarios = vec![
-            ScenarioPerf {
-                id: "CA6059".into(),
-                epochs: 1000,
-                wall: Duration::from_millis(10),
-            },
-            ScenarioPerf {
-                id: "HD4995".into(),
-                epochs: 100,
-                wall: Duration::from_millis(100),
-            },
-        ];
-        let (kernel, fleet) = fixture();
-        let first = bench_json(42, &scenarios, &kernel, &[42], &fleet, true, &[]);
-        assert_eq!(
-            parse_scenario_rates(&first),
-            vec![
-                ("CA6059".to_string(), 100_000.0),
-                ("HD4995".to_string(), 1_000.0)
-            ]
-        );
-        // The carried entry embeds both scenarios' rates, so per-scenario
-        // trends survive baseline rewrites.
-        let second = bench_json(
-            42,
-            &scenarios,
-            &kernel,
-            &[42],
-            &fleet,
-            true,
-            &carry_history(&first),
-        );
-        assert!(
-            second.contains("\"scenario_rates\": {\"CA6059\": 100000, \"HD4995\": 1000}"),
-            "{second}"
-        );
-        // History rates do not confuse the headline scenario parser.
-        assert_eq!(parse_scenario_rates(&second).len(), 2);
-    }
-
-    #[test]
-    fn stat_gate_needs_minimum_history() {
-        assert_eq!(stat_gate(&[4.0; STAT_MIN_HISTORY - 1]), None);
-        let g = stat_gate(&[4.0; STAT_MIN_HISTORY]).expect("enough history");
-        assert_eq!(g.median, 4.0);
-        assert_eq!(g.n, STAT_MIN_HISTORY);
-    }
-
-    #[test]
-    fn stat_gate_uses_median_and_mad() {
-        // Series with one outlier: the median/MAD shrug it off where a
-        // mean/stddev gate would be dragged wide.
-        let series = [4.0, 4.1, 3.9, 4.05, 40.0];
-        let g = stat_gate(&series).expect("gate");
-        assert!((g.median - 4.05).abs() < 1e-12);
-        assert!(g.mad < 0.2, "mad {}", g.mad);
-        // The history band wins over the (far-off) headline.
-        let verdict = |x| gate(&series, Some(40.0), x, Better::Lower).0;
-        assert_eq!(verdict(g.median), CheckVerdict::Ok);
-        assert_eq!(verdict(40.0), CheckVerdict::Regression);
-        assert_eq!(verdict(0.5), CheckVerdict::BaselineStale);
-    }
-
-    #[test]
-    fn stat_gate_floors_mad_on_identical_history() {
-        // Five byte-identical runs: raw MAD is 0; the floor keeps a
-        // ±STAT_K·2% band so normal noise does not fail the gate.
-        let series = [4.0; 5];
-        let g = stat_gate(&series).expect("gate");
-        assert_eq!(g.mad, STAT_MAD_FLOOR * 4.0);
-        let verdict = |x, better| gate(&series, None, x, better).0;
-        assert_eq!(verdict(4.3, Better::Lower), CheckVerdict::Ok);
-        assert_eq!(verdict(4.5, Better::Lower), CheckVerdict::Regression);
-        // A rate's direction is inverted.
-        assert_eq!(verdict(3.5, Better::Higher), CheckVerdict::Regression);
-        assert_eq!(verdict(4.5, Better::Higher), CheckVerdict::BaselineStale);
-        assert_eq!(verdict(4.1, Better::Higher), CheckVerdict::Ok);
-    }
-
-    #[test]
-    fn series_parsers_recover_history_plus_headline() {
-        let (kernel, fleet) = fixture();
-        let mut json = bench_json(42, &[], &kernel, &[42], &fleet, true, &[]);
-        // Grow a 6-entry history by repeated rewrites.
-        for _ in 0..6 {
-            json = bench_json(42, &[], &kernel, &[42], &fleet, true, &carry_history(&json));
+        let doubled = fresh.replace("\"events_per_sec\": 2000000", "\"events_per_sec\": 4000000");
+        for (baseline, what) in [(halved, "fleet wall-clock"), (doubled, "kernel events/sec")] {
+            let failures = check_perf(&fresh, &baseline);
+            assert!(
+                failures.len() == 1 && failures[0].starts_with(what),
+                "{failures:?}"
+            );
         }
-        let walls = fleet_wall_series(&json);
-        let rates = kernel_rate_series(&json);
-        assert_eq!(walls.len(), 7, "{walls:?}"); // 6 history + headline
-        assert_eq!(rates.len(), 7, "{rates:?}");
-        assert!(walls.iter().all(|&w| (w - 2.5).abs() < 1e-9));
-        assert!(stat_gate(&walls).is_some());
     }
 
     #[test]
-    fn warmup_flag_is_carried_into_history_entries() {
+    fn check_perf_fails_closed_on_a_pre_calibration_baseline() {
         let (kernel, fleet) = fixture();
-        // A warmed artifact's headline carries into history flagged true.
-        let warmed = bench_json(42, &[], &kernel, &[42], &fleet, true, &[]);
-        assert!(warmed.contains("\"warmup_pass\": true"));
-        let carried = carry_history(&warmed);
-        assert!(carried.last().unwrap().contains("\"warmup\": true"));
-        // An artifact written without a warmup pass — including any
-        // predating the flag — is annotated false, keeping cold-start
-        // samples distinguishable in the trend.
-        let cold = bench_json(42, &[], &kernel, &[42], &fleet, false, &[]);
-        assert!(cold.contains("\"warmup_pass\": false"));
-        let carried = carry_history(&cold);
-        assert!(carried.last().unwrap().contains("\"warmup\": false"));
-    }
-
-    #[test]
-    fn history_clamps_at_the_cap() {
-        let seeded: Vec<String> = (0..HISTORY_CAP + 5)
-            .map(|i| format!("{{\"fleet_secs\": {i}.000, \"kernel_rate\": 1}}"))
-            .collect();
-        let (kernel, fleet) = fixture();
-        let json = bench_json(42, &[], &kernel, &[42], &fleet, true, &seeded);
-        let carried = carry_history(&json);
-        assert_eq!(carried.len(), HISTORY_CAP);
-        // The newest entry is the artifact's own headline run; the
-        // oldest seeded entries were dropped.
-        assert_eq!(
-            carried.last().unwrap(),
-            "{\"fleet_secs\": 2.500, \"kernel_rate\": 2000000, \"warmup\": true, \
-             \"scenario_rates\": {}}"
+        let fresh = bench_json(42, &[], &kernel, &[42], &fleet);
+        // Raw seconds, as artifacts carried before timings were
+        // calibrated: the same headlines, no calibration reference.
+        let raw = fresh.replace("  \"calibration_ref_secs\": 0.0625,\n", "");
+        assert_ne!(raw, fresh);
+        let rescaled = fresh.replace(
+            "\"calibration_ref_secs\": 0.0625",
+            "\"calibration_ref_secs\": 0.125",
         );
-        assert!(!carried.iter().any(|e| e.contains("\"fleet_secs\": 0.000")));
+        for baseline in [raw, rescaled] {
+            let failures = check_perf(&fresh, &baseline);
+            assert!(
+                failures.len() == 1
+                    && failures[0].starts_with("baseline stale — regenerate BENCH_perf.json"),
+                "{failures:?}"
+            );
+        }
     }
 }

@@ -74,7 +74,7 @@ use smartconf_workload::{KeyDistribution, TrafficShape};
 
 use crate::chaos::HARD_GOAL_SCENARIOS;
 use crate::fleet::{fleet_scenarios, phases_json, FleetPhase};
-use crate::suite::Smoke;
+use crate::suite::{numbers_after, read_baseline, Smoke};
 
 /// Relative tolerance for comparing committed cohort tail numbers
 /// across machines: one sketch bucket width (1/64 ≈ 1.6 %) plus margin
@@ -974,19 +974,21 @@ pub struct SoakSmoke {
     config: SoakConfig,
     scenarios: Vec<SoakScenario>,
     real_tenants: u64,
-    check: Option<String>,
+    /// The `--check` baseline's text, read at construction.
+    baseline: Option<Result<String, String>>,
 }
 
 impl SoakSmoke {
     /// The standard configuration at `tenants`, with every scenario's
-    /// template profiled once.
+    /// template profiled once. The `check` baseline, if any, is read
+    /// here ([`read_baseline`]), before the run can overwrite it.
     pub fn new(tenants: u64, real_tenants: u64, check: Option<&str>) -> SoakSmoke {
         let config = SoakConfig::standard(tenants);
         SoakSmoke {
             scenarios: build_templates(config.seed),
             config,
             real_tenants,
-            check: check.map(str::to_string),
+            baseline: check.map(read_baseline),
         }
     }
 }
@@ -1067,29 +1069,13 @@ impl Smoke for SoakSmoke {
                     .map(|f| format!("cross-check {f}")),
             );
         }
-        if let Some(path) = &self.check {
-            match std::fs::read_to_string(path) {
-                Ok(baseline) => failures.extend(check_soak(artifact, &baseline)),
-                Err(e) => failures.push(format!("cannot read baseline {path}: {e}")),
-            }
+        match &self.baseline {
+            Some(Ok(baseline)) => failures.extend(check_soak(artifact, baseline)),
+            Some(Err(e)) => failures.push(e.clone()),
+            None => {}
         }
         failures
     }
-}
-
-/// Every value of `"key": <number>` in `json`, in document order.
-fn numbers_after(json: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].trim().parse::<f64>() {
-            out.push(v);
-        }
-    }
-    out
 }
 
 /// Compares a fresh `BENCH_soak.json` against the committed baseline.
@@ -1441,6 +1427,40 @@ mod tests {
         );
         let stale = check_soak(&other, &json);
         assert!(stale.iter().any(|f| f.contains("stale")), "{stale:?}");
+    }
+
+    #[test]
+    fn check_baseline_is_read_before_the_run_can_overwrite_it() {
+        // `--out` and `--check` naming one file: `drive` writes the fresh
+        // artifact over the baseline before gating, so the gate must see
+        // the text that was there at construction.
+        let path = std::env::temp_dir().join(format!(
+            "smartconf_soak_baseline_{}.json",
+            std::process::id()
+        ));
+        let config = tiny_config();
+        let scenarios = toy_scenarios();
+        let report = soak_run(&config, &scenarios, &FleetExecutor::new(1));
+        let phases = [FleetPhase {
+            name: "soak-1-thread".into(),
+            threads: 1,
+            wall: Duration::from_millis(500),
+        }];
+        let wider = SoakConfig {
+            tenants: 300,
+            ..config.clone()
+        };
+        let baseline = soak_json(&wider, &scenarios, &report, None, true, &phases);
+        std::fs::write(&path, baseline).unwrap();
+        let smoke = SoakSmoke::new(config.tenants, 0, path.to_str());
+        let fresh = soak_json(&config, &scenarios, &report, None, true, &phases);
+        std::fs::write(&path, &fresh).unwrap();
+        let failures = smoke.gate(&(report, None), &fresh);
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            failures.iter().any(|f| f.contains("baseline stale: shape")),
+            "{failures:?}"
+        );
     }
 
     /// `json` with the first `"key": value` entry cut out, separator

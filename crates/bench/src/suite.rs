@@ -7,7 +7,9 @@
 //! every gate's failures into one exit code. [`drive`] owns that cycle;
 //! a smoke supplies only what differs through [`Smoke`] — its run,
 //! render, artifact and gate. [`Flags`] parses the shared command line,
-//! and `perf_smoke` reports its own gate through [`finish`].
+//! and `perf_smoke` reports its own gate through [`finish`]. Every
+//! `--check` gate reads its baseline with [`read_baseline`] before the
+//! run and scans the hand-rolled artifacts with [`numbers_after`].
 
 use crate::fleet::FleetPhase;
 
@@ -101,6 +103,28 @@ pub fn finish(failures: &[String], ok: &str) {
         std::process::exit(1);
     }
     eprintln!("OK: {ok}");
+}
+
+/// Reads a `--check` baseline. Smokes call this before their run writes
+/// `--out`, which may name the same file: a baseline read afterwards
+/// would be the fresh run itself and pass every gate.
+pub fn read_baseline(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))
+}
+
+/// Every value of `"key": <number>` in `json`, in document order.
+pub fn numbers_after(json: &str, key: &str) -> Vec<f64> {
+    let needle = format!("\"{key}\":");
+    let mut out = Vec::new();
+    let mut rest = json;
+    while let Some(pos) = rest.find(&needle) {
+        rest = &rest[pos + needle.len()..];
+        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
+        if let Ok(v) = rest[..end].trim().parse::<f64>() {
+            out.push(v);
+        }
+    }
+    out
 }
 
 /// A smoke binary's command line: `--flag value` pairs over declared

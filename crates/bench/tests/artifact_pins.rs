@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use smartconf_bench::fleet::FleetPhase;
-use smartconf_bench::perf::{KernelPerf, ScenarioPerf};
+use smartconf_bench::perf::{KernelPerf, ScenarioPerf, Timing};
 use smartconf_bench::soak::{CrossCheckReport, CrossCheckScenario, SoakConfig, SoakScenario};
 use smartconf_core::ProfileSet;
 use smartconf_harness::{
@@ -210,43 +210,25 @@ fn soak_artifact_is_pinned() {
 
 #[test]
 fn perf_artifact_is_pinned() {
+    let timing = |secs: f64, spread: f64| Timing { secs, spread };
     let scenarios = [
         ScenarioPerf {
             id: "CA6059".into(),
             epochs: 1200,
-            wall: Duration::from_millis(60),
+            time: timing(0.06, 0.125),
         },
         ScenarioPerf {
             id: "HD4995".into(),
             epochs: 18,
-            wall: Duration::from_millis(24),
+            time: timing(0.024, 0.5),
         },
     ];
     let kernel = KernelPerf {
         channels: 8,
         events: 103_680,
-        wall: Duration::from_millis(40),
+        time: timing(0.04, 0.0625),
     };
-    let fleet = FleetPhase {
-        name: "fleet-1-thread".into(),
-        threads: 1,
-        wall: Duration::from_millis(2500),
-    };
-    let history = [
-        "{\"fleet_secs\": 2.400, \"kernel_rate\": 2500000, \"warmup\": true, \"scenario_rates\": {}}"
-            .to_string(),
-    ];
-    let json = smartconf_bench::perf::bench_json(
-        42,
-        &scenarios,
-        &kernel,
-        &[42, 43],
-        &fleet,
-        true,
-        &history,
-    );
-    assert_eq!(pin(&json), 0x4808_54b4_d511_22c5, "{json}");
-    let fresh =
-        smartconf_bench::perf::bench_json(42, &scenarios, &kernel, &[42], &fleet, false, &[]);
-    assert_eq!(pin(&fresh), 0x5645_882e_f3c7_6159, "{fresh}");
+    let fleet = timing(2.5, 0.25);
+    let json = smartconf_bench::perf::bench_json(42, &scenarios, &kernel, &[42, 43], &fleet);
+    assert_eq!(pin(&json), 0x51b4_ed80_fbae_6cdf, "{json}");
 }
