@@ -25,5 +25,5 @@ mod namespace;
 pub mod scenario;
 
 pub use namenode::{NamenodeEvent, NamenodeModel};
-pub use namespace::{ContentSummary, Inode, InodeId, Namespace, TraversalCursor};
+pub use namespace::{ContentSummary, InodeId, Namespace, TraversalCursor};
 pub use scenario::Hd4995;

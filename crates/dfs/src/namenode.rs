@@ -65,7 +65,7 @@ pub struct NamenodeModel {
     /// Mean gap between `du` arrivals ([`SimDuration::ZERO`] disables).
     du_gap_mean: SimDuration,
     /// The namespace every `du` traverses. Shared read-only across
-    /// models so fleet shards reuse one synthesized arena.
+    /// models so fleet shards reuse one synthesized tree.
     namespace: Arc<Namespace>,
     /// Active `du`, if any.
     active: Option<DuRequest>,
@@ -199,8 +199,7 @@ impl NamenodeModel {
             return;
         };
         self.in_quantum = true;
-        let remaining = self.namespace.len() as u64 - active.cursor.visited();
-        self.quantum_files = remaining.min(self.limit.max(1));
+        self.quantum_files = active.cursor.remaining().min(self.limit.max(1));
         let hold = self.per_file * self.quantum_files;
         ctx.schedule_in(hold, NamenodeEvent::QuantumEnd);
     }
@@ -225,7 +224,7 @@ impl Model for NamenodeModel {
                 let now = ctx.now();
                 let request = DuRequest {
                     arrived: now,
-                    cursor: TraversalCursor::new(self.namespace.root()),
+                    cursor: TraversalCursor::new(&self.namespace, self.namespace.root()),
                     summary: ContentSummary::default(),
                 };
                 if self.active.is_none() {
@@ -258,12 +257,7 @@ impl Model for NamenodeModel {
                 self.waiting_writers.clear();
 
                 if let Some(active) = &mut self.active {
-                    // Walk the actual inode tree for this quantum,
-                    // accumulating the content summary.
-                    let part = active.cursor.advance(&self.namespace, self.quantum_files);
-                    active.summary.file_count += part.file_count;
-                    active.summary.directory_count += part.directory_count;
-                    active.summary.length += part.length;
+                    active.summary += active.cursor.advance(&self.namespace, self.quantum_files);
                     if active.cursor.is_done() {
                         let latency = now.duration_since(active.arrived);
                         self.du_latency.record(latency.as_micros());

@@ -6,26 +6,19 @@
 //! deterministic synthetic population, and a resumable cursor that
 //! visits `limit` inodes per lock quantum — exactly the unit
 //! `content-summary.limit` meters.
+//!
+//! The tree is stored flat, in depth-first preorder: an inode's id is its
+//! preorder index, so every subtree is the contiguous id range
+//! `[v, end(v))`. Beside each inode's subtree end the namespace keeps
+//! prefix sums of file counts and file bytes over the preorder, which
+//! makes the summary of any id range — a whole subtree, or the next
+//! `limit` inodes of a `du` — two subtractions.
 
 use smartconf_simkernel::SimRng;
 
-/// Index of an inode in the namespace arena.
+/// Preorder index of an inode: the root is 0, and a directory's subtree
+/// is the contiguous run of ids that starts at it.
 pub type InodeId = usize;
-
-/// One inode: a file with a length, or a directory with children.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Inode {
-    /// A regular file.
-    File {
-        /// File length in bytes.
-        length: u64,
-    },
-    /// A directory.
-    Directory {
-        /// Child inodes.
-        children: Vec<InodeId>,
-    },
-}
 
 /// Aggregates computed by a content-summary traversal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,7 +31,18 @@ pub struct ContentSummary {
     pub length: u64,
 }
 
-/// An arena-allocated namespace tree rooted at inode 0.
+impl std::ops::AddAssign for ContentSummary {
+    fn add_assign(&mut self, part: ContentSummary) {
+        self.file_count += part.file_count;
+        self.directory_count += part.directory_count;
+        self.length += part.length;
+    }
+}
+
+/// A namespace tree rooted at inode 0, stored in depth-first preorder.
+///
+/// A 10⁶-inode tree takes 16 bytes per inode: a `u32` subtree end, a
+/// `u32` file-count prefix and a `u64` byte prefix.
 ///
 /// # Example
 ///
@@ -52,17 +56,42 @@ pub struct ContentSummary {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Namespace {
-    inodes: Vec<Inode>,
+    /// `end[v]`: one past the last id of `v`'s subtree.
+    end: Vec<u32>,
+    /// `files[i]`: how many of the inodes `[0, i)` are files.
+    files: Vec<u32>,
+    /// `bytes[i]`: total length of the files among the inodes `[0, i)`.
+    bytes: Vec<u64>,
 }
 
 impl Namespace {
     /// Creates a namespace holding only an empty root directory.
     pub fn new() -> Self {
+        let mut ns = Namespace::with_capacity(1);
+        ns.push(1, None);
+        ns
+    }
+
+    fn with_capacity(inodes: usize) -> Self {
+        let mut files = Vec::with_capacity(inodes + 1);
+        let mut bytes = Vec::with_capacity(inodes + 1);
+        files.push(0);
+        bytes.push(0);
         Namespace {
-            inodes: vec![Inode::Directory {
-                children: Vec::new(),
-            }],
+            end: Vec::with_capacity(inodes),
+            files,
+            bytes,
         }
+    }
+
+    /// Appends the next inode in preorder: a file of `length` bytes
+    /// (`Some`), or a directory (`None`) whose subtree ends at `end`.
+    fn push(&mut self, end: usize, length: Option<u64>) {
+        let (files, bytes) = (self.files[self.end.len()], self.bytes[self.end.len()]);
+        self.end
+            .push(u32::try_from(end).expect("namespace exceeds u32::MAX inodes"));
+        self.files.push(files + u32::from(length.is_some()));
+        self.bytes.push(bytes + length.unwrap_or(0));
     }
 
     /// The root directory's id.
@@ -72,53 +101,17 @@ impl Namespace {
 
     /// Total number of inodes.
     pub fn len(&self) -> usize {
-        self.inodes.len()
+        self.end.len()
     }
 
     /// Whether the namespace holds only the root.
     pub fn is_empty(&self) -> bool {
-        self.inodes.len() == 1
+        self.end.len() == 1
     }
 
-    /// Borrows an inode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn inode(&self, id: InodeId) -> &Inode {
-        &self.inodes[id]
-    }
-
-    /// Adds a file under `parent` and returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` is not a directory.
-    pub fn add_file(&mut self, parent: InodeId, length: u64) -> InodeId {
-        let id = self.inodes.len();
-        self.inodes.push(Inode::File { length });
-        match &mut self.inodes[parent] {
-            Inode::Directory { children } => children.push(id),
-            Inode::File { .. } => panic!("parent {parent} is a file"),
-        }
-        id
-    }
-
-    /// Adds a directory under `parent` and returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` is not a directory.
-    pub fn add_directory(&mut self, parent: InodeId) -> InodeId {
-        let id = self.inodes.len();
-        self.inodes.push(Inode::Directory {
-            children: Vec::new(),
-        });
-        match &mut self.inodes[parent] {
-            Inode::Directory { children } => children.push(id),
-            Inode::File { .. } => panic!("parent {parent} is a file"),
-        }
-        id
+    /// One past the last id of `v`'s subtree.
+    fn end(&self, v: InodeId) -> usize {
+        self.end[v] as usize
     }
 
     /// Synthesizes a namespace with `files` files spread over directories
@@ -130,14 +123,17 @@ impl Namespace {
     /// Panics if `files_per_dir` is zero.
     pub fn synthesize(files: u64, files_per_dir: u64, rng: &mut SimRng) -> Self {
         assert!(files_per_dir > 0, "need at least one file per directory");
-        let mut ns = Namespace::new();
+        let inodes = 1 + files.div_ceil(files_per_dir) + files;
+        let inodes = usize::try_from(inodes).expect("namespace fits in memory");
+        let mut ns = Namespace::with_capacity(inodes);
+        ns.push(inodes, None);
         let mut remaining = files;
         while remaining > 0 {
-            let dir = ns.add_directory(ns.root());
             let in_this_dir = remaining.min(files_per_dir);
+            ns.push(ns.len() + 1 + in_this_dir as usize, None);
             for _ in 0..in_this_dir {
                 let length = rng.uniform(16e6, 128e6) as u64;
-                ns.add_file(dir, length);
+                ns.push(ns.len() + 1, Some(length));
             }
             remaining -= in_this_dir;
         }
@@ -145,12 +141,13 @@ impl Namespace {
     }
 
     /// Memoized [`Namespace::synthesize`] for the deterministic seeded
-    /// namespaces the HD4995 harness builds. The 10⁶-inode tree costs
-    /// tens of milliseconds to synthesize, and every profiled setting and
-    /// every evaluation run of every fleet shard wants the *same* tree
-    /// (same `(files, files_per_dir, seed)`), so the arena is built once
-    /// per process and shared behind an [`Arc`](std::sync::Arc). Traversals only read the
-    /// tree, so sharing cannot change simulation results.
+    /// namespaces the HD4995 harness builds. The 10⁶-inode tree takes
+    /// ~16 MB and about 20 ms to synthesize (one RNG draw per file), and
+    /// every profiled setting and every evaluation run of every fleet
+    /// shard wants the *same* tree (same `(files, files_per_dir, seed)`),
+    /// so it is built once per process and shared behind an
+    /// [`Arc`](std::sync::Arc). Traversals only read the tree, so sharing
+    /// cannot change simulation results.
     pub fn synthesize_shared(files: u64, files_per_dir: u64, seed: u64) -> std::sync::Arc<Self> {
         use std::sync::{Arc, Mutex};
         type Key = (u64, u64, u64);
@@ -174,19 +171,21 @@ impl Namespace {
         ns
     }
 
-    /// Computes the content summary of a subtree in one pass (the
-    /// unmetered traversal the pre-HD4995 namenode did while holding the
-    /// lock for the whole walk).
-    pub fn summary(&self, root: InodeId) -> ContentSummary {
-        let mut cursor = TraversalCursor::new(root);
-        let mut total = ContentSummary::default();
-        while !cursor.is_done() {
-            let step = cursor.advance(self, u64::MAX);
-            total.file_count += step.file_count;
-            total.directory_count += step.directory_count;
-            total.length += step.length;
+    /// The content summary of the id range `[from, to)`.
+    fn range(&self, from: usize, to: usize) -> ContentSummary {
+        let file_count = u64::from(self.files[to] - self.files[from]);
+        ContentSummary {
+            file_count,
+            directory_count: (to - from) as u64 - file_count,
+            length: self.bytes[to] - self.bytes[from],
         }
-        total
+    }
+
+    /// Computes the content summary of a subtree at once (the unmetered
+    /// traversal the pre-HD4995 namenode did while holding the lock for
+    /// the whole walk).
+    pub fn summary(&self, root: InodeId) -> ContentSummary {
+        self.range(root, self.end(root))
     }
 }
 
@@ -199,24 +198,30 @@ impl Default for Namespace {
 /// A resumable depth-first traversal that visits at most `limit` inodes
 /// per call — the unit `content-summary.limit` meters. Between calls the
 /// namenode releases the lock and lets writers in (HD4995's fix).
+///
+/// The traversal is a position in the subtree's preorder id range, so a
+/// quantum costs the same two prefix-sum subtractions whatever its
+/// `limit`.
 #[derive(Debug, Clone)]
 pub struct TraversalCursor {
-    stack: Vec<InodeId>,
+    pos: usize,
+    end: usize,
     visited: u64,
 }
 
 impl TraversalCursor {
-    /// Starts a traversal at `root`.
-    pub fn new(root: InodeId) -> Self {
+    /// Starts a traversal of `ns` at `root`.
+    pub fn new(ns: &Namespace, root: InodeId) -> Self {
         TraversalCursor {
-            stack: vec![root],
+            pos: root,
+            end: ns.end(root),
             visited: 0,
         }
     }
 
     /// Whether the traversal has visited everything.
     pub fn is_done(&self) -> bool {
-        self.stack.is_empty()
+        self.pos == self.end
     }
 
     /// Total inodes visited so far.
@@ -224,29 +229,20 @@ impl TraversalCursor {
         self.visited
     }
 
-    /// Visits up to `limit` inodes, returning the partial summary of
-    /// this quantum.
+    /// Inodes left to visit.
+    pub fn remaining(&self) -> u64 {
+        (self.end - self.pos) as u64
+    }
+
+    /// Visits up to `limit` inodes of `ns` (the namespace the cursor was
+    /// started on), returning the partial summary of this quantum.
     pub fn advance(&mut self, ns: &Namespace, limit: u64) -> ContentSummary {
-        let mut partial = ContentSummary::default();
-        let mut steps = 0;
-        while steps < limit {
-            let Some(id) = self.stack.pop() else {
-                break;
-            };
-            steps += 1;
-            self.visited += 1;
-            match ns.inode(id) {
-                Inode::File { length } => {
-                    partial.file_count += 1;
-                    partial.length += length;
-                }
-                Inode::Directory { children } => {
-                    partial.directory_count += 1;
-                    self.stack.extend(children.iter().rev());
-                }
-            }
-        }
-        partial
+        let span = usize::try_from(limit.min(self.remaining())).expect("span fits a usize");
+        let stop = self.pos + span;
+        let part = ns.range(self.pos, stop);
+        self.pos = stop;
+        self.visited += span as u64;
+        part
     }
 }
 
@@ -254,14 +250,94 @@ impl TraversalCursor {
 mod tests {
     use super::*;
 
+    /// Builds a small tree by hand, each inode under any earlier
+    /// directory in any order, then compiles it into preorder. Ids
+    /// returned while building are insertion-order ids.
+    struct Builder {
+        /// Each inode's parent (the root is its own), in insertion order.
+        parent: Vec<usize>,
+        /// Each inode's file length; `None` for a directory.
+        length: Vec<Option<u64>>,
+    }
+
+    /// The builder's (and the namespace's) root id.
+    const ROOT: usize = 0;
+
+    impl Builder {
+        fn new() -> Self {
+            Builder {
+                parent: vec![ROOT],
+                length: vec![None],
+            }
+        }
+
+        fn add_file(&mut self, parent: usize, length: u64) -> usize {
+            self.add(parent, Some(length))
+        }
+
+        fn add_directory(&mut self, parent: usize) -> usize {
+            self.add(parent, None)
+        }
+
+        fn add(&mut self, parent: usize, length: Option<u64>) -> usize {
+            assert!(self.length[parent].is_none(), "parent {parent} is a file");
+            self.parent.push(parent);
+            self.length.push(length);
+            self.parent.len() - 1
+        }
+
+        /// The namespace, children in insertion order, and each builder
+        /// id's inode id.
+        fn build(&self) -> (Namespace, Vec<InodeId>) {
+            let n = self.parent.len();
+            // A parent is always added before its children, so one
+            // reverse pass sizes every subtree and one forward pass
+            // places it after its earlier siblings.
+            let mut size = vec![1usize; n];
+            for v in (1..n).rev() {
+                size[self.parent[v]] += size[v];
+            }
+            let mut pre = vec![0; n];
+            let mut next_free = vec![1; n];
+            for v in 1..n {
+                let p = self.parent[v];
+                pre[v] = next_free[p];
+                next_free[p] += size[v];
+                next_free[v] = pre[v] + 1;
+            }
+            let mut order = vec![0; n];
+            for (v, &at) in pre.iter().enumerate() {
+                order[at] = v;
+            }
+            let mut ns = Namespace::with_capacity(n);
+            for (at, &v) in order.iter().enumerate() {
+                ns.push(at + size[v], self.length[v]);
+            }
+            (ns, pre)
+        }
+    }
+
+    /// The children of `v`: the first is `v + 1`, and each next sibling
+    /// starts where the previous one's subtree ends.
+    fn children(ns: &Namespace, v: InodeId) -> Vec<InodeId> {
+        let stop = ns.end(v);
+        let mut kids = Vec::new();
+        let mut c = v + 1;
+        while c < stop {
+            kids.push(c);
+            c = ns.end(c);
+        }
+        kids
+    }
+
     fn tiny() -> Namespace {
         // root / d1 / {f1: 100, f2: 200}, root / f3: 50
-        let mut ns = Namespace::new();
-        let d1 = ns.add_directory(ns.root());
-        ns.add_file(d1, 100);
-        ns.add_file(d1, 200);
-        ns.add_file(ns.root(), 50);
-        ns
+        let mut b = Builder::new();
+        let d1 = b.add_directory(ROOT);
+        b.add_file(d1, 100);
+        b.add_file(d1, 200);
+        b.add_file(ROOT, 50);
+        b.build().0
     }
 
     #[test]
@@ -276,10 +352,7 @@ mod tests {
     #[test]
     fn subtree_summary_excludes_siblings() {
         let ns = tiny();
-        let d1 = match ns.inode(ns.root()) {
-            Inode::Directory { children } => children[0],
-            _ => unreachable!(),
-        };
+        let d1 = children(&ns, ns.root())[0];
         let s = ns.summary(d1);
         assert_eq!(s.file_count, 2);
         assert_eq!(s.length, 300);
@@ -292,14 +365,11 @@ mod tests {
         let full = ns.summary(ns.root());
 
         for limit in [1, 3, 64, 10_000] {
-            let mut cursor = TraversalCursor::new(ns.root());
+            let mut cursor = TraversalCursor::new(&ns, ns.root());
             let mut total = ContentSummary::default();
             let mut quanta = 0;
             while !cursor.is_done() {
-                let part = cursor.advance(&ns, limit);
-                total.file_count += part.file_count;
-                total.directory_count += part.directory_count;
-                total.length += part.length;
+                total += cursor.advance(&ns, limit);
                 quanta += 1;
             }
             assert_eq!(total, full, "limit {limit} changed the answer");
@@ -322,20 +392,38 @@ mod tests {
     }
 
     #[test]
+    fn synthesize_matches_the_builder() {
+        let (files, per_dir) = (100u64, 8u64);
+        let mut rng = SimRng::seed_from_u64(4);
+        let mut b = Builder::new();
+        let mut remaining = files;
+        while remaining > 0 {
+            let dir = b.add_directory(ROOT);
+            for _ in 0..remaining.min(per_dir) {
+                b.add_file(dir, rng.uniform(16e6, 128e6) as u64);
+            }
+            remaining -= remaining.min(per_dir);
+        }
+        let synthesized = Namespace::synthesize(files, per_dir, &mut SimRng::seed_from_u64(4));
+        assert_eq!(b.build().0, synthesized);
+    }
+
+    #[test]
     fn empty_namespace() {
         let ns = Namespace::new();
         assert!(ns.is_empty());
         let s = ns.summary(ns.root());
         assert_eq!(s.file_count, 0);
         assert_eq!(s.directory_count, 1);
+        assert!(children(&ns, ns.root()).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "is a file")]
     fn adding_under_file_panics() {
-        let mut ns = Namespace::new();
-        let f = ns.add_file(ns.root(), 1);
-        ns.add_file(f, 2);
+        let mut b = Builder::new();
+        let f = b.add_file(ROOT, 1);
+        b.add_file(f, 2);
     }
 
     #[test]
@@ -343,5 +431,98 @@ mod tests {
         let a = Namespace::synthesize(64, 5, &mut SimRng::seed_from_u64(9));
         let b = Namespace::synthesize(64, 5, &mut SimRng::seed_from_u64(9));
         assert_eq!(a, b);
+    }
+
+    /// The layout before the flat preorder, kept as the reference the
+    /// flat one must match: an arena of inodes with per-directory child
+    /// lists, walked by a stack.
+    enum RefInode {
+        File(u64),
+        Directory(Vec<usize>),
+    }
+
+    /// The stack traversal of that arena, quantum by quantum: every
+    /// partial summary, and the inodes visited at the end.
+    fn reference_quanta(arena: &[RefInode], root: usize, limit: u64) -> (Vec<ContentSummary>, u64) {
+        let (mut stack, mut visited, mut quanta) = (vec![root], 0, Vec::new());
+        while !stack.is_empty() {
+            let mut partial = ContentSummary::default();
+            let mut steps = 0;
+            while steps < limit {
+                let Some(id) = stack.pop() else {
+                    break;
+                };
+                steps += 1;
+                visited += 1;
+                match &arena[id] {
+                    RefInode::File(length) => {
+                        partial.file_count += 1;
+                        partial.length += length;
+                    }
+                    RefInode::Directory(children) => {
+                        partial.directory_count += 1;
+                        stack.extend(children.iter().rev());
+                    }
+                }
+            }
+            quanta.push(partial);
+        }
+        (quanta, visited)
+    }
+
+    fn flat_quanta(ns: &Namespace, root: InodeId, limit: u64) -> (Vec<ContentSummary>, u64) {
+        let mut cursor = TraversalCursor::new(ns, root);
+        let mut quanta = Vec::new();
+        while !cursor.is_done() {
+            quanta.push(cursor.advance(ns, limit));
+        }
+        (quanta, cursor.visited())
+    }
+
+    proptest::proptest! {
+        /// Random trees — nested and empty directories, files under the
+        /// root, inodes added under any earlier directory in any order —
+        /// traverse quantum for quantum as the stack walk of the same
+        /// tree does, from every subtree root and at every limit.
+        #[test]
+        fn flat_preorder_matches_the_stack_reference(
+            ops in proptest::collection::vec((0u64..u64::MAX, 0u64..3, 0u64..1_000_000), 0..48),
+        ) {
+            let mut b = Builder::new();
+            let mut arena = vec![RefInode::Directory(Vec::new())];
+            let mut dirs = vec![ROOT];
+            for &(pick, kind, length) in &ops {
+                let parent = dirs[(pick % dirs.len() as u64) as usize];
+                let id = if kind == 0 {
+                    arena.push(RefInode::Directory(Vec::new()));
+                    dirs.push(arena.len() - 1);
+                    b.add_directory(parent)
+                } else {
+                    arena.push(RefInode::File(length));
+                    b.add_file(parent, length)
+                };
+                proptest::prop_assert_eq!(id, arena.len() - 1);
+                if let RefInode::Directory(children) = &mut arena[parent] {
+                    children.push(id);
+                }
+            }
+            let (ns, pre) = b.build();
+            proptest::prop_assert_eq!(ns.len(), arena.len());
+            let len = ns.len() as u64;
+            for (id, inode) in arena.iter().enumerate() {
+                let kids: Vec<InodeId> = match inode {
+                    RefInode::File(_) => Vec::new(),
+                    RefInode::Directory(children) => children.iter().map(|&c| pre[c]).collect(),
+                };
+                proptest::prop_assert_eq!(children(&ns, pre[id]), kids);
+                for limit in [1, 2, 3, 64, len, u64::MAX] {
+                    let (quanta, visited) = reference_quanta(&arena, id, limit);
+                    let mut total = ContentSummary::default();
+                    quanta.iter().for_each(|&q| total += q);
+                    proptest::prop_assert_eq!(ns.summary(pre[id]), total);
+                    proptest::prop_assert_eq!(flat_quanta(&ns, pre[id], limit), (quanta, visited));
+                }
+            }
+        }
     }
 }

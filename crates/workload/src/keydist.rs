@@ -25,6 +25,9 @@ pub enum KeyDistribution {
         /// Precomputed η of the Gray et al. generator (a pure function of
         /// `n`, `theta`, and `zetan`, hoisted out of the per-draw path).
         eta: f64,
+        /// Precomputed `0.5^θ`: a draw is rank 1 below `ζ(2, θ) = 1 + 0.5^θ`
+        /// (hoisted out of the per-draw path like `eta`).
+        half_pow_theta: f64,
     },
 }
 
@@ -57,6 +60,7 @@ impl KeyDistribution {
             theta,
             zetan,
             eta,
+            half_pow_theta: 0.5f64.powf(theta),
         }
     }
 
@@ -76,22 +80,17 @@ impl KeyDistribution {
     pub fn next_key(&self, rng: &mut SimRng) -> u64 {
         match *self {
             KeyDistribution::Uniform { n } => rng.uniform_u64(0, n),
-            KeyDistribution::Zipfian {
-                n,
-                theta,
-                zetan,
-                eta,
-            } => {
-                let rank = zipf_rank(rng, n, theta, zetan, eta);
-                // Scramble so hot ranks are spread over the keyspace.
-                fnv1a(rank) % n
-            }
+            // Scramble so hot ranks are spread over the keyspace.
+            KeyDistribution::Zipfian { n, .. } => fnv1a(self.next_rank(rng)) % n,
         }
     }
 
     /// Draws the *rank* (0 = most popular) instead of the scrambled key —
     /// useful for cache-hit modelling, where "is this one of the hottest
     /// `k` items" is the question.
+    ///
+    /// Zipfian ranks follow Gray et al., "Quickly generating
+    /// billion-record synthetic databases".
     pub fn next_rank(&self, rng: &mut SimRng) -> u64 {
         match *self {
             KeyDistribution::Uniform { n } => rng.uniform_u64(0, n),
@@ -100,7 +99,19 @@ impl KeyDistribution {
                 theta,
                 zetan,
                 eta,
-            } => zipf_rank(rng, n, theta, zetan, eta),
+                half_pow_theta,
+            } => {
+                let alpha = 1.0 / (1.0 - theta);
+                let u = rng.uniform(0.0, 1.0);
+                let uz = u * zetan;
+                if uz < 1.0 {
+                    return 0;
+                }
+                if uz < 1.0 + half_pow_theta {
+                    return 1;
+                }
+                ((n as f64) * (eta * u - eta + 1.0).powf(alpha)) as u64
+            }
         }
     }
 }
@@ -132,22 +143,6 @@ fn zeta_memo(n: u64, theta: f64) -> f64 {
         cache.push((key, z));
     }
     z
-}
-
-/// Gray et al. "Quickly generating billion-record synthetic databases"
-/// zipfian rank generator. `zetan` and `eta` are precomputed by
-/// [`KeyDistribution::zipfian`].
-fn zipf_rank(rng: &mut SimRng, n: u64, theta: f64, zetan: f64, eta: f64) -> u64 {
-    let alpha = 1.0 / (1.0 - theta);
-    let u = rng.uniform(0.0, 1.0);
-    let uz = u * zetan;
-    if uz < 1.0 {
-        return 0;
-    }
-    if uz < 1.0 + 0.5f64.powf(theta) {
-        return 1;
-    }
-    ((n as f64) * (eta * u - eta + 1.0).powf(alpha)) as u64
 }
 
 /// 64-bit FNV-1a hash for key scrambling.
