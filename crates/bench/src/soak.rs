@@ -136,8 +136,7 @@ pub struct SoakConfig {
     /// tenant roster and report entries.
     pub arms: Vec<Option<FaultClass>>,
     /// Guard ladder configuration for the fault arms (the clean arm
-    /// runs the bare law and never consults it). Run-wide: each chunk
-    /// round-trips it through its `u32` encoding once.
+    /// runs the bare law and never consults it). Run-wide.
     pub guard: SlabGuardPolicy,
 }
 
@@ -455,9 +454,6 @@ fn run_chunk(config: &SoakConfig, template: &SoakTemplate, item: &SoakItem) -> V
     let windows: Vec<TenantFaultWindows> = (0..config.periods_us.len())
         .map(|c| config.arm_windows(item.scenario, item.arm, class, c))
         .collect();
-    // Round-tripped once per chunk so the ladder sees the policy at its
-    // documented field widths.
-    let policy = SlabGuardPolicy::decode(config.guard.encode());
     let traffic = &config.traffic;
     let mut lanes = build_lanes(config, item, |cohort, id| {
         (SoakSlab::new(template), windows[cohort].schedule(id))
@@ -471,7 +467,7 @@ fn run_chunk(config: &SoakConfig, template: &SoakTemplate, item: &SoakItem) -> V
             let faults = tick.at(schedule);
             let age = slab.begin_epoch(template, faults.restart);
             let load = load * traffic.restart_load(age);
-            let out = template.guarded_step(policy, slab, &faults, load, jitter);
+            let out = template.guarded_step(config.guard, slab, &faults, load, jitter);
             accum.violations += out.violated as u64;
             if let Some(d) = out.reengaged_dwell {
                 accum.reengage.record(d);
@@ -1315,8 +1311,9 @@ mod tests {
             }
             s
         };
+        let e = QuantileSketch::new();
         let cohort = |p99: f64| {
-            let mut c = CohortReport::from_sketch(900_000_000, 10, 0, &sketch);
+            let mut c = CohortReport::from_sketches(900_000_000, 10, 0, &sketch, &e, &e, &e, 0);
             c.p99 = p99;
             c
         };

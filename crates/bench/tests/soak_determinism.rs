@@ -147,7 +147,7 @@ fn clean_arm_is_untouched_by_the_fault_plane() {
     // Satellite pin: with the fault plane compiled in and armed on the
     // other four arms, the clean arm's cohort reports must be exactly
     // what a soak with no fault arms at all produces — the guard ladder
-    // and window machinery change nothing when disarmed.
+    // and window machinery never touch the clean arm.
     let config = SoakConfig::standard(500);
     let scenarios = build_templates(config.seed);
     let full = soak_run(&config, &scenarios, &FleetExecutor::new(4));

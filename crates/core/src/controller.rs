@@ -30,19 +30,74 @@ pub enum ControlLaw {
     Proportional,
 }
 
+/// The §5 control law with its per-step constants bound: the one copy
+/// of the formula, applied by [`Controller::step`] and by frozen-model
+/// callers too light to carry a controller per plant.
+///
+/// `next = anchor + (1 − p)/(N·α) · (reference − measured)`: `p` is the
+/// pole in effect (0 while a hard goal's reading is past the virtual
+/// reference, §5.2), `α` the gain and `N` the number of configurations
+/// sharing a super-hard goal (§5.4). The anchor is the current setting
+/// for the integral law, the initial one for the proportional law
+/// ([`ControlLaw`]). A lower bound would negate both the error and `α`;
+/// IEEE negation is exact, so one formula serves both senses and only
+/// the danger test reads the sense. (An exactly-zero step may carry the
+/// other sign of zero, which shows only on a `−0.0` anchor.)
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Law {
+    reference: f64,
+    /// `(1 − p)/(N·α)`.
+    gain: f64,
+    /// `1/(N·α)` for a hard goal, `gain` for a soft one.
+    danger_gain: f64,
+    /// `±1` by sense: `error · sense < 0` exactly when the reading is
+    /// past the reference (`−1 · +0 = −0` is not below 0).
+    sense: f64,
+    hard: bool,
+}
+
+impl Law {
+    /// Binds the law for the effective gain `N·α`, the pole in effect
+    /// outside the danger region, the reference (the virtual target
+    /// for a hard goal) and the goal's sense and hardness.
+    pub fn new(alpha: f64, pole: f64, reference: f64, sense: Sense, hard: bool) -> Law {
+        let gain = (1.0 - pole) / alpha;
+        let lower = sense == Sense::LowerBound;
+        Law {
+            reference,
+            gain,
+            danger_gain: if hard { 1.0 / alpha } else { gain },
+            sense: if lower { -1.0 } else { 1.0 },
+            hard,
+        }
+    }
+
+    /// Whether `measured` puts a hard goal in its danger region (pole 0).
+    #[inline]
+    pub(crate) fn in_danger(&self, measured: f64) -> bool {
+        self.hard && (self.reference - measured) * self.sense < 0.0
+    }
+
+    /// The next setting from `anchor` for a finite reading, unclamped:
+    /// callers clamp, and [`Controller::step`] compares the two to
+    /// detect saturation.
+    #[inline]
+    pub fn step(&self, anchor: f64, measured: f64) -> f64 {
+        let error = self.reference - measured;
+        let gain = if error * self.sense < 0.0 {
+            self.danger_gain
+        } else {
+            self.gain
+        };
+        anchor + gain * error
+    }
+}
+
 /// An integral controller that adjusts one configuration to keep one
 /// performance metric at its goal.
 ///
 /// Each call to [`Controller::step`] consumes the latest measurement and
-/// returns the next configuration setting:
-///
-/// ```text
-/// c_{k+1} = c_k + (1 − p) / (N · α) · e_{k+1}
-/// ```
-///
-/// where `e` is the distance to the (possibly virtual) target, `p` the
-/// pole in effect, `α` the profiled gain, and `N` the number of
-/// configurations sharing a super-hard goal.
+/// returns the next configuration setting by Equation 2 ([`Law`]).
 ///
 /// Use [`ControllerBuilder`](crate::ControllerBuilder) to synthesize one
 /// from profiling data; construct directly only when you already know the
@@ -316,14 +371,10 @@ impl Controller {
         self.unreachable_streak >= UNREACHABLE_STREAK
     }
 
-    /// Consumes the latest measurement and returns the next setting.
-    ///
-    /// Implements the context-aware two-pole scheme for hard goals: while
-    /// the measurement is on the safe side of the virtual goal the regular
-    /// pole damps adjustments; once beyond it, pole 0 drives the system
-    /// back as fast as the model allows (paper §5.2).
-    ///
-    /// Non-finite measurements leave the setting unchanged.
+    /// Consumes the latest measurement and returns the next setting by
+    /// [`Law`]: the regular pole damps adjustments on the safe side of a
+    /// hard goal's virtual target, pole 0 drives the system back beyond
+    /// it (§5.2). Non-finite measurements leave the setting unchanged.
     ///
     /// Adaptive models are taught here: the measurement is paired with
     /// the setting it was produced under (`current` — which the indirect
@@ -339,36 +390,25 @@ impl Controller {
             return self.current;
         }
         self.model.observe(self.current, measured);
-        let target = self.effective_target();
-        let error = self.goal.error_against(target, measured);
-
-        let in_danger = self.goal.hardness().is_hard() && error < 0.0;
-        let pole = if in_danger {
-            0.0
-        } else if self.model.is_adaptive() {
-            adaptive_pole(self.pole, self.model.confidence())
-        } else {
-            self.pole
-        };
-        self.last_pole_used = pole;
-
-        let n = if self.goal.hardness() == Hardness::SuperHard {
+        let hardness = self.goal.hardness();
+        let n = if hardness == Hardness::SuperHard {
             self.interaction as f64
         } else {
             1.0
         };
-        // Normalize to an upper-bound problem: for lower bounds the metric
-        // is negated, which negates both the error and the gain.
-        let alpha = self.model.alpha();
-        let alpha_signed = match self.goal.sense() {
-            Sense::UpperBound => alpha,
-            Sense::LowerBound => -alpha,
+        let pole = if self.model.is_adaptive() {
+            adaptive_pole(self.pole, self.model.confidence())
+        } else {
+            self.pole
         };
+        let (alpha, target) = (n * self.model.alpha(), self.effective_target());
+        let law = Law::new(alpha, pole, target, self.goal.sense(), hardness.is_hard());
+        self.last_pole_used = if law.in_danger(measured) { 0.0 } else { pole };
         let anchor = match self.law {
             ControlLaw::Integral => self.current,
             ControlLaw::Proportional => self.base,
         };
-        let next = anchor + (1.0 - pole) / (n * alpha_signed) * error;
+        let next = law.step(anchor, measured);
         let clamped = next.clamp(self.min, self.max);
 
         let saturated = clamped != next;
@@ -639,6 +679,63 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `Controller::step`'s formula before it moved into [`Law`], with
+    /// the error and gain normalised per sense: (clamped next, pole).
+    fn reference_step(c: &Controller, measured: f64) -> (f64, f64) {
+        if !measured.is_finite() {
+            return (c.current, c.last_pole_used);
+        }
+        let error = c.goal.error_against(c.effective_target(), measured);
+        let danger = c.goal.hardness().is_hard() && error < 0.0;
+        let superhard = c.goal.hardness() == Hardness::SuperHard;
+        let lower = c.goal.sense() == Sense::LowerBound;
+        let integral = c.law == ControlLaw::Integral;
+        let pole = if danger { 0.0 } else { c.pole };
+        let n = if superhard { c.interaction as f64 } else { 1.0 };
+        let alpha = if lower { -c.alpha() } else { c.alpha() };
+        let anchor = if integral { c.current } else { c.base };
+        let next = anchor + (1.0 - pole) / (n * alpha) * error;
+        (next.clamp(c.min, c.max), pole)
+    }
+
+    proptest! {
+        /// [`Law`] reproduces the per-sense formula bit for bit: both
+        /// senses and gain signs, soft/hard/super-hard goals with
+        /// `N ∈ {1, 2, 3}`, integral and proportional anchors, readings
+        /// on both sides of the reference and a NaN mid-run.
+        #[test]
+        fn law_matches_the_inline_formula(
+            alpha in -50.0f64..50.0,
+            pole in 0.0f64..0.99,
+            lambda in 0.0f64..0.6,
+            target in 0.1f64..10_000.0,
+            lower in proptest::bool::ANY,
+            hardness in 0usize..3,
+            n in 1u32..4,
+            proportional in proptest::bool::ANY,
+            initial in -500.0f64..500.0,
+            span in 1.0f64..1000.0,
+            ratios in proptest::collection::vec(0.0f64..3.0, 1..8),
+            nan_at in 0usize..8,
+        ) {
+            let sense = if lower { Sense::LowerBound } else { Sense::UpperBound };
+            let hardness = [Hardness::Soft, Hardness::Hard, Hardness::SuperHard][hardness];
+            let goal = Goal::new("m", target).with_sense(sense).with_hardness(hardness).unwrap();
+            let bounds = (initial - span, initial + span);
+            let mut c = Controller::new(alpha, pole, goal, lambda, bounds, initial).unwrap();
+            c.set_interaction(n).unwrap();
+            if proportional {
+                c.set_control_law(ControlLaw::Proportional);
+            }
+            for (k, ratio) in ratios.iter().enumerate() {
+                let measured = if k == nan_at { f64::NAN } else { ratio * target };
+                let (next, pole) = reference_step(&c, measured);
+                prop_assert_eq!(c.step(measured).to_bits(), next.to_bits(), "step {}", k);
+                prop_assert_eq!(c.last_pole_used().to_bits(), pole.to_bits());
+            }
+        }
+    }
 
     proptest! {
         /// On any linear plant within the modeled gain's factor-of-two

@@ -62,9 +62,9 @@
 //! | paper section | here |
 //! |---|---|
 //! | Eq. 1 model, regression | [`LinearFit`], [`ProfileSet`] |
-//! | Eq. 2 controller | [`Controller`] |
+//! | Eq. 2 controller | [`Controller`], its bound formula [`Law`] |
 //! | §5.1 automatic pole | [`pole_from_delta`], [`pole_from_profile`] |
-//! | §5.2 hard goals | [`Goal::virtual_target`], two-pole logic in [`Controller::step`] |
+//! | §5.2 hard goals | [`Goal::virtual_target`], two-pole logic in [`Law::step`] |
 //! | §5.3 indirect configs | [`SmartConfIndirect`], [`Transducer`] |
 //! | §5.4 interacting configs | [`Controller::set_interaction`], [`Registry::interaction_count`] |
 //! | §4.1 system/app files | [`Registry`] |
@@ -91,7 +91,7 @@ mod transducer;
 
 pub use capture::ProfilingCapture;
 pub use conf::{SmartConf, SmartConfIndirect};
-pub use controller::{ControlLaw, Controller};
+pub use controller::{ControlLaw, Controller, Law};
 pub use error::{Error, Result};
 pub use goal::{Goal, Hardness, Sense};
 pub use manager::{ConfManager, ManagedConf};

@@ -9,16 +9,16 @@
 //! parameters are hoisted into one immutable [`SoakTemplate`] per
 //! scenario — built once, shared across every tenant via `Arc` — and
 //! a clean-arm tenant's state is its actuated setting alone (a fault-arm
-//! tenant adds the 56-byte [`SoakSlab`]). The template applies
-//! the paper's integral law (§5.1–§5.2, including the two-pole danger
-//! region for hard goals) as a pure function, exactly mirroring
-//! `Controller::step` for the frozen-model, non-interacting case.
+//! tenant adds the 56-byte [`SoakSlab`]). A tenant step is core's
+//! [`Law`] (§5.1–§5.2, with the two-pole danger region for hard goals)
+//! bound once per template: `Controller::step` for a frozen model and
+//! no interaction, not a copy of it.
 //!
 //! Tail statistics come back as plain-number [`CohortReport`]s distilled
 //! from streaming [`QuantileSketch`]es — per-tenant epoch logs are never
 //! retained.
 
-use smartconf_core::{pole_from_delta, Error, LinearFit, ProfileSet, Result};
+use smartconf_core::{pole_from_delta, Error, Law, LinearFit, ProfileSet, Result, Sense};
 use smartconf_metrics::QuantileSketch;
 use smartconf_runtime::{ActiveFaults, SensorFault};
 
@@ -75,40 +75,10 @@ pub struct SoakTemplate {
     /// Additive disturbance scale: `(load − 1) · disturb` shifts the
     /// measured metric.
     pub disturb: f64,
-    /// The law's constants, derived once from the fields above by
+    /// The §5 law bound to the fields above by
     /// [`SoakTemplate::from_profile`] (a template is immutable once
     /// built: it is `Arc`-shared by every shard).
-    law: LawConstants,
-}
-
-/// The integral law's per-template constants, hoisted out of
-/// [`SoakTemplate::next_setting`]. Each is the exact subexpression the
-/// per-decision formula would evaluate, so the law stays bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct LawConstants {
-    /// The error reference: the virtual target `(1 − λ)·target` for
-    /// hard goals, the target itself for soft ones.
-    reference: f64,
-    /// `(1 − pole)/α`: the regular-pole step gain.
-    gain: f64,
-    /// The step gain when the reading is past the reference: `(1 − 0)/α`
-    /// in a hard goal's danger region, the regular gain for soft goals.
-    over_gain: f64,
-}
-
-impl LawConstants {
-    fn new(alpha: f64, pole: f64, lambda: f64, target: f64, hard: bool) -> LawConstants {
-        let gain = (1.0 - pole) / alpha;
-        LawConstants {
-            reference: if hard {
-                (1.0 - lambda) * target
-            } else {
-                target
-            },
-            gain,
-            over_gain: if hard { 1.0 / alpha } else { gain },
-        }
-    }
+    law: Law,
 }
 
 impl SoakTemplate {
@@ -173,8 +143,15 @@ impl SoakTemplate {
             hi,
             initial: if alpha > 0.0 { lo } else { hi },
             disturb: DISTURBANCE_GAIN * (alpha * mid).abs(),
-            law: LawConstants::new(alpha, pole, lambda, target, hard),
+            law: SoakTemplate::law(alpha, pole, lambda, target, hard),
         })
+    }
+
+    /// The frozen `N = 1` law of an upper bound, virtual when hard.
+    fn law(alpha: f64, pole: f64, lambda: f64, target: f64, hard: bool) -> Law {
+        let margin = if hard { lambda } else { 0.0 };
+        let reference = (1.0 - margin) * target;
+        Law::new(alpha, pole, reference, Sense::UpperBound, hard)
     }
 
     /// Hard-goal budget `Δ = 1 + 3λ` (paper §5.2): the worst tolerated
@@ -191,23 +168,15 @@ impl SoakTemplate {
     }
 
     /// One integral-law step: the next setting given the current one and
-    /// the measured metric. Mirrors `Controller::step` for a frozen
-    /// model and `n = 1`: error against the virtual target for hard
-    /// goals, pole 0 in the danger region, clamp to bounds. The step is
-    /// `current + (1 − pole)/α · error` with the per-template factors
-    /// precomputed.
+    /// the measured metric — `Controller::step` for a frozen model and
+    /// `N = 1` (the same [`Law`], clamped to bounds); a non-finite
+    /// reading holds the setting.
     #[inline]
     pub fn next_setting(&self, current: f64, measured: f64) -> f64 {
         if !measured.is_finite() {
             return current;
         }
-        let error = self.law.reference - measured;
-        let gain = if error < 0.0 {
-            self.law.over_gain
-        } else {
-            self.law.gain
-        };
-        (current + gain * error).clamp(self.lo, self.hi)
+        self.law.step(current, measured).clamp(self.lo, self.hi)
     }
 
     /// Overshoot ratio `measured / target` — the quantity cohort
@@ -269,18 +238,14 @@ impl SoakTemplate {
     ///    and flush the lag pipeline.
     /// 8. **Re-engage backoff** — fallback holds for
     ///    `cooldown_epochs · 2^level` epochs (level capped at
-    ///    `backoff_doublings`, doubling on every repeated fallback) and
-    ///    re-engages only on a clean admitted reading.
+    ///    `backoff_doublings`, doubling on every repeated fallback;
+    ///    the dwell saturates at 255) and re-engages only on a clean
+    ///    admitted reading.
     ///
     /// Recovery-SLO accounting (fault stretches, violation bursts,
-    /// epochs-to-recover, the unrecovered latch) runs on plant truth
-    /// regardless of arming, so disarmed arms report comparable tails.
-    ///
-    /// With `policy.armed == false` and a clean [`ActiveFaults`], the
-    /// setting trajectory is *bit-identical* to the plain
-    /// [`next_setting`](SoakTemplate::next_setting) loop — the clean
-    ///-arm control pin in the determinism suite holds the fault path
-    /// to that contract.
+    /// epochs-to-recover, the unrecovered latch) runs on plant truth.
+    /// The clean arm does not come through here: it applies
+    /// [`next_setting`](SoakTemplate::next_setting) directly.
     #[inline]
     pub fn guarded_step(
         &self,
@@ -306,20 +271,8 @@ impl SoakTemplate {
         let mut out = StepOutcome {
             measured,
             violated,
-            reengaged_dwell: None,
-            recovered_after: None,
-            burst_closed: None,
+            ..StepOutcome::default()
         };
-
-        if !policy.armed {
-            // Disarmed: the PR-8 law verbatim (next_setting already
-            // holds on a non-finite reading).
-            if let Some(r) = reading {
-                slab.setting = self.next_setting(slab.setting, r);
-            }
-            self.account(slab, faults, measured, &mut out);
-            return out;
-        }
 
         let cut = policy.spike_ratio as f64 * self.target.abs();
         let admitted = reading.filter(|r| r.is_finite() && r.abs() <= cut);
@@ -384,44 +337,16 @@ impl SoakTemplate {
                         } else {
                             slab.state.mode = Mode::Engaged;
                             slab.state.viol_streak = 0;
-                            out.reengaged_dwell = Some(
-                                ((policy.cooldown_epochs as u64) << slab.state.entry_level) as f64,
-                            );
+                            out.reengaged_dwell = Some(policy.dwell(slab.state.entry_level).into());
                         }
                     }
                 }
             }
         }
-        self.account(slab, faults, measured, &mut out);
-        out
-    }
-
-    /// Drops the plant to the profiled-safe setting and arms the
-    /// re-engage cooldown (rungs 7–8).
-    #[inline]
-    fn enter_fallback(&self, policy: SlabGuardPolicy, slab: &mut SoakSlab) {
+        // Plant-truth accounting: violation bursts, fault stretches and
+        // the recovery SLO.
         let st = &mut slab.state;
-        st.mode = Mode::Fallback;
-        st.entry_level = st.backoff_level;
-        st.cooldown_left = policy.cooldown_epochs << st.backoff_level;
-        st.backoff_level = (st.backoff_level + 1).min(policy.backoff_doublings);
-        st.viol_streak = 0;
-        st.has_pending = false;
-        slab.setting = self.initial;
-    }
-
-    /// Plant-truth accounting shared by the armed and disarmed paths:
-    /// violation bursts, fault stretches, and the recovery SLO.
-    #[inline]
-    fn account(
-        &self,
-        slab: &mut SoakSlab,
-        faults: &ActiveFaults,
-        measured: f64,
-        out: &mut StepOutcome,
-    ) {
-        let st = &mut slab.state;
-        if out.violated {
+        if violated {
             st.burst_len = st.burst_len.saturating_add(1);
         } else if st.burst_len > 0 {
             out.burst_closed = Some(st.burst_len as f64);
@@ -431,7 +356,7 @@ impl SoakTemplate {
             // Recovery is measured from the end of a fault stretch, so
             // the clock pauses while faults are still firing.
             st.in_stretch = true;
-            return;
+            return out;
         }
         if st.in_stretch {
             st.in_stretch = false;
@@ -449,6 +374,21 @@ impl SoakTemplate {
                 st.unrecovered = true;
             }
         }
+        out
+    }
+
+    /// Drops the plant to the profiled-safe setting and arms the
+    /// re-engage cooldown (rungs 7–8).
+    #[inline]
+    fn enter_fallback(&self, policy: SlabGuardPolicy, slab: &mut SoakSlab) {
+        let st = &mut slab.state;
+        st.mode = Mode::Fallback;
+        st.entry_level = st.backoff_level;
+        st.cooldown_left = policy.dwell(st.backoff_level);
+        st.backoff_level = (st.backoff_level + 1).min(policy.backoff_doublings);
+        st.viol_streak = 0;
+        st.has_pending = false;
+        slab.setting = self.initial;
     }
 }
 
@@ -467,14 +407,10 @@ fn median3(a: f64, b: f64, c: f64) -> f64 {
 pub const RECOVERY_SLO_EPOCHS: u16 = 12;
 
 /// Compressed guard configuration — the soak's answer to `GuardPolicy`,
-/// encodable into 24 bits of a `u32`. A soak run holds one policy for
-/// every tenant; each chunk round-trips it through the encoding once, so
-/// the ladder always sees it at the documented field widths.
+/// encodable into 23 bits of a `u32`. A soak run holds one policy for
+/// every tenant; the clean arm never consults it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlabGuardPolicy {
-    /// Master switch: disarmed reduces `guarded_step` to the plain
-    /// PR-8 law plus plant-truth accounting.
-    pub armed: bool,
     /// Median-of-3 smoothing of admitted readings (rung 5).
     pub vote: bool,
     /// Admission cut: readings beyond `spike_ratio × target` are
@@ -494,28 +430,18 @@ pub struct SlabGuardPolicy {
 }
 
 impl SlabGuardPolicy {
-    /// The production soak ladder: armed, voting, spike cut at 8×
-    /// target, 3-epoch watchdog and divergence streaks, 3-epoch
-    /// cooldown with up to 2 doublings (max 12-epoch dwell — safe even
-    /// for the 24-epoch hourly cohort).
+    /// The production soak ladder: voting, spike cut at 8× target,
+    /// 3-epoch watchdog and divergence streaks, 3-epoch cooldown with up
+    /// to 2 doublings (max 12-epoch dwell — safe even for the 24-epoch
+    /// hourly cohort).
     pub fn standard() -> SlabGuardPolicy {
         SlabGuardPolicy {
-            armed: true,
             vote: true,
             spike_ratio: 8,
             watchdog_epochs: 3,
             divergence_streak: 3,
             cooldown_epochs: 3,
             backoff_doublings: 2,
-        }
-    }
-
-    /// The standard ladder with the master switch off (the clean-arm
-    /// control configuration).
-    pub fn disarmed() -> SlabGuardPolicy {
-        SlabGuardPolicy {
-            armed: false,
-            ..SlabGuardPolicy::standard()
         }
     }
 
@@ -529,38 +455,59 @@ impl SlabGuardPolicy {
         }
     }
 
-    /// Packs the policy into 24 bits of a `u32`:
-    /// `armed(1) vote(1) spike(6) watchdog(4) divergence(4)
-    /// cooldown(6) backoff(2)`, low to high.
+    /// Packs the policy into 23 bits of a `u32`:
+    /// `vote(1) spike(6) watchdog(4) divergence(4) cooldown(6)
+    /// backoff(2)`, low to high.
+    ///
+    /// # Panics
+    ///
+    /// If a field does not fit its width: masking it would silently
+    /// run a different ladder (a `spike_ratio` of 64 would become 0 and
+    /// reject every reading).
     pub fn encode(self) -> u32 {
-        (self.armed as u32)
-            | (self.vote as u32) << 1
-            | (self.spike_ratio as u32 & 0x3f) << 2
-            | (self.watchdog_epochs as u32 & 0xf) << 8
-            | (self.divergence_streak as u32 & 0xf) << 12
-            | (self.cooldown_epochs as u32 & 0x3f) << 16
-            | (self.backoff_doublings as u32 & 0x3) << 22
+        let field = |name: &str, value: u8, bits: u32| {
+            let value = u32::from(value);
+            assert!(
+                value < 1 << bits,
+                "SlabGuardPolicy::{name} = {value} exceeds {bits} bits"
+            );
+            value
+        };
+        (self.vote as u32)
+            | field("spike_ratio", self.spike_ratio, 6) << 1
+            | field("watchdog_epochs", self.watchdog_epochs, 4) << 7
+            | field("divergence_streak", self.divergence_streak, 4) << 11
+            | field("cooldown_epochs", self.cooldown_epochs, 6) << 15
+            | field("backoff_doublings", self.backoff_doublings, 2) << 21
     }
 
     /// Inverse of [`encode`](SlabGuardPolicy::encode).
     #[inline]
     pub fn decode(bits: u32) -> SlabGuardPolicy {
         SlabGuardPolicy {
-            armed: bits & 1 != 0,
-            vote: bits >> 1 & 1 != 0,
-            spike_ratio: (bits >> 2 & 0x3f) as u8,
-            watchdog_epochs: (bits >> 8 & 0xf) as u8,
-            divergence_streak: (bits >> 12 & 0xf) as u8,
-            cooldown_epochs: (bits >> 16 & 0x3f) as u8,
-            backoff_doublings: (bits >> 22 & 0x3) as u8,
+            vote: bits & 1 != 0,
+            spike_ratio: (bits >> 1 & 0x3f) as u8,
+            watchdog_epochs: (bits >> 7 & 0xf) as u8,
+            divergence_streak: (bits >> 11 & 0xf) as u8,
+            cooldown_epochs: (bits >> 15 & 0x3f) as u8,
+            backoff_doublings: (bits >> 21 & 0x3) as u8,
         }
+    }
+
+    /// The fallback dwell at backoff `level`: `cooldown_epochs · 2^level`
+    /// epochs, at least 1 (a fallback always holds the epoch after it
+    /// fires) and saturating at the 255 the slab's counter can serve.
+    #[inline]
+    fn dwell(self, level: u8) -> u8 {
+        (u32::from(self.cooldown_epochs) << level.min(8)).clamp(1, u8::MAX.into()) as u8
     }
 }
 
 /// Guard mode of one tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Mode {
     /// Controller live.
+    #[default]
     Engaged,
     /// Held on the profiled-safe setting pending re-engage.
     Fallback,
@@ -569,7 +516,7 @@ enum Mode {
 /// The integer half of a tenant's guard state. Every field is a small
 /// saturating counter, so the whole struct packs into 16 bytes beside
 /// the slab's five `f64`s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct SlabGuardState {
     mode: Mode,
     missed: u8,
@@ -614,21 +561,9 @@ impl SoakSlab {
             last_safe: template.initial,
             votes: [0.0; 2],
             state: SlabGuardState {
-                mode: Mode::Engaged,
-                missed: 0,
-                viol_streak: 0,
-                cooldown_left: 0,
-                backoff_level: 0,
-                entry_level: 0,
-                vote_fill: 0,
                 // Fresh arrivals are not post-restart cold caches.
                 restart_age: u8::MAX,
-                burst_len: 0,
-                recovery_elapsed: 0,
-                has_pending: false,
-                in_stretch: false,
-                recovery_pending: false,
-                unrecovered: false,
+                ..SlabGuardState::default()
             },
         }
     }
@@ -670,7 +605,7 @@ impl SoakSlab {
 
 /// What one [`SoakTemplate::guarded_step`] epoch reports back to the
 /// cohort sketches.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepOutcome {
     /// Plant-truth measured metric (record `overshoot(measured)`).
     pub measured: f64,
@@ -726,24 +661,10 @@ pub struct CohortReport {
 }
 
 impl CohortReport {
-    /// Distils a cohort's streaming sketch of overshoot ratios into the
-    /// plain-number report, with no fault-plane statistics (the clean
-    /// arm and the PR-8 call sites).
-    pub fn from_sketch(
-        period_us: u64,
-        tenants: u64,
-        violations: u64,
-        sketch: &QuantileSketch,
-    ) -> CohortReport {
-        let empty = QuantileSketch::new();
-        CohortReport::from_sketches(
-            period_us, tenants, violations, sketch, &empty, &empty, &empty, 0,
-        )
-    }
-
-    /// Distils a fault-arm cohort: the overshoot sketch plus the three
+    /// Distils a cohort: the overshoot sketch plus the three
     /// recovery-SLO sketches (re-engage dwell, violation-burst length,
-    /// epochs-to-recover) and the end-of-run unrecovered count.
+    /// epochs-to-recover; empty on the clean arm) and the end-of-run
+    /// unrecovered count.
     #[allow(clippy::too_many_arguments)]
     pub fn from_sketches(
         period_us: u64,
@@ -904,6 +825,7 @@ impl SoakReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartconf_core::{Controller, Goal, Hardness};
 
     fn toy_profile() -> ProfileSet {
         // Plant: measured = 2c + 10, tight samples → small λ (floored).
@@ -1021,35 +943,32 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The precomputed-constant law is bit-identical to the
-        /// per-decision formula on both sides of the (virtual) target —
-        /// `ratio ∈ [0, 3)` lands readings in the regular-pole branch
-        /// and the hard-goal danger branch alike — for either gain
-        /// sign, and holds on non-finite readings.
+        /// `next_setting` is, bit for bit, the per-decision formula and
+        /// a frozen `N = 1` `Controller::step` built from the template's
+        /// α, pole, λ, target and bounds: on both sides of the (virtual)
+        /// target, for either gain sign, and on a non-finite reading.
         #[test]
         fn hoisted_law_matches_the_per_decision_formula(
-            alpha in 0.01f64..50.0,
-            negative in 0u8..2,
+            alpha in -50.0f64..50.0,
             pole in 0.0f64..0.99,
             lambda in 0.05f64..0.5,
             target in 0.1f64..10_000.0,
-            hard in 0u8..2,
+            hard in proptest::bool::ANY,
             current_frac in 0.0f64..1.0,
             ratio in 0.0f64..3.0,
         ) {
-            let mut t = toy_template(hard == 1);
-            t.alpha = if negative == 1 { -alpha } else { alpha };
-            t.pole = pole;
-            t.lambda = lambda;
-            t.target = target;
-            t.law = LawConstants::new(t.alpha, t.pole, t.lambda, t.target, t.hard);
+            let mut t = toy_template(hard);
+            (t.alpha, t.pole, t.lambda, t.target) = (alpha, pole, lambda, target);
+            t.law = SoakTemplate::law(alpha, pole, lambda, target, hard);
             let current = t.lo + current_frac * (t.hi - t.lo);
-            let measured = ratio * target;
-            proptest::prop_assert_eq!(
-                t.next_setting(current, measured).to_bits(),
-                reference_next_setting(&t, current, measured).to_bits()
-            );
-            proptest::prop_assert_eq!(t.next_setting(current, f64::NAN).to_bits(), current.to_bits());
+            let hardness = if hard { Hardness::Hard } else { Hardness::Soft };
+            let goal = Goal::new("m", target).with_hardness(hardness).unwrap();
+            let mut c = Controller::new(alpha, pole, goal, lambda, (t.lo, t.hi), current).unwrap();
+            for measured in [f64::NAN, ratio * target] {
+                let next = t.next_setting(current, measured);
+                proptest::prop_assert_eq!(next.to_bits(), reference_next_setting(&t, current, measured).to_bits());
+                proptest::prop_assert_eq!(c.step(measured).to_bits(), next.to_bits());
+            }
         }
     }
 
@@ -1070,7 +989,8 @@ mod tests {
         for i in 0..1000 {
             sk.record(0.5 + i as f64 / 1000.0);
         }
-        let c = CohortReport::from_sketch(900_000_000, 250, 3, &sk);
+        let e = QuantileSketch::new();
+        let c = CohortReport::from_sketches(900_000_000, 250, 3, &sk, &e, &e, &e, 0);
         assert_eq!(c.senses, 1000);
         assert_eq!(c.violations, 3);
         assert!((c.p50 - 1.0).abs() < 0.05);
@@ -1125,30 +1045,47 @@ mod tests {
         assert_eq!(healthy.unrecovered_hard_tenants(), 0);
     }
 
+    /// Every field at the widest value its bits hold.
+    fn widest() -> SlabGuardPolicy {
+        SlabGuardPolicy {
+            vote: false,
+            spike_ratio: 63,
+            watchdog_epochs: 15,
+            divergence_streak: 1,
+            cooldown_epochs: 63,
+            backoff_doublings: 3,
+        }
+    }
+
     #[test]
     fn policy_encoding_roundtrips() {
         for p in [
             SlabGuardPolicy::standard(),
-            SlabGuardPolicy::disarmed(),
             SlabGuardPolicy::without_vote(),
-            SlabGuardPolicy {
-                armed: true,
-                vote: false,
-                spike_ratio: 63,
-                watchdog_epochs: 15,
-                divergence_streak: 1,
-                cooldown_epochs: 63,
-                backoff_doublings: 3,
-            },
+            widest(),
         ] {
             assert_eq!(SlabGuardPolicy::decode(p.encode()), p, "{p:?}");
         }
-        // The standard ladder fits in the documented 24 bits.
-        assert!(SlabGuardPolicy::standard().encode() < 1 << 24);
-        assert_ne!(
-            SlabGuardPolicy::standard().encode(),
-            SlabGuardPolicy::disarmed().encode()
-        );
+        // Every policy fits in the documented 23 bits.
+        assert!(widest().encode() < 1 << 23);
+    }
+
+    #[test]
+    fn encode_rejects_fields_wider_than_their_bits() {
+        type Widen = fn(&mut SlabGuardPolicy);
+        let widen: [(&str, Widen); 5] = [
+            ("spike_ratio", |p| p.spike_ratio = 64),
+            ("watchdog_epochs", |p| p.watchdog_epochs = 16),
+            ("divergence_streak", |p| p.divergence_streak = 16),
+            ("cooldown_epochs", |p| p.cooldown_epochs = 64),
+            ("backoff_doublings", |p| p.backoff_doublings = 4),
+        ];
+        for (field, widen) in widen {
+            let mut p = SlabGuardPolicy::standard();
+            widen(&mut p);
+            let err = std::panic::catch_unwind(|| p.encode()).expect_err(field);
+            assert!(err.downcast_ref::<String>().unwrap().contains(field));
+        }
     }
 
     fn clean() -> ActiveFaults {
@@ -1160,28 +1097,6 @@ mod tests {
             sensor: Some(f),
             set: class,
             ..ActiveFaults::default()
-        }
-    }
-
-    #[test]
-    fn disarmed_guarded_step_matches_plain_law() {
-        let t = toy_template(true);
-        let mut slab = SoakSlab::new(&t);
-        let mut plain = t.initial;
-        for e in 0..60u64 {
-            let load = 1.0 + 0.2 * ((e % 7) as f64 / 7.0 - 0.5);
-            let jitter = 0.01 * ((e % 5) as f64 / 5.0 - 0.5);
-            let out = t.guarded_step(
-                SlabGuardPolicy::disarmed(),
-                &mut slab,
-                &clean(),
-                load,
-                jitter,
-            );
-            let m = t.measured(plain, load, jitter);
-            plain = t.next_setting(plain, m);
-            assert_eq!(out.measured.to_bits(), m.to_bits(), "epoch {e}");
-            assert_eq!(slab.setting.to_bits(), plain.to_bits(), "epoch {e}");
         }
     }
 
@@ -1247,39 +1162,48 @@ mod tests {
     #[test]
     fn divergence_falls_back_then_reengages_with_backoff() {
         let t = toy_template(true);
-        let pol = SlabGuardPolicy::standard();
-        let mut slab = SoakSlab::new(&t);
-        // Park the plant far beyond the goal and pin it there by
-        // feeding enormous load: the admitted readings violate for
-        // divergence_streak epochs and the guard falls back.
-        slab.setting = t.hi;
-        let mut fell_back = false;
-        for _ in 0..pol.divergence_streak + 1 {
-            t.guarded_step(pol, &mut slab, &clean(), 4.0, 0.0);
-            if slab.setting == t.initial && slab.state.mode == Mode::Fallback {
-                fell_back = true;
-                break;
+        let zero = SlabGuardPolicy {
+            cooldown_epochs: 0,
+            ..SlabGuardPolicy::standard()
+        };
+        // Every fallback serves the dwell it reports, through the whole
+        // backoff schedule: the widest policy's fourth dwell (63 · 2³)
+        // saturates at the 255 epochs the slab's counter holds, and a
+        // zero cooldown still holds the epoch after the fallback.
+        for (pol, dwells) in [
+            (SlabGuardPolicy::standard(), [3, 6, 12, 12]),
+            (widest(), [63, 126, 252, 255]),
+            (zero, [1; 4]),
+        ] {
+            let mut slab = SoakSlab::new(&t);
+            for want in dwells {
+                // Park the plant far beyond the goal under enormous load:
+                // the admitted readings violate for divergence_streak
+                // epochs and the guard falls back to the safe setting.
+                slab.setting = t.hi;
+                for _ in 0..pol.divergence_streak {
+                    t.guarded_step(pol, &mut slab, &clean(), 4.0, 0.0);
+                }
+                assert_eq!((slab.state.mode, slab.setting), (Mode::Fallback, t.initial));
+                // Load returns to normal: the guard re-engages once the
+                // dwell it reports has been served.
+                let mut served = 0;
+                let reported = loop {
+                    served += 1;
+                    let out = t.guarded_step(pol, &mut slab, &clean(), 1.0, 0.0);
+                    if let Some(d) = out.reengaged_dwell {
+                        break d;
+                    }
+                };
+                assert_eq!((served, reported), (want, want as f64), "{pol:?}");
             }
-        }
-        assert!(fell_back, "divergence fallback never fired");
-        // Load returns to normal: after the cooldown the guard
-        // re-engages and reports the dwell it served.
-        let mut dwell = None;
-        for _ in 0..20 {
-            let out = t.guarded_step(pol, &mut slab, &clean(), 1.0, 0.0);
-            if let Some(d) = out.reengaged_dwell {
-                dwell = Some(d);
-                break;
+            // And the controller walks back to the virtual goal.
+            for _ in 0..30 {
+                t.guarded_step(pol, &mut slab, &clean(), 1.0, 0.0);
             }
+            let m = t.measured(slab.setting, 1.0, 0.0);
+            assert!((t.overshoot(m) - (1.0 - t.lambda)).abs() < 1e-6);
         }
-        assert_eq!(dwell, Some(pol.cooldown_epochs as f64));
-        assert_eq!(slab.state.mode, Mode::Engaged);
-        // And the controller walks back to the virtual goal.
-        for _ in 0..30 {
-            t.guarded_step(pol, &mut slab, &clean(), 1.0, 0.0);
-        }
-        let m = t.measured(slab.setting, 1.0, 0.0);
-        assert!((t.overshoot(m) - (1.0 - t.lambda)).abs() < 1e-6);
     }
 
     #[test]
@@ -1315,6 +1239,7 @@ mod tests {
     fn recovery_accounting_tracks_stretches_and_latches() {
         let t = toy_template(true);
         let pol = SlabGuardPolicy::standard();
+        let drop = sensor(SensorFault::Drop, smartconf_runtime::FaultSet::DROPOUT);
         let mut slab = SoakSlab::new(&t);
         for _ in 0..30 {
             t.guarded_step(pol, &mut slab, &clean(), 1.0, 0.0);
@@ -1322,44 +1247,38 @@ mod tests {
         // A dropout stretch ends; the converged plant is already back
         // inside the goal, so recovery completes on the first clean
         // epoch.
-        let drop = sensor(SensorFault::Drop, smartconf_runtime::FaultSet::DROPOUT);
         for _ in 0..2 {
             t.guarded_step(pol, &mut slab, &drop, 1.0, 0.0);
         }
         let out = t.guarded_step(pol, &mut slab, &clean(), 1.0, 0.0);
         assert_eq!(out.recovered_after, Some(1.0));
         assert!(!slab.is_unrecovered());
-        // A stretch followed by a permanently violating plant blows the
-        // SLO and latches unrecovered. Feed sustained extreme load with
-        // dropped readings so the controller cannot react.
+        // A stretch followed by a load no setting can absorb blows the
+        // SLO and latches unrecovered: at 10× load even the safe bound
+        // violates, so the ladder's fallbacks cannot bring it back.
+        assert!(t.overshoot(t.measured(t.initial, 10.0, 0.0)) > t.recovered_below());
         t.guarded_step(pol, &mut slab, &drop, 1.0, 0.0);
         for _ in 0..RECOVERY_SLO_EPOCHS + 2 {
-            t.guarded_step(
-                SlabGuardPolicy::disarmed(),
-                &mut slab,
-                &sensor(SensorFault::Drop, smartconf_runtime::FaultSet::DROPOUT),
-                10.0,
-                0.0,
-            );
+            t.guarded_step(pol, &mut slab, &drop, 10.0, 0.0);
         }
         // Those epochs were fault-active, so the clock paused; now run
-        // clean disarmed epochs at the same extreme load.
+        // clean epochs at the same extreme load.
         for _ in 0..RECOVERY_SLO_EPOCHS + 2 {
-            t.guarded_step(SlabGuardPolicy::disarmed(), &mut slab, &clean(), 10.0, 0.0);
+            t.guarded_step(pol, &mut slab, &clean(), 10.0, 0.0);
         }
         assert!(slab.is_unrecovered());
         // Violation bursts close with their length.
         let mut s2 = SoakSlab::new(&t);
         let mut burst = None;
-        t.guarded_step(SlabGuardPolicy::disarmed(), &mut s2, &clean(), 1.0, 0.0);
+        t.guarded_step(pol, &mut s2, &clean(), 1.0, 0.0);
         s2.setting = t.hi;
         for _ in 0..3 {
             // Hold the setting hot with a dropped sensor so the
             // violation persists.
-            t.guarded_step(SlabGuardPolicy::disarmed(), &mut s2, &drop, 4.0, 0.0);
+            t.guarded_step(pol, &mut s2, &drop, 4.0, 0.0);
         }
         for _ in 0..10 {
-            let out = t.guarded_step(SlabGuardPolicy::disarmed(), &mut s2, &clean(), 1.0, 0.0);
+            let out = t.guarded_step(pol, &mut s2, &clean(), 1.0, 0.0);
             if let Some(b) = out.burst_closed {
                 burst = Some(b);
                 break;

@@ -109,6 +109,15 @@ pub const CAMPAIGN_VOTE_WINDOW: usize = 5;
 /// 16× longest cooldown before the schedule saturates.
 pub const CAMPAIGN_BACKOFF_DOUBLINGS: u32 = 4;
 
+/// Exact repeats *while the actuator moved between readings* before
+/// the sensor counts as frozen regardless of how close the repeated
+/// value sits to the target. A plant whose setting changes should not
+/// return bit-identical measurements; repeats at a *held* setting (a
+/// converged controller) never advance this counter, so legitimate
+/// steady states cannot trip it. On a hard-goal channel the detection
+/// escalates straight to the profiled-safe fallback.
+pub(crate) const ACTUATED_STALE_EPOCHS: u64 = 4;
+
 /// Tuning of the resilience guards, one policy per plane.
 ///
 /// # Example
@@ -123,7 +132,6 @@ pub const CAMPAIGN_BACKOFF_DOUBLINGS: u32 = 4;
 ///     .divergence(3, 60)         // 3 worsening epochs -> 60-epoch fallback
 ///     .fallback_setting("max.queue.size", 40.0);
 /// assert_eq!(policy.watchdog_epochs, 3);
-/// assert!(policy.anti_windup);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuardPolicy {
@@ -141,23 +149,11 @@ pub struct GuardPolicy {
     /// fraction of the target (legitimately quantized readings repeat
     /// *near* the target and must not trigger the hold).
     pub stale_error_frac: f64,
-    /// Exact repeats *while the actuator moved between readings* before
-    /// the sensor counts as frozen regardless of how close the repeated
-    /// value sits to the target. A plant whose setting changes should
-    /// not return bit-identical measurements; repeats at a *held*
-    /// setting (a converged controller) never advance this counter, so
-    /// legitimate steady states cannot trip it. On a hard-goal channel
-    /// the detection escalates straight to the profiled-safe fallback —
-    /// an undetected near-target freeze otherwise blinds the controller
-    /// exactly when a load burst needs it.
-    pub actuated_stale_epochs: u64,
     /// Consecutive worsening violating epochs (hard goals) before the
     /// channel degrades to its static fallback.
     pub divergence_streak: u32,
     /// Fallback dwell time in epochs before the controller re-engages.
     pub cooldown_epochs: u64,
-    /// Whether to back-calculate the integrator on actuator saturation.
-    pub anti_windup: bool,
     /// Adaptive channels only: when the online estimator's confidence
     /// falls below this floor, the channel degrades to its profiled-safe
     /// fallback (one divergence-style cooldown) and re-engages once the
@@ -194,10 +190,8 @@ impl Default for GuardPolicy {
             spike_ratio: 8.0,
             stale_epochs: 8,
             stale_error_frac: 0.05,
-            actuated_stale_epochs: 4,
             divergence_streak: 3,
             cooldown_epochs: 60,
-            anti_windup: true,
             confidence_floor: 0.0,
             vote_window: 0,
             reengage_backoff: 0,
@@ -237,15 +231,6 @@ impl GuardPolicy {
         self
     }
 
-    /// Sets the actuated-staleness threshold: exact repeats under
-    /// actuator movement before the sensor counts as frozen (clamped
-    /// ≥ 2).
-    #[must_use]
-    pub fn actuated_stale_epochs(mut self, epochs: u64) -> Self {
-        self.actuated_stale_epochs = epochs.max(2);
-        self
-    }
-
     /// Configures the divergence detector: `streak` consecutive
     /// worsening violations trigger a fallback lasting `cooldown`
     /// epochs.
@@ -253,13 +238,6 @@ impl GuardPolicy {
     pub fn divergence(mut self, streak: u32, cooldown: u64) -> Self {
         self.divergence_streak = streak.max(1);
         self.cooldown_epochs = cooldown.max(1);
-        self
-    }
-
-    /// Enables or disables integrator anti-windup on saturation.
-    #[must_use]
-    pub fn anti_windup(mut self, on: bool) -> Self {
-        self.anti_windup = on;
         self
     }
 
@@ -412,7 +390,7 @@ pub(crate) struct ChannelGuard {
     /// Length of the current exact-repeat run.
     pub stale_run: u64,
     /// Exact repeats observed while the in-force setting moved between
-    /// readings (see [`GuardPolicy::actuated_stale_epochs`]).
+    /// readings (see [`ACTUATED_STALE_EPOCHS`]).
     pub actuated_stale: u64,
     /// The in-force setting of the previous epoch, for actuated-stale
     /// movement detection.

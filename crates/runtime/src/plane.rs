@@ -488,7 +488,8 @@ impl ControlPlane {
                 g.note_delivered(v);
                 let off_target =
                     (v - target).abs() > policy.stale_error_frac * target.abs().max(1.0);
-                let frozen_under_actuation = g.actuated_stale >= policy.actuated_stale_epochs;
+                let frozen_under_actuation =
+                    g.actuated_stale >= crate::guard::ACTUATED_STALE_EPOCHS;
                 if (g.stale_run >= policy.stale_epochs && off_target) || frozen_under_actuation {
                     guards.insert(GuardSet::STALE_HOLD);
                     guards.insert(GuardSet::MISSED);
@@ -653,10 +654,8 @@ impl ControlPlane {
             let cap = lo + frac * (hi - lo);
             if decided > cap {
                 decided = cap;
-                if policy.anti_windup {
-                    ch.decider.force(cap);
-                    guards.insert(GuardSet::ANTI_WINDUP);
-                }
+                ch.decider.force(cap);
+                guards.insert(GuardSet::ANTI_WINDUP);
             }
         }
         let mut in_force = if let Some(k) = active.lag {
