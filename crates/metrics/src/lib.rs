@@ -10,8 +10,6 @@
 //!   used for the tail-latency goals (HB2149, HD4995).
 //! * [`TimeSeries`] — append-only `(time, value)` recorder with resampling,
 //!   used to regenerate the paper's time-series figures (Figures 6–8).
-//! * [`Ewma`] — exponentially weighted moving average for smoothing noisy
-//!   sensors.
 //! * [`RateCounter`] — windowed throughput counter (operations per second).
 //! * [`QuantileSketch`] — mergeable fixed-bin log-bucketed quantile
 //!   sketch, used by the soak mode for per-cohort p99/p999 goal error in
@@ -37,14 +35,12 @@
 #![warn(missing_debug_implementations)]
 
 pub mod calibrate;
-mod ewma;
 mod histogram;
 mod quantile;
 mod rate;
 mod timeseries;
 mod welford;
 
-pub use ewma::Ewma;
 pub use histogram::Histogram;
 pub use quantile::QuantileSketch;
 pub use rate::RateCounter;

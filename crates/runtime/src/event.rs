@@ -8,15 +8,10 @@
 //! two-pole scheme, paper §5.2), and whether the actuator saturated at
 //! its bounds.
 //!
-//! Fleet runs can last millions of epochs, so the log has two modes:
-//! **unbounded** (the default — every event retained, as PR 1 shipped)
-//! and **bounded** ([`EpochLog::bounded`] — a ring buffer keeps only the
-//! most recent events). In both modes the log maintains streaming
-//! per-channel lifetime aggregates ([`EpochSummary`]: violations,
-//! settling epoch, mean/max error, saturation), so summary statistics
-//! stay exact even after old events are evicted.
-
-use std::collections::VecDeque;
+//! Alongside the raw events the log maintains streaming per-channel
+//! lifetime aggregates ([`EpochSummary`]: violations, settling epoch,
+//! mean/max error, saturation), so a summary is one lookup rather than
+//! a rescan of the channel's events.
 
 use smartconf_metrics::TimeSeries;
 
@@ -59,11 +54,10 @@ pub struct EpochEvent {
 }
 
 /// Streaming lifetime aggregates for one channel, maintained on every
-/// [`EpochLog::push`] — exact even when the bounded log has evicted the
-/// underlying events.
+/// [`EpochLog::push`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochSummary {
-    /// Total decisions made for this channel (including evicted events).
+    /// Total decisions made for this channel.
     pub epochs: u64,
     /// Decisions whose setting was clamped at the controller bounds.
     pub saturated: u64,
@@ -305,13 +299,12 @@ impl ChannelStats {
 
 /// The per-run log of every channel's epochs, in decision order.
 ///
-/// # Bounded mode
+/// # Example
 ///
 /// ```
 /// use smartconf_runtime::{EpochEvent, EpochLog};
 ///
-/// // Keep only the 100 most recent events, but aggregate all of them.
-/// let mut log = EpochLog::bounded(vec!["conf".into()], 100);
+/// let mut log = EpochLog::new(vec!["conf".into()]);
 /// for epoch in 0..1_000u64 {
 ///     log.push(EpochEvent {
 ///         epoch,
@@ -327,8 +320,9 @@ impl ChannelStats {
 ///         guards: Default::default(),
 ///     });
 /// }
-/// assert_eq!(log.len(), 100);           // raw events: bounded
-/// let s = log.summary("conf").unwrap(); // aggregates: full lifetime
+/// assert_eq!(log.len(), 1_000);
+/// assert_eq!(log.events_for("conf").nth(7).map(|e| e.t_us), Some(7_000));
+/// let s = log.summary("conf").unwrap();
 /// assert_eq!(s.epochs, 1_000);
 /// assert_eq!(s.saturated, 500);
 /// assert_eq!(log.saturation_fraction("conf"), Some(0.5));
@@ -336,41 +330,19 @@ impl ChannelStats {
 #[derive(Debug, Clone, Default)]
 pub struct EpochLog {
     channels: Vec<String>,
-    events: VecDeque<EpochEvent>,
-    capacity: Option<usize>,
-    dropped: u64,
+    events: Vec<EpochEvent>,
     stats: Vec<ChannelStats>,
 }
 
 impl EpochLog {
-    /// Creates an empty unbounded log over the given channel names.
+    /// Creates an empty log over the given channel names.
     pub fn new(channels: Vec<String>) -> Self {
         let stats = vec![ChannelStats::default(); channels.len()];
         EpochLog {
             channels,
-            events: VecDeque::new(),
-            capacity: None,
-            dropped: 0,
+            events: Vec::new(),
             stats,
         }
-    }
-
-    /// Creates an empty log that retains at most `capacity` raw events
-    /// (ring buffer: the oldest event is evicted on overflow), while the
-    /// per-channel [`EpochSummary`] aggregates keep covering every event
-    /// ever pushed. A capacity of 0 keeps aggregates only.
-    pub fn bounded(channels: Vec<String>, capacity: usize) -> Self {
-        let mut log = EpochLog::new(channels);
-        log.capacity = Some(capacity);
-        // Allocate the ring up front so the steady-state push path never
-        // reallocates (at capacity it is a pop_front + push_back pair).
-        log.events.reserve_exact(capacity);
-        log
-    }
-
-    /// The raw-event retention limit, if this log is bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Appends one event (the control plane calls this).
@@ -379,17 +351,7 @@ impl EpochLog {
         if let Some(stats) = self.stats.get_mut(event.channel as usize) {
             stats.update(&event);
         }
-        if let Some(cap) = self.capacity {
-            if cap == 0 {
-                self.dropped += 1;
-                return;
-            }
-            if self.events.len() == cap {
-                self.events.pop_front();
-                self.dropped += 1;
-            }
-        }
-        self.events.push_back(event);
+        self.events.push(event);
     }
 
     /// Channel names, in [`EpochEvent::channel`] index order.
@@ -397,29 +359,19 @@ impl EpochLog {
         &self.channels
     }
 
-    /// The retained events, oldest first (all of them when unbounded).
+    /// Every event, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &EpochEvent> {
         self.events.iter()
     }
 
-    /// Number of retained events across channels.
+    /// Number of events across channels.
     pub fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// Whether no decisions were retained.
+    /// Whether no decisions were logged.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Lifetime event count across channels, including evicted events.
-    pub fn total_events(&self) -> u64 {
-        self.events.len() as u64 + self.dropped
-    }
-
-    /// Events evicted (or skipped, at capacity 0) by the ring buffer.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped
     }
 
     /// Index of a channel by name.
@@ -427,7 +379,7 @@ impl EpochLog {
         self.channels.iter().position(|c| c == name)
     }
 
-    /// Lifetime aggregates for one channel, exact regardless of mode.
+    /// Lifetime aggregates for one channel.
     pub fn summary(&self, name: &str) -> Option<EpochSummary> {
         self.channel_index(name).map(|i| self.stats[i].summary())
     }
@@ -440,7 +392,7 @@ impl EpochLog {
             .map(|(name, stats)| (name.as_str(), stats.summary()))
     }
 
-    /// Retained events of one channel, in decision order.
+    /// Events of one channel, in decision order.
     pub fn events_for<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a EpochEvent> + 'a {
         let idx = self.channel_index(name).map(|i| i as u32);
         self.events.iter().filter(move |e| Some(e.channel) == idx)
@@ -481,8 +433,7 @@ impl EpochLog {
     }
 
     /// The setting trajectory as a time series named after the channel
-    /// (this is the "conf" series the figure drivers plot). Covers the
-    /// retained events only.
+    /// (this is the "conf" series the figure drivers plot).
     pub fn setting_series(&self, name: &str) -> TimeSeries {
         self.series_of(name, name, |e| e.setting)
     }
@@ -591,50 +542,6 @@ mod tests {
         assert_eq!(log.max_abs_error("a"), None);
         log.push(event(0, 1, 1, 40.0));
         assert_eq!(log.max_abs_error("a"), Some(20.0));
-    }
-
-    #[test]
-    fn bounded_evicts_oldest_but_aggregates_everything() {
-        let mut log = EpochLog::bounded(vec!["a".into()], 3);
-        for k in 0..10u64 {
-            log.push(event(0, k, k * 100, k as f64 * 10.0));
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.total_events(), 10);
-        assert_eq!(log.dropped_events(), 7);
-        // Retained window is the most recent three events.
-        let retained: Vec<u64> = log.events().map(|e| e.epoch).collect();
-        assert_eq!(retained, vec![7, 8, 9]);
-        // Aggregates still cover all ten: max |error| is at setting 0
-        // (error = 100 − 0), which was evicted long ago.
-        let s = log.summary("a").unwrap();
-        assert_eq!(s.epochs, 10);
-        assert_eq!(s.max_abs_error, Some(100.0));
-        assert_eq!(s.saturated, 1); // only setting 90 saturates
-        assert_eq!(log.last_setting("a"), Some(90.0));
-    }
-
-    #[test]
-    fn bounded_and_unbounded_summaries_agree() {
-        let mut full = EpochLog::new(vec!["a".into()]);
-        let mut ring = EpochLog::bounded(vec!["a".into()], 2);
-        for k in 0..50u64 {
-            let e = event(0, k, k, (k % 13) as f64 * 9.0);
-            full.push(e);
-            ring.push(e);
-        }
-        assert_eq!(full.summary("a"), ring.summary("a"));
-        assert_eq!(full.saturation_fraction("a"), ring.saturation_fraction("a"));
-        assert_eq!(full.max_abs_error("a"), ring.max_abs_error("a"));
-    }
-
-    #[test]
-    fn capacity_zero_keeps_aggregates_only() {
-        let mut log = EpochLog::bounded(vec!["a".into()], 0);
-        log.push(event(0, 0, 0, 10.0));
-        assert!(log.is_empty());
-        assert_eq!(log.total_events(), 1);
-        assert_eq!(log.summary("a").unwrap().epochs, 1);
     }
 
     #[test]

@@ -83,6 +83,8 @@ impl ChannelFilter {
 /// only active for the first `active` epochs of each period (a repeating
 /// burst — e.g. 10 dropped readings every 150 epochs), and `probability`
 /// gates each epoch independently via the injector's deterministic roll.
+/// Coverage is a pure function of `(channel, epoch)`, re-tested on every
+/// epoch the injector evaluates; nothing schedules window boundaries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultWindow {
     /// Which channels the fault applies to.
@@ -179,52 +181,6 @@ impl FaultWindow {
             return true;
         }
         (epoch - start) % self.period < self.active
-    }
-
-    /// The first maximal active pulse `[on, off)` of this window, on
-    /// `channel`'s (possibly staggered) epoch axis, whose end lies
-    /// strictly after `epoch` — or `None` when the window never
-    /// activates again. `off == u64::MAX` marks a pulse that outlives
-    /// any run. The event kernel walks pulses with this to schedule
-    /// window-edge events instead of re-testing [`covers_epoch`] every
-    /// epoch: a rising edge at `on` activates the window, a falling edge
-    /// at `off` deactivates it and asks for the next pulse.
-    ///
-    /// Invariants relied on by the kernel (and asserted by tests):
-    /// `on < off`, `off > epoch`, consecutive pulses never abut
-    /// (`next.on > prev.off` for periodic windows with
-    /// `active < period`; windows with `active >= period` are a single
-    /// continuous pulse).
-    pub(crate) fn pulse_after(&self, channel: u32, epoch: u64) -> Option<(u64, u64)> {
-        let (start, end) = self.range_for(channel);
-        if epoch >= end {
-            return None;
-        }
-        if self.period == 0 || self.active >= self.period {
-            // Continuously active over the whole window.
-            return (start < end).then_some((start, end));
-        }
-        if self.active == 0 {
-            return None;
-        }
-        let k = if epoch <= start {
-            0
-        } else {
-            (epoch - start) / self.period
-        };
-        // Pulse k covers `start + k·period .. + active`; if `epoch` sits
-        // past its end, pulse k+1 is the first candidate.
-        for k in [k, k + 1] {
-            let on = start.checked_add(k.checked_mul(self.period)?)?;
-            if on >= end {
-                return None;
-            }
-            let off = on.saturating_add(self.active).min(end);
-            if off > epoch {
-                return Some((on, off));
-            }
-        }
-        None
     }
 }
 
@@ -937,7 +893,12 @@ impl FaultInjector {
     /// Like [`FaultInjector::at`], but over a pre-resolved window index
     /// list (see [`FaultInjector::windows_for`]); equivalent to `at`
     /// whenever `windows` holds exactly the indices matching the
-    /// channel's name.
+    /// channel's name. This is the one per-epoch fault evaluation of a
+    /// chaos-armed [`ControlPlane::decide`](crate::ControlPlane::decide),
+    /// whether a scenario's own loop or the
+    /// [`EventPlane`](crate::EventPlane) drives the epoch; it re-tests
+    /// coverage on each given window (at most eight in the canonical
+    /// plans).
     pub fn at_windows(&self, windows: &[usize], channel: u32, epoch: u64) -> ActiveFaults {
         let mut out = ActiveFaults::default();
         for &wi in windows {
@@ -1031,8 +992,8 @@ mod tests {
         assert!(!w.covers_epoch(2, 40) && w.covers_epoch(2, 48));
         // An unbounded end stays unbounded under the shift.
         let open = FaultWindow::new(FaultKind::SensorNan, 5, u64::MAX).staggered(7);
+        assert!(!open.covers_epoch(3, 25) && open.covers_epoch(3, 26));
         assert!(open.covers_epoch(3, 1_000_000));
-        assert_eq!(open.pulse_after(3, 0), Some((26, u64::MAX)));
     }
 
     #[test]
@@ -1105,57 +1066,6 @@ mod tests {
             let inj = FaultInjector::new(9, plan);
             let fired = (0..600).any(|e| !inj.at("x", 0, e).is_clean());
             assert!(fired, "{class} never fires in 600 epochs");
-        }
-    }
-
-    #[test]
-    fn pulse_walk_agrees_with_covers_epoch() {
-        // Walking pulses via pulse_after must reproduce covers_epoch
-        // exactly: every epoch inside a reported pulse is covered, every
-        // epoch between pulses is not.
-        let windows = [
-            FaultWindow::new(FaultKind::SensorDropout, 40, 400).periodic(100, 10),
-            FaultWindow::new(FaultKind::SensorNan, 5, u64::MAX),
-            FaultWindow::new(FaultKind::SensorStale, 6, u64::MAX).periodic(120, 14),
-            FaultWindow::new(FaultKind::PlantRestart, 12, u64::MAX).periodic(300, 1),
-            FaultWindow::new(FaultKind::SensorSpike { factor: 2.0 }, 0, 37).periodic(7, 7),
-            FaultWindow::new(FaultKind::ActuatorLag { epochs: 2 }, 3, 50).periodic(8, 0),
-        ];
-        // Channel 0 is the unstaggered axis; channel 3 exercises the
-        // staggered one (every window re-checked with a 5-epoch stagger).
-        for channel in [0u32, 3] {
-            for w in &windows {
-                let w = if channel == 0 {
-                    w.clone()
-                } else {
-                    w.clone().staggered(5)
-                };
-                let mut active_by_walk = vec![false; 1000];
-                let mut cursor = 0u64;
-                while let Some((on, off)) = w.pulse_after(channel, cursor) {
-                    assert!(on < off, "empty pulse {on}..{off}");
-                    assert!(off > cursor, "pulse did not advance past {cursor}");
-                    for e in on..off.min(1000) {
-                        active_by_walk[e as usize] = true;
-                    }
-                    if off >= 1000 {
-                        break;
-                    }
-                    assert!(
-                        w.pulse_after(channel, off).is_none_or(|(n, _)| n > off),
-                        "pulses abut at {off}"
-                    );
-                    cursor = off;
-                }
-                for e in 0..1000u64 {
-                    assert_eq!(
-                        active_by_walk[e as usize],
-                        w.covers_epoch(channel, e),
-                        "{:?} channel {channel} epoch {e}",
-                        w.kind
-                    );
-                }
-            }
         }
     }
 

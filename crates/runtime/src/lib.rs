@@ -17,8 +17,8 @@
 //! - [`Baseline`] — the named static comparison runs of Figure 5.
 //! - [`EpochEvent`]/[`EpochLog`] — the structured per-epoch record
 //!   (setting, measured metric, error, pole in effect, saturation),
-//!   convertible to `smartconf-metrics` time series; optionally bounded
-//!   (ring buffer) with streaming per-channel [`EpochSummary`] aggregates.
+//!   convertible to `smartconf-metrics` time series, with streaming
+//!   per-channel [`EpochSummary`] aggregates.
 //! - [`Profiler`]/[`ProfileSchedule`] — the shared §6.1 profiling loop
 //!   (4 settings × N measurements) that scenarios declare instead of
 //!   re-implementing.
@@ -39,7 +39,7 @@
 //!   scheduled on the `smartconf-simkernel` calendar, one `Sense` per
 //!   channel per [`period_us`](ControlPlane::period_us)
 //!   ([`channel_with_period`](ControlPlaneBuilder::channel_with_period)),
-//!   fault windows as scheduled edge events.
+//!   each `Sense` running the same [`ControlPlane::decide`].
 //! - [`run_cohort_calendar`] — batched soak dispatch: one heap event per
 //!   (cohort, tick) instead of per tenant, so million-tenant soaks keep
 //!   the calendar tiny and idle tenants cost zero between senses.

@@ -7,7 +7,7 @@
 
 use smartconf_core::{Hardness, PerfModel, Result, Sense, SmartConf, SmartConfIndirect};
 
-use crate::fault::{ActiveFaults, FaultInjector, SensorFault};
+use crate::fault::{FaultInjector, SensorFault};
 use crate::guard::{ChannelGuard, ChaosSpec, GuardMode, GuardPolicy, GuardSet};
 use crate::{ChannelId, EpochEvent, EpochLog, Sensed};
 
@@ -284,11 +284,6 @@ impl ControlPlane {
         self.channels[id.0].period_us
     }
 
-    /// Completed epochs (decides) of a channel.
-    pub fn epochs(&self, id: ChannelId) -> u64 {
-        self.channels[id.0].epochs
-    }
-
     /// Looks up a channel by name.
     pub fn channel_id(&self, name: &str) -> Option<ChannelId> {
         self.channels
@@ -361,31 +356,12 @@ impl ControlPlane {
     /// ladder, then (maybe) the normal controller step. See the module
     /// docs of [`crate::guard`] for the stage ordering.
     fn decide_chaos(&mut self, id: ChannelId, t_us: u64, sensed: Sensed) -> f64 {
-        let chaos = self.chaos.as_ref().expect("chaos is armed");
-        let active: ActiveFaults = chaos.injector.at_windows(
-            &chaos.window_map[id.0],
-            id.0 as u32,
-            self.channels[id.0].epochs,
-        );
-        self.decide_with_faults(id, t_us, sensed, active)
-    }
-
-    /// The guard-ladder half of the chaos decide path, with the injected
-    /// faults already evaluated. [`ControlPlane::decide`] computes them
-    /// by scanning the channel's full window list; the event kernel
-    /// ([`EventPlane`](crate::EventPlane)) computes them from the
-    /// edge-maintained active-window set — both must land here so the
-    /// two paths stay bit-identical.
-    pub(crate) fn decide_with_faults(
-        &mut self,
-        id: ChannelId,
-        t_us: u64,
-        sensed: Sensed,
-        active: ActiveFaults,
-    ) -> f64 {
         let chaos = self.chaos.as_mut().expect("chaos is armed");
         let ch = &mut self.channels[id.0];
         let epoch = ch.epochs;
+        let active = chaos
+            .injector
+            .at_windows(&chaos.window_map[id.0], id.0 as u32, epoch);
         let policy = &chaos.policy;
         let g = &mut chaos.guards[id.0];
         g.last_epoch = epoch;
@@ -801,11 +777,6 @@ impl ControlPlane {
         }));
     }
 
-    /// Whether chaos mode is armed.
-    pub fn chaos_enabled(&self) -> bool {
-        self.chaos.is_some()
-    }
-
     /// Whether a restart raised this channel's re-profiling request
     /// (chaos mode only; the restart-recovery hook of the degradation
     /// ladder). Cleared by [`ControlPlane::take_reprofile`].
@@ -855,48 +826,6 @@ impl ControlPlane {
     /// Lifetime injected-restart count for a channel (chaos mode only).
     pub fn restart_count(&self, id: ChannelId) -> u64 {
         self.chaos.as_ref().map_or(0, |c| c.guards[id.0].restarts)
-    }
-
-    /// The channel's pre-resolved fault-window indices (chaos mode;
-    /// empty otherwise). The event kernel schedules window-edge events
-    /// from these at construction.
-    pub(crate) fn chaos_windows(&self, id: ChannelId) -> &[usize] {
-        match &self.chaos {
-            Some(c) => &c.window_map[id.0],
-            None => &[],
-        }
-    }
-
-    /// The first active pulse of fault window `window` on `channel`'s
-    /// epoch axis ending after `epoch` (see [`FaultWindow::pulse_after`];
-    /// staggered windows shift per channel). `None` without chaos or
-    /// when the window never activates again.
-    pub(crate) fn window_pulse_after(
-        &self,
-        window: usize,
-        channel: ChannelId,
-        epoch: u64,
-    ) -> Option<(u64, u64)> {
-        let chaos = self.chaos.as_ref()?;
-        chaos
-            .injector
-            .plan()
-            .windows()
-            .get(window)?
-            .pulse_after(channel.0 as u32, epoch)
-    }
-
-    /// Evaluates the injector over a pre-verified active-window subset
-    /// (the event kernel's edge-maintained set). Equivalent to the full
-    /// scan in [`ControlPlane::decide`] whenever `windows` holds exactly
-    /// the channel's windows whose pulses cover its current epoch.
-    pub(crate) fn active_faults(&self, id: ChannelId, windows: &[usize]) -> ActiveFaults {
-        match &self.chaos {
-            Some(c) => c
-                .injector
-                .at_windows(windows, id.0 as u32, self.channels[id.0].epochs),
-            None => ActiveFaults::default(),
-        }
     }
 
     /// The current setting of a channel (no measurement consumed).
@@ -970,11 +899,6 @@ impl ControlPlane {
     /// The channel's decider (for controller inspection).
     pub fn decider(&self, id: ChannelId) -> &Decider {
         &self.channels[id.0].decider
-    }
-
-    /// Mutable decider access (profiling capture, ablations).
-    pub fn decider_mut(&mut self, id: ChannelId) -> &mut Decider {
-        &mut self.channels[id.0].decider
     }
 
     /// The per-epoch event log so far.

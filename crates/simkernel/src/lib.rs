@@ -12,7 +12,6 @@
 //! * [`SimRng`] — a seeded random source with the distributions the
 //!   workload generators and disturbance processes need (uniform,
 //!   exponential, normal, Pareto).
-//! * [`TraceLog`] — optional bounded event trace for debugging runs.
 //!
 //! Determinism: given the same model, seed, and schedule of initial events,
 //! a simulation replays identically. All experiments in `smartconf-bench`
@@ -54,10 +53,8 @@ mod churn;
 mod rng;
 mod sim;
 mod time;
-mod trace;
 
 pub use churn::BackgroundChurn;
 pub use rng::SimRng;
 pub use sim::{Context, Model, Simulation};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEntry, TraceLog};

@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-use crate::{SimDuration, SimRng, SimTime, TraceLog};
+use crate::{SimDuration, SimRng, SimTime};
 
 /// A simulated system: an event type plus a handler.
 ///
@@ -27,7 +27,6 @@ pub trait Model {
 pub struct Context<'a, E> {
     now: SimTime,
     rng: &'a mut SimRng,
-    trace: &'a mut TraceLog,
     pending: Vec<(SimTime, E)>,
     halt: bool,
 }
@@ -70,11 +69,6 @@ impl<E> Context<'_, E> {
     /// The simulation's random source.
     pub fn rng(&mut self) -> &mut SimRng {
         self.rng
-    }
-
-    /// Appends a trace message (no-op if tracing is disabled).
-    pub fn trace(&mut self, message: impl FnOnce() -> String) {
-        self.trace.record(self.now, message);
     }
 
     /// Stops the simulation after this handler returns, discarding any
@@ -120,7 +114,6 @@ pub struct Simulation<M: Model> {
     queue: BinaryHeap<Scheduled<M::Event>>,
     seq: u64,
     rng: SimRng,
-    trace: TraceLog,
     halted: bool,
     steps: u64,
 }
@@ -145,16 +138,9 @@ impl<M: Model> Simulation<M> {
             queue: BinaryHeap::new(),
             seq: 0,
             rng: SimRng::seed_from_u64(seed),
-            trace: TraceLog::disabled(),
             halted: false,
             steps: 0,
         }
-    }
-
-    /// Enables event tracing with the given capacity.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace = TraceLog::with_capacity(capacity);
-        self
     }
 
     /// Current simulated time.
@@ -185,18 +171,6 @@ impl<M: Model> Simulation<M> {
     /// Consumes the simulation, returning the model.
     pub fn into_model(self) -> M {
         self.model
-    }
-
-    /// The trace log (empty unless enabled via [`Simulation::with_trace`]).
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
-    }
-
-    /// Time of the next scheduled event, if any. Lets an embedding
-    /// co-simulation pace its own calendar against this one without
-    /// consuming the event ([`Simulation::step`] still owns delivery).
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|s| s.at)
     }
 
     /// Schedules an event at an absolute time.
@@ -240,7 +214,6 @@ impl<M: Model> Simulation<M> {
         let mut ctx = Context {
             now: self.clock,
             rng: &mut self.rng,
-            trace: &mut self.trace,
             pending: Vec::new(),
             halt: false,
         };
@@ -377,16 +350,12 @@ mod tests {
     #[test]
     fn run_until_stops_at_deadline() {
         let mut sim = Simulation::new(recorder(), 1);
-        assert_eq!(sim.next_event_time(), None);
         sim.schedule_at(SimTime::from_micros(10), Ev::Mark(1));
         sim.schedule_at(SimTime::from_micros(50), Ev::Mark(2));
-        assert_eq!(sim.next_event_time(), Some(SimTime::from_micros(10)));
         sim.run_until(SimTime::from_micros(30));
         assert_eq!(sim.model().seen, vec![(10, 1)]);
         // Clock advanced to the deadline even though no event fired there.
         assert_eq!(sim.now(), SimTime::from_micros(30));
-        // Peeking never consumed the pending event.
-        assert_eq!(sim.next_event_time(), Some(SimTime::from_micros(50)));
         // The later event still fires afterwards.
         sim.run();
         assert_eq!(sim.model().seen.len(), 2);
