@@ -2,11 +2,11 @@
 
 use smartconf_simkernel::SimRng;
 
-/// Which keys a workload touches and how often.
+/// How popular each of `n` items is, drawn as a rank (0 = most popular).
 ///
 /// The zipfian variant implements the standard Gray et al. generator used
-/// by YCSB, with the usual skew θ = 0.99, plus FNV scrambling so popular
-/// keys are spread across the keyspace rather than clustered at 0.
+/// by YCSB, with the usual skew θ = 0.99. The soak draws its per-tenant
+/// popularity weights from it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KeyDistribution {
     /// All keys equally likely.
@@ -14,7 +14,7 @@ pub enum KeyDistribution {
         /// Number of keys.
         n: u64,
     },
-    /// Zipf-distributed popularity (scrambled).
+    /// Zipf-distributed popularity.
     Zipfian {
         /// Number of keys.
         n: u64,
@@ -42,7 +42,7 @@ impl KeyDistribution {
         KeyDistribution::Uniform { n }
     }
 
-    /// YCSB-style scrambled zipfian over `n` keys with skew `theta`.
+    /// YCSB-style zipfian over `n` keys with skew `theta`.
     ///
     /// # Panics
     ///
@@ -76,43 +76,41 @@ impl KeyDistribution {
         }
     }
 
-    /// Draws a key in `[0, n)`.
-    pub fn next_key(&self, rng: &mut SimRng) -> u64 {
-        match *self {
-            KeyDistribution::Uniform { n } => rng.uniform_u64(0, n),
-            // Scramble so hot ranks are spread over the keyspace.
-            KeyDistribution::Zipfian { n, .. } => fnv1a(self.next_rank(rng)) % n,
-        }
-    }
-
-    /// Draws the *rank* (0 = most popular) instead of the scrambled key —
-    /// useful for cache-hit modelling, where "is this one of the hottest
-    /// `k` items" is the question.
+    /// Draws a rank in `[0, n)` (0 = most popular); a zipfian rank is
+    /// exactly one draw from `rng`.
     ///
     /// Zipfian ranks follow Gray et al., "Quickly generating
     /// billion-record synthetic databases".
     pub fn next_rank(&self, rng: &mut SimRng) -> u64 {
         match *self {
             KeyDistribution::Uniform { n } => rng.uniform_u64(0, n),
-            KeyDistribution::Zipfian {
-                n,
-                theta,
-                zetan,
-                eta,
-                half_pow_theta,
-            } => {
-                let alpha = 1.0 / (1.0 - theta);
-                let u = rng.uniform(0.0, 1.0);
-                let uz = u * zetan;
-                if uz < 1.0 {
-                    return 0;
-                }
-                if uz < 1.0 + half_pow_theta {
-                    return 1;
-                }
-                ((n as f64) * (eta * u - eta + 1.0).powf(alpha)) as u64
-            }
+            KeyDistribution::Zipfian { .. } => self.zipfian_rank(rng.uniform(0.0, 1.0)),
         }
+    }
+
+    /// The zipfian rank of the uniform draw `u ∈ [0, 1)`. Gray et al.'s
+    /// closed form reaches `n` for the top few `u` (5 of the 2⁵³ at
+    /// θ = 0.99, n = 10⁴), so it is clamped to the last rank.
+    fn zipfian_rank(&self, u: f64) -> u64 {
+        let KeyDistribution::Zipfian {
+            n,
+            theta,
+            zetan,
+            eta,
+            half_pow_theta,
+        } = *self
+        else {
+            unreachable!("zipfian_rank on a uniform distribution")
+        };
+        let uz = u * zetan;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < 1.0 + half_pow_theta {
+            return 1;
+        }
+        let alpha = 1.0 / (1.0 - theta);
+        (((n as f64) * (eta * u - eta + 1.0).powf(alpha)) as u64).min(n - 1)
     }
 }
 
@@ -122,9 +120,8 @@ fn zeta(n: u64, theta: f64) -> f64 {
     (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
 }
 
-/// Memoized ζ(n, θ). The sum costs ~15 ms at the YCSB default n = 10⁶,
-/// and fleet runs construct the same few distributions thousands of
-/// times (every phase of every evaluation run builds its workload), so
+/// Memoized ζ(n, θ). The sum is one `powf` per key (~0.2 ms at the
+/// soak's n = 10⁴) and callers rebuild the same few distributions, so
 /// the handful of distinct `(n, θ)` pairs is cached process-wide. The
 /// cached value is a pure function of the key, so concurrent fleet
 /// shards always observe the same ζ regardless of interleaving.
@@ -135,7 +132,7 @@ fn zeta_memo(n: u64, theta: f64) -> f64 {
     if let Some(&(_, z)) = CACHE.lock().unwrap().iter().find(|(k, _)| *k == key) {
         return z;
     }
-    // Computed outside the lock: ζ(10⁶) takes milliseconds and other
+    // Computed outside the lock: a large ζ takes milliseconds and other
     // distributions' lookups should not stall behind it.
     let z = zeta(n, theta);
     let mut cache = CACHE.lock().unwrap();
@@ -143,16 +140,6 @@ fn zeta_memo(n: u64, theta: f64) -> f64 {
         cache.push((key, z));
     }
     z
-}
-
-/// 64-bit FNV-1a hash for key scrambling.
-fn fnv1a(x: u64) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for i in 0..8 {
-        hash ^= (x >> (8 * i)) & 0xff;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -165,7 +152,7 @@ mod tests {
         let d = KeyDistribution::uniform(10);
         let mut seen = [0u32; 10];
         for _ in 0..10_000 {
-            seen[d.next_key(&mut rng) as usize] += 1;
+            seen[d.next_rank(&mut rng) as usize] += 1;
         }
         for (k, &c) in seen.iter().enumerate() {
             assert!((700..1300).contains(&c), "key {k} drawn {c} times");
@@ -195,17 +182,18 @@ mod tests {
         let d = KeyDistribution::zipfian(100, 0.9);
         for _ in 0..5_000 {
             assert!(d.next_rank(&mut rng) < 100);
-            assert!(d.next_key(&mut rng) < 100);
         }
     }
 
     #[test]
-    fn scrambling_spreads_hot_keys() {
-        let mut rng = SimRng::seed_from_u64(4);
-        let d = KeyDistribution::ycsb_default(1_000_000);
-        // The most common *keys* should not all be tiny numbers.
-        let keys: Vec<u64> = (0..100).map(|_| d.next_key(&mut rng)).collect();
-        assert!(keys.iter().any(|&k| k > 1_000));
+    fn top_draw_clamps_to_last_rank() {
+        // The largest `u` a draw can produce: 1 − 2⁻⁵³.
+        let top = 1.0 - f64::EPSILON / 2.0;
+        for n in [10_000, 1_000_000] {
+            let d = KeyDistribution::ycsb_default(n);
+            assert_eq!(d.zipfian_rank(top), n - 1, "n = {n}");
+            assert_eq!(d.zipfian_rank(0.0), 0);
+        }
     }
 
     #[test]

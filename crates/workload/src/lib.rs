@@ -4,8 +4,8 @@
 //!
 //! * **YCSB** for the key-value stores (Cassandra, HBase) — here
 //!   [`YcsbWorkload`]: configurable read/write mix (`xW`), request size
-//!   (`yMB`), read index cache ratio (`Cz`), zipfian or uniform key
-//!   popularity, Poisson arrivals.
+//!   (`yMB`), read index cache ratio (`Cz`), Poisson arrivals. Ops carry
+//!   no key; no simulated store reads one.
 //! * **TestDFSIO** for HDFS — here [`TestDfsIoWorkload`]: one or many
 //!   clients streaming file writes, plus periodic `du` (content summary)
 //!   interrogations.

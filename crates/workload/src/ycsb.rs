@@ -2,30 +2,26 @@
 //!
 //! Table 6 of the paper describes key-value workloads by three knobs:
 //! `xW` (write fraction), `yMB` (request size), `Cz` (read index cache
-//! ratio). This generator reproduces that parameterization on top of a
-//! key-popularity distribution and an arrival process.
+//! ratio). This generator reproduces that parameterization on top of an
+//! arrival process. Ops carry no key, because no simulated store reads one.
 
 use smartconf_simkernel::SimRng;
 
-use crate::{ArrivalProcess, KeyDistribution};
+use crate::ArrivalProcess;
 
 /// One key-value operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvOp {
-    /// Read of `key`; `cached` reflects the read-index cache draw (a
-    /// cached read never touches the response path's large buffers).
+    /// A read; `cached` reflects the read-index cache draw (a cached read
+    /// never touches the response path's large buffers).
     Read {
-        /// Key identifier.
-        key: u64,
         /// Response payload size in bytes.
         size_bytes: u64,
         /// Whether the read hits the index cache (`Cz` knob).
         cached: bool,
     },
-    /// Write of `key` with a payload.
+    /// A write with a payload.
     Write {
-        /// Key identifier.
-        key: u64,
         /// Payload size in bytes.
         size_bytes: u64,
     },
@@ -45,8 +41,7 @@ impl KvOp {
     }
 }
 
-/// A YCSB-style workload: op mix, request size, cache ratio, key
-/// popularity, arrivals.
+/// A YCSB-style workload: op mix, request size, cache ratio, arrivals.
 ///
 /// # Example
 ///
@@ -65,7 +60,6 @@ pub struct YcsbWorkload {
     write_fraction: f64,
     request_bytes: u64,
     cache_ratio: f64,
-    keys: KeyDistribution,
     arrivals: ArrivalProcess,
 }
 
@@ -75,7 +69,6 @@ impl YcsbWorkload {
     /// * `write_fraction` — fraction of operations that are writes.
     /// * `request_bytes` — payload size per operation.
     /// * `cache_ratio` — probability a read hits the index cache (`Cz`).
-    /// * `keys` — key popularity.
     /// * `arrivals` — arrival process.
     ///
     /// # Panics
@@ -86,7 +79,6 @@ impl YcsbWorkload {
         write_fraction: f64,
         request_bytes: u64,
         cache_ratio: f64,
-        keys: KeyDistribution,
         arrivals: ArrivalProcess,
     ) -> Self {
         assert!(
@@ -102,7 +94,6 @@ impl YcsbWorkload {
             write_fraction,
             request_bytes,
             cache_ratio,
-            keys,
             arrivals,
         }
     }
@@ -124,55 +115,23 @@ impl YcsbWorkload {
             frac,
             (request_mb * 1e6) as u64,
             cache_ratio,
-            KeyDistribution::ycsb_default(1_000_000),
-            ArrivalProcess::poisson_rate(rate_per_sec),
-        )
-    }
-
-    /// The classic YCSB workload A: 50/50 read-write, zipfian keys.
-    pub fn workload_a(request_bytes: u64, rate_per_sec: f64) -> Self {
-        YcsbWorkload::new(
-            0.5,
-            request_bytes,
-            0.0,
-            KeyDistribution::ycsb_default(1_000_000),
-            ArrivalProcess::poisson_rate(rate_per_sec),
-        )
-    }
-
-    /// YCSB workload B: 95% reads, 5% writes (read-mostly).
-    pub fn workload_b(request_bytes: u64, rate_per_sec: f64) -> Self {
-        YcsbWorkload::new(
-            0.05,
-            request_bytes,
-            0.0,
-            KeyDistribution::ycsb_default(1_000_000),
-            ArrivalProcess::poisson_rate(rate_per_sec),
-        )
-    }
-
-    /// YCSB workload C: read-only.
-    pub fn workload_c(request_bytes: u64, rate_per_sec: f64) -> Self {
-        YcsbWorkload::new(
-            0.0,
-            request_bytes,
-            0.0,
-            KeyDistribution::ycsb_default(1_000_000),
             ArrivalProcess::poisson_rate(rate_per_sec),
         )
     }
 
     /// Draws the next operation.
     pub fn next_op(&self, rng: &mut SimRng) -> KvOp {
-        let key = self.keys.next_key(rng);
+        // This slot once drew a zipfian key (one draw) that no plant read.
+        // The draw stays: every committed render, digest and pin replays
+        // these streams, and the write and cache draws must land where
+        // they always have.
+        rng.next_u64();
         if rng.chance(self.write_fraction) {
             KvOp::Write {
-                key,
                 size_bytes: self.request_bytes,
             }
         } else {
             KvOp::Read {
-                key,
                 size_bytes: self.request_bytes,
                 cached: rng.chance(self.cache_ratio),
             }
@@ -208,6 +167,51 @@ impl YcsbWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KeyDistribution;
+
+    /// `next_op` as it was while ops carried a zipfian key: the key draw,
+    /// the write draw, then (reads only) the cache draw. Returns
+    /// `(is_write, size_bytes, cached)`.
+    fn keyed_next_op(
+        w: &YcsbWorkload,
+        keys: &KeyDistribution,
+        rng: &mut SimRng,
+    ) -> (bool, u64, bool) {
+        let _key = keys.next_rank(rng);
+        let write = rng.chance(w.write_fraction());
+        let cached = !write && rng.chance(w.cache_ratio());
+        (write, w.request_bytes(), cached)
+    }
+
+    #[test]
+    fn op_stream_matches_keyed_reference() {
+        // A zipfian rank is one draw whatever `n`, so a small keyspace
+        // stands in for the old 10⁶ one.
+        let keys = KeyDistribution::ycsb_default(1_000);
+        for seed in [1, 7, 42, 0xdead_beef] {
+            for spec in ["0.0W", "0.3W", "1.0W"] {
+                for cache in [0.0, 0.5] {
+                    let w = YcsbWorkload::paper(spec, 1.0, cache, 100.0);
+                    let mut now = SimRng::seed_from_u64(seed);
+                    let mut then = SimRng::seed_from_u64(seed);
+                    for i in 0..1_000 {
+                        let op = w.next_op(&mut now);
+                        let cached = matches!(op, KvOp::Read { cached: true, .. });
+                        assert_eq!(
+                            (op.is_write(), op.size_bytes(), cached),
+                            keyed_next_op(&w, &keys, &mut then),
+                            "seed {seed} {spec} C{cache}: op {i} moved"
+                        );
+                    }
+                    assert_eq!(
+                        now.next_u64(),
+                        then.next_u64(),
+                        "seed {seed} {spec} C{cache}: draw count moved"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn op_mix_matches_fraction() {
@@ -254,17 +258,20 @@ mod tests {
 
     #[test]
     fn workload_presets() {
-        assert_eq!(YcsbWorkload::workload_a(1000, 50.0).write_fraction(), 0.5);
-        assert_eq!(YcsbWorkload::workload_b(1000, 50.0).write_fraction(), 0.05);
-        assert_eq!(YcsbWorkload::workload_c(1000, 50.0).write_fraction(), 0.0);
+        // YCSB's A (update-heavy), B (read-mostly) and C (read-only) mixes.
+        for (spec, frac) in [("0.5W", 0.5), ("0.05W", 0.05), ("0.0W", 0.0)] {
+            let w = YcsbWorkload::paper(spec, 0.001, 0.0, 50.0);
+            assert_eq!(w.write_fraction(), frac);
+        }
         let mut rng = SimRng::seed_from_u64(1);
-        let c = YcsbWorkload::workload_c(1000, 50.0);
+        let c = YcsbWorkload::paper("0.0W", 0.001, 0.0, 50.0);
+        assert_eq!(c.request_bytes(), 1000);
         assert!((0..200).all(|_| !c.next_op(&mut rng).is_write()));
     }
 
     #[test]
     fn set_arrivals_swaps_process() {
-        let mut w = YcsbWorkload::workload_a(1000, 50.0);
+        let mut w = YcsbWorkload::paper("0.5W", 0.001, 0.0, 50.0);
         w.set_arrivals(ArrivalProcess::poisson_rate(200.0));
         assert!((w.arrivals().mean_rate() - 200.0).abs() < 1.0);
     }
@@ -283,7 +290,7 @@ mod tests {
 
     #[test]
     fn deterministic_stream() {
-        let w = YcsbWorkload::workload_a(1000, 50.0);
+        let w = YcsbWorkload::paper("0.5W", 0.001, 0.0, 50.0);
         let mut r1 = SimRng::seed_from_u64(9);
         let mut r2 = SimRng::seed_from_u64(9);
         for _ in 0..100 {
