@@ -34,6 +34,10 @@
 //! * **O(1)-memory tails** — each (scenario, cohort) keeps one
 //!   [`QuantileSketch`] of goal-overshoot ratios; sketches merge across
 //!   shards in work-item order. No per-tenant epoch logs exist.
+//! * **Memory in flight** — [`FleetExecutor::fold`] merges each chunk's
+//!   sketches into the run's totals as soon as every earlier chunk has
+//!   been merged, so a run holds the chunk outputs in flight, not one
+//!   per chunk.
 //!
 //! Byte-identity at 1 vs N threads holds because shards are pure
 //! functions of their work item and merging happens in item order. The
@@ -522,20 +526,27 @@ pub fn soak_run(
         }
     }
 
-    let outputs = executor.execute(&items, |_, item: &SoakItem| {
-        run_chunk(config, &scenarios[item.scenario].template, item)
-    });
-
-    // Merge chunk outputs per (scenario, arm, cohort), in work-item order.
+    // Each chunk's output merges into its (scenario, arm, cohort) totals
+    // as soon as every earlier chunk has, so only the chunks in flight
+    // are ever held, and the merge order is the work-item order.
     let n_cohorts = config.periods_us.len();
-    let mut merged: Vec<Vec<CohortAccum>> = (0..scenarios.len() * n_arms)
+    let totals: Vec<Vec<CohortAccum>> = (0..scenarios.len() * n_arms)
         .map(|_| (0..n_cohorts).map(|_| CohortAccum::new()).collect())
         .collect();
-    for (item, chunk) in items.iter().zip(&outputs) {
-        for (cohort, accum) in chunk.iter().enumerate() {
-            merged[item.scenario * n_arms + item.arm][cohort].merge(accum);
-        }
-    }
+    let merged = executor.fold(
+        &items,
+        totals,
+        |_, item: &SoakItem| run_chunk(config, &scenarios[item.scenario].template, item),
+        |merged, i, chunk| {
+            let item = &items[i];
+            for (total, accum) in merged[item.scenario * n_arms + item.arm]
+                .iter_mut()
+                .zip(&chunk)
+            {
+                total.merge(accum);
+            }
+        },
+    );
 
     // Scenario-major, arm-minor report order: `scenarios[0]` stays the
     // first scenario's clean arm, so clean-arm readers are untouched.
@@ -673,7 +684,7 @@ pub fn cross_check_run(
             items.push((si, tenant));
         }
     }
-    let outputs = executor.execute(&items, |_, &(si, tenant): &(usize, u64)| {
+    let run_plant = |_, &(si, tenant): &(usize, u64)| {
         let s = &scenarios[si];
         let profiles = cache.profiles(si, s.as_ref(), config.seed);
         let class_idx = (tenant % SOAK_FAULT_CLASSES.len() as u64) as usize;
@@ -729,12 +740,14 @@ pub fn cross_check_run(
             }
         }
         sketch
-    });
-
-    let mut merged: Vec<QuantileSketch> = scenarios.iter().map(|_| QuantileSketch::new()).collect();
-    for (&(si, _), sketch) in items.iter().zip(&outputs) {
-        merged[si].merge(sketch);
-    }
+    };
+    // Each plant's sketch merges into its scenario total as soon as every
+    // earlier plant's has, in item order.
+    let totals = scenarios.iter().map(|_| QuantileSketch::new()).collect();
+    let merged: Vec<QuantileSketch> =
+        executor.fold(&items, totals, run_plant, |merged, i, sketch| {
+            merged[items[i].0].merge(&sketch)
+        });
     CrossCheckReport {
         tenants_per_scenario: real_tenants,
         scenarios: merged

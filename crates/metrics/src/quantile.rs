@@ -18,7 +18,10 @@
 //!   [`QuantileSketch::RELATIVE_ERROR`] for in-range values.
 //!
 //! Memory is O(1): 2048 × 8-byte buckets (16 KiB) per sketch, however
-//! many values are recorded.
+//! many values are recorded — and nothing until the sketch holds a
+//! value: the buckets are allocated by the first finite record (or the
+//! first merge of a non-empty sketch), so a sketch nothing reaches costs
+//! only its few scalar fields.
 
 /// Mantissa bits used for sub-bucketing: 2⁵ = 32 sub-buckets per octave.
 const SUB_BITS: u32 = 5;
@@ -41,6 +44,9 @@ fn pow2(e: i32) -> f64 {
 /// A mergeable fixed-bin log-bucketed quantile sketch for positive
 /// values.
 ///
+/// A sketch holds its 16 KiB of buckets only once it holds a value: a
+/// new sketch, and one fed only non-finite values, allocates none.
+///
 /// # Example
 ///
 /// ```
@@ -59,6 +65,7 @@ fn pow2(e: i32) -> f64 {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
+    /// Empty exactly when `count == 0`; otherwise [`Self::BINS`] long.
     bins: Vec<u64>,
     count: u64,
     sum: f64,
@@ -82,10 +89,10 @@ impl QuantileSketch {
     /// sample quantile.
     pub const RELATIVE_ERROR: f64 = 1.0 / (2 * SUBS) as f64;
 
-    /// An empty sketch.
+    /// An empty sketch; it allocates no buckets until it holds a value.
     pub fn new() -> Self {
         QuantileSketch {
-            bins: vec![0; Self::BINS],
+            bins: Vec::new(),
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
@@ -134,6 +141,12 @@ impl QuantileSketch {
     /// `-0.0` keeps the one seen first.
     #[inline]
     pub fn record_all(&mut self, values: &[f64]) {
+        if self.bins.is_empty() {
+            if !values.iter().any(|v| v.is_finite()) {
+                return;
+            }
+            self.bins = vec![0; Self::BINS];
+        }
         let (mut count, mut sum, mut min, mut max) = (self.count, self.sum, self.min, self.max);
         for &value in values {
             if !value.is_finite() {
@@ -152,8 +165,12 @@ impl QuantileSketch {
     /// order-independent up to the float `sum` (which callers fold in a
     /// fixed work-item order for byte determinism).
     pub fn merge(&mut self, other: &QuantileSketch) {
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
+        if self.bins.is_empty() {
+            self.bins.clone_from(&other.bins);
+        } else {
+            for (a, b) in self.bins.iter_mut().zip(&other.bins) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -442,6 +459,98 @@ mod tests {
         assert_eq!(one.quantile(0.0), 7.25);
         assert_eq!(one.quantile(0.999), 7.25);
         assert_eq!(one.mean(), 7.25);
+    }
+
+    /// Every query a reader can make, as bits, so `-0.0`/`0.0` and NaN
+    /// payloads count as differences.
+    fn queries(s: &QuantileSketch) -> Vec<u64> {
+        let mut out = vec![s.count(), s.is_empty() as u64];
+        out.extend([s.mean(), s.min(), s.max()].map(f64::to_bits));
+        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            out.push(s.quantile(q).to_bits());
+        }
+        for t in [0.5, 1.0, 2.0, 1e9] {
+            out.push(s.fraction_above(t).to_bits());
+        }
+        out
+    }
+
+    #[test]
+    fn bins_exist_exactly_when_a_value_does() {
+        let fresh = QuantileSketch::new();
+        assert!(fresh.bins.is_empty() && fresh.count() == 0);
+        let mut blank = QuantileSketch::new();
+        blank.record(f64::NAN);
+        blank.record_all(&[f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        blank.record_all(&[]);
+        blank.merge(&QuantileSketch::new());
+        assert!(blank.bins.is_empty() && blank.count() == 0);
+        assert_eq!(blank, fresh);
+        assert_eq!(queries(&blank), queries(&fresh));
+
+        let mut one = QuantileSketch::new();
+        one.record_all(&[f64::NAN, 3.5]);
+        assert_eq!((one.bins.len(), one.count()), (QuantileSketch::BINS, 1));
+        let mut merged = QuantileSketch::new();
+        merged.merge(&one);
+        assert_eq!(
+            (merged.bins.len(), merged.count()),
+            (QuantileSketch::BINS, 1)
+        );
+    }
+
+    #[test]
+    fn merging_an_empty_sketch_is_the_identity() {
+        let mut a = QuantileSketch::new();
+        a.record_all(&[0.25, 7.0, 1.5, -0.0, 0.0, 1e-15, 3e11, 1.0]);
+        let empty = QuantileSketch::new();
+        let mut right = a.clone();
+        right.merge(&empty);
+        let mut left = empty.clone();
+        left.merge(&a);
+        for merged in [&right, &left] {
+            assert_eq!(merged, &a);
+            assert_eq!(merged.sum.to_bits(), a.sum.to_bits());
+            assert_eq!(queries(merged), queries(&a));
+        }
+    }
+
+    proptest::proptest! {
+        /// A stream recorded in chunks, each chunk its own sketch merged
+        /// in order into a fresh total (the soak's fold), equals the
+        /// one-stream recording bit for bit, `sum` included. Values are
+        /// multiples of 2⁻⁸ below 2¹⁶, so every partial sum is exact and
+        /// re-association cannot move a bit; non-finite values ride
+        /// along and must be skipped on both sides.
+        #[test]
+        fn chunked_recording_merged_in_order_equals_one_stream(
+            raw in proptest::collection::vec(0u32..(1 << 24), 0..400),
+            cuts in proptest::collection::vec(0usize..400, 0..12),
+        ) {
+            let values: Vec<f64> = raw
+                .iter()
+                .map(|&r| match r % 41 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    _ => f64::from(r) / 256.0,
+                })
+                .collect();
+            let mut one = QuantileSketch::new();
+            one.record_all(&values);
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(values.len())).collect();
+            bounds.extend([0, values.len()]);
+            bounds.sort_unstable();
+            let mut total = QuantileSketch::new();
+            for w in bounds.windows(2) {
+                let mut part = QuantileSketch::new();
+                part.record_all(&values[w[0]..w[1]]);
+                proptest::prop_assert_eq!(part.bins.is_empty(), part.count() == 0);
+                total.merge(&part);
+            }
+            proptest::prop_assert_eq!(&total, &one);
+            proptest::prop_assert_eq!(total.sum.to_bits(), one.sum.to_bits());
+            proptest::prop_assert_eq!(queries(&total), queries(&one));
+        }
     }
 
     #[test]

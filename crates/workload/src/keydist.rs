@@ -2,46 +2,29 @@
 
 use smartconf_simkernel::SimRng;
 
-/// How popular each of `n` items is, drawn as a rank (0 = most popular).
+/// How popular each of `n` items is, drawn as a zipfian rank (0 = most
+/// popular).
 ///
-/// The zipfian variant implements the standard Gray et al. generator used
-/// by YCSB, with the usual skew θ = 0.99. The soak draws its per-tenant
-/// popularity weights from it.
+/// Implements the standard Gray et al. generator used by YCSB, with the
+/// usual skew θ = 0.99. The soak draws its per-tenant popularity weights
+/// from it.
 #[derive(Debug, Clone, PartialEq)]
-pub enum KeyDistribution {
-    /// All keys equally likely.
-    Uniform {
-        /// Number of keys.
-        n: u64,
-    },
-    /// Zipf-distributed popularity.
-    Zipfian {
-        /// Number of keys.
-        n: u64,
-        /// Skew parameter θ in `(0, 1)`; YCSB uses 0.99.
-        theta: f64,
-        /// Precomputed ζ(n, θ).
-        zetan: f64,
-        /// Precomputed η of the Gray et al. generator (a pure function of
-        /// `n`, `theta`, and `zetan`, hoisted out of the per-draw path).
-        eta: f64,
-        /// Precomputed `0.5^θ`: a draw is rank 1 below `ζ(2, θ) = 1 + 0.5^θ`
-        /// (hoisted out of the per-draw path like `eta`).
-        half_pow_theta: f64,
-    },
+pub struct KeyDistribution {
+    /// Number of keys.
+    n: u64,
+    /// Skew parameter θ in `(0, 1)`; YCSB uses 0.99.
+    theta: f64,
+    /// Precomputed ζ(n, θ).
+    zetan: f64,
+    /// Precomputed η of the Gray et al. generator (a pure function of
+    /// `n`, `theta`, and `zetan`, hoisted out of the per-draw path).
+    eta: f64,
+    /// Precomputed `0.5^θ`: a draw is rank 1 below `ζ(2, θ) = 1 + 0.5^θ`
+    /// (hoisted out of the per-draw path like `eta`).
+    half_pow_theta: f64,
 }
 
 impl KeyDistribution {
-    /// Uniform distribution over `n` keys.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn uniform(n: u64) -> Self {
-        assert!(n > 0, "key space must be non-empty");
-        KeyDistribution::Uniform { n }
-    }
-
     /// YCSB-style zipfian over `n` keys with skew `theta`.
     ///
     /// # Panics
@@ -55,7 +38,7 @@ impl KeyDistribution {
         );
         let zetan = zeta_memo(n, theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta(2, theta) / zetan);
-        KeyDistribution::Zipfian {
+        KeyDistribution {
             n,
             theta,
             zetan,
@@ -69,39 +52,26 @@ impl KeyDistribution {
         Self::zipfian(n, 0.99)
     }
 
-    /// Number of keys in the keyspace.
-    pub fn key_count(&self) -> u64 {
-        match *self {
-            KeyDistribution::Uniform { n } | KeyDistribution::Zipfian { n, .. } => n,
-        }
-    }
-
-    /// Draws a rank in `[0, n)` (0 = most popular); a zipfian rank is
-    /// exactly one draw from `rng`.
+    /// Draws a rank in `[0, n)` (0 = most popular) with exactly one draw
+    /// from `rng`.
     ///
-    /// Zipfian ranks follow Gray et al., "Quickly generating
-    /// billion-record synthetic databases".
+    /// Ranks follow Gray et al., "Quickly generating billion-record
+    /// synthetic databases".
     pub fn next_rank(&self, rng: &mut SimRng) -> u64 {
-        match *self {
-            KeyDistribution::Uniform { n } => rng.uniform_u64(0, n),
-            KeyDistribution::Zipfian { .. } => self.zipfian_rank(rng.uniform(0.0, 1.0)),
-        }
+        self.zipfian_rank(rng.uniform(0.0, 1.0))
     }
 
     /// The zipfian rank of the uniform draw `u ∈ [0, 1)`. Gray et al.'s
     /// closed form reaches `n` for the top few `u` (5 of the 2⁵³ at
     /// θ = 0.99, n = 10⁴), so it is clamped to the last rank.
     fn zipfian_rank(&self, u: f64) -> u64 {
-        let KeyDistribution::Zipfian {
+        let KeyDistribution {
             n,
             theta,
             zetan,
             eta,
             half_pow_theta,
-        } = *self
-        else {
-            unreachable!("zipfian_rank on a uniform distribution")
-        };
+        } = *self;
         let uz = u * zetan;
         if uz < 1.0 {
             return 0;
@@ -147,19 +117,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uniform_covers_keyspace() {
-        let mut rng = SimRng::seed_from_u64(1);
-        let d = KeyDistribution::uniform(10);
-        let mut seen = [0u32; 10];
-        for _ in 0..10_000 {
-            seen[d.next_rank(&mut rng) as usize] += 1;
-        }
-        for (k, &c) in seen.iter().enumerate() {
-            assert!((700..1300).contains(&c), "key {k} drawn {c} times");
-        }
-    }
-
-    #[test]
     fn zipfian_is_skewed() {
         let mut rng = SimRng::seed_from_u64(2);
         let d = KeyDistribution::ycsb_default(10_000);
@@ -197,15 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn key_count_accessor() {
-        assert_eq!(KeyDistribution::uniform(5).key_count(), 5);
-        assert_eq!(KeyDistribution::ycsb_default(7).key_count(), 7);
-    }
-
-    #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_keyspace_panics() {
-        let _ = KeyDistribution::uniform(0);
+        let _ = KeyDistribution::ycsb_default(0);
     }
 
     #[test]
