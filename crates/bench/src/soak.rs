@@ -15,18 +15,21 @@
 //! * **Batched dispatch** — tenants are hashed into cohorts by sensing
 //!   period and driven by [`run_cohort_calendar`]: the simkernel heap
 //!   carries one event per (cohort, tick), the callback sweeps the
-//!   cohort's lanes, and idle (churned-out) tenants cost one branch.
+//!   cohort's lanes, and idle (churned-out) tenants cost nothing.
 //! * **Struct-of-arrays lanes** — a chunk's tenants live in per-cohort
 //!   lanes, not per-tenant records: a hoisted jitter key
 //!   ([`TrafficShape::jitter_key`]) and a weight per tenant, then the
 //!   arm's state — one actuated setting on the clean arm, a
 //!   [`SoakSlab`] plus its hoisted fault schedule
 //!   ([`TenantFaultWindows::schedule`]) on a fault arm. Residents fill
-//!   the first lanes and skip the churn test; only churners carry a
-//!   window. That is 24 bytes per resident on the clean arm (+16 per
-//!   churner) and 88 on a fault arm, against the 96-byte record every
-//!   tenant carried before. Each tick's overshoots reach the cohort
-//!   sketch in one batch ([`QuantileSketch::record_all`]).
+//!   the first lanes; only churners carry a window. Churners follow in
+//!   arrival order, laid out again by descending departure once the
+//!   cohort's last one has arrived, so each tick's active tenants are a
+//!   prefix of the lanes and a sweep tests no window. That is 24 bytes
+//!   per resident on the clean arm (+16 per churner) and 88 on a fault
+//!   arm, against the 96-byte record every tenant carried before. Each
+//!   tick's live prefix of overshoots reaches the cohort sketch in one
+//!   batch ([`QuantileSketch::record_all`]).
 //! * **Stateless traffic** — diurnal wave, flash crowd, churn, and
 //!   per-tenant zipfian weights all come from [`TrafficShape`]'s pure
 //!   per-`(seed, tenant, epoch)` hashes, so chunked parallel execution
@@ -231,8 +234,13 @@ pub fn build_templates(seed: u64) -> Vec<SoakScenario> {
 /// `i` of every vector is one tenant. Everything per-tenant-constant is
 /// hashed once when the lanes are built, so a sweep touches only what
 /// changes per decision. Resident tenants (the ~75 % that never churn)
-/// fill lanes `0..residents` and skip the arrival/departure test; lane
-/// `residents + k` churns over `window[k]`.
+/// fill lanes `0..residents`; churners follow, ordered so that the
+/// tenants active at any tick are exactly the prefix
+/// `0..residents + live`: by arrival until the cohort's last churner has
+/// arrived, then, once, by descending departure. That needs every
+/// churner to arrive before any churner departs, which
+/// [`TrafficShape::churn_window`] guarantees (`arrive < horizon / 2 ≤
+/// depart`) and [`Lanes::new`] asserts.
 struct Lanes<S> {
     /// [`TrafficShape::jitter_key`] per tenant.
     jitter: Vec<u64>,
@@ -245,98 +253,192 @@ struct Lanes<S> {
     residents: usize,
     /// Churners' `[arrive_us, depart_us)` windows, in lane order.
     window: Vec<(u64, u64)>,
+    /// Churner lanes `residents..residents + live` are active.
+    live: usize,
+    /// Whether the churners are in departure order (all have arrived).
+    departing: bool,
 }
 
 /// The churn window of a tenant resident for the whole run.
 const RESIDENT: (u64, u64) = (0, u64::MAX);
 
+/// Top bit of a tenant's lane tag in [`build_lanes`]: set for a churner;
+/// the low bits hold the cohort.
+const CHURNER: u16 = 1 << 15;
+
 /// Lanes the tenants of `item` into their cohorts, `make(cohort, id)`
-/// giving each its arm state: count every cohort's residents and
-/// churners, size the lanes exactly, then fill them residents first.
+/// giving each its arm state. One hash pass tags every tenant with its
+/// cohort and whether it churns, counting each cohort's residents and
+/// churners; the ids are then laid out residents first, in lanes sized
+/// exactly, and each lane draws its weights, states, churn windows and
+/// jitter keys in a loop of its own. A churner's window is hashed again
+/// there (a quarter of the tenants), which is cheaper than keeping every
+/// window of the chunk.
 fn build_lanes<S>(
     config: &SoakConfig,
     item: &SoakItem,
     make: impl Fn(usize, u64) -> S,
 ) -> Vec<Lanes<S>> {
     let n_cohorts = config.periods_us.len();
+    assert!(n_cohorts < CHURNER as usize, "{n_cohorts} cohorts");
     let seed = shard_seed(config.seed, item.scenario as u64);
-    let dist = KeyDistribution::ycsb_default(10_000);
     let traffic = &config.traffic;
-    let ids = item.start..item.start + item.len;
-    let cohort_of = |id: u64| (shard_seed(seed, id) % n_cohorts as u64) as usize;
     let window_of = |id: u64| traffic.churn_window(seed, id, config.horizon_us);
+    let ids = item.start..item.start + item.len;
     let mut sizes = vec![(0, 0); n_cohorts];
-    for id in ids.clone() {
-        let (all, churners) = &mut sizes[cohort_of(id)];
-        *all += 1;
-        *churners += (window_of(id) != RESIDENT) as usize;
-    }
-    let mut lanes: Vec<Lanes<S>> = sizes
-        .iter()
-        .map(|&(all, churners)| Lanes {
-            jitter: Vec::with_capacity(all),
-            weight: Vec::with_capacity(all),
-            state: Vec::with_capacity(all),
-            residents: all - churners,
-            window: Vec::with_capacity(churners),
+    let tags: Vec<u16> = ids
+        .clone()
+        .map(|id| {
+            let cohort = (shard_seed(seed, id) % n_cohorts as u64) as usize;
+            let churns = window_of(id) != RESIDENT;
+            let (all, churners) = &mut sizes[cohort];
+            *all += 1;
+            *churners += churns as usize;
+            cohort as u16 | if churns { CHURNER } else { 0 }
         })
         .collect();
-    for churners in [false, true] {
-        for id in ids.clone() {
-            let window = window_of(id);
-            if (window != RESIDENT) != churners {
-                continue;
-            }
-            let cohort = cohort_of(id);
-            let l = &mut lanes[cohort];
-            l.jitter.push(TrafficShape::jitter_key(seed, id));
-            l.weight.push(traffic.tenant_weight(seed, id, &dist));
-            l.state.push(make(cohort, id));
-            if churners {
-                l.window.push(window);
+    let mut lane_ids: Vec<Vec<u64>> = sizes
+        .iter()
+        .map(|&(all, _)| Vec::with_capacity(all))
+        .collect();
+    for churners in [0, CHURNER] {
+        for (id, &tag) in ids.clone().zip(&tags) {
+            if tag & CHURNER == churners {
+                lane_ids[(tag & !CHURNER) as usize].push(id);
             }
         }
     }
-    lanes
+    drop(tags);
+    let dist = KeyDistribution::ycsb_default(10_000);
+    lane_ids
+        .into_iter()
+        .zip(sizes)
+        .enumerate()
+        .map(|(cohort, (mut ids, (all, churners)))| {
+            let residents = all - churners;
+            let weight = ids
+                .iter()
+                .map(|&id| traffic.tenant_weight(seed, id, &dist))
+                .collect();
+            let state = ids.iter().map(|&id| make(cohort, id)).collect();
+            let window = ids[residents..].iter().map(|&id| window_of(id)).collect();
+            for id in &mut ids {
+                *id = TrafficShape::jitter_key(seed, *id);
+            }
+            Lanes::new(ids, weight, state, residents, window)
+        })
+        .collect()
 }
 
 impl<S> Lanes<S> {
+    /// Lanes from per-tenant vectors in step, residents first, with the
+    /// churners (lanes `residents..`, windows in `window`) reordered by
+    /// arrival.
+    ///
+    /// # Panics
+    ///
+    /// If a churner departs before another arrives: no single lane order
+    /// would then keep the active tenants a prefix.
+    fn new(
+        jitter: Vec<u64>,
+        weight: Vec<f64>,
+        state: Vec<S>,
+        residents: usize,
+        window: Vec<(u64, u64)>,
+    ) -> Lanes<S> {
+        let last_arrival = window.iter().map(|&(arrive, _)| arrive).max();
+        let first_departure = window.iter().map(|&(_, depart)| depart).min();
+        if let (Some(arrive), Some(depart)) = (last_arrival, first_departure) {
+            assert!(
+                arrive < depart,
+                "a churner departs at {depart} µs before the last arrives at {arrive} µs"
+            );
+        }
+        let mut lanes = Lanes {
+            jitter,
+            weight,
+            state,
+            residents,
+            window,
+            live: 0,
+            departing: false,
+        };
+        lanes.order_churners(|&(arrive, _)| arrive);
+        lanes
+    }
+
+    /// Reorders the churner lanes, every vector in step, so that
+    /// `key(window)` ascends; ties keep their current order.
+    fn order_churners<K: Ord>(&mut self, key: impl Fn(&(u64, u64)) -> K) {
+        // `(key, lane)` pairs sort contiguously; the lane breaks ties.
+        let mut order: Vec<(K, usize)> = self.window.iter().map(key).zip(0..).collect();
+        order.sort_unstable();
+        // Lane `i` takes what lane `order[i].1` held, one cycle at a time;
+        // a visited lane's entry becomes `usize::MAX`.
+        let r = self.residents;
+        for start in 0..order.len() {
+            let mut at = start;
+            loop {
+                let from = std::mem::replace(&mut order[at].1, usize::MAX);
+                if from == usize::MAX || from == start {
+                    break;
+                }
+                self.jitter.swap(r + at, r + from);
+                self.weight.swap(r + at, r + from);
+                self.state.swap(r + at, r + from);
+                self.window.swap(at, from);
+                at = from;
+            }
+        }
+    }
+
+    /// How many lanes are active at `now`: the residents plus the
+    /// churners in `[arrive, depart)`, which are the next lanes in order.
+    /// Ticks must come in time order. Once every churner has arrived
+    /// (none has departed yet), the churners are reordered by descending
+    /// departure, so departures shrink the prefix from its end.
+    fn active(&mut self, now: u64) -> usize {
+        let churners = self.window.len();
+        if !self.departing {
+            while self.live < churners && self.window[self.live].0 <= now {
+                self.live += 1;
+            }
+            if self.live < churners {
+                return self.residents + self.live;
+            }
+            self.order_churners(|&(_, depart)| std::cmp::Reverse(depart));
+            self.departing = true;
+        }
+        while self.live > 0 && self.window[self.live - 1].1 <= now {
+            self.live -= 1;
+        }
+        self.residents + self.live
+    }
+
     /// One tick's sweep at `now`: `decide(jitter_key, weight, state)`
-    /// runs for every active tenant and its overshoot lands in the
-    /// tenant's lane of `out`. Inactive churners get NaN, which the
-    /// cohort sketch skips, so `out` feeds the sketch as one batch.
-    /// `decide` is called from two loops; callers mark it
-    /// `#[inline(always)]`, or LLVM outlines it and every decision pays
-    /// a call.
+    /// runs for every active tenant, its overshoot landing in the
+    /// tenant's lane of `out`, and the active prefix of `out` is
+    /// returned for the cohort sketch to take as one batch. Callers mark
+    /// `decide` `#[inline(always)]` so every decision is inlined into
+    /// the loop.
     #[inline(always)]
-    fn sweep(
+    fn sweep<'o>(
         &mut self,
         now: u64,
-        out: &mut [f64],
+        out: &'o mut [f64],
         mut decide: impl FnMut(u64, f64, &mut S) -> f64,
-    ) {
-        let r = self.residents;
-        let (state, churn_state) = self.state.split_at_mut(r);
-        let (out, churn_out) = out.split_at_mut(r);
-        let (jitter, churn_jitter) = self.jitter.split_at(r);
-        let (weight, churn_weight) = self.weight.split_at(r);
-        let residents = out.iter_mut().zip(state).zip(jitter).zip(weight);
-        for (((o, s), &key), &w) in residents {
+    ) -> &'o [f64] {
+        let n = self.active(now);
+        let out = &mut out[..n];
+        let lanes = out
+            .iter_mut()
+            .zip(&mut self.state[..n])
+            .zip(&self.jitter[..n])
+            .zip(&self.weight[..n]);
+        for (((o, s), &key), &w) in lanes {
             *o = decide(key, w, s);
         }
-        let churners = churn_out
-            .iter_mut()
-            .zip(churn_state)
-            .zip(churn_jitter)
-            .zip(churn_weight)
-            .zip(&self.window);
-        for ((((o, s), &key), &w), &(arrive, depart)) in churners {
-            *o = if now >= arrive && now < depart {
-                decide(key, w, s)
-            } else {
-                f64::NAN
-            };
-        }
+        out
     }
 }
 
@@ -415,18 +517,16 @@ fn drive<S, T>(
             let base_load = traffic.base_load(now);
             let ctx = tick(cohort, epoch);
             let accum = &mut accums[cohort];
-            let l = &mut lanes[cohort];
-            let out = &mut overshoots[..l.state.len()];
-            l.sweep(
+            let live = lanes[cohort].sweep(
                 now,
-                out,
+                &mut overshoots,
                 #[inline(always)]
                 |key, weight, state| {
                     let jitter = traffic.jitter_at(key, epoch);
                     decide(&ctx, accum, base_load * weight, jitter, state)
                 },
             );
-            accum.sketch.record_all(out);
+            accum.sketch.record_all(live);
         },
     );
     accums
@@ -1235,6 +1335,104 @@ mod tests {
         };
         let odd = soak_run(&rechunked, &scenarios, &FleetExecutor::new(3));
         assert_eq!(serial.render(), odd.render());
+    }
+
+    #[test]
+    fn soak_senses_equal_recomputed_residency() {
+        // Every cohort senses once per calendar tick per tenant inside its
+        // `[arrive, depart)` window, recomputed here tick by tick from
+        // `churn_window`. The µs-scale horizon puts many window edges
+        // exactly on ticks, which pins `>= arrive` and `< depart`.
+        let scenarios = toy_scenarios();
+        let shapes = [
+            (tiny_config().horizon_us, tiny_config().periods_us),
+            (60, vec![1, 2, 5]),
+        ];
+        for (horizon_us, periods_us) in shapes {
+            for churn_fraction in [0.25, 1.0] {
+                for chunk in [1, 17, 64] {
+                    let config = SoakConfig {
+                        horizon_us,
+                        periods_us: periods_us.clone(),
+                        chunk,
+                        traffic: TrafficShape {
+                            churn_fraction,
+                            ..TrafficShape::standard()
+                        },
+                        ..tiny_config()
+                    };
+                    let n = config.periods_us.len() as u64;
+                    let report = soak_run(&config, &scenarios, &FleetExecutor::new(1));
+                    for (i, s) in report.scenarios.iter().enumerate() {
+                        let seed = shard_seed(config.seed, (i / config.arms.len()) as u64);
+                        let mut expected = vec![0u64; config.periods_us.len()];
+                        for id in 0..config.tenants {
+                            let cohort = (shard_seed(seed, id) % n) as usize;
+                            let (arrive, depart) =
+                                config.traffic.churn_window(seed, id, horizon_us);
+                            let period = config.periods_us[cohort];
+                            expected[cohort] += (1..)
+                                .map(|k| k * period)
+                                .take_while(|&t| t < horizon_us)
+                                .filter(|&t| t >= arrive && t < depart)
+                                .count() as u64;
+                        }
+                        let senses: Vec<u64> = s.cohorts.iter().map(|c| c.senses).collect();
+                        assert_eq!(
+                            senses, expected,
+                            "{} [{}] horizon {horizon_us} churn {churn_fraction} chunk {chunk}",
+                            s.scenario, s.arm
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Hand-made lanes whose state is the tenant id: residents 100 and
+    /// 101, then churners `0..` over `windows`.
+    fn hand_lanes(windows: &[(u64, u64)]) -> Lanes<u64> {
+        let ids: Vec<u64> = [100, 101]
+            .into_iter()
+            .chain(0..windows.len() as u64)
+            .collect();
+        Lanes::new(ids.clone(), vec![1.0; ids.len()], ids, 2, windows.to_vec())
+    }
+
+    #[test]
+    fn live_prefix_is_exactly_the_active_tenants() {
+        // Arrivals 0..=8, departures 9..=30, ties on both sides and a
+        // one-tick window: the last arrival (8) precedes the first
+        // departure (9).
+        let windows = [(5, 20), (0, 12), (8, 30), (3, 9), (8, 9), (5, 12)];
+        let mut lanes = hand_lanes(&windows);
+        for now in 0..=32 {
+            let n = lanes.active(now);
+            let mut live = lanes.state[..n].to_vec();
+            live.sort_unstable();
+            let mut expected: Vec<u64> = (0..windows.len() as u64)
+                .filter(|&k| {
+                    let (arrive, depart) = windows[k as usize];
+                    now >= arrive && now < depart
+                })
+                .chain([100, 101])
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(live, expected, "at {now}");
+            // Lanes move in step with their windows.
+            for (lane, &id) in lanes.state[2..].iter().enumerate() {
+                assert_eq!(lanes.window[lane], windows[id as usize]);
+            }
+        }
+        // No churners: the residents alone, at every tick.
+        let mut residents = hand_lanes(&[]);
+        assert_eq!((residents.active(0), residents.active(99)), (2, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "before the last arrives")]
+    fn a_churner_departing_before_another_arrives_is_refused() {
+        hand_lanes(&[(0, 10), (20, 30)]);
     }
 
     #[test]

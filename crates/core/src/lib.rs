@@ -68,7 +68,7 @@
 //! | §5.3 indirect configs | [`SmartConfIndirect`], [`Transducer`] |
 //! | §5.4 interacting configs | [`Controller::set_interaction`], [`Registry::interaction_count`] |
 //! | §4.1 system/app files | [`Registry`] |
-//! | §4.1 sensors | [`Sensor`], [`SharedGauge`] |
+//! | §4.1 sensors | [`Sensor`] |
 //! | §5.5 profiling capture | [`ProfilingCapture`] |
 //! | online adaptation (extension) | [`PerfModel`], [`RlsModel`], [`adaptive_pole`] |
 
@@ -96,12 +96,9 @@ pub use error::{Error, Result};
 pub use goal::{Goal, Hardness, Sense};
 pub use manager::{ConfManager, ManagedConf};
 pub use model::{GainModel, LinearFit, ModelMode, PerfModel, RlsModel};
-pub use pole::{
-    adaptive_pole, pole_from_delta, pole_from_model, pole_from_profile, ADAPTIVE_DOUBT_POLE,
-    MAX_POLE,
-};
+pub use pole::{adaptive_pole, pole_from_delta, pole_from_profile, ADAPTIVE_DOUBT_POLE, MAX_POLE};
 pub use profile::{ProfilePoint, ProfileSet};
 pub use registry::{ConfEntry, Registry};
-pub use sensor::{ConstSensor, FnSensor, LatencyWindow, MedianFilter, Sensor, SharedGauge};
+pub use sensor::{MedianFilter, Sensor};
 pub use synth::ControllerBuilder;
 pub use transducer::{FnTransducer, IdentityTransducer, ScaleOffsetTransducer, Transducer};

@@ -8,7 +8,7 @@
 //! (else `p = 0`) guarantees convergence as long as the true response is
 //! within `Δ` of the model [Hellerstein et al.; Filieri et al.].
 
-use crate::{PerfModel, ProfileSet};
+use crate::ProfileSet;
 
 /// Computes the pole for a given model-error bound `Δ`.
 ///
@@ -63,19 +63,6 @@ pub const ADAPTIVE_DOUBT_POLE: f64 = 0.9;
 pub fn adaptive_pole(base: f64, confidence: f64) -> f64 {
     let doubt = 1.0 - confidence.clamp(0.0, 1.0);
     base.max(ADAPTIVE_DOUBT_POLE * doubt).clamp(0.0, MAX_POLE)
-}
-
-/// Computes the synthesis-time pole for a model over profiling data with
-/// error bound `Δ`: frozen models get exactly the §5.1 pole
-/// ([`pole_from_delta`]), adaptive models additionally respect their
-/// seeded confidence via [`adaptive_pole`].
-pub fn pole_from_model(model: &impl PerfModel, delta: f64) -> f64 {
-    let base = pole_from_delta(delta);
-    if model.is_adaptive() {
-        adaptive_pole(base, model.confidence())
-    } else {
-        base
-    }
 }
 
 #[cfg(test)]
@@ -158,14 +145,5 @@ mod tests {
         // Out-of-range confidence clamps.
         assert_eq!(adaptive_pole(0.2, 7.0), 0.2);
         assert_eq!(adaptive_pole(0.2, -3.0), ADAPTIVE_DOUBT_POLE);
-    }
-
-    #[test]
-    fn pole_from_model_matches_delta_pole_for_frozen() {
-        use crate::LinearFit;
-        let fit = LinearFit::from_parts(2.0, 0.0);
-        for delta in [1.0, 2.5, 4.0, 10.0] {
-            assert_eq!(pole_from_model(&fit, delta), pole_from_delta(delta));
-        }
     }
 }

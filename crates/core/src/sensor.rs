@@ -3,191 +3,15 @@
 //! The paper requires developers to "provide a sensor that measures the
 //! performance metric M to be controlled" (§4.1.1), citing existing ones
 //! like MapReduce's `MemHeapUsedM`. In this library a sensor is anything
-//! implementing [`Sensor`]; [`SharedGauge`] is the common case of a value
-//! one subsystem publishes and the control site reads.
+//! implementing [`Sensor`]; [`MedianFilter`] is the admission check a
+//! guarded control site puts between a sensor and its controller.
 
 use std::fmt;
-use std::sync::Arc;
-
-use std::sync::Mutex;
-
-use smartconf_metrics::Histogram;
 
 /// A source of performance measurements.
 pub trait Sensor: fmt::Debug + Send {
     /// Takes the current measurement.
     fn measure(&mut self) -> f64;
-}
-
-/// A sensor that always reports the same value (useful in tests and as a
-/// placeholder during bring-up).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstSensor(pub f64);
-
-impl Sensor for ConstSensor {
-    fn measure(&mut self) -> f64 {
-        self.0
-    }
-}
-
-/// Adapter turning a closure into a [`Sensor`].
-pub struct FnSensor<F> {
-    f: F,
-}
-
-impl<F: FnMut() -> f64> FnSensor<F> {
-    /// Wraps a closure.
-    pub fn new(f: F) -> Self {
-        FnSensor { f }
-    }
-}
-
-impl<F> fmt::Debug for FnSensor<F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FnSensor").finish_non_exhaustive()
-    }
-}
-
-impl<F: FnMut() -> f64 + Send> Sensor for FnSensor<F> {
-    fn measure(&mut self) -> f64 {
-        (self.f)()
-    }
-}
-
-/// A thread-safe gauge: one side publishes values, the other reads them
-/// as a [`Sensor`].
-///
-/// # Example
-///
-/// ```
-/// use smartconf_core::{Sensor, SharedGauge};
-///
-/// let gauge = SharedGauge::new(0.0);
-/// let mut sensor = gauge.clone();
-/// gauge.set(412.5); // e.g. the heap monitor publishes used MB
-/// assert_eq!(sensor.measure(), 412.5);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SharedGauge {
-    value: Arc<Mutex<f64>>,
-}
-
-impl SharedGauge {
-    /// Creates a gauge with an initial value.
-    pub fn new(initial: f64) -> Self {
-        SharedGauge {
-            value: Arc::new(Mutex::new(initial)),
-        }
-    }
-
-    /// Publishes a new value.
-    pub fn set(&self, v: f64) {
-        *self.value.lock().unwrap() = v;
-    }
-
-    /// Adds to the current value (e.g. allocation deltas).
-    pub fn add(&self, dv: f64) {
-        *self.value.lock().unwrap() += dv;
-    }
-
-    /// Reads the current value without consuming the sensor.
-    pub fn get(&self) -> f64 {
-        *self.value.lock().unwrap()
-    }
-}
-
-impl Sensor for SharedGauge {
-    fn measure(&mut self) -> f64 {
-        self.get()
-    }
-}
-
-/// A shared sliding-window tail-latency sensor.
-///
-/// The serving path records per-request latencies through a clone; the
-/// control site measures the configured percentile over the window, which
-/// then resets — exactly the "worst-case latency since the last
-/// adjustment" signal the latency-goal case studies (HB2149, HD4995)
-/// feed their controllers.
-///
-/// # Example
-///
-/// ```
-/// use smartconf_core::{LatencyWindow, Sensor};
-///
-/// let window = LatencyWindow::p99();
-/// let recorder = window.clone();
-/// for us in [900, 1_100, 50_000] {
-///     recorder.record_us(us); // called on every request
-/// }
-/// let mut sensor = window.clone();
-/// assert!(sensor.measure() >= 50.0); // p99 in milliseconds
-/// // The window reset: with no new samples the sensor reports 0.
-/// assert_eq!(sensor.measure(), 0.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct LatencyWindow {
-    inner: Arc<Mutex<Histogram>>,
-    percentile: f64,
-}
-
-impl LatencyWindow {
-    /// Creates a window reporting the given percentile in `[0, 100]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `percentile` is outside `[0, 100]`.
-    pub fn new(percentile: f64) -> Self {
-        assert!(
-            (0.0..=100.0).contains(&percentile),
-            "percentile must be in [0, 100], got {percentile}"
-        );
-        LatencyWindow {
-            inner: Arc::new(Mutex::new(Histogram::new())),
-            percentile,
-        }
-    }
-
-    /// A 99th-percentile window (the paper's "99 percentile read
-    /// latency" super-hard goal example, §5.4).
-    pub fn p99() -> Self {
-        Self::new(99.0)
-    }
-
-    /// A worst-case (100th percentile) window.
-    pub fn worst_case() -> Self {
-        Self::new(100.0)
-    }
-
-    /// Records one latency in microseconds.
-    pub fn record_us(&self, latency_us: u64) {
-        self.inner.lock().unwrap().record(latency_us);
-    }
-
-    /// Number of samples currently in the window.
-    pub fn len(&self) -> u64 {
-        self.inner.lock().unwrap().count()
-    }
-
-    /// Whether the window holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Sensor for LatencyWindow {
-    /// Returns the window's percentile **in milliseconds** and resets the
-    /// window; returns `0.0` when no sample arrived since the last
-    /// measurement (the controller treats that as "no news").
-    fn measure(&mut self) -> f64 {
-        let mut hist = self.inner.lock().unwrap();
-        let value = hist
-            .percentile(self.percentile)
-            .map(|us| us as f64 / 1_000.0)
-            .unwrap_or(0.0);
-        hist.reset();
-        value
-    }
 }
 
 /// Sensor-admission filter: rejects non-finite readings and spikes far
@@ -282,90 +106,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn const_sensor() {
-        let mut s = ConstSensor(3.5);
-        assert_eq!(s.measure(), 3.5);
-        assert_eq!(s.measure(), 3.5);
-    }
-
-    #[test]
-    fn fn_sensor_stateful() {
-        let mut n = 0.0;
-        let mut s = FnSensor::new(move || {
-            n += 1.0;
-            n
-        });
-        assert_eq!(s.measure(), 1.0);
-        assert_eq!(s.measure(), 2.0);
-    }
-
-    #[test]
-    fn shared_gauge_publishes_across_clones() {
-        let g = SharedGauge::new(1.0);
-        let mut reader = g.clone();
-        g.set(2.0);
-        assert_eq!(reader.measure(), 2.0);
-        g.add(0.5);
-        assert_eq!(reader.measure(), 2.5);
-        assert_eq!(g.get(), 2.5);
-    }
-
-    #[test]
-    fn shared_gauge_across_threads() {
-        let g = SharedGauge::new(0.0);
-        let writer = g.clone();
-        let handle = std::thread::spawn(move || {
-            for i in 1..=100 {
-                writer.set(i as f64);
-            }
-        });
-        handle.join().unwrap();
-        assert_eq!(g.get(), 100.0);
-    }
-
-    #[test]
     fn sensors_are_object_safe() {
-        let mut sensors: Vec<Box<dyn Sensor>> = vec![
-            Box::new(ConstSensor(1.0)),
-            Box::new(SharedGauge::new(2.0)),
-            Box::new(FnSensor::new(|| 3.0)),
-            Box::new(LatencyWindow::p99()),
-        ];
-        let vals: Vec<f64> = sensors.iter_mut().map(|s| s.measure()).collect();
-        assert_eq!(vals, vec![1.0, 2.0, 3.0, 0.0]);
-    }
-
-    #[test]
-    fn latency_window_percentiles_and_reset() {
-        let w = LatencyWindow::worst_case();
-        for us in [1_000, 2_000, 100_000] {
-            w.record_us(us);
-        }
-        assert_eq!(w.len(), 3);
-        let mut sensor = w.clone();
-        assert_eq!(sensor.measure(), 100.0); // worst case, in ms
-        assert!(w.is_empty(), "window resets after measurement");
-        assert_eq!(sensor.measure(), 0.0);
-    }
-
-    #[test]
-    fn latency_window_shared_across_threads() {
-        let w = LatencyWindow::new(50.0);
-        let recorder = w.clone();
-        let handle = std::thread::spawn(move || {
-            for _ in 0..100 {
-                recorder.record_us(5_000);
+        #[derive(Debug)]
+        struct Reading(f64);
+        impl Sensor for Reading {
+            fn measure(&mut self) -> f64 {
+                self.0
             }
-        });
-        handle.join().unwrap();
-        let mut sensor = w;
-        assert!((sensor.measure() - 5.0).abs() < 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile")]
-    fn bad_percentile_panics() {
-        let _ = LatencyWindow::new(120.0);
+        }
+        let mut sensors: Vec<Box<dyn Sensor>> =
+            vec![Box::new(Reading(1.0)), Box::new(Reading(2.0))];
+        let vals: Vec<f64> = sensors.iter_mut().map(|s| s.measure()).collect();
+        assert_eq!(vals, vec![1.0, 2.0]);
     }
 
     #[test]

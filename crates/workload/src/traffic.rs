@@ -195,8 +195,10 @@ impl TrafficShape {
     /// The tenant's active window `[arrive_us, depart_us)` over a run of
     /// `horizon_us`. A seed-chosen [`TrafficShape::churn_fraction`] of
     /// tenants arrive somewhere in the first half of the horizon and
-    /// depart somewhere in the second half; everyone else is resident
-    /// for the whole run. A pure function of its arguments.
+    /// depart somewhere in the second half (`arrive < horizon_us / 2 ≤
+    /// depart` for `horizon_us ≥ 2`), so every churner arrives before any
+    /// churner departs; everyone else is resident for the whole run. A
+    /// pure function of its arguments.
     pub fn churn_window(&self, seed: u64, tenant: u64, horizon_us: u64) -> (u64, u64) {
         let h = mix3(seed, CHURN_STREAM, tenant);
         if hash01(h) >= self.churn_fraction {
@@ -343,7 +345,10 @@ mod tests {
             assert!(a < d, "window inverted for {tenant}");
             if (a, d) != (0, u64::MAX) {
                 churners += 1;
-                assert!(a <= horizon / 2);
+                // Strict on the arrival side: every churner arrives
+                // before any churner departs, which the soak's live-prefix
+                // lane order relies on.
+                assert!(a < horizon / 2, "{tenant} arrives at {a}");
                 assert!(d >= horizon / 2 && d <= horizon);
             }
         }
