@@ -56,12 +56,6 @@ impl SmartConf {
         self.capture = Some(capture);
     }
 
-    /// Disables profiling capture, returning it (flushing is the
-    /// capture's own concern — it flushes on drop).
-    pub fn disable_profiling(&mut self) -> Option<ProfilingCapture> {
-        self.capture.take()
-    }
-
     /// Configuration name (e.g. `"ipc.server.max.queue.size"`).
     pub fn name(&self) -> &str {
         &self.name
@@ -194,11 +188,6 @@ impl SmartConfIndirect {
     /// [`SmartConfIndirect::set_perf`] also records `(deputy, actual)`.
     pub fn enable_profiling(&mut self, capture: ProfilingCapture) {
         self.capture = Some(capture);
-    }
-
-    /// Disables profiling capture, returning it.
-    pub fn disable_profiling(&mut self) -> Option<ProfilingCapture> {
-        self.capture.take()
     }
 
     /// Configuration name.
@@ -378,5 +367,39 @@ mod tests {
             assert!(setting <= 10.0);
         }
         assert!(sc.goal_unreachable());
+    }
+
+    #[test]
+    fn profiling_capture_records_setting_and_deputy() {
+        let dir = std::env::temp_dir().join(format!("sc-conf-capture-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut direct = SmartConf::new("d", controller(1.0, 100.0, (0.0, 1e6), 0.0));
+        direct.enable_profiling(ProfilingCapture::new(&dir, "d", 100));
+        let mut indirect = SmartConfIndirect::new("i", controller(1.0, 100.0, (0.0, 1e6), 0.0));
+        indirect.enable_profiling(ProfilingCapture::new(&dir, "i", 100));
+        for actual in [40.0, 70.0] {
+            direct.set_perf(actual);
+            direct.conf();
+        }
+        for (actual, deputy) in [(30.0, 20.0), (90.0, 70.0)] {
+            indirect.set_perf(actual, deputy);
+            indirect.conf();
+        }
+        drop((direct, indirect)); // the captures flush on drop
+
+        let samples = |name| -> Vec<(f64, f64)> {
+            let profile = ProfilingCapture::load(&dir, name).unwrap();
+            profile
+                .points()
+                .iter()
+                .map(|p| (p.setting, p.perf))
+                .collect()
+        };
+        // Direct: the setting in force when each reading arrived
+        // (0, then 0 + (100 - 40) = 60).
+        assert_eq!(samples("d"), vec![(0.0, 40.0), (60.0, 70.0)]);
+        // Indirect: the observed deputy, not the controller's setting.
+        assert_eq!(samples("i"), vec![(20.0, 30.0), (70.0, 90.0)]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

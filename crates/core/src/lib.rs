@@ -80,7 +80,6 @@ mod conf;
 mod controller;
 mod error;
 mod goal;
-mod manager;
 mod model;
 mod pole;
 mod profile;
@@ -94,11 +93,10 @@ pub use conf::{SmartConf, SmartConfIndirect};
 pub use controller::{ControlLaw, Controller, Law};
 pub use error::{Error, Result};
 pub use goal::{Goal, Hardness, Sense};
-pub use manager::{ConfManager, ManagedConf};
 pub use model::{GainModel, LinearFit, ModelMode, PerfModel, RlsModel};
 pub use pole::{adaptive_pole, pole_from_delta, pole_from_profile, ADAPTIVE_DOUBT_POLE, MAX_POLE};
 pub use profile::{ProfilePoint, ProfileSet};
 pub use registry::{ConfEntry, Registry};
 pub use sensor::{MedianFilter, Sensor};
 pub use synth::ControllerBuilder;
-pub use transducer::{FnTransducer, IdentityTransducer, ScaleOffsetTransducer, Transducer};
+pub use transducer::{FnTransducer, IdentityTransducer, Transducer};

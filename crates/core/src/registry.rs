@@ -161,17 +161,6 @@ impl Registry {
         self.profiling
     }
 
-    /// Enables or disables profiling capture.
-    pub fn set_profiling(&mut self, on: bool) -> &mut Self {
-        self.profiling = on;
-        self
-    }
-
-    /// Configuration names in the registry, sorted.
-    pub fn conf_names(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
-    }
-
     /// Looks up a configuration entry.
     pub fn entry(&self, name: &str) -> Option<&ConfEntry> {
         self.entries.get(name)
@@ -410,15 +399,6 @@ impl Registry {
         write(path.as_ref(), &self.to_sys_string())
     }
 
-    /// Writes the application configuration file to disk.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Io`] on write failure.
-    pub fn save_app_file(&self, path: impl AsRef<Path>) -> Result<()> {
-        write(path.as_ref(), &self.to_app_string())
-    }
-
     /// Loads profiling samples for `conf` from a
     /// `<ConfName>.SmartConf.sys` file.
     ///
@@ -586,6 +566,22 @@ mod tests {
         .unwrap();
         reg.add_profile("max.queue.size", profile_2x());
         reg
+    }
+
+    fn registry() -> Registry {
+        let mut reg = Registry::new();
+        reg.add_indirect_conf("q.size", "memory", 0.0, (0.0, 2_000.0));
+        reg.add_conf("cache.size", "latency", 10.0, (0.0, 2_000.0));
+        reg
+    }
+
+    #[test]
+    fn registry_round_trips_indirect_flag() {
+        let reg = registry();
+        let mut reg2 = Registry::new();
+        reg2.parse_sys_str(&reg.to_sys_string()).unwrap();
+        assert!(reg2.entry("q.size").unwrap().indirect);
+        assert!(!reg2.entry("cache.size").unwrap().indirect);
     }
 
     #[test]

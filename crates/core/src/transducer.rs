@@ -41,37 +41,6 @@ impl Transducer for IdentityTransducer {
     }
 }
 
-/// An affine transducer `conf = scale · deputy + offset`.
-///
-/// Covers configurations expressed in different units than their deputy
-/// (bytes vs. entries) or with a fixed slack.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScaleOffsetTransducer {
-    scale: f64,
-    offset: f64,
-}
-
-impl ScaleOffsetTransducer {
-    /// Creates a transducer computing `scale · deputy + offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either parameter is not finite.
-    pub fn new(scale: f64, offset: f64) -> Self {
-        assert!(
-            scale.is_finite() && offset.is_finite(),
-            "transducer parameters must be finite, got ({scale}, {offset})"
-        );
-        ScaleOffsetTransducer { scale, offset }
-    }
-}
-
-impl Transducer for ScaleOffsetTransducer {
-    fn transduce(&self, deputy_desired: f64) -> f64 {
-        self.scale * deputy_desired + self.offset
-    }
-}
-
 /// Adapter turning any closure into a [`Transducer`] — the "developers can
 /// customize a subclass" path of the paper's Figure 4.
 pub struct FnTransducer<F> {
@@ -109,18 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_offset() {
-        let t = ScaleOffsetTransducer::new(2.0, 10.0);
-        assert_eq!(t.transduce(5.0), 20.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be finite")]
-    fn non_finite_scale_panics() {
-        let _ = ScaleOffsetTransducer::new(f64::NAN, 0.0);
-    }
-
-    #[test]
     fn closure_transducer() {
         let t = FnTransducer::new(|x: f64| x.round().max(1.0));
         assert_eq!(t.transduce(0.2), 1.0);
@@ -131,7 +88,7 @@ mod tests {
     fn trait_objects_work() {
         let ts: Vec<Box<dyn Transducer>> = vec![
             Box::new(IdentityTransducer),
-            Box::new(ScaleOffsetTransducer::new(1.0, 1.0)),
+            Box::new(FnTransducer::new(|x: f64| x + 1.0)),
             Box::new(FnTransducer::new(|x: f64| x * 2.0)),
         ];
         let outs: Vec<f64> = ts.iter().map(|t| t.transduce(3.0)).collect();

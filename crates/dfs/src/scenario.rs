@@ -407,8 +407,9 @@ mod tests {
     #[test]
     fn adaptive_relearn_closes_seed_43_plant_restart_gap() {
         // Seed 43's HD4995 PlantRestart chaos run violates the hard
-        // latency goal under the frozen model (the restart hands back a
-        // stale profile and a REPROFILE request nothing services); the
+        // latency goal under the frozen model (the restart resets the
+        // controller to its initial setting and logs REPROFILE, but
+        // nothing re-profiles, so the stale profile stays); the
         // adaptive estimator relearns in place through the restart and
         // holds the goal. Both halves are pinned so the gap's closure
         // doesn't silently regress (and so the frozen gap's eventual

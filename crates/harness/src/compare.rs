@@ -53,20 +53,6 @@ impl Comparison {
         self.run_for(baseline).map(|r| self.smart.speedup_over(r))
     }
 
-    /// Whether SmartConf both satisfied the constraint and kept its
-    /// trade-off within `tolerance` of a named baseline (speedup
-    /// ≥ `1/tolerance`). `true` when the baseline did not resolve —
-    /// there is nothing to lose to.
-    pub fn smart_competitive_with(&self, baseline: Baseline, tolerance: f64) -> bool {
-        if !self.smart.constraint_ok {
-            return false;
-        }
-        match self.speedup_over(baseline) {
-            Some(speedup) => !speedup.is_nan() && speedup >= 1.0 / tolerance,
-            None => true,
-        }
-    }
-
     /// Panics with a scenario-labelled message unless SmartConf
     /// satisfied its constraint while every resolved baseline in
     /// `expected_failing` violated its own. This is the shared
@@ -274,9 +260,7 @@ mod tests {
     #[test]
     fn competitiveness_and_fix_assertions() {
         let c = compare(&Toy, &[Baseline::BuggyDefault, Baseline::Optimal], 1);
-        // 95 vs optimal 100: within 10 %, not within 1 %.
-        assert!(c.smart_competitive_with(Baseline::Optimal, 1.10));
-        assert!(!c.smart_competitive_with(Baseline::Optimal, 1.01));
+        // 95 vs optimal 100.
         assert_eq!(c.speedup_over(Baseline::Optimal), Some(0.95));
         c.assert_smart_fixes_defaults(&[Baseline::BuggyDefault]);
     }
@@ -331,7 +315,7 @@ mod tests {
         let c = compare(&NoDefaults, &[Baseline::BuggyDefault, Baseline::Optimal], 1);
         assert!(c.run_for(Baseline::BuggyDefault).is_none());
         assert!(c.run_for(Baseline::Optimal).is_none());
-        assert!(c.smart_competitive_with(Baseline::Optimal, 1.0));
+        assert_eq!(c.speedup_over(Baseline::Optimal), None);
         c.assert_smart_fixes_defaults(&[Baseline::BuggyDefault]);
     }
 }

@@ -24,7 +24,7 @@ pub use fleet::{
     fleet_work_items, run_fleet, FleetReport, FleetWorkItem, Policy, ProfileCache, ShardReport,
 };
 pub use outcome::{RunResult, TradeoffDirection};
-pub use report::{epoch_summary, TextTable};
+pub use report::TextTable;
 pub use scenario::{Faults, RunSpec, Scenario};
 pub use soak::{
     CohortReport, ScenarioSoakReport, SlabGuardPolicy, SoakReport, SoakSlab, SoakTemplate,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use smartconf_runtime::EpochLog;
-
 /// A simple fixed-width text table.
 ///
 /// # Example
@@ -83,69 +81,9 @@ impl fmt::Display for TextTable {
     }
 }
 
-/// Summarizes a control plane's epoch log as one table row per channel:
-/// decision count, final setting, saturation fraction, and worst
-/// tracking error. This is the report view of the runtime's structured
-/// [`smartconf_runtime::EpochEvent`] stream.
-pub fn epoch_summary(log: &EpochLog) -> TextTable {
-    let mut table = TextTable::new(vec![
-        "channel",
-        "epochs",
-        "last setting",
-        "saturated",
-        "max |error|",
-    ]);
-    for name in log.channels() {
-        let epochs = log.events_for(name).count();
-        table.row(vec![
-            name.clone(),
-            epochs.to_string(),
-            log.last_setting(name)
-                .map(|v| format!("{v:.1}"))
-                .unwrap_or_else(|| "-".into()),
-            log.saturation_fraction(name)
-                .map(|f| format!("{:.0}%", f * 100.0))
-                .unwrap_or_else(|| "-".into()),
-            log.max_abs_error(name)
-                .map(|v| format!("{v:.2}"))
-                .unwrap_or_else(|| "-".into()),
-        ]);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartconf_runtime::EpochEvent;
-
-    #[test]
-    fn epoch_summary_rows_per_channel() {
-        let mut log = EpochLog::new(vec!["conf.a".into(), "conf.b".into()]);
-        log.push(EpochEvent {
-            epoch: 0,
-            t_us: 0,
-            channel: 0,
-            setting: 90.0,
-            measured: 450.0,
-            target: 470.0,
-            error: 20.0,
-            pole: 0.9,
-            saturated: true,
-            faults: Default::default(),
-            guards: Default::default(),
-        });
-        let t = epoch_summary(&log);
-        assert_eq!(t.len(), 2);
-        let s = t.to_string();
-        assert!(s.contains("conf.a"));
-        assert!(s.contains("90.0"));
-        assert!(s.contains("100%"));
-        assert!(s.contains("20.00"));
-        // The channel that never decided renders placeholders.
-        assert!(s.contains("conf.b"));
-        assert!(s.contains('-'));
-    }
 
     #[test]
     fn renders_aligned_columns() {

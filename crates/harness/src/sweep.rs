@@ -32,11 +32,6 @@ impl StaticSweep {
     pub fn nonoptimal_run(&self) -> Option<(f64, &RunResult)> {
         self.nonoptimal.map(|i| (self.runs[i].0, &self.runs[i].1))
     }
-
-    /// How many candidates satisfied the constraint.
-    pub fn satisfying_count(&self) -> usize {
-        self.runs.iter().filter(|(_, r)| r.constraint_ok).count()
-    }
 }
 
 /// Runs every candidate static setting of `scenario` (in parallel) and
@@ -127,7 +122,8 @@ mod tests {
     fn sweep_finds_optimal_and_nonoptimal() {
         let sweep = sweep_statics(&Toy, 1);
         assert_eq!(sweep.runs.len(), 4);
-        assert_eq!(sweep.satisfying_count(), 3);
+        let satisfying = sweep.runs.iter().filter(|(_, r)| r.constraint_ok);
+        assert_eq!(satisfying.count(), 3);
         let (best, _) = sweep.optimal_run().unwrap();
         assert_eq!(best, 100.0);
         let (worst, _) = sweep.nonoptimal_run().unwrap();
@@ -171,7 +167,7 @@ mod tests {
         let sweep = sweep_statics(&Hopeless, 1);
         assert!(sweep.optimal_run().is_none());
         assert!(sweep.nonoptimal_run().is_none());
-        assert_eq!(sweep.satisfying_count(), 0);
+        assert!(sweep.runs.iter().all(|(_, r)| !r.constraint_ok));
     }
 
     /// Lower-is-better directionality.

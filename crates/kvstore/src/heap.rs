@@ -6,9 +6,9 @@ use std::collections::BTreeMap;
 /// capacity.
 ///
 /// The hard goals of the key-value case studies are all "heap usage must
-/// stay below the JVM limit"; exceeding [`HeapModel::capacity_bytes`] is
-/// an OutOfMemoryError, which in the simulators crashes the server (the
-/// run halts and is marked failed).
+/// stay below the JVM limit"; exceeding the capacity given to
+/// [`HeapModel::new`] is an OutOfMemoryError, which in the simulators
+/// crashes the server (the run halts and is marked failed).
 ///
 /// # Example
 ///
@@ -43,11 +43,6 @@ impl HeapModel {
         }
     }
 
-    /// The hard capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity
-    }
-
     /// Sets a named component's usage.
     pub fn set_component(&mut self, name: &'static str, bytes: u64) {
         self.components.insert(name, bytes);
@@ -79,11 +74,6 @@ impl HeapModel {
     pub fn is_oom(&self) -> bool {
         self.used_bytes() > self.capacity
     }
-
-    /// Utilization in `[0, ∞)` (1.0 = exactly full).
-    pub fn utilization(&self) -> f64 {
-        self.used_bytes() as f64 / self.capacity as f64
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +89,6 @@ mod tests {
         assert_eq!(h.free_bytes(), 500);
         assert_eq!(h.component("a"), 200);
         assert_eq!(h.component("missing"), 0);
-        assert!((h.utilization() - 0.5).abs() < 1e-12);
     }
 
     #[test]

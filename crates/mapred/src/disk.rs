@@ -4,8 +4,8 @@
 /// usage of co-located tenants (logs, other jobs' shuffle), and the map
 /// task spills this cluster writes.
 ///
-/// Exceeding [`WorkerDisk::capacity_bytes`] is an out-of-disk failure —
-/// MR2820's hard constraint.
+/// Exceeding the capacity given to [`WorkerDisk::new`] is an
+/// out-of-disk failure — MR2820's hard constraint.
 ///
 /// # Example
 ///
@@ -43,11 +43,6 @@ impl WorkerDisk {
             other: 0,
             spills: 0,
         }
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity
     }
 
     /// Sets the co-tenant usage (driven by a churn process).

@@ -95,15 +95,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample variance (`m2 / (n − 1)`), or `0.0` with fewer than two samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.population_variance().sqrt()
@@ -189,7 +180,6 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
     }
@@ -213,13 +203,6 @@ mod tests {
         assert!(close(s.population_variance(), 4.0));
         assert!(close(s.std_dev(), 2.0));
         assert!(close(s.coefficient_of_variation(), 0.4));
-    }
-
-    #[test]
-    fn sample_variance_uses_n_minus_one() {
-        let s: OnlineStats = [1.0, 3.0].into_iter().collect();
-        assert!(close(s.sample_variance(), 2.0));
-        assert!(close(s.population_variance(), 1.0));
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //! mean/max error, saturation), so a summary is one lookup rather than
 //! a rescan of the channel's events.
 
-use smartconf_metrics::TimeSeries;
-
 use crate::fault::FaultSet;
 use crate::guard::GuardSet;
 
@@ -431,35 +429,6 @@ impl EpochLog {
         );
         summary.and_then(|s| s.max_abs_error)
     }
-
-    /// The setting trajectory as a time series named after the channel
-    /// (this is the "conf" series the figure drivers plot).
-    pub fn setting_series(&self, name: &str) -> TimeSeries {
-        self.series_of(name, name, |e| e.setting)
-    }
-
-    /// The sensed-metric trajectory, named `<channel>.measured`.
-    pub fn measured_series(&self, name: &str) -> TimeSeries {
-        self.series_of(name, &format!("{name}.measured"), |e| e.measured)
-    }
-
-    /// The tracking-error trajectory, named `<channel>.error`.
-    pub fn error_series(&self, name: &str) -> TimeSeries {
-        self.series_of(name, &format!("{name}.error"), |e| e.error)
-    }
-
-    /// The pole-in-effect trajectory, named `<channel>.pole`.
-    pub fn pole_series(&self, name: &str) -> TimeSeries {
-        self.series_of(name, &format!("{name}.pole"), |e| e.pole)
-    }
-
-    fn series_of(&self, channel: &str, series: &str, f: impl Fn(&EpochEvent) -> f64) -> TimeSeries {
-        let mut ts = TimeSeries::new(series);
-        for e in self.events_for(channel) {
-            ts.push(e.t_us, f(e));
-        }
-        ts
-    }
 }
 
 #[cfg(test)]
@@ -519,18 +488,6 @@ mod tests {
         assert_eq!(s.faults_injected, 1);
         assert_eq!(s.guard_activations, 2);
         assert_eq!(s.fallback_epochs, 1);
-    }
-
-    #[test]
-    fn series_extraction() {
-        let log = log();
-        let s = log.setting_series("a");
-        assert_eq!(s.name(), "a");
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.value_at(1_000), Some(95.0));
-        assert_eq!(log.measured_series("b").name(), "b.measured");
-        assert_eq!(log.error_series("a").len(), 2);
-        assert_eq!(log.pole_series("a").value_at(0), Some(0.5));
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //!    epochs of a hard goal, the channel degrades to its profiled-safe
 //!    static fallback setting and re-engages after `cooldown_epochs`.
 //! 5. **Restart recovery** — a plant restart resets the controller to
-//!    its initial setting, clears guard state, and raises a re-profiling
-//!    request the embedder can poll.
+//!    its initial setting and clears guard state. A frozen-model channel
+//!    logs [`GuardSet::REPROFILE`] (its model cannot change without a
+//!    fresh profile; nothing re-profiles it in-run), an adaptive one
+//!    resets its estimator and logs [`GuardSet::RELEARN`].
 //!
 //! Arm a plane with [`ControlPlane::enable_chaos`](crate::ControlPlane::enable_chaos);
 //! every activation is recorded on the epoch event as a [`GuardSet`].
@@ -56,14 +58,16 @@ impl GuardSet {
     pub const REENGAGE: GuardSet = GuardSet(1 << 6);
     /// Anti-windup back-calculated the integrator to the applied value.
     pub const ANTI_WINDUP: GuardSet = GuardSet(1 << 7);
-    /// A restart raised the channel's re-profiling request.
+    /// A restart reset a frozen-model channel to its initial setting.
+    /// Its model could only change with a fresh profile, which nothing
+    /// takes in-run; the bit marks the epoch in the log.
     pub const REPROFILE: GuardSet = GuardSet(1 << 8);
     /// The guard asked a degraded channel's plant to shed
     /// already-admitted work down to the in-force bound (see
     /// [`ControlPlane::take_plant_shed`](crate::ControlPlane::take_plant_shed)).
     pub const SHED: GuardSet = GuardSet(1 << 9);
     /// A restart reset an adaptive channel's estimator covariance for
-    /// in-place relearning (instead of raising [`GuardSet::REPROFILE`]).
+    /// in-place relearning (instead of logging [`GuardSet::REPROFILE`]).
     pub const RELEARN: GuardSet = GuardSet(1 << 10);
     /// The adaptive model's confidence fell below
     /// [`GuardPolicy::confidence_floor`]; the channel degraded to its
@@ -426,16 +430,12 @@ pub(crate) struct ChannelGuard {
     pub base_target: f64,
     /// Whether a goal flap is currently applied.
     pub flapped: bool,
-    /// Raised by a restart until the embedder polls it.
-    pub reprofile: bool,
     /// Raised by a restart until the embedder polls it (plant-side reset).
     pub plant_restart: bool,
     /// Raised while a degraded channel asks the plant to shed
     /// already-admitted work; held until the embedder polls
     /// [`take_plant_shed`](crate::ControlPlane::take_plant_shed).
     pub plant_shed: bool,
-    /// Lifetime restart count.
-    pub restarts: u64,
     /// Recently *admitted* readings feeding the sensor-voting median
     /// (see [`GuardPolicy::vote_window`]); bounded at the window length.
     pub votes: VecDeque<f64>,
@@ -469,10 +469,8 @@ impl ChannelGuard {
             last_epoch: 0,
             base_target,
             flapped: false,
-            reprofile: false,
             plant_restart: false,
             plant_shed: false,
-            restarts: 0,
             votes: VecDeque::new(),
             backoff_exp: 0,
             clean_streak: 0,
@@ -480,22 +478,10 @@ impl ChannelGuard {
     }
 
     /// Clears accumulated run state after a plant restart and raises the
-    /// re-profiling request (frozen-model channels cannot relearn in
-    /// place). The fallback, initial, and base-target configuration
-    /// survive — they describe the scenario, not the run.
+    /// plant-side restart notification. The fallback, initial, and
+    /// base-target configuration survive — they describe the scenario,
+    /// not the run.
     pub(crate) fn reset_after_restart(&mut self) {
-        self.reset_run_state();
-        self.reprofile = true;
-    }
-
-    /// Clears accumulated run state after a plant restart *without*
-    /// raising the re-profiling request: an adaptive channel resets its
-    /// estimator covariance and relearns the post-restart plant in place.
-    pub(crate) fn reset_after_restart_in_place(&mut self) {
-        self.reset_run_state();
-    }
-
-    fn reset_run_state(&mut self) {
         self.filter.clear();
         self.missed = 0;
         self.last_raw = None;
@@ -512,7 +498,6 @@ impl ChannelGuard {
         self.pending.clear();
         self.plant_restart = true;
         self.plant_shed = false; // the restart itself empties the plant's queues
-        self.restarts += 1;
         self.votes.clear();
         self.backoff_exp = 0;
         self.clean_streak = 0;
@@ -660,26 +645,9 @@ mod tests {
         assert_eq!(g.missed, 0);
         assert_eq!(g.mode, GuardMode::Engaged);
         assert!(g.pending.is_empty());
-        assert!(g.reprofile && g.plant_restart);
-        assert_eq!(g.restarts, 1);
+        assert!(g.plant_restart);
         assert_eq!(g.fallback, 40.0);
         assert_eq!(g.in_force, 80.0);
-    }
-
-    #[test]
-    fn in_place_restart_reset_skips_reprofile() {
-        let mut g = ChannelGuard::new(&GuardPolicy::default(), 40.0, 80.0, 495.0);
-        g.missed = 3;
-        g.mode = GuardMode::Fallback { until: 99 };
-        g.reset_after_restart_in_place();
-        assert_eq!(g.missed, 0);
-        assert_eq!(g.mode, GuardMode::Engaged);
-        assert!(
-            !g.reprofile,
-            "adaptive restart must not request re-profiling"
-        );
-        assert!(g.plant_restart);
-        assert_eq!(g.restarts, 1);
     }
 
     #[test]

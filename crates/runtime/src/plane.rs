@@ -284,14 +284,6 @@ impl ControlPlane {
         self.channels[id.0].period_us
     }
 
-    /// Looks up a channel by name.
-    pub fn channel_id(&self, name: &str) -> Option<ChannelId> {
-        self.channels
-            .iter()
-            .position(|c| c.name == name)
-            .map(ChannelId)
-    }
-
     /// The decide half of an epoch: feeds the measurement, logs the
     /// [`EpochEvent`], returns the new setting — without touching the
     /// plant. Useful when the actuation site already holds the sensor
@@ -373,7 +365,6 @@ impl ControlPlane {
         if !ch.decider.is_smart() {
             if active.restart {
                 g.plant_restart = true;
-                g.restarts += 1;
             }
             let setting = ch.decider.setting();
             self.log.push(EpochEvent {
@@ -394,22 +385,22 @@ impl ControlPlane {
         }
 
         // 1. Plant restart: controller back to its initial setting,
-        //    accumulated guard state discarded. Frozen channels raise the
-        //    re-profiling request (their model cannot change without a
-        //    fresh profile); adaptive channels instead reset their
-        //    estimator covariance and relearn the post-restart plant in
-        //    place — no re-profiling call.
+        //    accumulated guard state discarded. Frozen channels log
+        //    REPROFILE: their model cannot change without a fresh
+        //    profile, and nothing re-profiles in-run, so they resume
+        //    from the initial setting on the old model. Adaptive
+        //    channels instead reset their estimator covariance, log
+        //    RELEARN and relearn the post-restart plant in place.
         if active.restart {
             let initial = g.initial;
             let base = g.base_target;
             let adaptive = ch.decider.controller().is_some_and(|c| c.is_adaptive());
-            if adaptive {
-                g.reset_after_restart_in_place();
-                guards.insert(GuardSet::RELEARN);
+            g.reset_after_restart();
+            guards.insert(if adaptive {
+                GuardSet::RELEARN
             } else {
-                g.reset_after_restart();
-                guards.insert(GuardSet::REPROFILE);
-            }
+                GuardSet::REPROFILE
+            });
             if let Some(ctl) = ch.decider.controller_mut() {
                 ctl.reset(initial);
                 ctl.set_goal(base).expect("base target was a valid goal");
@@ -777,25 +768,6 @@ impl ControlPlane {
         }));
     }
 
-    /// Whether a restart raised this channel's re-profiling request
-    /// (chaos mode only; the restart-recovery hook of the degradation
-    /// ladder). Cleared by [`ControlPlane::take_reprofile`].
-    pub fn reprofile_requested(&self, id: ChannelId) -> bool {
-        self.chaos
-            .as_ref()
-            .is_some_and(|c| c.guards[id.0].reprofile)
-    }
-
-    /// Consumes the channel's re-profiling request, returning whether one
-    /// was pending. Embedders poll this after epochs and rerun their
-    /// profiler when it fires.
-    pub fn take_reprofile(&mut self, id: ChannelId) -> bool {
-        match &mut self.chaos {
-            Some(c) => std::mem::take(&mut c.guards[id.0].reprofile),
-            None => false,
-        }
-    }
-
     /// Consumes the channel's pending plant-restart notification
     /// ([`EventPlane`](crate::EventPlane) polls this to call
     /// [`Plant::restart`](crate::Plant::restart); plants that call
@@ -821,11 +793,6 @@ impl ControlPlane {
             Some(c) => std::mem::take(&mut c.guards[id.0].plant_shed),
             None => false,
         }
-    }
-
-    /// Lifetime injected-restart count for a channel (chaos mode only).
-    pub fn restart_count(&self, id: ChannelId) -> u64 {
-        self.chaos.as_ref().map_or(0, |c| c.guards[id.0].restarts)
     }
 
     /// The current setting of a channel (no measurement consumed).
@@ -1053,8 +1020,8 @@ mod tests {
     #[test]
     fn channel_lookup_by_name() {
         let (plane, id) = ControlPlane::single("a.b.c", Decider::Static(1.0));
-        assert_eq!(plane.channel_id("a.b.c"), Some(id));
-        assert_eq!(plane.channel_id("nope"), None);
+        assert_eq!(plane.log().channel_index("a.b.c"), Some(id.0));
+        assert_eq!(plane.log().channel_index("nope"), None);
         assert_eq!(plane.channel_count(), 1);
     }
 }
@@ -1273,24 +1240,20 @@ mod chaos_tests {
         for step in 0..4u64 {
             plane.decide(id, step, 0.0); // drives the setting far from 50
         }
-        assert!(!plane.reprofile_requested(id));
+        assert!(!guard_bits(&plane, 3).contains(GuardSet::REPROFILE));
         plane.decide(id, 4, 0.0);
-        assert!(plane.reprofile_requested(id));
         assert!(guard_bits(&plane, 4).contains(GuardSet::REPROFILE));
-        assert_eq!(plane.restart_count(id), 1);
         assert!(plane.take_plant_restart(id));
         assert!(!plane.take_plant_restart(id), "notification consumed");
-        assert!(plane.take_reprofile(id));
-        assert!(!plane.reprofile_requested(id), "request consumed");
     }
 
     #[test]
     fn adaptive_restart_relearns_in_place_without_reprofile() {
-        // The frozen path's restart recovery asks for re-profiling
+        // The frozen path's restart recovery logs REPROFILE
         // (`restart_resets_controller_and_requests_reprofile` above);
         // an adaptive channel instead resets its estimator's certainty
-        // in place and keeps running — no REPROFILE request may ever be
-        // raised, and the log must carry RELEARN instead.
+        // in place and keeps running — the log must carry RELEARN and
+        // never REPROFILE.
         use smartconf_core::{ControllerBuilder, GainModel, PerfModel};
         let goal = Goal::new("m", 100.0).with_hardness(Hardness::Hard).unwrap();
         let ctl = ControllerBuilder::new(goal)
@@ -1315,10 +1278,6 @@ mod chaos_tests {
         };
         assert!(observed_before > 0, "estimator learned before the restart");
         plane.decide(id, 4, 0.0);
-        assert!(
-            !plane.reprofile_requested(id),
-            "adaptive must not re-profile"
-        );
         let bits = guard_bits(&plane, 4);
         assert!(bits.contains(GuardSet::RELEARN));
         assert!(!bits.contains(GuardSet::REPROFILE));
@@ -1348,7 +1307,6 @@ mod chaos_tests {
             }
             _ => unreachable!(),
         }
-        assert!(!plane.reprofile_requested(id));
     }
 
     #[test]
@@ -1564,7 +1522,6 @@ mod chaos_tests {
         ));
         assert_eq!(plane.decide(id, 0, 10.0), 30.0);
         assert_eq!(plane.decide(id, 1, 10.0), 30.0);
-        assert_eq!(plane.restart_count(id), 1);
         assert!(plane.take_plant_restart(id));
     }
 }

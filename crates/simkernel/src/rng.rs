@@ -47,15 +47,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child generator.
-    ///
-    /// Used to give each simulated component (workload, churn process,
-    /// service times) its own stream so that adding a component does not
-    /// perturb the others' draws.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from_u64(self.next_u64())
-    }
-
     /// Raw `u64` draw (xoshiro256**; also used for deriving seeds).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -153,11 +144,6 @@ impl SimRng {
         let u1: f64 = self.unit().max(f64::MIN_POSITIVE);
         let u2: f64 = self.unit();
         mu + sigma * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// Normal draw truncated below at `floor`.
-    pub fn normal_at_least(&mut self, mu: f64, sigma: f64, floor: f64) -> f64 {
-        self.normal(mu, sigma).max(floor)
     }
 
     /// Pareto draw with scale `x_min` and shape `alpha` (heavy tail).
@@ -279,20 +265,6 @@ mod tests {
         assert!(r.chance(1.0));
         let hits = (0..10_000).filter(|_| r.chance(0.25)).count();
         assert!((2_000..3_000).contains(&hits), "hits {hits}");
-    }
-
-    #[test]
-    fn fork_streams_are_independent_of_later_parent_use() {
-        let mut parent1 = SimRng::seed_from_u64(21);
-        let mut child1 = parent1.fork();
-        let c1: Vec<u64> = (0..5).map(|_| child1.next_u64()).collect();
-
-        let mut parent2 = SimRng::seed_from_u64(21);
-        let mut child2 = parent2.fork();
-        // Parent draws more afterwards; child stream must be unchanged.
-        let _ = parent2.next_u64();
-        let c2: Vec<u64> = (0..5).map(|_| child2.next_u64()).collect();
-        assert_eq!(c1, c2);
     }
 
     #[test]

@@ -148,11 +148,6 @@ impl<M: Model> Simulation<M> {
         self.clock
     }
 
-    /// Whether a model handler called [`Context::halt`].
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
     /// Number of events processed so far.
     pub fn steps(&self) -> u64 {
         self.steps
@@ -342,9 +337,11 @@ mod tests {
         sim.schedule_at(SimTime::from_micros(10), Ev::Mark(1));
         sim.schedule_at(SimTime::from_micros(20), Ev::Mark(2));
         sim.run();
-        assert!(sim.is_halted());
         assert_eq!(sim.model().seen, vec![(10, 1)]);
+        // Halted, not merely drained: a fresh event never fires.
+        sim.schedule_in(SimDuration::ZERO, Ev::Mark(3));
         assert!(!sim.step());
+        assert_eq!(sim.steps(), 1);
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod ycsb;
 pub use arrival::ArrivalProcess;
 pub use keydist::KeyDistribution;
 pub use phase::{Phase, PhasedWorkload};
-pub use testdfsio::{DfsOp, TestDfsIoWorkload};
+pub use testdfsio::TestDfsIoWorkload;
 pub use traffic::{TrafficShape, RESTART_SURGE_EPOCHS};
 pub use wordcount::{MapTask, WordCountJob};
 pub use ycsb::{KvOp, YcsbWorkload};

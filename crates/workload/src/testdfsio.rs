@@ -5,55 +5,37 @@
 //! traversal holds the namespace lock; `content-summary.limit` bounds how
 //! many inodes it processes per lock acquisition.
 
-use smartconf_simkernel::{SimDuration, SimRng};
+use smartconf_simkernel::SimDuration;
 
 use crate::ArrivalProcess;
 
-/// One namenode-visible operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DfsOp {
-    /// A client write that needs a (brief) exclusive namespace lock.
-    WriteBlock {
-        /// Client issuing the write.
-        client: u32,
-        /// Bytes in the block (affects datanode time, not lock time).
-        bytes: u64,
-    },
-    /// A `du`/content-summary request over `files` inodes.
-    Du {
-        /// Number of inodes the traversal must visit.
-        files: u64,
-    },
-}
-
-/// TestDFSIO-like workload: `clients` writers at a given rate plus
-/// periodic `du` interrogations over a namespace of `du_files` inodes.
+/// TestDFSIO-like workload: block writes from a pool of clients at an
+/// aggregate rate, plus periodic `du` interrogations over a namespace of
+/// `du_files` inodes.
 ///
 /// # Example
 ///
 /// ```
-/// use smartconf_simkernel::{SimDuration, SimRng};
+/// use smartconf_simkernel::SimDuration;
 /// use smartconf_workload::TestDfsIoWorkload;
 ///
 /// let w = TestDfsIoWorkload::new(4, 200.0, 1_000_000, SimDuration::from_secs(30));
-/// assert_eq!(w.clients(), 4);
-/// let mut rng = SimRng::seed_from_u64(1);
-/// let (client, _gap) = w.next_write(&mut rng);
-/// assert!(client < 4);
+/// assert_eq!(w.arrivals().mean_rate(), 200.0);
+/// assert_eq!(w.du_files(), 1_000_000);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TestDfsIoWorkload {
-    clients: u32,
     arrivals: ArrivalProcess,
     du_files: u64,
     du_interval: SimDuration,
-    block_bytes: u64,
 }
 
 impl TestDfsIoWorkload {
     /// Creates a workload.
     ///
-    /// * `clients` — number of concurrent writer clients.
+    /// * `clients` — number of concurrent writer clients. Their writes
+    ///   merge into the one aggregate arrival process, so only the count's
+    ///   positivity is checked.
     /// * `write_rate_per_sec` — aggregate block-write rate.
     /// * `du_files` — inodes per `du` traversal.
     /// * `du_interval` — time between `du` requests.
@@ -69,17 +51,10 @@ impl TestDfsIoWorkload {
     ) -> Self {
         assert!(clients > 0, "need at least one client");
         TestDfsIoWorkload {
-            clients,
             arrivals: ArrivalProcess::poisson_rate(write_rate_per_sec),
             du_files,
             du_interval,
-            block_bytes: 64 * 1024 * 1024,
         }
-    }
-
-    /// Number of writer clients.
-    pub fn clients(&self) -> u32 {
-        self.clients
     }
 
     /// The aggregate write-arrival process.
@@ -96,33 +71,6 @@ impl TestDfsIoWorkload {
     pub fn du_interval(&self) -> SimDuration {
         self.du_interval
     }
-
-    /// Block size carried by each write.
-    pub fn block_bytes(&self) -> u64 {
-        self.block_bytes
-    }
-
-    /// Draws the next write: which client issues it and the gap until it
-    /// arrives.
-    pub fn next_write(&self, rng: &mut SimRng) -> (u32, SimDuration) {
-        let client = rng.uniform_u64(0, self.clients as u64) as u32;
-        (client, self.arrivals.next_gap(rng))
-    }
-
-    /// The `du` operation this workload issues.
-    pub fn du_op(&self) -> DfsOp {
-        DfsOp::Du {
-            files: self.du_files,
-        }
-    }
-
-    /// A write operation for the given client.
-    pub fn write_op(&self, client: u32) -> DfsOp {
-        DfsOp::WriteBlock {
-            client,
-            bytes: self.block_bytes,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -130,27 +78,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clients_in_range() {
-        let w = TestDfsIoWorkload::new(8, 100.0, 1000, SimDuration::from_secs(10));
-        let mut rng = SimRng::seed_from_u64(1);
-        for _ in 0..1000 {
-            let (c, gap) = w.next_write(&mut rng);
-            assert!(c < 8);
-            assert!(gap.as_micros() > 0 || gap.is_zero());
-        }
-    }
-
-    #[test]
     fn ops_carry_parameters() {
         let w = TestDfsIoWorkload::new(2, 100.0, 5000, SimDuration::from_secs(10));
-        assert_eq!(w.du_op(), DfsOp::Du { files: 5000 });
-        assert_eq!(
-            w.write_op(1),
-            DfsOp::WriteBlock {
-                client: 1,
-                bytes: w.block_bytes()
-            }
-        );
+        assert_eq!(w.arrivals().mean_rate(), 100.0);
         assert_eq!(w.du_interval(), SimDuration::from_secs(10));
         assert_eq!(w.du_files(), 5000);
     }

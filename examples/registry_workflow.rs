@@ -3,18 +3,21 @@
 //! 1. the developer ships `SmartConf.sys` (configuration → metric
 //!    mapping, bounds, initial values) and enables profiling capture;
 //! 2. the user writes goals into the application config;
-//! 3. a first run under a safe static setting captures profiling samples
-//!    through the normal `set_perf` path into
-//!    `<ConfName>.SmartConf.sys`;
-//! 4. the next start loads everything through [`ConfManager`] and the
-//!    configuration adjusts itself — including a run-time `setGoal`.
+//! 3. a first run under a safe static setting records profiling samples
+//!    into `<ConfName>.SmartConf.sys` by calling
+//!    [`ProfilingCapture::record`] directly: no controller can be
+//!    synthesised before a profile exists, so there is no `set_perf` to
+//!    capture through yet;
+//! 4. the next start loads everything into the [`Registry`], builds the
+//!    controller with `build_indirect`, and the configuration adjusts
+//!    itself through `set_perf`/`conf` — including a run-time `setGoal`.
 //!
 //! Run with: `cargo run --example registry_workflow`
 
 use std::error::Error;
 use std::fs;
 
-use smartconf::core::{ConfManager, ProfilingCapture, Registry, SmartConfIndirect};
+use smartconf::core::{ProfilingCapture, Registry, SmartConfIndirect};
 use smartconf::simkernel::SimRng;
 
 /// The "system": memory responds to the queue length.
@@ -43,9 +46,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         "memory_consumption_max = 495\nmemory_consumption_max.hard = 1\n",
     )?;
 
-    // (3) First run: a safe static bound while profiling captures
-    // samples through the ordinary set_perf path. We sweep a few bounds
-    // as the paper's profiling phase does.
+    // (3) First run: a safe static bound while profiling records
+    // samples. With no profile there is no controller yet, so the
+    // samples go to `capture.record` directly rather than through
+    // `set_perf`. We sweep a few bounds as the paper's profiling phase
+    // does.
     {
         let mut registry = Registry::new();
         registry.load_sys_file(dir.join("SmartConf.sys"))?;
@@ -76,18 +81,14 @@ fn main() -> Result<(), Box<dyn Error>> {
         "max.queue.size",
         ProfilingCapture::file_path(&dir, "max.queue.size"),
     )?;
-    let mut manager = ConfManager::from_registry(&registry)?;
-    println!(
-        "manager built {} configuration(s): {:?}",
-        manager.len(),
-        manager.names().collect::<Vec<_>>()
-    );
+    let mut conf = registry.build_indirect("max.queue.size")?;
+    println!("built controller for {}", conf.name());
 
     let mut queue_len = 0.0_f64;
     for step in 0..60 {
         let measured = memory_mb(queue_len, &mut rng);
-        manager.set_perf_indirect("max.queue.size", measured, queue_len)?;
-        let bound = manager.conf("max.queue.size")?;
+        conf.set_perf(measured, queue_len);
+        let bound = conf.conf();
         queue_len = queue_len.max(0.0).min(bound); // the queue fills to its bound
         if step % 15 == 0 {
             println!("step {step:>2}: memory {measured:>6.1} MB -> max.queue.size {bound:>6.1}");
@@ -96,18 +97,18 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // An administrator tightens the goal at run time.
-    let updated = manager.set_goal("memory_consumption_max", 400.0)?;
-    println!("\nsetGoal(400): retargeted {updated} controller(s)");
+    conf.set_goal(400.0)?;
+    println!("\nsetGoal(400): retargeted {}", conf.name());
     for _ in 0..40 {
         let measured = memory_mb(queue_len, &mut rng);
-        manager.set_perf_indirect("max.queue.size", measured, queue_len)?;
-        queue_len = manager.conf("max.queue.size")?.min(queue_len + 40.0);
+        conf.set_perf(measured, queue_len);
+        queue_len = conf.conf().min(queue_len + 40.0);
     }
     let final_mem = memory_mb(queue_len, &mut rng);
     println!("after retarget: memory settles at {final_mem:.1} MB (goal 400)");
     assert!(final_mem < 410.0);
 
-    // Custom-transducer configurations plug into the same manager.
+    // Custom-transducer configurations build from the same registry.
     let custom = registry.build_indirect_with(
         "max.queue.size",
         Box::new(smartconf::core::FnTransducer::new(|x: f64| x.round())),
