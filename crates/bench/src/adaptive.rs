@@ -34,8 +34,7 @@
 
 use smartconf_core::{ControlLaw, Controller, ControllerBuilder, Goal, SmartConf};
 use smartconf_runtime::{
-    ChannelId, ChaosSpec, ControlPlane, Decider, EventPlane, FaultClass, GuardPolicy, Plant,
-    Sensed, ADAPTIVE_CONFIDENCE_FLOOR,
+    ChannelId, ChaosSpec, ControlPlane, Decider, EventPlane, FaultClass, GuardPolicy, Plant, Sensed,
 };
 
 /// True plant gain the controllers were synthesized against.
@@ -166,11 +165,8 @@ pub fn run_cell(strategy: Strategy, class: Option<FaultClass>, seed: u64) -> Cel
     let conf = SmartConf::new("bench.adaptive", controller);
     let (mut plane, chan) = ControlPlane::single("bench.adaptive", Decider::Direct(Box::new(conf)));
     if let Some(class) = class {
-        let mut guard = GuardPolicy::new().fallback_setting("bench.adaptive", FALLBACK);
-        if strategy == Strategy::Adaptive {
-            guard = guard.confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
-        }
-        plane.enable_chaos(ChaosSpec::standard(class, seed).with_guard(guard));
+        let guard = GuardPolicy::new().fallback_setting("bench.adaptive", FALLBACK);
+        plane.enable_chaos(ChaosSpec::new(seed, class.standard_plan(), guard));
     }
     let plant = DriftingPlant {
         setting: plane.setting(chan),

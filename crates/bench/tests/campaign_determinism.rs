@@ -4,10 +4,9 @@
 //! composes state: a [`Campaign`] merges several class plans into one
 //! window list, and the injector's per-(seed, channel, epoch) hashing
 //! must keep that composition pure — the same plan must produce the
-//! same `EpochEvent::faults` bitsets whether it is evaluated through
-//! [`FaultInjector::at`], through the [`FaultInjector::windows_for`]
-//! interning fast path, from a freshly built injector, or on a fleet
-//! running 1 vs. 4 worker threads.
+//! same `EpochEvent::faults` bitsets whether it is evaluated by one
+//! [`FaultInjector`] or a freshly built one, in a replayed run, or on a
+//! fleet running 1 vs. 4 worker threads.
 
 use proptest::prelude::*;
 use smartconf_core::ModelMode;
@@ -19,11 +18,10 @@ use smartconf_runtime::{
 
 /// One window built from primitive draws, with every composition
 /// feature reachable: all eight fault kinds, periodic bursts,
-/// probability gates, channel filters, and per-channel stagger.
-#[allow(clippy::type_complexity)]
+/// probability gates, and per-channel stagger.
 fn build_window(
     (kind_sel, start, len): (u8, u64, u64),
-    (period, active, knob, chan_sel, stagger): (u64, u64, f64, u8, u64),
+    (period, active, knob, stagger): (u64, u64, f64, u64),
 ) -> FaultWindow {
     let kind = match kind_sel {
         0 => FaultKind::SensorDropout,
@@ -50,25 +48,18 @@ fn build_window(
         // always-on paths are exercised.
         w = w.with_probability(0.05 + knob);
     }
-    w = match chan_sel {
-        0 => w.on_channel("a"),
-        1 => w.on_channel("b"),
-        _ => w,
-    };
     w.staggered(stagger)
 }
 
 proptest! {
-    /// The interning fast path ([`FaultInjector::windows_for`] +
-    /// [`FaultInjector::at_windows`]) and a second injector built from
-    /// the same (seed, plan) must both reproduce
-    /// [`FaultInjector::at`]'s fault bitsets exactly, for arbitrary
-    /// merged multi-fault plans — the property the stateless
+    /// A second injector built from the same (seed, plan) must
+    /// reproduce the first one's faults exactly on every channel, for
+    /// arbitrary merged multi-fault plans — the property the stateless
     /// per-(seed, channel, epoch) hashing exists to guarantee.
     #[test]
-    fn composed_plans_replay_identically_through_interning(
+    fn composed_plans_replay_identically(
         draws in prop::collection::vec(
-            ((0u8..8, 0u64..64, 1u64..128), (0u64..40, 1u64..8, 0.0f64..1.0, 0u8..3, 0u64..4)),
+            ((0u8..8, 0u64..64, 1u64..128), (0u64..40, 1u64..8, 0.0f64..1.0, 0u64..4)),
             1..8,
         ),
         split_frac in 0.0f64..1.0,
@@ -90,22 +81,13 @@ proptest! {
         let plan = first.merge(second);
         let inj = FaultInjector::new(seed, plan.clone());
         let replay = FaultInjector::new(seed, plan);
-        for (idx, name) in ["a", "b", "c"].iter().enumerate() {
-            let windows = inj.windows_for(name);
+        for channel in 0..3 {
             for epoch in 0..300 {
-                let direct = inj.at(name, idx as u32, epoch);
                 prop_assert_eq!(
-                    direct.set.bits(),
-                    inj.at_windows(&windows, idx as u32, epoch).set.bits(),
-                    "interning diverged: channel {} epoch {}",
-                    name,
-                    epoch
-                );
-                prop_assert_eq!(
-                    direct.set.bits(),
-                    replay.at(name, idx as u32, epoch).set.bits(),
+                    inj.at(channel, epoch),
+                    replay.at(channel, epoch),
                     "fresh injector diverged: channel {} epoch {}",
-                    name,
+                    channel,
                     epoch
                 );
             }
@@ -115,25 +97,16 @@ proptest! {
     /// Campaign presets are plain merged plans, so the same property
     /// must hold for every shipped [`Campaign`] at any seed.
     #[test]
-    fn campaign_presets_replay_identically_through_interning(
+    fn campaign_presets_replay_identically(
         campaign_idx in 0usize..Campaign::ALL.len(),
         seed in 0u64..u64::MAX,
     ) {
         let plan = Campaign::ALL[campaign_idx].plan();
         let inj = FaultInjector::new(seed, plan.clone());
         let replay = FaultInjector::new(seed, plan);
-        for (idx, name) in ["a", "b"].iter().enumerate() {
-            let windows = inj.windows_for(name);
+        for channel in 0..2 {
             for epoch in 0..400 {
-                let direct = inj.at(name, idx as u32, epoch);
-                prop_assert_eq!(
-                    direct.set.bits(),
-                    inj.at_windows(&windows, idx as u32, epoch).set.bits()
-                );
-                prop_assert_eq!(
-                    direct.set.bits(),
-                    replay.at(name, idx as u32, epoch).set.bits()
-                );
+                prop_assert_eq!(inj.at(channel, epoch), replay.at(channel, epoch));
             }
         }
     }

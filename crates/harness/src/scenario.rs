@@ -3,7 +3,7 @@
 use smartconf_core::{ModelMode, ProfileSet};
 use smartconf_runtime::{
     shard_seed, Baseline, Campaign, ChaosSpec, FaultClass, FaultPlan, GuardPolicy, ProfileSchedule,
-    ADAPTIVE_CONFIDENCE_FLOOR, CHAOS_STREAM,
+    CHAOS_STREAM,
 };
 
 use crate::{Policy, RunResult, TradeoffDirection};
@@ -175,12 +175,12 @@ pub enum Faults {
 /// ```
 /// use smartconf_core::ModelMode;
 /// use smartconf_harness::{Faults, GuardPolicy, RunSpec};
-/// use smartconf_runtime::{Campaign, ADAPTIVE_CONFIDENCE_FLOOR};
+/// use smartconf_runtime::Campaign;
 ///
 /// let spec = RunSpec::new(ModelMode::Adaptive, Faults::Campaign(Campaign::BurstEverything));
 /// assert_eq!(spec.label(), "AdaptiveCampaign-burst-everything");
 /// let chaos = spec.chaos(42, GuardPolicy::new()).unwrap();
-/// assert_eq!(chaos.guard.confidence_floor, ADAPTIVE_CONFIDENCE_FLOOR);
+/// assert!(chaos.guard.vote && chaos.guard.backoff);
 /// assert!(RunSpec::default().chaos(42, GuardPolicy::new()).is_none());
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -217,10 +217,9 @@ impl RunSpec {
     /// The fault plane to arm for a run at `seed`, or `None` for a clean
     /// run. The injector seed is `shard_seed(seed, CHAOS_STREAM)`, kept
     /// apart from the plant's workload RNG. `base` is the scenario's
-    /// guard ladder; an adaptive model adds the
-    /// [`ADAPTIVE_CONFIDENCE_FLOOR`] safety net and a campaign adds
-    /// [`GuardPolicy::campaign_hardened`]. The two touch disjoint
-    /// fields, so their order does not matter.
+    /// guard ladder; a campaign adds [`GuardPolicy::campaign_hardened`].
+    /// The model needs nothing here: the plane's model-doubt rung
+    /// follows the controller's model.
     pub fn chaos(&self, seed: u64, base: GuardPolicy) -> Option<ChaosSpec> {
         let plan = match &self.faults {
             Faults::Clean => return None,
@@ -228,14 +227,11 @@ impl RunSpec {
             Faults::Campaign(campaign) => campaign.plan(),
             Faults::Plan(plan) => plan.clone(),
         };
-        let mut guard = base;
-        if self.model == ModelMode::Adaptive {
-            guard = guard.confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
-        }
-        if matches!(self.faults, Faults::Campaign(_)) {
-            guard = guard.campaign_hardened();
-        }
-        Some(ChaosSpec::new(shard_seed(seed, CHAOS_STREAM), plan).with_guard(guard))
+        let guard = match self.faults {
+            Faults::Campaign(_) => base.campaign_hardened(),
+            _ => base,
+        };
+        Some(ChaosSpec::new(shard_seed(seed, CHAOS_STREAM), plan, guard))
     }
 }
 
@@ -326,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_floor_iff_adaptive_and_hardening_iff_campaign() {
+    fn chaos_hardening_iff_campaign() {
         let base = GuardPolicy::new().fallback_setting("c", 3.0);
         for model in MODELS {
             for faults in every_faults() {
@@ -335,21 +331,14 @@ mod tests {
                 let Some(chaos) = spec.chaos(7, base.clone()) else {
                     continue;
                 };
-                let mut expected = base.clone();
-                if model == ModelMode::Adaptive {
-                    expected = expected.confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
-                }
-                if campaign {
-                    expected = expected.campaign_hardened();
-                }
+                let expected = if campaign {
+                    base.clone().campaign_hardened()
+                } else {
+                    base.clone()
+                };
                 assert_eq!(chaos.guard, expected, "{spec:?}");
-                assert_eq!(
-                    chaos.guard.confidence_floor > 0.0,
-                    model == ModelMode::Adaptive,
-                    "{spec:?}"
-                );
-                assert_eq!(chaos.guard.vote_window > 0, campaign, "{spec:?}");
-                assert_eq!(chaos.guard.reengage_backoff > 0, campaign, "{spec:?}");
+                assert_eq!(chaos.guard.vote, campaign, "{spec:?}");
+                assert_eq!(chaos.guard.backoff, campaign, "{spec:?}");
                 assert_eq!(chaos.guard.fallback_for("c"), Some(3.0));
             }
         }

@@ -18,7 +18,6 @@ use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirectio
 use smartconf_metrics::{RateCounter, TimeSeries};
 use smartconf_runtime::{
     ChannelId, ChaosSpec, ControlPlane, Decider, GuardPolicy, ProfileSchedule, Profiler, Sensed,
-    CAMPAIGN_VOTE_WINDOW,
 };
 use smartconf_simkernel::{Context, Model, SimDuration, SimTime, Simulation};
 use smartconf_workload::{PhasedWorkload, YcsbWorkload};
@@ -145,7 +144,7 @@ impl Hb6728 {
     fn guard(&self) -> GuardPolicy {
         GuardPolicy::new()
             .fallback_setting("response.queue.maxsize_mb", 40.0)
-            .sensor_vote(CAMPAIGN_VOTE_WINDOW)
+            .sensor_vote()
     }
 
     fn run_model(

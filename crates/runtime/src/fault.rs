@@ -60,26 +60,8 @@ pub enum FaultKind {
     PlantRestart,
 }
 
-/// Which channels a [`FaultWindow`] applies to.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum ChannelFilter {
-    /// Every channel of the plane.
-    #[default]
-    All,
-    /// Only the channel with this name.
-    Named(String),
-}
-
-impl ChannelFilter {
-    fn matches(&self, channel: &str) -> bool {
-        match self {
-            ChannelFilter::All => true,
-            ChannelFilter::Named(n) => n == channel,
-        }
-    }
-}
-
-/// One fault, active over a per-channel epoch window.
+/// One fault, active over a per-channel epoch window on every channel
+/// of the plane.
 ///
 /// The window covers epochs `start..end`; with a non-zero `period` it is
 /// only active for the first `active` epochs of each period (a repeating
@@ -89,8 +71,6 @@ impl ChannelFilter {
 /// epoch the injector evaluates; nothing schedules window boundaries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultWindow {
-    /// Which channels the fault applies to.
-    pub filter: ChannelFilter,
     /// First epoch (per-channel epoch counter) the window covers.
     pub start: u64,
     /// End of the window, exclusive (`u64::MAX` = until the run ends).
@@ -115,7 +95,6 @@ impl FaultWindow {
     /// A continuous, always-on window over `start..end` for all channels.
     pub fn new(kind: FaultKind, start: u64, end: u64) -> Self {
         FaultWindow {
-            filter: ChannelFilter::All,
             start,
             end,
             period: 0,
@@ -124,13 +103,6 @@ impl FaultWindow {
             stagger: 0,
             kind,
         }
-    }
-
-    /// Restricts the window to one named channel.
-    #[must_use]
-    pub fn on_channel(mut self, name: impl Into<String>) -> Self {
-        self.filter = ChannelFilter::Named(name.into());
-        self
     }
 
     /// Makes the window a repeating burst: active for the first `active`
@@ -205,9 +177,9 @@ impl FaultWindow {
 /// // The injector is a pure function of (seed, plan, channel, epoch):
 /// let a = FaultInjector::new(7, plan.clone());
 /// let b = FaultInjector::new(7, plan);
-/// assert_eq!(a.at("heap", 0, 45), b.at("heap", 0, 45));
-/// assert!(a.at("heap", 0, 45).sensor.is_some()); // inside the burst
-/// assert!(a.at("heap", 0, 30).is_clean()); // before any window starts
+/// assert_eq!(a.at(0, 45), b.at(0, 45));
+/// assert!(a.at(0, 45).sensor.is_some()); // inside the burst
+/// assert!(a.at(0, 30).is_clean()); // before any window starts
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
@@ -857,58 +829,24 @@ impl FaultInjector {
         (z >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// The window indices whose [`ChannelFilter`] matches `channel_name`.
-    ///
-    /// The control plane resolves this once per channel when chaos is
-    /// armed and then evaluates epochs via
-    /// [`FaultInjector::at_windows`], keeping string comparison out of
-    /// the per-epoch decide path.
-    pub fn windows_for(&self, channel_name: &str) -> Vec<usize> {
-        self.plan
-            .windows
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.filter.matches(channel_name))
-            .map(|(wi, _)| wi)
-            .collect()
-    }
-
-    /// The faults active for `channel` (name and plane index) at its
+    /// The faults active for the channel at plane index `channel` at its
     /// per-channel `epoch`. Pure: the same arguments always produce the
-    /// same answer.
-    pub fn at(&self, channel_name: &str, channel: u32, epoch: u64) -> ActiveFaults {
-        let mut out = ActiveFaults::default();
-        for (wi, w) in self.plan.windows.iter().enumerate() {
-            if !w.filter.matches(channel_name) || !w.covers_epoch(channel, epoch) {
-                continue;
-            }
-            self.fire(wi, w, channel, epoch, &mut out);
-        }
-        out
-    }
-
-    /// Like [`FaultInjector::at`], but over a pre-resolved window index
-    /// list (see [`FaultInjector::windows_for`]); equivalent to `at`
-    /// whenever `windows` holds exactly the indices matching the
-    /// channel's name. This is the one per-epoch fault evaluation of a
+    /// same answer. This is the one per-epoch fault evaluation of a
     /// chaos-armed [`ControlPlane::decide`](crate::ControlPlane::decide),
     /// whether a scenario's own loop or the
     /// [`EventPlane`](crate::EventPlane) drives the epoch; it re-tests
-    /// coverage on each given window (at most eight in the canonical
-    /// plans).
-    pub fn at_windows(&self, windows: &[usize], channel: u32, epoch: u64) -> ActiveFaults {
+    /// coverage on every window (at most eight in the canonical plans).
+    pub fn at(&self, channel: u32, epoch: u64) -> ActiveFaults {
         let mut out = ActiveFaults::default();
-        for &wi in windows {
-            let w = &self.plan.windows[wi];
-            if !w.covers_epoch(channel, epoch) {
-                continue;
+        for (wi, w) in self.plan.windows.iter().enumerate() {
+            if w.covers_epoch(channel, epoch) {
+                self.fire(wi, w, channel, epoch, &mut out);
             }
-            self.fire(wi, w, channel, epoch, &mut out);
         }
         out
     }
 
-    /// Evaluates one already-matched window's probability gate and fault.
+    /// Evaluates one covering window's probability gate and fault.
     fn fire(&self, wi: usize, w: &FaultWindow, channel: u32, epoch: u64, out: &mut ActiveFaults) {
         if w.probability < 1.0 && self.roll(wi, channel, epoch) >= w.probability {
             return;
@@ -994,15 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_filter_restricts() {
-        let plan = FaultPlan::new()
-            .window(FaultWindow::new(FaultKind::PlantRestart, 0, 10).on_channel("a"));
-        let inj = FaultInjector::new(1, plan);
-        assert!(inj.at("a", 0, 5).restart);
-        assert!(inj.at("b", 1, 5).is_clean());
-    }
-
-    #[test]
     fn injector_is_pure_and_seed_sensitive() {
         let plan = FaultPlan::new()
             .window(FaultWindow::new(FaultKind::SensorNan, 0, 10_000).with_probability(0.5));
@@ -1010,7 +939,7 @@ mod tests {
         let b = FaultInjector::new(42, plan.clone());
         let c = FaultInjector::new(43, plan);
         let hits = |inj: &FaultInjector| -> Vec<bool> {
-            (0..10_000).map(|e| !inj.at("x", 0, e).is_clean()).collect()
+            (0..10_000).map(|e| !inj.at(0, e).is_clean()).collect()
         };
         assert_eq!(hits(&a), hits(&b));
         assert_ne!(hits(&a), hits(&c));
@@ -1020,34 +949,12 @@ mod tests {
     }
 
     #[test]
-    fn at_windows_matches_at_for_resolved_channels() {
-        // Mixed plan: one all-channel window, one channel-scoped window,
-        // one probabilistic window — the pre-resolved path must agree
-        // with the name-matched path everywhere.
-        let plan = FaultPlan::new()
-            .window(FaultWindow::new(FaultKind::SensorDropout, 3, 50).periodic(10, 2))
-            .window(FaultWindow::new(FaultKind::PlantRestart, 5, 40).on_channel("a"))
-            .window(FaultWindow::new(FaultKind::SensorNan, 0, 60).with_probability(0.3));
-        let inj = FaultInjector::new(11, plan);
-        for (idx, name) in ["a", "b"].iter().enumerate() {
-            let windows = inj.windows_for(name);
-            for epoch in 0..80 {
-                assert_eq!(
-                    inj.at(name, idx as u32, epoch),
-                    inj.at_windows(&windows, idx as u32, epoch),
-                    "channel {name} epoch {epoch}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn sensor_fault_priority() {
         let plan = FaultPlan::new()
             .window(FaultWindow::new(FaultKind::SensorNan, 0, 10))
             .window(FaultWindow::new(FaultKind::SensorDropout, 0, 10));
         let inj = FaultInjector::new(1, plan);
-        let f = inj.at("x", 0, 3);
+        let f = inj.at(0, 3);
         assert_eq!(f.sensor, Some(SensorFault::Drop));
         assert!(f.set.contains(FaultSet::DROPOUT));
         assert!(f.set.contains(FaultSet::NAN));
@@ -1061,7 +968,7 @@ mod tests {
             assert!(!class.label().is_empty());
             // Every plan fires somewhere in the first 600 epochs.
             let inj = FaultInjector::new(9, plan);
-            let fired = (0..600).any(|e| !inj.at("x", 0, e).is_clean());
+            let fired = (0..600).any(|e| !inj.at(0, e).is_clean());
             assert!(fired, "{class} never fires in 600 epochs");
         }
     }
@@ -1110,7 +1017,7 @@ mod tests {
             let inj = FaultInjector::new(9, plan);
             let mut seen = FaultSet::default();
             for e in 0..600 {
-                seen.insert(inj.at("x", 0, e).set);
+                seen.insert(inj.at(0, e).set);
             }
             let classes = seen.bits().count_ones();
             assert!(classes >= 2, "{campaign} fired {classes} classes");
@@ -1123,7 +1030,7 @@ mod tests {
         // lag (single-class sweeps never produce that).
         let inj = FaultInjector::new(3, Campaign::LagDuringGoalFlap.plan());
         let overlapped = (0..600).any(|e| {
-            let f = inj.at("x", 0, e);
+            let f = inj.at(0, e);
             f.goal_flap.is_some() && f.lag.is_some()
         });
         assert!(overlapped, "lag never coincided with a goal flap");
@@ -1135,7 +1042,7 @@ mod tests {
         let first_drop = |ch: u32| {
             (0..200u64)
                 .find(|&e| {
-                    inj.at("x", ch, e)
+                    inj.at(ch, e)
                         .sensor
                         .is_some_and(|s| matches!(s, SensorFault::Drop))
                 })
@@ -1271,7 +1178,7 @@ mod tests {
                 let inj = FaultInjector::new(7, w.plan_for(t));
                 for e in 0..200u64 {
                     let slab = w.at(t, e);
-                    let real = inj.at("x", 0, e);
+                    let real = inj.at(0, e);
                     match class {
                         FaultClass::Corruption => {
                             // NaN epochs roll through different hashes;
@@ -1305,7 +1212,7 @@ mod tests {
         let inj = FaultInjector::new(11, Campaign::BurstEverything.plan());
         let mut seen = FaultSet::default();
         for e in 0..700 {
-            seen.insert(inj.at("x", 0, e).set);
+            seen.insert(inj.at(0, e).set);
         }
         for (bit, label) in FaultSet::BIT_LABELS.iter().enumerate() {
             assert!(

@@ -26,14 +26,14 @@
 //!   (scenario × seed × goal-variant) work items: results merge in
 //!   work-item order, so output is byte-identical at 1 vs N threads.
 //! - [`FaultPlan`]/[`FaultInjector`] — the deterministic fault plane:
-//!   declarative per-channel, per-epoch-window faults (sensor dropout,
+//!   declarative per-epoch-window faults (sensor dropout,
 //!   stale repeats, NaN/spike corruption, actuator lag and saturation,
 //!   goal flaps, plant restarts), evaluated as a pure function of
 //!   `(seed, plan, channel, epoch)` so chaos runs replay exactly.
 //! - [`GuardPolicy`]/[`ChaosSpec`] — the matching resilience guards
 //!   (admission filtering, stale watchdog, anti-windup, divergence
 //!   fallback to the profiled-safe setting, restart recovery, optional
-//!   shedding of already-admitted work), armed via
+//!   shedding of already-admitted work) at constant thresholds, armed via
 //!   [`ControlPlane::enable_chaos`].
 //! - [`EventPlane`]/[`PlaneEvent`] — the event kernel: the same plane
 //!   scheduled on the `smartconf-simkernel` calendar, one `Sense` per
@@ -61,14 +61,15 @@ mod soak;
 pub use baseline::Baseline;
 pub use event::{EpochEvent, EpochLog, EpochSummary, BURST_BINS};
 pub use fault::{
-    ActiveFaults, Campaign, ChannelFilter, FaultClass, FaultInjector, FaultKind, FaultPlan,
-    FaultSet, FaultTick, FaultWindow, SensorFault, TenantFaultSchedule, TenantFaultWindows,
-    CHAOS_STREAM, SOAK_FAULT_CLASSES, SOAK_LAG_EPOCHS, SOAK_NAN_PROBABILITY, SOAK_SPIKE_FACTOR,
+    ActiveFaults, Campaign, FaultClass, FaultInjector, FaultKind, FaultPlan, FaultSet, FaultTick,
+    FaultWindow, SensorFault, TenantFaultSchedule, TenantFaultWindows, CHAOS_STREAM,
+    SOAK_FAULT_CLASSES, SOAK_LAG_EPOCHS, SOAK_NAN_PROBABILITY, SOAK_SPIKE_FACTOR,
 };
 pub use fleet::{shard_seed, FleetExecutor};
 pub use guard::{
     ChaosSpec, GuardPolicy, GuardSet, ADAPTIVE_CONFIDENCE_FLOOR, CAMPAIGN_BACKOFF_DOUBLINGS,
-    CAMPAIGN_VOTE_WINDOW,
+    CAMPAIGN_VOTE_WINDOW, COOLDOWN_EPOCHS, DIVERGENCE_STREAK, SPIKE_RATIO, SPIKE_WINDOW,
+    STALE_EPOCHS, STALE_ERROR_FRAC, WATCHDOG_EPOCHS,
 };
 pub use kernel::{EventPlane, PlaneEvent};
 pub use plane::{ControlPlane, ControlPlaneBuilder, Decider, DEFAULT_PERIOD_US};

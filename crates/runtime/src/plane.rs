@@ -8,7 +8,11 @@
 use smartconf_core::{Hardness, PerfModel, Result, Sense, SmartConf, SmartConfIndirect};
 
 use crate::fault::{FaultInjector, SensorFault};
-use crate::guard::{ChannelGuard, ChaosSpec, GuardMode, GuardPolicy, GuardSet};
+use crate::guard::{
+    ChannelGuard, ChaosSpec, GuardMode, GuardPolicy, GuardSet, ACTUATED_STALE_EPOCHS,
+    ADAPTIVE_CONFIDENCE_FLOOR, COOLDOWN_EPOCHS, DIVERGENCE_STREAK, STALE_EPOCHS, STALE_ERROR_FRAC,
+    WATCHDOG_EPOCHS,
+};
 use crate::{ChannelId, EpochEvent, EpochLog, Sensed};
 
 /// How one channel turns a sensor reading into a setting.
@@ -109,9 +113,6 @@ struct ChaosState {
     injector: FaultInjector,
     policy: GuardPolicy,
     guards: Vec<ChannelGuard>,
-    /// Per-channel pre-resolved fault-window indices, so the per-epoch
-    /// injector evaluation never matches channel-name strings.
-    window_map: Vec<Vec<usize>>,
 }
 
 /// The sensing period assigned to channels declared without an explicit
@@ -351,9 +352,7 @@ impl ControlPlane {
         let chaos = self.chaos.as_mut().expect("chaos is armed");
         let ch = &mut self.channels[id.0];
         let epoch = ch.epochs;
-        let active = chaos
-            .injector
-            .at_windows(&chaos.window_map[id.0], id.0 as u32, epoch);
+        let active = chaos.injector.at(id.0 as u32, epoch);
         let policy = &chaos.policy;
         let g = &mut chaos.guards[id.0];
         g.last_epoch = epoch;
@@ -453,11 +452,9 @@ impl ControlPlane {
             None => guards.insert(GuardSet::MISSED),
             Some(v) => {
                 g.note_delivered(v);
-                let off_target =
-                    (v - target).abs() > policy.stale_error_frac * target.abs().max(1.0);
-                let frozen_under_actuation =
-                    g.actuated_stale >= crate::guard::ACTUATED_STALE_EPOCHS;
-                if (g.stale_run >= policy.stale_epochs && off_target) || frozen_under_actuation {
+                let off_target = (v - target).abs() > STALE_ERROR_FRAC * target.abs().max(1.0);
+                let frozen_under_actuation = g.actuated_stale >= ACTUATED_STALE_EPOCHS;
+                if (g.stale_run >= STALE_EPOCHS && off_target) || frozen_under_actuation {
                     guards.insert(GuardSet::STALE_HOLD);
                     guards.insert(GuardSet::MISSED);
                     // A freeze the off-target test cannot see (the
@@ -471,9 +468,7 @@ impl ControlPlane {
                             .controller()
                             .is_some_and(|c| c.goal().hardness().is_hard());
                         if hard {
-                            g.mode = GuardMode::Fallback {
-                                until: epoch + g.enter_cooldown(policy),
-                            };
+                            g.enter_fallback(policy, epoch);
                             guards.insert(GuardSet::FALLBACK_ENTER);
                         }
                     }
@@ -482,14 +477,14 @@ impl ControlPlane {
                     // Sensor voting: instead of going blind on a
                     // corrupted burst, feed the controller the median of
                     // the recent genuinely-admitted readings (which a
-                    // burst cannot have polluted). Off (window 0) this is
-                    // the historical rejected-means-missed path. Voting
+                    // burst cannot have polluted). Off, this is the
+                    // historical rejected-means-missed path. Voting
                     // is an engaged-mode device only: a fallback hold is
                     // actively draining the plant, so consensus there
                     // goes stale by construction — during (and right out
                     // of) a hold, rejected still means missed.
-                    let consensus = (g.mode == GuardMode::Engaged)
-                        .then(|| g.vote_median(policy.vote_window))
+                    let consensus = (policy.vote && g.mode == GuardMode::Engaged)
+                        .then(|| g.vote_median())
                         .flatten();
                     if let Some(consensus) = consensus {
                         guards.insert(GuardSet::VOTED);
@@ -498,8 +493,8 @@ impl ControlPlane {
                         guards.insert(GuardSet::MISSED);
                     }
                 } else {
-                    if g.mode == GuardMode::Engaged {
-                        g.push_vote(v, policy.vote_window);
+                    if policy.vote && g.mode == GuardMode::Engaged {
+                        g.push_vote(v);
                     }
                     admitted = Some(v);
                 }
@@ -512,7 +507,7 @@ impl ControlPlane {
         // miss — the held setting was only ever safe under the old goal.
         if admitted.is_none() {
             g.missed += 1;
-            if g.missed >= policy.watchdog_epochs || !g.evidence_fresh {
+            if g.missed >= WATCHDOG_EPOCHS || !g.evidence_fresh {
                 ch.decider.force(g.last_safe);
                 guards.insert(GuardSet::WATCHDOG);
             }
@@ -558,6 +553,7 @@ impl ControlPlane {
         // 6. Divergence detector: |error| growing on the violating side
         //    of a hard goal for K consecutive admitted epochs degrades
         //    the channel to its profiled-safe fallback.
+        let mut enter = false;
         if let (Some(v), GuardMode::Engaged) = (admitted, g.mode) {
             let (hard, violation) = {
                 let ctl = ch.decider.controller().expect("smart channel");
@@ -572,17 +568,7 @@ impl ControlPlane {
                         g.worsening = 0;
                     }
                     g.prev_violation = mag;
-                    if g.worsening >= policy.divergence_streak {
-                        g.mode = GuardMode::Fallback {
-                            until: epoch + g.enter_cooldown(policy),
-                        };
-                        g.worsening = 0;
-                        g.prev_violation = 0.0;
-                        ch.decider.force(g.fallback);
-                        decided = ch.decider.controller().expect("smart channel").current();
-                        guards.insert(GuardSet::FALLBACK_ENTER);
-                        guards.insert(GuardSet::FALLBACK);
-                    }
+                    enter = g.worsening >= DIVERGENCE_STREAK;
                 }
                 _ => {
                     g.worsening = 0;
@@ -592,27 +578,28 @@ impl ControlPlane {
         }
 
         // 6b. Model doubt (adaptive channels): when the online
-        //     estimator's confidence collapses below the policy floor,
-        //     its recent gains are suspect — degrade to the profiled-safe
+        //     estimator's confidence collapses below the floor, its
+        //     recent gains are suspect — degrade to the profiled-safe
         //     fallback for one cooldown. The fallback hold above keeps
         //     feeding the estimator, so confidence recovers before
         //     re-engage (a still-doubted model just re-enters).
-        if policy.confidence_floor > 0.0 && g.mode == GuardMode::Engaged {
+        if !enter && g.mode == GuardMode::Engaged {
             let doubted = ch.decider.controller().is_some_and(|c| {
-                c.is_adaptive() && c.model().confidence() < policy.confidence_floor
+                c.is_adaptive() && c.model().confidence() < ADAPTIVE_CONFIDENCE_FLOOR
             });
             if doubted {
-                g.mode = GuardMode::Fallback {
-                    until: epoch + g.enter_cooldown(policy),
-                };
-                g.worsening = 0;
-                g.prev_violation = 0.0;
-                ch.decider.force(g.fallback);
-                decided = ch.decider.controller().expect("smart channel").current();
                 guards.insert(GuardSet::MODEL_DOUBT);
-                guards.insert(GuardSet::FALLBACK_ENTER);
-                guards.insert(GuardSet::FALLBACK);
+                enter = true;
             }
+        }
+        if enter {
+            g.enter_fallback(policy, epoch);
+            g.worsening = 0;
+            g.prev_violation = 0.0;
+            ch.decider.force(g.fallback);
+            decided = ch.decider.controller().expect("smart channel").current();
+            guards.insert(GuardSet::FALLBACK_ENTER);
+            guards.insert(GuardSet::FALLBACK);
         }
 
         // 7. Actuator faults: saturation (with anti-windup), then lag.
@@ -696,7 +683,7 @@ impl ControlPlane {
             // A sustained healthy engaged stretch earns the backoff
             // schedule back down to the base cooldown.
             g.clean_streak += 1;
-            if g.clean_streak >= policy.cooldown_epochs {
+            if g.clean_streak >= COOLDOWN_EPOCHS {
                 g.backoff_exp = 0;
             }
         }
@@ -749,22 +736,13 @@ impl ControlPlane {
                     .controller()
                     .map(|c| c.goal().target())
                     .unwrap_or(f64::NAN);
-                ChannelGuard::new(&spec.guard, fallback, initial, base_target)
+                ChannelGuard::new(fallback, initial, base_target)
             })
             .collect();
-        let injector = FaultInjector::new(spec.seed, spec.plan);
-        // Resolve each channel's matching fault windows once, here, so
-        // the per-epoch decide path never compares name strings.
-        let window_map = self
-            .channels
-            .iter()
-            .map(|ch| injector.windows_for(&ch.name))
-            .collect();
         self.chaos = Some(Box::new(ChaosState {
-            injector,
+            injector: FaultInjector::new(spec.seed, spec.plan),
             policy: spec.guard,
             guards,
-            window_map,
         }));
     }
 
@@ -816,7 +794,6 @@ impl ControlPlane {
         // healthy epoch under the new goal records a fresh one.
         if target.is_finite() {
             if let Some(chaos) = &mut self.chaos {
-                let cooldown = chaos.policy.cooldown_epochs;
                 let g = &mut chaos.guards[id.0];
                 g.base_target = target;
                 g.last_safe = g.fallback;
@@ -828,9 +805,7 @@ impl ControlPlane {
                 if !g.pending.is_empty() {
                     g.pending.clear();
                     g.in_force = g.fallback;
-                    g.mode = GuardMode::Fallback {
-                        until: g.last_epoch + 1 + cooldown,
-                    };
+                    g.enter_fallback(&chaos.policy, g.last_epoch + 1);
                 }
             }
         }
@@ -1030,7 +1005,7 @@ mod tests {
 mod chaos_tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan, FaultWindow};
-    use crate::guard::GuardSet;
+    use crate::guard::{GuardSet, CAMPAIGN_VOTE_WINDOW};
     use smartconf_core::{Controller, Goal};
 
     fn hard_controller(bounds: (f64, f64), initial: f64) -> Controller {
@@ -1041,7 +1016,7 @@ mod chaos_tests {
     fn chaos_plane(plan: FaultPlan, guard: GuardPolicy) -> (ControlPlane, ChannelId) {
         let sc = SmartConf::new("c", hard_controller((0.0, 1000.0), 50.0));
         let (mut plane, id) = ControlPlane::single("c", Decider::Direct(Box::new(sc)));
-        plane.enable_chaos(ChaosSpec::new(7, plan).with_guard(guard));
+        plane.enable_chaos(ChaosSpec::new(7, plan, guard));
         (plane, id)
     }
 
@@ -1072,10 +1047,14 @@ mod chaos_tests {
     #[test]
     fn dropout_holds_then_watchdog_reverts() {
         let plan = FaultPlan::new().window(FaultWindow::new(FaultKind::SensorDropout, 5, u64::MAX));
-        let (mut plane, id) = chaos_plane(plan, GuardPolicy::new().watchdog_epochs(3));
+        // A fallback at the top of the range, so the shed clamp leaves
+        // the revert to the last healthy setting visible.
+        let guard = GuardPolicy::new().fallback_setting("c", 1000.0);
+        let (mut plane, id) = chaos_plane(plan, guard);
         let mut last_healthy = 0.0;
-        for step in 0..12u64 {
-            let s = plane.decide(id, step, 40.0);
+        for step in 0..5 + WATCHDOG_EPOCHS + 3 {
+            // Vary the reading so natural repeats never accumulate.
+            let s = plane.decide(id, step, 40.0 + step as f64);
             if step == 4 {
                 last_healthy = s;
             }
@@ -1083,8 +1062,9 @@ mod chaos_tests {
         // Missing epochs hold, then the watchdog reverts to the last
         // healthy setting and pins there.
         assert!(guard_bits(&plane, 5).contains(GuardSet::MISSED));
-        assert!(!guard_bits(&plane, 5).contains(GuardSet::WATCHDOG));
-        let wd = guard_bits(&plane, 7);
+        let first_revert = 5 + WATCHDOG_EPOCHS - 1;
+        assert!(!guard_bits(&plane, first_revert - 1).contains(GuardSet::WATCHDOG));
+        let wd = guard_bits(&plane, first_revert);
         assert!(wd.contains(GuardSet::WATCHDOG));
         let last = plane.log().last_setting("c").unwrap();
         assert_eq!(last, last_healthy);
@@ -1119,27 +1099,24 @@ mod chaos_tests {
     #[test]
     fn stale_repeats_trigger_hold_only_when_off_target() {
         let plan = FaultPlan::new().window(FaultWindow::new(FaultKind::SensorStale, 3, u64::MAX));
-        let (mut plane, id) = chaos_plane(plan, GuardPolicy::new().stale_detection(3, 0.05));
-        for step in 0..12u64 {
+        let (mut plane, id) = chaos_plane(plan, GuardPolicy::new());
+        for step in 0..STALE_EPOCHS + 6 {
             // Fresh readings vary; from epoch 3 the injected staleness
             // freezes the delivered value far from the 90 target.
             plane.decide(id, step, 30.0 + step as f64);
         }
         // The repeat run starts at the fault window; the hold engages
-        // once it reaches the 3-repeat threshold, not immediately.
+        // once it reaches the repeat threshold, not immediately.
         assert!(!guard_bits(&plane, 3).contains(GuardSet::STALE_HOLD));
-        assert!(guard_bits(&plane, 8).contains(GuardSet::STALE_HOLD));
+        assert!(guard_bits(&plane, 3 + STALE_EPOCHS).contains(GuardSet::STALE_HOLD));
     }
 
     #[test]
     fn quantized_on_target_repeats_do_not_false_trigger() {
         // No faults at all: the plant legitimately repeats a quantized
         // reading near the target (HD4995's limit×20µs blocks).
-        let (mut plane, id) = chaos_plane(
-            FaultPlan::new(),
-            GuardPolicy::new().stale_detection(3, 0.05),
-        );
-        for step in 0..20u64 {
+        let (mut plane, id) = chaos_plane(FaultPlan::new(), GuardPolicy::new());
+        for step in 0..3 * STALE_EPOCHS {
             plane.decide(id, step, 90.0); // exactly the virtual target
         }
         let s = plane.log().summary("c").unwrap();
@@ -1268,7 +1245,7 @@ mod chaos_tests {
         let sc = SmartConf::new("c", ctl);
         let (mut plane, id) = ControlPlane::single("c", Decider::Direct(Box::new(sc)));
         let plan = FaultPlan::new().window(FaultWindow::new(FaultKind::PlantRestart, 4, 5));
-        plane.enable_chaos(ChaosSpec::new(7, plan).with_guard(GuardPolicy::new()));
+        plane.enable_chaos(ChaosSpec::new(7, plan, GuardPolicy::new()));
         for step in 0..4u64 {
             plane.decide(id, step, 40.0);
         }
@@ -1324,32 +1301,36 @@ mod chaos_tests {
             .unwrap();
         let sc = SmartConf::new("c", ctl);
         let (mut plane, id) = ControlPlane::single("c", Decider::Direct(Box::new(sc)));
-        let guard = GuardPolicy::new()
-            .fallback_setting("c", 25.0)
-            .confidence_floor(0.9);
-        plane.enable_chaos(ChaosSpec::new(7, FaultPlan::new()).with_guard(guard));
-        // Wildly inconsistent measurements crash the estimator's
-        // confidence below the (deliberately high) floor.
-        for (step, measured) in [(0u64, 40.0), (1, 5.0), (2, 80.0), (3, 3.0), (4, 70.0)] {
+        let guard = GuardPolicy::new().fallback_setting("c", 25.0);
+        plane.enable_chaos(ChaosSpec::new(7, FaultPlan::new(), guard));
+        // Readings swinging far from anything the controller's setting
+        // explains crash the estimator's confidence below the floor;
+        // they stay under the virtual target, so divergence never fires.
+        let mut doubted = None;
+        for step in 0..40u64 {
+            let measured = if step % 2 == 0 { 80.0 } else { 10.0 };
             plane.decide(id, step, measured);
+            if guard_bits(&plane, step).contains(GuardSet::MODEL_DOUBT) {
+                doubted = Some(step);
+                break;
+            }
         }
+        let doubted = doubted.expect("model doubt fired");
         let confidence = match plane.decider(id) {
             Decider::Direct(c) => c.controller().model().confidence(),
             _ => unreachable!(),
         };
-        assert!(confidence < 0.9, "confidence {confidence} not collapsed");
-        let doubted = (0..5u64)
-            .find(|&e| guard_bits(&plane, e).contains(GuardSet::MODEL_DOUBT))
-            .expect("model doubt fired");
+        assert!(
+            confidence < ADAPTIVE_CONFIDENCE_FLOOR,
+            "confidence {confidence} not collapsed"
+        );
         assert!(guard_bits(&plane, doubted).contains(GuardSet::FALLBACK_ENTER));
         assert_eq!(plane.log().last_setting("c"), Some(25.0));
     }
 
     #[test]
     fn divergence_degrades_to_fallback_and_reengages() {
-        let guard = GuardPolicy::new()
-            .divergence(3, 5)
-            .fallback_setting("c", 25.0);
+        let guard = GuardPolicy::new().fallback_setting("c", 25.0);
         let (mut plane, id) = chaos_plane(FaultPlan::new(), guard);
         // Error grows on the violating side of the hard goal for three
         // consecutive epochs (measured beyond the virtual target 90).
@@ -1360,26 +1341,28 @@ mod chaos_tests {
         assert!(enter.contains(GuardSet::FALLBACK_ENTER));
         assert_eq!(plane.log().last_setting("c"), Some(25.0));
         // The fallback holds through the cooldown even as readings recover.
-        for step in 3..7u64 {
-            let s = plane.decide(id, step, 40.0);
+        let until = 2 + COOLDOWN_EPOCHS;
+        for step in 3..until {
+            // Vary the reading so natural repeats never accumulate.
+            let s = plane.decide(id, step, 40.0 + (step % 2) as f64);
             assert_eq!(s, 25.0, "epoch {step} must hold the fallback");
             assert!(guard_bits(&plane, step).contains(GuardSet::FALLBACK));
         }
-        // Cooldown over (entered at 2, until 7): the controller re-engages.
-        let s = plane.decide(id, 7, 40.0);
-        assert!(guard_bits(&plane, 7).contains(GuardSet::REENGAGE));
+        // Cooldown over: the controller re-engages.
+        let s = plane.decide(id, until, 40.0);
+        assert!(guard_bits(&plane, until).contains(GuardSet::REENGAGE));
         assert_ne!(s, 25.0);
         let summary = plane.log().summary("c").unwrap();
-        assert_eq!(summary.fallback_epochs, 5);
+        assert_eq!(summary.fallback_epochs, COOLDOWN_EPOCHS);
     }
 
     #[test]
     fn sensor_voting_feeds_the_controller_through_corruption() {
         // A NaN burst from epoch 6: without voting every burst epoch is
-        // MISSED; with a 3-wide vote the guard substitutes the median of
+        // MISSED; with voting armed the guard substitutes the median of
         // the recent admitted readings and the controller stays fed.
         let plan = FaultPlan::new().window(FaultWindow::new(FaultKind::SensorNan, 6, 10));
-        let (mut plane, id) = chaos_plane(plan, GuardPolicy::new().sensor_vote(3));
+        let (mut plane, id) = chaos_plane(plan, GuardPolicy::new().sensor_vote());
         for step in 0..12u64 {
             // Vary the reading so natural repeats never accumulate.
             plane.decide(id, step, 40.0 + step as f64);
@@ -1416,7 +1399,7 @@ mod chaos_tests {
         // Corruption before the vote window ever warms up: no consensus
         // exists, so the guard falls back to the historical missed path.
         let plan = FaultPlan::new().window(FaultWindow::new(FaultKind::SensorNan, 1, 3));
-        let (mut plane, id) = chaos_plane(plan, GuardPolicy::new().sensor_vote(5));
+        let (mut plane, id) = chaos_plane(plan, GuardPolicy::new().sensor_vote());
         for step in 0..4u64 {
             plane.decide(id, step, 40.0 + step as f64);
         }
@@ -1433,25 +1416,25 @@ mod chaos_tests {
         // consensus was flushed at entry and hold epochs never buffer,
         // so the rejection goes missed — a hold actively drains the
         // plant, and a drained-era median must never steer re-engage.
-        let plan = FaultPlan::new().window(FaultWindow::new(FaultKind::SensorNan, 5, 6));
-        let guard = GuardPolicy::new()
-            .sensor_vote(2)
-            .divergence(2, 8)
-            .fallback_setting("c", 25.0);
+        let warm = CAMPAIGN_VOTE_WINDOW as u64;
+        let nan_at = warm + 3;
+        let plan =
+            FaultPlan::new().window(FaultWindow::new(FaultKind::SensorNan, nan_at, nan_at + 1));
+        let guard = GuardPolicy::new().sensor_vote().fallback_setting("c", 25.0);
         let (mut plane, id) = chaos_plane(plan, guard);
-        plane.decide(id, 0, 40.0);
-        plane.decide(id, 1, 41.0);
-        // Worsening hard-goal violations (target 100 from chaos_plane's
-        // controller would not violate at 40) — push over the target.
-        plane.decide(id, 2, 105.0);
-        plane.decide(id, 3, 110.0);
-        plane.decide(id, 4, 115.0);
-        let entered = (0..=4u64).find(|&e| guard_bits(&plane, e).contains(GuardSet::FALLBACK));
+        for step in 0..warm {
+            plane.decide(id, step, 40.0 + step as f64);
+        }
+        // Worsening hard-goal violations over the virtual target 90.
+        for (i, measured) in [105.0, 110.0, 115.0].into_iter().enumerate() {
+            plane.decide(id, warm + i as u64, measured);
+        }
+        let entered = (0..nan_at).find(|&e| guard_bits(&plane, e).contains(GuardSet::FALLBACK));
         let entered = entered.expect("divergence must enter fallback");
-        // Epoch 5's injected NaN lands inside the hold.
-        plane.decide(id, 5, 50.0);
-        let bits = guard_bits(&plane, 5);
-        assert!(bits.contains(GuardSet::FALLBACK), "epoch 5 still holds");
+        // The injected NaN lands inside the hold.
+        plane.decide(id, nan_at, 50.0);
+        let bits = guard_bits(&plane, nan_at);
+        assert!(bits.contains(GuardSet::FALLBACK), "still holds");
         assert!(bits.contains(GuardSet::REJECTED), "NaN still rejected");
         assert!(
             bits.contains(GuardSet::MISSED) && !bits.contains(GuardSet::VOTED),
@@ -1460,44 +1443,83 @@ mod chaos_tests {
     }
 
     #[test]
+    fn retarget_under_lag_flushes_the_vote_window() {
+        // A retarget that meets lagged decisions enters fallback out of
+        // band; like every entry it flushes the vote window, so the
+        // first corrupted reading after re-engage cannot vote on
+        // consensus gathered under the old goal.
+        let warm = CAMPAIGN_VOTE_WINDOW as u64 + 2;
+        let reengage = warm + COOLDOWN_EPOCHS;
+        let plan = FaultPlan::new()
+            .window(FaultWindow::new(
+                FaultKind::ActuatorLag { epochs: 2 },
+                warm - 2,
+                warm,
+            ))
+            .window(FaultWindow::new(
+                FaultKind::SensorNan,
+                reengage + 1,
+                reengage + 2,
+            ));
+        let guard = GuardPolicy::new().sensor_vote().fallback_setting("c", 25.0);
+        let (mut plane, id) = chaos_plane(plan, guard);
+        for step in 0..warm {
+            plane.decide(id, step, 40.0 + step as f64);
+        }
+        plane.set_goal(id, 200.0).unwrap();
+        for step in warm..=reengage + 1 {
+            plane.decide(id, step, 40.0 + step as f64);
+        }
+        assert!(guard_bits(&plane, warm).contains(GuardSet::FALLBACK));
+        assert!(guard_bits(&plane, reengage).contains(GuardSet::REENGAGE));
+        let bits = guard_bits(&plane, reengage + 1);
+        assert!(bits.contains(GuardSet::REJECTED), "NaN still rejected");
+        assert!(
+            bits.contains(GuardSet::MISSED) && !bits.contains(GuardSet::VOTED),
+            "a retarget's fallback entry must flush the vote window"
+        );
+    }
+
+    #[test]
     fn repeated_divergence_backs_off_deterministically() {
-        // Satellite: the re-engage backoff ladder in the full decide
-        // path. First divergence dwells the base cooldown (5), the
-        // second dwells double (10) — and a jitter-free schedule means
-        // these edges land on exact epochs.
-        let guard = GuardPolicy::new()
-            .divergence(3, 5)
-            .reengage_backoff(2)
-            .fallback_setting("c", 25.0);
+        // The re-engage backoff ladder in the full decide path. The
+        // first divergence dwells the base cooldown, the second dwells
+        // double — and a jitter-free schedule means these edges land on
+        // exact epochs.
+        let mut guard = GuardPolicy::new().fallback_setting("c", 25.0);
+        guard.backoff = true;
         let (mut plane, id) = chaos_plane(FaultPlan::new(), guard);
         let diverge = [95.0, 105.0, 120.0];
-        // First divergence: enters at epoch 2, dwells 5, re-engages at 7.
+        // First divergence: enters at epoch 2, dwells one cooldown.
         for (step, m) in diverge.iter().enumerate() {
             plane.decide(id, step as u64, *m);
         }
         assert!(guard_bits(&plane, 2).contains(GuardSet::FALLBACK_ENTER));
-        for step in 3..7u64 {
+        let first = 2 + COOLDOWN_EPOCHS;
+        for step in 3..first {
             plane.decide(id, step, 40.0);
             assert!(guard_bits(&plane, step).contains(GuardSet::FALLBACK));
         }
-        plane.decide(id, 7, 40.0);
-        assert!(guard_bits(&plane, 7).contains(GuardSet::REENGAGE));
-        // Second divergence: enters at epoch 10, dwells 10 (doubled), so
-        // epoch 15 — past where the base cooldown would have re-engaged —
-        // still holds the fallback, and re-engage lands at epoch 20.
+        plane.decide(id, first, 40.0);
+        assert!(guard_bits(&plane, first).contains(GuardSet::REENGAGE));
+        // Second divergence: enters three epochs later and dwells two
+        // cooldowns, so the epoch where the base cooldown would have
+        // re-engaged still holds the fallback.
         for (i, m) in diverge.iter().enumerate() {
-            plane.decide(id, 8 + i as u64, *m);
+            plane.decide(id, first + 1 + i as u64, *m);
         }
-        assert!(guard_bits(&plane, 10).contains(GuardSet::FALLBACK_ENTER));
-        for step in 11..20u64 {
+        let entered = first + 3;
+        assert!(guard_bits(&plane, entered).contains(GuardSet::FALLBACK_ENTER));
+        let second = entered + 2 * COOLDOWN_EPOCHS;
+        for step in entered + 1..second {
             plane.decide(id, step, 40.0);
             assert!(
                 guard_bits(&plane, step).contains(GuardSet::FALLBACK),
                 "epoch {step} must still dwell under the doubled cooldown"
             );
         }
-        plane.decide(id, 20, 40.0);
-        assert!(guard_bits(&plane, 20).contains(GuardSet::REENGAGE));
+        plane.decide(id, second, 40.0);
+        assert!(guard_bits(&plane, second).contains(GuardSet::REENGAGE));
     }
 
     #[test]
@@ -1519,6 +1541,7 @@ mod chaos_tests {
         plane.enable_chaos(ChaosSpec::new(
             1,
             FaultPlan::new().window(FaultWindow::new(FaultKind::PlantRestart, 1, 2)),
+            GuardPolicy::new(),
         ));
         assert_eq!(plane.decide(id, 0, 10.0), 30.0);
         assert_eq!(plane.decide(id, 1, 10.0), 30.0);
@@ -1544,13 +1567,11 @@ mod chaos_proptests {
         let ctl = Controller::new(2.0, 0.3, goal, 0.1, (0.0, 180.0), 20.0).unwrap();
         let sc = SmartConf::new("c", ctl);
         let (mut plane, id) = ControlPlane::single("c", Decider::Direct(Box::new(sc)));
-        plane.enable_chaos(
-            ChaosSpec::new(seed, plan).with_guard(
-                GuardPolicy::new()
-                    .divergence(3, 10)
-                    .fallback_setting("c", fallback),
-            ),
-        );
+        plane.enable_chaos(ChaosSpec::new(
+            seed,
+            plan,
+            GuardPolicy::new().fallback_setting("c", fallback),
+        ));
         let mut setting = 20.0;
         let mut out = Vec::new();
         for step in 0..epochs {

@@ -47,3 +47,9 @@ pub use smartconf_runtime as runtime;
 pub use smartconf_simkernel as simkernel;
 pub use smartconf_study as study;
 pub use smartconf_workload as workload;
+
+/// The repository README's Rust snippets, compiled and run as doctests
+/// so a snippet that drifts from the API fails `cargo test`.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;
