@@ -217,8 +217,12 @@ impl<P: Plant> EventPlane<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Campaign, ChaosSpec, Decider, EpochEvent, FaultClass, GuardPolicy, Sensed};
-    use smartconf_core::{Controller, Goal, Hardness, SmartConf, SmartConfIndirect};
+    use crate::{
+        Campaign, ChaosSpec, Decider, EpochEvent, FaultClass, GuardPolicy, GuardSet, Sensed,
+    };
+    use smartconf_core::{
+        Controller, ControllerBuilder, Goal, Hardness, ModelMode, SmartConf, SmartConfIndirect,
+    };
 
     const PERIOD: u64 = 1_000_000;
 
@@ -292,9 +296,20 @@ mod tests {
             })
     }
 
-    fn controller(target: f64, hardness: Hardness) -> Controller {
+    /// The kernel tests' controller: gain 1, pole 0.3, λ 0.1 over
+    /// `[0, 500]` from 10, with a frozen or an RLS (`GainModel::Rls`)
+    /// model seeded at that gain.
+    fn controller(target: f64, hardness: Hardness, mode: ModelMode) -> Controller {
         let goal = Goal::new("m", target).with_hardness(hardness).unwrap();
-        Controller::new(1.0, 0.3, goal, 0.1, (0.0, 500.0), 10.0).unwrap()
+        ControllerBuilder::new(goal)
+            .alpha(1.0)
+            .pole(0.3)
+            .lambda(0.1)
+            .bounds(0.0, 500.0)
+            .initial(10.0)
+            .model_mode(mode)
+            .build()
+            .unwrap()
     }
 
     /// The plane shapes of the scenario roster: single direct (CA6059,
@@ -303,7 +318,7 @@ mod tests {
     /// Shape 3 mixes all three at their own periods: a direct hard
     /// channel at 200 ms, a deputy super-hard pair at 700 ms and a
     /// static channel at 5 s, so no two cohorts share an epoch axis.
-    fn build_plane(shape: usize) -> ControlPlane {
+    fn build_plane(shape: usize, mode: ModelMode) -> ControlPlane {
         let mut b = ControlPlane::builder();
         match shape {
             0 => {
@@ -311,7 +326,7 @@ mod tests {
                     "solo",
                     Decider::Direct(Box::new(SmartConf::new(
                         "solo",
-                        controller(200.0, Hardness::Hard),
+                        controller(200.0, Hardness::Hard, mode),
                     ))),
                 );
             }
@@ -321,7 +336,7 @@ mod tests {
                         name,
                         Decider::Deputy(Box::new(SmartConfIndirect::new(
                             name,
-                            controller(300.0, Hardness::SuperHard),
+                            controller(300.0, Hardness::SuperHard, mode),
                         ))),
                     );
                 }
@@ -331,7 +346,7 @@ mod tests {
                     "smart",
                     Decider::Direct(Box::new(SmartConf::new(
                         "smart",
-                        controller(250.0, Hardness::Hard),
+                        controller(250.0, Hardness::Hard, mode),
                     ))),
                 );
                 b.channel("fixed", Decider::Static(30.0));
@@ -341,7 +356,7 @@ mod tests {
                     "fast",
                     Decider::Direct(Box::new(SmartConf::new(
                         "fast",
-                        controller(200.0, Hardness::Hard),
+                        controller(200.0, Hardness::Hard, mode),
                     ))),
                     200_000,
                 );
@@ -350,7 +365,7 @@ mod tests {
                         name,
                         Decider::Deputy(Box::new(SmartConfIndirect::new(
                             name,
-                            controller(300.0, Hardness::SuperHard),
+                            controller(300.0, Hardness::SuperHard, mode),
                         ))),
                         700_000,
                     );
@@ -369,10 +384,17 @@ mod tests {
         Campaign(Campaign),
     }
 
-    /// A run of `shape` under `arm` for `horizon` seconds (periods of
-    /// the uniform shapes): the event log and the plant it drove.
-    fn kernel_run(shape: usize, arm: Arm, seed: u64, horizon: u64) -> (Vec<EpochEvent>, TwinPlant) {
-        let mut plane = build_plane(shape);
+    /// A run of `shape` (smart channels on `mode` models) under `arm`
+    /// for `horizon` seconds (periods of the uniform shapes): the event
+    /// log and the plant it drove.
+    fn kernel_run(
+        shape: usize,
+        mode: ModelMode,
+        arm: Arm,
+        seed: u64,
+        horizon: u64,
+    ) -> (Vec<EpochEvent>, TwinPlant) {
+        let mut plane = build_plane(shape, mode);
         let guard = GuardPolicy::new()
             .fallback_setting("solo", 25.0)
             .fallback_setting("fast", 25.0)
@@ -399,9 +421,16 @@ mod tests {
 
     /// Asserts `kernel_run` of `shape` matches its pinned digest, and
     /// that an armed run injected faults (and restarted the plant under
-    /// the restart class).
-    fn assert_run_pinned(shape: usize, arm: Arm, seed: u64, horizon: u64, pin: u64) {
-        let (events, plant) = kernel_run(shape, arm, seed, horizon);
+    /// the restart class); returns the run's events.
+    fn assert_run_pinned(
+        shape: usize,
+        mode: ModelMode,
+        arm: Arm,
+        seed: u64,
+        horizon: u64,
+        pin: u64,
+    ) -> Vec<EpochEvent> {
+        let (events, plant) = kernel_run(shape, mode, arm, seed, horizon);
         if !matches!(arm, Arm::Clean) {
             assert!(
                 events.iter().any(|e| !e.faults.is_empty()),
@@ -417,8 +446,9 @@ mod tests {
         assert_eq!(
             digest(&events, &plant),
             pin,
-            "{arm:?} shape {shape} seed {seed}: kernel log moved"
+            "{mode:?} {arm:?} shape {shape} seed {seed}: kernel log moved"
         );
+        events
     }
 
     /// Asserts `kernel_run` matches its pinned digest for shapes 0–2.
@@ -432,7 +462,7 @@ mod tests {
     /// constants.
     fn assert_pinned(arm: Arm, seed: u64, horizon: u64, pins: [u64; 3]) {
         for (shape, pin) in pins.into_iter().enumerate() {
-            assert_run_pinned(shape, arm, seed, horizon, pin);
+            assert_run_pinned(shape, ModelMode::Frozen, arm, seed, horizon, pin);
         }
     }
 
@@ -527,14 +557,100 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_channels_match_pinned_digests_under_every_fault_class_and_campaign() {
+        // The frozen pins above never reach the adaptive rungs: RELEARN
+        // on restart, model doubt, and the estimator learning through a
+        // fallback hold. Shapes 0–2 on RLS models, seed 11, every fault
+        // class, then every campaign.
+        const PINS: [[u64; 3]; 11] = [
+            [
+                0x3c21_4032_f032_b7dd,
+                0xdf74_0e86_a854_84e0,
+                0x8784_2781_2a2c_e842,
+            ],
+            [
+                0x0035_0d38_6a5d_0b71,
+                0x5a46_8318_217a_2eba,
+                0xf183_e3f5_c061_1114,
+            ],
+            [
+                0xb379_d3f9_8871_2454,
+                0x9615_0c61_4afc_9a15,
+                0x18cc_8452_98d2_6240,
+            ],
+            [
+                0x22e5_f4f1_8aef_f5b0,
+                0xb32d_dfea_04b3_de01,
+                0x8b63_2cf6_f407_958c,
+            ],
+            [
+                0x403d_5b06_f20b_e0fc,
+                0x8648_27c2_67b7_77bb,
+                0x887d_5a1a_9129_8105,
+            ],
+            [
+                0xc9f7_87bf_9a64_9d36,
+                0xb41d_efd7_25dd_4153,
+                0xc635_f421_0538_75d7,
+            ],
+            [
+                0xd7c8_246a_2613_317c,
+                0x8b7a_7b02_dd94_5a69,
+                0xff60_245d_2de4_a566,
+            ],
+            [
+                0xc9af_3ba0_0daa_eb0f,
+                0x3789_6b72_f676_f040,
+                0xfe24_a537_58e9_fca5,
+            ],
+            [
+                0xb963_1a1f_13da_22e4,
+                0x6372_e512_1407_d2da,
+                0x3979_9df4_6ea2_be10,
+            ],
+            [
+                0xd981_b9a5_9368_e2c3,
+                0x331b_d34b_732d_4725,
+                0xe12c_f1fa_970c_0134,
+            ],
+            [
+                0xa35b_b789_27e1_4ba2,
+                0x5310_afdd_9431_0d00,
+                0x7d41_d433_1ee3_10a6,
+            ],
+        ];
+        let arms = FaultClass::ALL
+            .map(Arm::Class)
+            .into_iter()
+            .chain(Campaign::ALL.map(Arm::Campaign));
+        let mut doubted = false;
+        for (arm, pins) in arms.zip(PINS) {
+            for (shape, pin) in pins.into_iter().enumerate() {
+                let events = assert_run_pinned(shape, ModelMode::Adaptive, arm, 11, 400, pin);
+                let fired = |bit| events.iter().any(|e| e.guards.contains(bit));
+                if matches!(arm, Arm::Class(FaultClass::PlantRestart)) {
+                    assert!(fired(GuardSet::RELEARN), "shape {shape}: no RELEARN");
+                    assert!(!fired(GuardSet::REPROFILE), "shape {shape}: REPROFILE");
+                }
+                doubted |= fired(GuardSet::MODEL_DOUBT);
+            }
+        }
+        assert!(doubted, "no adaptive run tripped MODEL_DOUBT");
+    }
+
+    #[test]
     fn shed_notifications_reach_the_plant_identically() {
         // SensorDropout trips the watchdog, which sheds admitted work;
         // the kernel must deliver exactly the pinned shed() calls.
-        let (events, plant) = kernel_run(0, Arm::Class(FaultClass::SensorDropout), 3, 400);
+        let (events, plant) = kernel_run(
+            0,
+            ModelMode::Frozen,
+            Arm::Class(FaultClass::SensorDropout),
+            3,
+            400,
+        );
         assert_eq!(plant.sheds, 76, "shed calls");
-        assert!(events
-            .iter()
-            .any(|e| e.guards.contains(crate::GuardSet::SHED)));
+        assert!(events.iter().any(|e| e.guards.contains(GuardSet::SHED)));
         assert_eq!(digest(&events, &plant), 0xe186_b94d_cae2_578e);
     }
 
@@ -545,7 +661,7 @@ mod tests {
             "fast",
             Decider::Direct(Box::new(SmartConf::new(
                 "fast",
-                controller(200.0, Hardness::Hard),
+                controller(200.0, Hardness::Hard, ModelMode::Frozen),
             ))),
             250_000,
         );
@@ -553,7 +669,7 @@ mod tests {
             "slow",
             Decider::Direct(Box::new(SmartConf::new(
                 "slow",
-                controller(200.0, Hardness::Hard),
+                controller(200.0, Hardness::Hard, ModelMode::Frozen),
             ))),
             1_000_000,
         );
@@ -599,7 +715,7 @@ mod tests {
             .chain(Campaign::ALL.map(Arm::Campaign));
         for (arm, pins) in arms.zip(PINS) {
             for (seed, pin) in SEEDS.into_iter().zip(pins) {
-                let (events, _) = kernel_run(3, arm, seed, 120);
+                let events = assert_run_pinned(3, ModelMode::Frozen, arm, seed, 120, pin);
                 for ch in 0..4 {
                     assert!(
                         events
@@ -608,7 +724,6 @@ mod tests {
                         "{arm:?} seed {seed}: no faults fired on channel {ch}"
                     );
                 }
-                assert_run_pinned(3, arm, seed, 120, pin);
             }
         }
     }
@@ -643,8 +758,8 @@ mod tests {
             horizon in 50u64..300,
         ) {
             let arm = FaultClass::ALL.get(class_idx).map_or(Arm::Clean, |&c| Arm::Class(c));
-            let (events, _) = kernel_run(shape, arm, seed, horizon);
-            let channels = build_plane(shape).channel_count() as u64;
+            let (events, _) = kernel_run(shape, ModelMode::Frozen, arm, seed, horizon);
+            let channels = build_plane(shape, ModelMode::Frozen).channel_count() as u64;
             proptest::prop_assert_eq!(events.len() as u64, horizon * channels);
             for (i, e) in events.iter().enumerate() {
                 let i = i as u64;
