@@ -5,7 +5,7 @@
 //! context-aware poles for hard constraints (§5.2), and the interaction
 //! factor for super-hard goals shared by several configurations (§5.4).
 
-use crate::{adaptive_pole, Error, GainModel, Goal, Hardness, PerfModel, Result, Sense};
+use crate::{adaptive_pole, Error, GainModel, Goal, Hardness, Result, Sense};
 
 /// Consecutive saturated-and-violating steps before the controller flags
 /// the goal as unreachable.
@@ -275,7 +275,7 @@ impl Controller {
 
     /// Mutable access to the model — how the runtime resets an adaptive
     /// estimator's certainty after a plant restart
-    /// ([`PerfModel::relearn`]).
+    /// ([`GainModel::relearn`]).
     pub fn model_mut(&mut self) -> &mut GainModel {
         &mut self.model
     }
@@ -379,7 +379,7 @@ impl Controller {
     /// Adaptive models are taught here: the measurement is paired with
     /// the setting it was produced under (`current` — which the indirect
     /// wrapper has already replaced with the deputy's actual value, §5.3)
-    /// and fed to [`PerfModel::observe`] before the gain is read back.
+    /// and fed to [`GainModel::observe`] before the gain is read back.
     /// While an adaptive model's confidence is low, the regular pole is
     /// floored toward heavier damping ([`adaptive_pole`]) so a
     /// mid-relearn gain estimate moves the setting cautiously; the

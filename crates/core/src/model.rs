@@ -9,13 +9,13 @@
 //! else), and report fit diagnostics so synthesis can reject degenerate
 //! profiles.
 //!
-//! The paper fits this model **once**, offline, and never updates it. The
-//! [`PerfModel`] trait generalizes that frozen picture into an estimator
-//! abstraction with two implementations:
+//! The paper fits this model **once**, offline, and never updates it. A
+//! controller's [`GainModel`] is either that frozen picture or an online
+//! estimator:
 //!
 //! * [`LinearFit`] — the §6.1 offline fit, frozen for the lifetime of the
-//!   controller (its [`PerfModel::observe`] is a no-op). This is the
-//!   paper's behaviour, bit for bit.
+//!   controller ([`GainModel::observe`] ignores it). This is the paper's
+//!   behaviour, bit for bit.
 //! * [`RlsModel`] — recursive least squares with a forgetting factor,
 //!   seeded from an offline fit and refined from live `(setting,
 //!   measurement)` pairs on every admitted control epoch. Degenerate
@@ -23,9 +23,8 @@
 //!   estimate is projected onto the profiled gain's sign and magnitude
 //!   band so a transient cannot hand the controller an explosive `1/α`.
 //!
-//! Controllers carry a [`GainModel`] — a closed enum over the two — so the
-//! frozen path keeps its `Copy`/`PartialEq` story and pays nothing for the
-//! abstraction.
+//! [`GainModel`] is a closed enum over the two, so the frozen path keeps
+//! its `Copy`/`PartialEq` story and pays no dynamic dispatch.
 
 use crate::{Error, Result};
 
@@ -39,48 +38,6 @@ pub enum ModelMode {
     /// Online recursive-least-squares refinement seeded from the offline
     /// fit ([`RlsModel`]).
     Adaptive,
-}
-
-/// A performance model `perf ≈ α·setting + β` that a controller consults
-/// on every step — and, for adaptive implementations, teaches with every
-/// admitted measurement.
-pub trait PerfModel {
-    /// The gain: change in performance per unit change of configuration
-    /// (the `α` of the paper's Equations 1–2).
-    fn alpha(&self) -> f64;
-
-    /// The intercept of the affine model.
-    fn beta(&self) -> f64;
-
-    /// Confidence in `[0, 1]`: the frozen fit's `r²`, or an adaptive
-    /// model's residual-based estimate of how well recent measurements
-    /// match its predictions. Collapsing confidence is the signal the
-    /// guard ladder's model-drift safety net watches.
-    fn confidence(&self) -> f64;
-
-    /// Measurements the model has consumed (0 for a frozen fit, which
-    /// only ever saw its offline profile).
-    fn observations(&self) -> u64;
-
-    /// Whether [`PerfModel::observe`] can change the coefficients.
-    fn is_adaptive(&self) -> bool;
-
-    /// Feeds one live `(setting, measurement)` pair. Frozen models
-    /// ignore it; adaptive models refine `α`/`β`. Non-finite inputs are
-    /// ignored.
-    fn observe(&mut self, setting: f64, measured: f64);
-
-    /// Forgets accumulated certainty while keeping the current
-    /// coefficients as a warm start — for [`RlsModel`] a covariance
-    /// reset. Called after a plant restart so the estimator relearns the
-    /// post-restart dynamics in place instead of requesting a fresh
-    /// offline profiling pass. No-op for frozen models.
-    fn relearn(&mut self);
-
-    /// Predicted performance at a configuration setting.
-    fn predict(&self, setting: f64) -> f64 {
-        self.alpha() * setting + self.beta()
-    }
 }
 
 /// An affine fit `perf ≈ alpha · setting + beta` with diagnostics.
@@ -219,26 +176,6 @@ impl LinearFit {
     }
 }
 
-impl PerfModel for LinearFit {
-    fn alpha(&self) -> f64 {
-        self.alpha
-    }
-    fn beta(&self) -> f64 {
-        self.beta
-    }
-    fn confidence(&self) -> f64 {
-        self.r_squared
-    }
-    fn observations(&self) -> u64 {
-        0
-    }
-    fn is_adaptive(&self) -> bool {
-        false
-    }
-    fn observe(&mut self, _setting: f64, _measured: f64) {}
-    fn relearn(&mut self) {}
-}
-
 /// Forgetting factor of the RLS update: each step discounts past
 /// evidence by this factor, so the estimator tracks slow drift while a
 /// window of roughly `1/(1−λf) = 50` exciting epochs dominates.
@@ -300,7 +237,7 @@ const RLS_MIN_OBSERVATIONS: u64 = 4;
 /// # Example
 ///
 /// ```
-/// use smartconf_core::{LinearFit, PerfModel, RlsModel};
+/// use smartconf_core::{LinearFit, RlsModel};
 ///
 /// // Seeded believing the gain is 1; the live plant has gain 2.
 /// let mut m = RlsModel::from_fit(&LinearFit::from_parts(1.0, 0.0), 10.0);
@@ -398,18 +335,21 @@ impl RlsModel {
         self.p01 = 0.0;
         self.p11 = RLS_INITIAL_COVARIANCE;
     }
-}
 
-impl PerfModel for RlsModel {
-    fn alpha(&self) -> f64 {
+    /// The current gain estimate `α`.
+    pub fn alpha(&self) -> f64 {
         self.alpha_n / self.scale
     }
 
-    fn beta(&self) -> f64 {
+    /// The current intercept estimate `β`.
+    pub fn beta(&self) -> f64 {
         self.beta
     }
 
-    fn confidence(&self) -> f64 {
+    /// Confidence in `[0, 1]`: the seeded fit's `r²` until a few live
+    /// observations, then a residual-based estimate of how well recent
+    /// measurements match the model's predictions.
+    pub fn confidence(&self) -> f64 {
         if self.observations < RLS_MIN_OBSERVATIONS {
             return self.seed_confidence;
         }
@@ -420,15 +360,14 @@ impl PerfModel for RlsModel {
         1.0 / (1.0 + 10.0 * nrmse)
     }
 
-    fn observations(&self) -> u64 {
+    /// Live measurements consumed since seeding (or the last relearn).
+    pub fn observations(&self) -> u64 {
         self.observations
     }
 
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-
-    fn observe(&mut self, setting: f64, measured: f64) {
+    /// Feeds one live `(setting, measurement)` pair, refining `α`/`β`.
+    /// Non-finite inputs are ignored.
+    pub fn observe(&mut self, setting: f64, measured: f64) {
         if !setting.is_finite() || !measured.is_finite() {
             return;
         }
@@ -480,7 +419,10 @@ impl PerfModel for RlsModel {
         self.repair_non_finite();
     }
 
-    fn relearn(&mut self) {
+    /// Forgets accumulated certainty (a covariance reset) while keeping
+    /// the current coefficients as a warm start, so the estimator
+    /// relearns post-restart dynamics in place.
+    pub fn relearn(&mut self) {
         self.p00 = RLS_INITIAL_COVARIANCE;
         self.p01 = 0.0;
         self.p11 = RLS_INITIAL_COVARIANCE;
@@ -510,49 +452,53 @@ impl GainModel {
     pub fn frozen(alpha: f64) -> Self {
         GainModel::Frozen(LinearFit::from_parts(alpha, 0.0))
     }
-}
 
-impl PerfModel for GainModel {
-    fn alpha(&self) -> f64 {
+    /// The gain: change in performance per unit change of configuration
+    /// (the `α` of the paper's Equations 1–2).
+    pub fn alpha(&self) -> f64 {
         match self {
             GainModel::Frozen(m) => m.alpha(),
             GainModel::Rls(m) => m.alpha(),
         }
     }
-    fn beta(&self) -> f64 {
+
+    /// Confidence in `[0, 1]`: the frozen fit's `r²`, or the adaptive
+    /// model's residual-based estimate. Collapsing confidence is what
+    /// the guard ladder's model-doubt rung watches.
+    pub fn confidence(&self) -> f64 {
         match self {
-            GainModel::Frozen(m) => PerfModel::beta(m),
-            GainModel::Rls(m) => m.beta(),
-        }
-    }
-    fn confidence(&self) -> f64 {
-        match self {
-            GainModel::Frozen(m) => m.confidence(),
+            GainModel::Frozen(m) => m.r_squared(),
             GainModel::Rls(m) => m.confidence(),
         }
     }
-    fn observations(&self) -> u64 {
+
+    /// Live measurements the model has consumed (0 for a frozen fit,
+    /// which only ever saw its offline profile).
+    pub fn observations(&self) -> u64 {
         match self {
-            GainModel::Frozen(m) => m.observations(),
+            GainModel::Frozen(_) => 0,
             GainModel::Rls(m) => m.observations(),
         }
     }
-    fn is_adaptive(&self) -> bool {
-        match self {
-            GainModel::Frozen(m) => m.is_adaptive(),
-            GainModel::Rls(m) => m.is_adaptive(),
+
+    /// Whether [`GainModel::observe`] can change the coefficients.
+    pub fn is_adaptive(&self) -> bool {
+        matches!(self, GainModel::Rls(_))
+    }
+
+    /// Feeds one live `(setting, measurement)` pair: a frozen fit
+    /// ignores it, an adaptive model refines `α`/`β`.
+    pub fn observe(&mut self, setting: f64, measured: f64) {
+        if let GainModel::Rls(m) = self {
+            m.observe(setting, measured);
         }
     }
-    fn observe(&mut self, setting: f64, measured: f64) {
-        match self {
-            GainModel::Frozen(m) => m.observe(setting, measured),
-            GainModel::Rls(m) => m.observe(setting, measured),
-        }
-    }
-    fn relearn(&mut self) {
-        match self {
-            GainModel::Frozen(m) => m.relearn(),
-            GainModel::Rls(m) => m.relearn(),
+
+    /// Forgets an adaptive model's accumulated certainty, keeping its
+    /// coefficients (see [`RlsModel::relearn`]); a frozen fit has none.
+    pub fn relearn(&mut self) {
+        if let GainModel::Rls(m) = self {
+            m.relearn();
         }
     }
 }
@@ -652,14 +598,14 @@ mod tests {
 
     #[test]
     fn frozen_fit_ignores_observations() {
-        let mut fit = LinearFit::ols(&[(1.0, 12.0), (2.0, 14.0)]).unwrap();
-        let before = fit;
-        fit.observe(100.0, 0.0);
-        fit.relearn();
-        assert_eq!(fit, before);
-        assert!(!fit.is_adaptive());
-        assert_eq!(fit.observations(), 0);
-        assert_eq!(fit.confidence(), fit.r_squared());
+        let fit = LinearFit::ols(&[(1.0, 12.0), (2.0, 14.0)]).unwrap();
+        let mut frozen = GainModel::Frozen(fit);
+        frozen.observe(100.0, 0.0);
+        frozen.relearn();
+        assert_eq!(frozen, GainModel::Frozen(fit));
+        assert!(!frozen.is_adaptive());
+        assert_eq!(frozen.observations(), 0);
+        assert_eq!(frozen.confidence(), fit.r_squared());
     }
 
     #[test]
@@ -700,7 +646,7 @@ mod tests {
             let setting = 40.0 + (k % 5) as f64;
             m.observe(setting, 2.0 * setting + 5.0);
         }
-        let (a, b) = (m.alpha(), PerfModel::beta(&m));
+        let (a, b) = (m.alpha(), m.beta());
         for _ in 0..10_000 {
             m.observe(42.0, 2.0 * 42.0 + 5.0);
         }
@@ -709,7 +655,7 @@ mod tests {
             "alpha drifted to {}",
             m.alpha()
         );
-        assert!((PerfModel::beta(&m) - b).abs() < 1e-9);
+        assert!((m.beta() - b).abs() < 1e-9);
     }
 
     #[test]
@@ -749,7 +695,6 @@ mod tests {
             rls.observe(s, 3.0 * s + 1.0);
         }
         assert!((rls.alpha() - 3.0).abs() < 0.05);
-        assert!((rls.predict(10.0) - 31.0).abs() < 0.5);
     }
 }
 
@@ -817,8 +762,8 @@ mod proptests {
                 "rls alpha {} vs ols {}", rls.alpha(), ols.alpha()
             );
             prop_assert!(
-                (PerfModel::beta(&rls) - ols.beta()).abs() < 1e-2 * (1.0 + ols.beta().abs()),
-                "rls beta {} vs ols {}", PerfModel::beta(&rls), ols.beta()
+                (rls.beta() - ols.beta()).abs() < 1e-2 * (1.0 + ols.beta().abs()),
+                "rls beta {} vs ols {}", rls.beta(), ols.beta()
             );
             prop_assert!(rls.confidence() > 0.9);
         }

@@ -301,7 +301,6 @@ mod tests {
 
     #[test]
     fn adaptive_build_seeds_estimator_from_profile() {
-        use crate::PerfModel;
         let profile = linear_profile(2.0, &[0.0, 0.0]);
         let c = ControllerBuilder::new(Goal::new("m", 500.0))
             .profile(&profile)
