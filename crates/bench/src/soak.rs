@@ -46,8 +46,9 @@
 //! functions of their work item and merging happens in item order. The
 //! *committed* `BENCH_soak.json` tail numbers are additionally gated
 //! with a small relative tolerance (one sketch bucket) because the
-//! zipfian weight draw goes through libm `pow`, which may differ in the
-//! last ulp across platforms.
+//! profiles the templates are distilled from draw background churn
+//! through libm (`SimRng::normal`'s `ln`/`cos`, `SimRng::pareto`'s
+//! `powf`), which may differ in the last ulp across platforms.
 //!
 //! # Soak under fire
 //!
@@ -85,7 +86,10 @@ use crate::suite::{numbers_after, read_baseline, Smoke};
 
 /// Relative tolerance for comparing committed cohort tail numbers
 /// across machines: one sketch bucket width (1/64 ≈ 1.6 %) plus margin
-/// for the libm `pow` ulp drift in the zipfian weight draw.
+/// for libm ulp drift in the profiles the templates are distilled from
+/// (`BackgroundChurn`'s `SimRng::normal` draws `ln` and `cos`, its
+/// `SimRng::pareto` draws `powf`). The zipfian weight draw calls libm
+/// `pow` only for the rare draw within 1e-12 of a rank boundary.
 pub const TAIL_TOLERANCE: f64 = 0.035;
 
 /// How far below the committed baseline the measured tenants/sec may
@@ -283,15 +287,19 @@ fn build_lanes<S>(
     assert!(n_cohorts < CHURNER as usize, "{n_cohorts} cohorts");
     let seed = shard_seed(config.seed, item.scenario as u64);
     let traffic = &config.traffic;
-    let window_of = |id: u64| traffic.churn_window(seed, id, config.horizon_us);
+    let horizon_us = config.horizon_us;
+    // The per-tenant loops take `seed` by value (`move`), so the inlined
+    // hashes see it as loop-invariant and hoist its rounds.
+    let window_of = move |id: u64| traffic.churn_window(seed, id, horizon_us);
     let ids = item.start..item.start + item.len;
     let mut sizes = vec![(0, 0); n_cohorts];
+    let counts = &mut sizes;
     let tags: Vec<u16> = ids
         .clone()
-        .map(|id| {
+        .map(move |id| {
             let cohort = (shard_seed(seed, id) % n_cohorts as u64) as usize;
             let churns = window_of(id) != RESIDENT;
-            let (all, churners) = &mut sizes[cohort];
+            let (all, churners) = &mut counts[cohort];
             *all += 1;
             *churners += churns as usize;
             cohort as u16 | if churns { CHURNER } else { 0 }
@@ -309,7 +317,7 @@ fn build_lanes<S>(
         }
     }
     drop(tags);
-    let dist = KeyDistribution::ycsb_default(10_000);
+    let dist = &KeyDistribution::ycsb_default(10_000);
     lane_ids
         .into_iter()
         .zip(sizes)
@@ -318,10 +326,13 @@ fn build_lanes<S>(
             let residents = all - churners;
             let weight = ids
                 .iter()
-                .map(|&id| traffic.tenant_weight(seed, id, &dist))
+                .map(move |&id| traffic.tenant_weight(seed, id, dist))
                 .collect();
             let state = ids.iter().map(|&id| make(cohort, id)).collect();
-            let window = ids[residents..].iter().map(|&id| window_of(id)).collect();
+            let window = ids[residents..]
+                .iter()
+                .map(move |&id| window_of(id))
+                .collect();
             for id in &mut ids {
                 *id = TrafficShape::jitter_key(seed, *id);
             }

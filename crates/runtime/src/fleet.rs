@@ -290,6 +290,7 @@ impl Drop for OpenOnUnwind<'_> {
 /// assert_eq!(shard_seed(42, 3), shard_seed(42, 3));
 /// assert_ne!(shard_seed(42, 3), shard_seed(42, 4));
 /// ```
+#[inline]
 pub fn shard_seed(base: u64, index: u64) -> u64 {
     let mut z = base
         .wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15))

@@ -46,7 +46,9 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Mixes three words into one well-separated hash.
+/// Mixes three words into one well-separated hash. Inlined with its
+/// callers, so a loop over `c` alone hoists the first two rounds.
+#[inline]
 fn mix3(a: u64, b: u64, c: u64) -> u64 {
     mix(mix(mix(a).wrapping_add(b)).wrapping_add(c))
 }
@@ -184,7 +186,14 @@ impl TrafficShape {
     /// distribution `dist` with a per-`(seed, tenant)` derived RNG, and
     /// mapped through an inverse-square-root decay so rank 0 gets
     /// `weight_max` and deep ranks approach `weight_min`. A pure function
-    /// of its arguments.
+    /// of its arguments. At θ = 0.99 the rank is a multiply chain with
+    /// the very floor libm's `pow` gives, which it still computes for the
+    /// draws that land next to a rank boundary
+    /// ([`KeyDistribution::next_rank`]).
+    ///
+    /// Inlined, so a loop over tenants at one `seed` hashes each tenant
+    /// in one SplitMix64 round: the seed's two rounds are hoisted.
+    #[inline]
     pub fn tenant_weight(&self, seed: u64, tenant: u64, dist: &KeyDistribution) -> f64 {
         let mut rng = SimRng::seed_from_u64(mix3(seed, WEIGHT_STREAM, tenant));
         let rank = dist.next_rank(&mut rng);
@@ -198,7 +207,9 @@ impl TrafficShape {
     /// depart somewhere in the second half (`arrive < horizon_us / 2 ≤
     /// depart` for `horizon_us ≥ 2`), so every churner arrives before any
     /// churner departs; everyone else is resident for the whole run. A
-    /// pure function of its arguments.
+    /// pure function of its arguments. Inlined, like
+    /// [`TrafficShape::tenant_weight`].
+    #[inline]
     pub fn churn_window(&self, seed: u64, tenant: u64, horizon_us: u64) -> (u64, u64) {
         let h = mix3(seed, CHURN_STREAM, tenant);
         if hash01(h) >= self.churn_fraction {
@@ -333,6 +344,46 @@ mod tests {
             (0..50).any(|i| t.tenant_weight(42, i, &dist) != t.tenant_weight(43, i, &dist)),
             "seed change did not reshuffle any weight"
         );
+    }
+
+    #[test]
+    fn tenant_weights_equal_the_powf_formula_bit_for_bit() {
+        // The weight as drawn before the rank had a multiply path: ζ, η
+        // and the rank through `powf`, computed here from scratch.
+        let (n, theta) = (10_000u64, 0.99f64);
+        let zeta = |n: u64| (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum::<f64>();
+        let zetan = zeta(n);
+        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta(2) / zetan);
+        let t = TrafficShape::standard();
+        let powf_weight = |seed: u64, tenant: u64| {
+            let mut rng = SimRng::seed_from_u64(mix3(seed, WEIGHT_STREAM, tenant));
+            let u = rng.uniform(0.0, 1.0);
+            let uz = u * zetan;
+            let rank = if uz < 1.0 {
+                0
+            } else if uz < 1.0 + 0.5f64.powf(theta) {
+                1
+            } else {
+                let alpha = 1.0 / (1.0 - theta);
+                (((n as f64) * (eta * u - eta + 1.0).powf(alpha)) as u64).min(n - 1)
+            };
+            let popularity = 1.0 / (1.0 + rank as f64).sqrt();
+            t.weight_min + (t.weight_max - t.weight_min) * popularity
+        };
+        let dist = KeyDistribution::ycsb_default(n);
+        for base in [1u64, 5, 11, 42] {
+            for scenario in 0..7u64 {
+                // The soak's per-scenario seed, `runtime::shard_seed`.
+                let seed = mix(base.wrapping_add(scenario.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+                for tenant in 0..100_000 {
+                    assert_eq!(
+                        t.tenant_weight(seed, tenant, &dist).to_bits(),
+                        powf_weight(seed, tenant).to_bits(),
+                        "seed {base}, scenario {scenario}, tenant {tenant}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
