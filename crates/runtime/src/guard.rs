@@ -284,6 +284,59 @@ enum GuardMode {
     },
 }
 
+/// The last `cap ≤ SPIKE_WINDOW` readings pushed, the oldest
+/// overwritten first, in fixed storage: neither a push nor a median
+/// allocates.
+#[derive(Debug, Clone, PartialEq)]
+struct Ring {
+    buf: [f64; SPIKE_WINDOW],
+    len: usize,
+    cap: usize,
+    next: usize,
+}
+
+impl Ring {
+    /// An empty ring of `cap` readings (clamped ≥ 1).
+    ///
+    /// # Panics
+    ///
+    /// If `cap` exceeds [`SPIKE_WINDOW`].
+    fn new(cap: usize) -> Self {
+        assert!(cap <= SPIKE_WINDOW, "ring of {cap} > {SPIKE_WINDOW}");
+        Ring {
+            buf: [0.0; SPIKE_WINDOW],
+            len: 0,
+            cap: cap.max(1),
+            next: 0,
+        }
+    }
+
+    fn is_full(&self) -> bool {
+        self.len == self.cap
+    }
+
+    fn push(&mut self, v: f64) {
+        self.buf[self.next] = v;
+        self.next = (self.next + 1) % self.cap;
+        self.len = (self.len + 1).min(self.cap);
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.next = 0;
+    }
+
+    /// The upper median (element `len / 2` in ascending order) of a
+    /// sorted stack copy, or `None` while empty. The readings are
+    /// finite, so the order is the numeric one up to the sign of a zero.
+    fn median(&self) -> Option<f64> {
+        let mut sorted = self.buf;
+        let sorted = &mut sorted[..self.len];
+        sorted.sort_unstable_by(f64::total_cmp);
+        sorted.get(self.len / 2).copied()
+    }
+}
+
 /// Sensor-admission filter of the ladder's first rung: rejects
 /// non-finite readings and spikes far from the median of recent
 /// admitted readings.
@@ -294,37 +347,29 @@ enum GuardMode {
 /// never reach the controller.
 #[derive(Debug, Clone, PartialEq)]
 struct MedianFilter {
-    window: Vec<f64>,
-    cap: usize,
-    next: usize,
+    window: Ring,
     ratio: f64,
 }
 
 impl MedianFilter {
     /// A filter with a window of `cap` recent admitted readings
-    /// (clamped ≥ 1) and a spike threshold of `ratio` times the median.
+    /// (clamped ≥ 1, at most [`SPIKE_WINDOW`]) and a spike threshold of
+    /// `ratio` times the median.
     fn new(cap: usize, ratio: f64) -> Self {
         MedianFilter {
-            window: Vec::new(),
-            cap: cap.max(1),
-            next: 0,
+            window: Ring::new(cap),
             ratio: ratio.max(1.0),
         }
     }
 
     /// The median of the admitted window, or `None` while empty.
     fn median(&self) -> Option<f64> {
-        if self.window.is_empty() {
-            return None;
-        }
-        let mut sorted = self.window.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("admitted readings are finite"));
-        Some(sorted[sorted.len() / 2])
+        self.window.median()
     }
 
     /// Whether the window has filled (spike rejection active).
     fn warmed_up(&self) -> bool {
-        self.window.len() >= self.cap
+        self.window.is_full()
     }
 
     /// Validates one reading. Admitted readings enter the window;
@@ -340,12 +385,7 @@ impl MedianFilter {
                 return false;
             }
         }
-        if self.window.len() < self.cap {
-            self.window.push(v);
-        } else {
-            self.window[self.next] = v;
-            self.next = (self.next + 1) % self.cap;
-        }
+        self.window.push(v);
         true
     }
 
@@ -353,7 +393,6 @@ impl MedianFilter {
     /// longer describe the running system).
     fn clear(&mut self) {
         self.window.clear();
-        self.next = 0;
     }
 }
 
@@ -413,7 +452,7 @@ pub(crate) struct ChannelGuard {
     plant_shed: bool,
     /// Recently *admitted* readings feeding the sensor-voting median
     /// (see [`GuardPolicy::vote`]); bounded at [`CAMPAIGN_VOTE_WINDOW`].
-    votes: VecDeque<f64>,
+    votes: Ring,
     /// Current position on the re-engage backoff schedule: the next
     /// fallback entry dwells `COOLDOWN_EPOCHS × 2^backoff_exp`.
     backoff_exp: u32,
@@ -461,7 +500,7 @@ impl ChannelGuard {
             flapped: false,
             plant_restart: false,
             plant_shed: false,
-            votes: VecDeque::new(),
+            votes: Ring::new(CAMPAIGN_VOTE_WINDOW),
             backoff_exp: 0,
             clean_streak: 0,
         }
@@ -601,7 +640,7 @@ impl ChannelGuard {
                     }
                 } else {
                     if policy.vote && self.mode == GuardMode::Engaged {
-                        self.push_vote(v);
+                        self.votes.push(v);
                     }
                     admitted = Some(v);
                 }
@@ -857,24 +896,11 @@ impl ChannelGuard {
         self.clean_streak = 0;
     }
 
-    /// Records a genuinely admitted reading into the voting window.
-    fn push_vote(&mut self, v: f64) {
-        if self.votes.len() == CAMPAIGN_VOTE_WINDOW {
-            self.votes.pop_front();
-        }
-        self.votes.push_back(v);
-    }
-
     /// The voting median — `Some` only once the window has fully warmed
     /// up (a partial window would let one early outlier speak for the
     /// channel).
     fn vote_median(&self) -> Option<f64> {
-        if self.votes.len() < CAMPAIGN_VOTE_WINDOW {
-            return None;
-        }
-        let mut sorted: Vec<f64> = self.votes.iter().copied().collect();
-        sorted.sort_by(f64::total_cmp);
-        Some(sorted[sorted.len() / 2])
+        self.votes.is_full().then(|| self.votes.median()).flatten()
     }
 
     /// The one way into fallback: holds the fallback from epoch `from`
@@ -1043,14 +1069,14 @@ mod tests {
     fn vote_median_needs_a_full_window() {
         let mut g = ChannelGuard::new(1.0, 1.0, 10.0);
         for v in [5.0, 9.0, 7.0, 1.0] {
-            g.push_vote(v);
+            g.votes.push(v);
         }
         assert_eq!(g.vote_median(), None);
-        g.push_vote(3.0);
+        g.votes.push(3.0);
         assert_eq!(g.vote_median(), Some(5.0));
         // The window is bounded: a sixth push evicts the oldest.
-        g.push_vote(100.0);
-        assert_eq!(g.votes.len(), CAMPAIGN_VOTE_WINDOW);
+        g.votes.push(100.0);
+        assert_eq!(g.votes.len, CAMPAIGN_VOTE_WINDOW);
         assert_eq!(g.vote_median(), Some(7.0));
     }
 
@@ -1096,11 +1122,11 @@ mod tests {
         let policy = GuardPolicy::new().sensor_vote();
         let mut g = ChannelGuard::new(1.0, 1.0, 10.0);
         for v in [5.0, 6.0, 7.0, 8.0, 9.0] {
-            g.push_vote(v);
+            g.votes.push(v);
         }
         assert_eq!(g.vote_median(), Some(7.0));
         g.enter_fallback(&policy, 0);
-        assert!(g.votes.is_empty());
+        assert_eq!(g.votes.len, 0);
         assert_eq!(g.vote_median(), None);
     }
 
@@ -1108,11 +1134,11 @@ mod tests {
     fn restart_clears_votes_and_backoff() {
         let policy = GuardPolicy::new().campaign_hardened();
         let mut g = ChannelGuard::new(40.0, 80.0, 495.0);
-        g.push_vote(5.0);
+        g.votes.push(5.0);
         g.enter_fallback(&policy, 0);
         g.clean_streak = 7;
         g.reset_after_restart();
-        assert!(g.votes.is_empty());
+        assert_eq!(g.votes.len, 0);
         assert_eq!(g.backoff_exp, 0);
         assert_eq!(g.clean_streak, 0);
     }
