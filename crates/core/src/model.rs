@@ -59,7 +59,6 @@ pub struct LinearFit {
     alpha: f64,
     beta: f64,
     r_squared: f64,
-    n: usize,
 }
 
 impl LinearFit {
@@ -112,7 +111,6 @@ impl LinearFit {
             alpha,
             beta,
             r_squared,
-            n: points.len(),
         })
     }
 
@@ -120,13 +118,12 @@ impl LinearFit {
     /// controllers constructed from a known gain
     /// ([`Controller::new`](crate::Controller::new)'s expert path) and
     /// for seeding adaptive models in tests. Diagnostics are nominal:
-    /// `r² = 1`, zero points.
+    /// `r² = 1`.
     pub fn from_parts(alpha: f64, beta: f64) -> Self {
         LinearFit {
             alpha,
             beta,
             r_squared: 1.0,
-            n: 0,
         }
     }
 
@@ -146,33 +143,9 @@ impl LinearFit {
         self.r_squared
     }
 
-    /// Number of points used in the fit.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the fit used no points (never true for a constructed fit).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Predicted performance at a configuration setting.
     pub fn predict(&self, setting: f64) -> f64 {
         self.alpha * setting + self.beta
-    }
-
-    /// Configuration setting whose predicted performance equals `perf`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ZeroGain`] when `alpha` is (near) zero.
-    pub fn invert(&self, perf: f64) -> Result<f64> {
-        if self.alpha.abs() < f64::EPSILON {
-            return Err(Error::ZeroGain {
-                conf: "linear model".into(),
-            });
-        }
-        Ok((perf - self.beta) / self.alpha)
     }
 }
 
@@ -514,8 +487,6 @@ mod tests {
         assert!((fit.alpha() - 3.0).abs() < 1e-12);
         assert!((fit.beta() - 7.0).abs() < 1e-12);
         assert!((fit.r_squared() - 1.0).abs() < 1e-12);
-        assert_eq!(fit.len(), 10);
-        assert!(!fit.is_empty());
     }
 
     #[test]
@@ -542,20 +513,10 @@ mod tests {
     }
 
     #[test]
-    fn predict_and_invert_round_trip() {
-        let pts = [(0.0, 5.0), (10.0, 25.0)];
-        let fit = LinearFit::ols(&pts).unwrap();
-        let c = fit.invert(15.0).unwrap();
-        assert!((c - 5.0).abs() < 1e-12);
-        assert!((fit.predict(c) - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn constant_response_has_zero_gain() {
         let pts = [(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)];
         let fit = LinearFit::ols(&pts).unwrap();
         assert_eq!(fit.alpha(), 0.0);
-        assert!(matches!(fit.invert(5.0), Err(Error::ZeroGain { .. })));
     }
 
     #[test]
