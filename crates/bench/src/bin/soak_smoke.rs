@@ -19,8 +19,10 @@
 //!   the cross-check arm; default 64, `0` disables the arm.
 //! * `--out PATH` — where to write the JSON artifact; default
 //!   `BENCH_soak.json`.
-//! * `--check BASELINE` — also gate cohort p99/p999, recovery tails,
-//!   and tenants/sec against a committed baseline ([`check_soak`]).
+//! * `--check BASELINE` — also require the artifact to equal a committed
+//!   baseline byte for byte once host-dependent values (CPU count, rates,
+//!   wall clocks, setup times) are masked, and tenants/sec to stay above
+//!   a floor of the baseline's ([`check_soak`]).
 //!
 //! Exits non-zero if the serial and parallel reports differ, any hard
 //! cohort's p99 overshoot exceeds its Δ budget, any hard-goal tenant

@@ -9,7 +9,8 @@
 //! render, artifact and gate. [`Flags`] parses the shared command line,
 //! and `perf_smoke` reports its own gate through [`finish`]. Every
 //! `--check` gate reads its baseline with [`read_baseline`] before the
-//! run and scans the hand-rolled artifacts with [`numbers_after`].
+//! run and scans the hand-rolled artifacts with [`numbers_after`]; the
+//! soak's names its first mismatch with [`first_diff`].
 
 use crate::fleet::FleetPhase;
 
@@ -62,7 +63,11 @@ pub fn drive<S: Smoke>(smoke: &S, threads: usize, out: &str) {
 
     let mut failures = Vec::new();
     if !identical {
-        eprintln!("{}", first_diff(&serial_bytes, &parallel_bytes, threads));
+        let parallel = format!("{threads}-thread");
+        eprintln!(
+            "{}",
+            first_diff(&serial_bytes, &parallel_bytes, "1-thread", &parallel)
+        );
         failures.push(format!(
             "{label} reports differ between 1 and {threads} threads"
         ));
@@ -74,16 +79,17 @@ pub fn drive<S: Smoke>(smoke: &S, threads: usize, out: &str) {
     );
 }
 
-/// Where two renders first diverge, as a human-readable report.
-pub fn first_diff(serial: &str, parallel: &str, threads: usize) -> String {
-    let (mut a, mut b) = (serial.lines(), parallel.lines());
+/// Where two renders first diverge, as a human-readable report naming
+/// each side's line by its label.
+pub fn first_diff(a: &str, b: &str, a_label: &str, b_label: &str) -> String {
+    let (mut a, mut b) = (a.lines(), b.lines());
     for line in 1.. {
         match (a.next(), b.next()) {
             (Some(x), Some(y)) if x == y => continue,
             (None, None) => break,
             (x, y) => {
                 return format!(
-                    "first diff at line {line}:\n  1-thread: {}\n  {threads}-thread: {}",
+                    "first diff at line {line}:\n  {a_label}: {}\n  {b_label}: {}",
                     x.unwrap_or("<end>"),
                     y.unwrap_or("<end>")
                 )
@@ -253,9 +259,9 @@ mod tests {
 
     #[test]
     fn first_diff_names_the_diverging_line() {
-        let d = first_diff("a\nb\nc\n", "a\nx\nc\n", 4);
+        let d = first_diff("a\nb\nc\n", "a\nx\nc\n", "1-thread", "4-thread");
         assert!(d.contains("line 2") && d.contains("1-thread: b") && d.contains("4-thread: x"));
-        let d = first_diff("a\n", "a\nb\n", 4);
+        let d = first_diff("a\n", "a\nb\n", "1-thread", "4-thread");
         assert!(d.contains("line 2") && d.contains("<end>"), "{d}");
     }
 }

@@ -202,10 +202,10 @@ fn soak_artifact_is_pinned() {
     let phases = phases("soak", 2000, 750);
     let without =
         smartconf_bench::soak::soak_json(&config, &scenarios, &report, None, true, &phases);
-    assert_eq!(pin(&without), 0x01ed_03eb_05ee_0cee, "{without}");
+    assert_eq!(pin(&without), 0xc394_3686_d872_a90b, "{without}");
     let with =
         smartconf_bench::soak::soak_json(&config, &scenarios, &report, Some(&cross), true, &phases);
-    assert_eq!(pin(&with), 0x33f1_2e7a_6ba8_0067, "{with}");
+    assert_eq!(pin(&with), 0x2902_3874_c4c7_ed02, "{with}");
 }
 
 #[test]

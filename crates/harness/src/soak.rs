@@ -218,29 +218,27 @@ impl SoakTemplate {
     /// 3. **Sensor fault** — dropout removes the reading, corruption
     ///    NaNs or scales it.
     /// 4. **Admission filter** — non-finite readings and readings
-    ///    beyond `spike_ratio × target` are rejected before they can
-    ///    reach the control law.
+    ///    beyond 8× target (`SLAB_SPIKE_RATIO`) are rejected before
+    ///    they can reach the control law.
     /// 5. **Median-of-3 vote** — when enabled, a reading deviating
     ///    from the median of itself and the previous two admitted
     ///    readings by more than a quarter of the admission cut is
-    ///    replaced by that median, killing single-epoch spikes in the
-    ///    `[spike_ratio/4, spike_ratio]×target` band that slip under
+    ///    replaced by that median, killing single-epoch spikes between
+    ///    a quarter of the cut and the cut, which slip under
     ///    admission. Consistent readings pass through raw, so clean
     ///    steady-state dynamics are untouched (a vote that *always*
     ///    smoothed would add two epochs of delay and limit-cycle
     ///    against the deadbeat pole).
-    /// 6. **Stale watchdog** — after `watchdog_epochs` consecutive
-    ///    epochs with no admitted reading, the plant reverts to the
-    ///    last setting that produced a clean one.
-    /// 7. **Divergence fallback** (hard goals) — `divergence_streak`
-    ///    consecutive admitted readings past the real target drop the
-    ///    plant to the profiled-safe [`SoakTemplate::initial`] setting
-    ///    and flush the lag pipeline.
-    /// 8. **Re-engage backoff** — fallback holds for
-    ///    `cooldown_epochs · 2^level` epochs (level capped at
-    ///    `backoff_doublings`, doubling on every repeated fallback;
-    ///    the dwell saturates at 255) and re-engages only on a clean
-    ///    admitted reading.
+    /// 6. **Stale watchdog** — after 3 consecutive epochs with no
+    ///    admitted reading, the plant reverts to the last setting that
+    ///    produced a clean one.
+    /// 7. **Divergence fallback** (hard goals) — 3 consecutive admitted
+    ///    readings past the real target drop the plant to the
+    ///    profiled-safe [`SoakTemplate::initial`] setting and flush the
+    ///    lag pipeline.
+    /// 8. **Re-engage backoff** — fallback holds for `3 · 2^level`
+    ///    epochs (level capped at 2, doubling on every repeated
+    ///    fallback) and re-engages only on a clean admitted reading.
     ///
     /// Recovery-SLO accounting (fault stretches, violation bursts,
     /// epochs-to-recover, the unrecovered latch) runs on plant truth.
@@ -274,7 +272,7 @@ impl SoakTemplate {
             ..StepOutcome::default()
         };
 
-        let cut = policy.spike_ratio as f64 * self.target.abs();
+        let cut = SLAB_SPIKE_RATIO * self.target.abs();
         let admitted = reading.filter(|r| r.is_finite() && r.abs() <= cut);
         let value = admitted.map(|r| {
             let v = if policy.vote && slab.state.vote_fill >= 2 {
@@ -299,7 +297,7 @@ impl SoakTemplate {
                 slab.state.viol_streak = 0;
                 if slab.state.mode == Mode::Fallback {
                     slab.state.cooldown_left = slab.state.cooldown_left.saturating_sub(1);
-                } else if slab.state.missed == policy.watchdog_epochs {
+                } else if slab.state.missed == SLAB_WATCHDOG_EPOCHS {
                     // Stale watchdog: blind too long — revert to the
                     // last setting that produced a clean reading.
                     slab.setting = slab.last_safe;
@@ -316,8 +314,8 @@ impl SoakTemplate {
                     } else if self.hard {
                         slab.state.viol_streak = slab.state.viol_streak.saturating_add(1);
                     }
-                    if self.hard && slab.state.viol_streak >= policy.divergence_streak {
-                        self.enter_fallback(policy, slab);
+                    if self.hard && slab.state.viol_streak >= SLAB_DIVERGENCE_STREAK {
+                        self.enter_fallback(slab);
                     } else {
                         let next = self.next_setting(slab.setting, v);
                         if lag_active {
@@ -333,11 +331,11 @@ impl SoakTemplate {
                         if danger {
                             // Still violating at cooldown expiry: back
                             // off again, dwell doubled.
-                            self.enter_fallback(policy, slab);
+                            self.enter_fallback(slab);
                         } else {
                             slab.state.mode = Mode::Engaged;
                             slab.state.viol_streak = 0;
-                            out.reengaged_dwell = Some(policy.dwell(slab.state.entry_level).into());
+                            out.reengaged_dwell = Some(dwell(slab.state.entry_level).into());
                         }
                     }
                 }
@@ -380,12 +378,12 @@ impl SoakTemplate {
     /// Drops the plant to the profiled-safe setting and arms the
     /// re-engage cooldown (rungs 7–8).
     #[inline]
-    fn enter_fallback(&self, policy: SlabGuardPolicy, slab: &mut SoakSlab) {
+    fn enter_fallback(&self, slab: &mut SoakSlab) {
         let st = &mut slab.state;
         st.mode = Mode::Fallback;
         st.entry_level = st.backoff_level;
-        st.cooldown_left = policy.dwell(st.backoff_level);
-        st.backoff_level = (st.backoff_level + 1).min(policy.backoff_doublings);
+        st.cooldown_left = dwell(st.backoff_level);
+        st.backoff_level = (st.backoff_level + 1).min(SLAB_BACKOFF_DOUBLINGS);
         st.viol_streak = 0;
         st.has_pending = false;
         slab.setting = self.initial;
@@ -406,79 +404,62 @@ fn median3(a: f64, b: f64, c: f64) -> f64 {
 /// epoch budget, so a latch means genuinely stuck, not merely slow.
 pub const RECOVERY_SLO_EPOCHS: u16 = 12;
 
-/// Compressed guard configuration — the soak's answer to `GuardPolicy`,
-/// encodable into 23 bits of a `u32`. A soak run holds one policy for
-/// every tenant; the clean arm never consults it.
+/// Admission cut of the slab ladder: readings beyond this multiple of
+/// the target are rejected (rung 4).
+const SLAB_SPIKE_RATIO: f64 = 8.0;
+
+/// Consecutive missed readings before the stale watchdog reverts to the
+/// last-safe setting (rung 6).
+const SLAB_WATCHDOG_EPOCHS: u8 = 3;
+
+/// Consecutive violating admitted readings (hard goals) before the
+/// divergence fallback fires (rung 7).
+const SLAB_DIVERGENCE_STREAK: u8 = 3;
+
+/// Base re-engage cooldown, epochs (rung 8).
+const SLAB_COOLDOWN_EPOCHS: u8 = 3;
+
+/// Cap on cooldown doublings across repeated fallbacks (rung 8): the
+/// longest dwell is 12 epochs, safe even for the 24-epoch hourly cohort.
+const SLAB_BACKOFF_DOUBLINGS: u8 = 2;
+
+/// The fallback dwell at backoff `level`:
+/// `SLAB_COOLDOWN_EPOCHS · 2^level` epochs.
+#[inline]
+fn dwell(level: u8) -> u8 {
+    SLAB_COOLDOWN_EPOCHS << level
+}
+
+/// The soak's guard switch — its answer to `GuardPolicy`. The ladder's
+/// thresholds are fixed: a spike cut at 8× target, 3-epoch watchdog and
+/// divergence streaks, and a 3-epoch cooldown with up to 2 doublings. A
+/// soak run holds one policy for every tenant; the clean arm never
+/// consults it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlabGuardPolicy {
     /// Median-of-3 smoothing of admitted readings (rung 5).
     pub vote: bool,
-    /// Admission cut: readings beyond `spike_ratio × target` are
-    /// rejected (rung 4). Must fit in 6 bits.
-    pub spike_ratio: u8,
-    /// Consecutive missed readings before the stale watchdog reverts
-    /// to the last-safe setting (rung 6). Must fit in 4 bits.
-    pub watchdog_epochs: u8,
-    /// Consecutive violating admitted readings (hard goals) before the
-    /// divergence fallback fires (rung 7). Must fit in 4 bits.
-    pub divergence_streak: u8,
-    /// Base re-engage cooldown, epochs (rung 8). Must fit in 6 bits.
-    pub cooldown_epochs: u8,
-    /// Cap on cooldown doublings across repeated fallbacks. Must fit
-    /// in 2 bits.
-    pub backoff_doublings: u8,
 }
 
 impl SlabGuardPolicy {
-    /// The production soak ladder: voting, spike cut at 8× target,
-    /// 3-epoch watchdog and divergence streaks, 3-epoch cooldown with up
-    /// to 2 doublings (max 12-epoch dwell — safe even for the 24-epoch
-    /// hourly cohort).
+    /// The production soak ladder, voting.
     pub fn standard() -> SlabGuardPolicy {
-        SlabGuardPolicy {
-            vote: true,
-            spike_ratio: 8,
-            watchdog_epochs: 3,
-            divergence_streak: 3,
-            cooldown_epochs: 3,
-            backoff_doublings: 2,
-        }
+        SlabGuardPolicy { vote: true }
     }
 
     /// The standard ladder without the median-of-3 vote — the DESIGN
     /// §3f plant-quantum pin compares this against
     /// [`standard`](SlabGuardPolicy::standard).
     pub fn without_vote() -> SlabGuardPolicy {
-        SlabGuardPolicy {
-            vote: false,
-            ..SlabGuardPolicy::standard()
-        }
+        SlabGuardPolicy { vote: false }
     }
 
-    /// Packs the policy into 23 bits of a `u32`:
-    /// `vote(1) spike(6) watchdog(4) divergence(4) cooldown(6)
-    /// backoff(2)`, low to high.
-    ///
-    /// # Panics
-    ///
-    /// If a field does not fit its width: masking it would silently
-    /// run a different ladder (a `spike_ratio` of 64 would become 0 and
-    /// reject every reading).
+    /// The policy as a `u32`: the vote flag in bit 0. Kept for
+    /// perfbench's guarded-step probe, which carries the policy in that
+    /// form; `encode` and `decode` go when the probe takes the policy
+    /// itself.
     pub fn encode(self) -> u32 {
-        let field = |name: &str, value: u8, bits: u32| {
-            let value = u32::from(value);
-            assert!(
-                value < 1 << bits,
-                "SlabGuardPolicy::{name} = {value} exceeds {bits} bits"
-            );
-            value
-        };
-        (self.vote as u32)
-            | field("spike_ratio", self.spike_ratio, 6) << 1
-            | field("watchdog_epochs", self.watchdog_epochs, 4) << 7
-            | field("divergence_streak", self.divergence_streak, 4) << 11
-            | field("cooldown_epochs", self.cooldown_epochs, 6) << 15
-            | field("backoff_doublings", self.backoff_doublings, 2) << 21
+        self.vote as u32
     }
 
     /// Inverse of [`encode`](SlabGuardPolicy::encode).
@@ -486,20 +467,7 @@ impl SlabGuardPolicy {
     pub fn decode(bits: u32) -> SlabGuardPolicy {
         SlabGuardPolicy {
             vote: bits & 1 != 0,
-            spike_ratio: (bits >> 1 & 0x3f) as u8,
-            watchdog_epochs: (bits >> 7 & 0xf) as u8,
-            divergence_streak: (bits >> 11 & 0xf) as u8,
-            cooldown_epochs: (bits >> 15 & 0x3f) as u8,
-            backoff_doublings: (bits >> 21 & 0x3) as u8,
         }
-    }
-
-    /// The fallback dwell at backoff `level`: `cooldown_epochs · 2^level`
-    /// epochs, at least 1 (a fallback always holds the epoch after it
-    /// fires) and saturating at the 255 the slab's counter can serve.
-    #[inline]
-    fn dwell(self, level: u8) -> u8 {
-        (u32::from(self.cooldown_epochs) << level.min(8)).clamp(1, u8::MAX.into()) as u8
     }
 }
 
@@ -1045,46 +1013,10 @@ mod tests {
         assert_eq!(healthy.unrecovered_hard_tenants(), 0);
     }
 
-    /// Every field at the widest value its bits hold.
-    fn widest() -> SlabGuardPolicy {
-        SlabGuardPolicy {
-            vote: false,
-            spike_ratio: 63,
-            watchdog_epochs: 15,
-            divergence_streak: 1,
-            cooldown_epochs: 63,
-            backoff_doublings: 3,
-        }
-    }
-
     #[test]
     fn policy_encoding_roundtrips() {
-        for p in [
-            SlabGuardPolicy::standard(),
-            SlabGuardPolicy::without_vote(),
-            widest(),
-        ] {
+        for p in [SlabGuardPolicy::standard(), SlabGuardPolicy::without_vote()] {
             assert_eq!(SlabGuardPolicy::decode(p.encode()), p, "{p:?}");
-        }
-        // Every policy fits in the documented 23 bits.
-        assert!(widest().encode() < 1 << 23);
-    }
-
-    #[test]
-    fn encode_rejects_fields_wider_than_their_bits() {
-        type Widen = fn(&mut SlabGuardPolicy);
-        let widen: [(&str, Widen); 5] = [
-            ("spike_ratio", |p| p.spike_ratio = 64),
-            ("watchdog_epochs", |p| p.watchdog_epochs = 16),
-            ("divergence_streak", |p| p.divergence_streak = 16),
-            ("cooldown_epochs", |p| p.cooldown_epochs = 64),
-            ("backoff_doublings", |p| p.backoff_doublings = 4),
-        ];
-        for (field, widen) in widen {
-            let mut p = SlabGuardPolicy::standard();
-            widen(&mut p);
-            let err = std::panic::catch_unwind(|| p.encode()).expect_err(field);
-            assert!(err.downcast_ref::<String>().unwrap().contains(field));
         }
     }
 
@@ -1149,11 +1081,11 @@ mod tests {
             t.guarded_step(pol, &mut slab, &clean(), 1.0, 0.0);
         }
         let safe = slab.last_safe;
-        // Perturb the setting, then go blind: after watchdog_epochs
+        // Perturb the setting, then go blind: after SLAB_WATCHDOG_EPOCHS
         // consecutive dropouts the plant reverts to last-safe.
         slab.setting = (safe + 5.0).min(t.hi);
         let drop = sensor(SensorFault::Drop, smartconf_runtime::FaultSet::DROPOUT);
-        for _ in 0..pol.watchdog_epochs {
+        for _ in 0..SLAB_WATCHDOG_EPOCHS {
             t.guarded_step(pol, &mut slab, &drop, 1.0, 0.0);
         }
         assert_eq!(slab.setting.to_bits(), safe.to_bits());
@@ -1162,48 +1094,37 @@ mod tests {
     #[test]
     fn divergence_falls_back_then_reengages_with_backoff() {
         let t = toy_template(true);
-        let zero = SlabGuardPolicy {
-            cooldown_epochs: 0,
-            ..SlabGuardPolicy::standard()
-        };
+        let pol = SlabGuardPolicy::standard();
         // Every fallback serves the dwell it reports, through the whole
-        // backoff schedule: the widest policy's fourth dwell (63 · 2³)
-        // saturates at the 255 epochs the slab's counter holds, and a
-        // zero cooldown still holds the epoch after the fallback.
-        for (pol, dwells) in [
-            (SlabGuardPolicy::standard(), [3, 6, 12, 12]),
-            (widest(), [63, 126, 252, 255]),
-            (zero, [1; 4]),
-        ] {
-            let mut slab = SoakSlab::new(&t);
-            for want in dwells {
-                // Park the plant far beyond the goal under enormous load:
-                // the admitted readings violate for divergence_streak
-                // epochs and the guard falls back to the safe setting.
-                slab.setting = t.hi;
-                for _ in 0..pol.divergence_streak {
-                    t.guarded_step(pol, &mut slab, &clean(), 4.0, 0.0);
+        // backoff schedule: the dwell doubles twice, then holds.
+        let mut slab = SoakSlab::new(&t);
+        for want in [3, 6, 12, 12] {
+            // Park the plant far beyond the goal under enormous load:
+            // the admitted readings violate for SLAB_DIVERGENCE_STREAK
+            // epochs and the guard falls back to the safe setting.
+            slab.setting = t.hi;
+            for _ in 0..SLAB_DIVERGENCE_STREAK {
+                t.guarded_step(pol, &mut slab, &clean(), 4.0, 0.0);
+            }
+            assert_eq!((slab.state.mode, slab.setting), (Mode::Fallback, t.initial));
+            // Load returns to normal: the guard re-engages once the
+            // dwell it reports has been served.
+            let mut served = 0;
+            let reported = loop {
+                served += 1;
+                let out = t.guarded_step(pol, &mut slab, &clean(), 1.0, 0.0);
+                if let Some(d) = out.reengaged_dwell {
+                    break d;
                 }
-                assert_eq!((slab.state.mode, slab.setting), (Mode::Fallback, t.initial));
-                // Load returns to normal: the guard re-engages once the
-                // dwell it reports has been served.
-                let mut served = 0;
-                let reported = loop {
-                    served += 1;
-                    let out = t.guarded_step(pol, &mut slab, &clean(), 1.0, 0.0);
-                    if let Some(d) = out.reengaged_dwell {
-                        break d;
-                    }
-                };
-                assert_eq!((served, reported), (want, want as f64), "{pol:?}");
-            }
-            // And the controller walks back to the virtual goal.
-            for _ in 0..30 {
-                t.guarded_step(pol, &mut slab, &clean(), 1.0, 0.0);
-            }
-            let m = t.measured(slab.setting, 1.0, 0.0);
-            assert!((t.overshoot(m) - (1.0 - t.lambda)).abs() < 1e-6);
+            };
+            assert_eq!((served, reported), (want, want as f64));
         }
+        // And the controller walks back to the virtual goal.
+        for _ in 0..30 {
+            t.guarded_step(pol, &mut slab, &clean(), 1.0, 0.0);
+        }
+        let m = t.measured(slab.setting, 1.0, 0.0);
+        assert!((t.overshoot(m) - (1.0 - t.lambda)).abs() < 1e-6);
     }
 
     #[test]
