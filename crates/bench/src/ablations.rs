@@ -1,8 +1,8 @@
 //! Outcome-oriented ablations of SmartConf's design choices.
 //!
-//! The Criterion benches (`cargo bench`) time these code paths; this
-//! module measures what each design choice *buys* — the quantities
-//! DESIGN.md's ablation list calls for:
+//! The repository benchmark (`perfbench/`, traced) times the controller
+//! step these choices share; this module measures what each design
+//! choice *buys* — the quantities DESIGN.md's ablation list calls for:
 //!
 //! * virtual goal + two poles vs. the §5.2/§6.4 alternatives (safety),
 //! * the automated λ-derived virtual goal vs. fixed margins (headroom

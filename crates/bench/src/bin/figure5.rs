@@ -7,18 +7,18 @@ fn main() {
         let mut csv = String::from("issue,policy,setting,speedup_vs_optimal,constraint_ok\n");
         for s in smartconf_bench::figure5::all_scenarios() {
             let row = smartconf_bench::figure5::run_scenario(s.as_ref(), seed);
-            for (label, setting, speedup, ok) in &row.bars {
+            for bar in &row.bars {
                 csv.push_str(&format!(
                     "{},{},{},{},{}\n",
                     row.issue,
-                    label,
-                    setting.map(|v| v.to_string()).unwrap_or_default(),
-                    if speedup.is_nan() {
+                    bar.label,
+                    bar.setting.map(|v| v.to_string()).unwrap_or_default(),
+                    if bar.speedup.is_nan() {
                         String::new()
                     } else {
-                        format!("{speedup:.4}")
+                        format!("{:.4}", bar.speedup)
                     },
-                    ok
+                    bar.constraint_ok
                 ));
             }
         }

@@ -12,6 +12,45 @@ use smartconf_kvstore::scenarios::{Ca6059, Hb2149, Hb3813, Hb6728};
 use smartconf_mapred::Mr2820;
 use smartconf_runtime::FleetExecutor;
 
+/// One policy's bar in Figure 5.
+#[derive(Debug)]
+pub struct Bar {
+    /// Policy label, e.g. "Static-Optimal".
+    pub label: String,
+    /// The static setting (`None` for SmartConf).
+    pub setting: Option<f64>,
+    /// Trade-off speedup over the best constraint-satisfying static
+    /// setting (NaN when the run has no comparable trade-off).
+    pub speedup: f64,
+    /// Whether the constraint held for the whole run.
+    pub constraint_ok: bool,
+    /// Simulated time of the run's OOM/OOD crash, if it crashed.
+    pub crash_time_us: Option<u64>,
+}
+
+impl Bar {
+    fn new(label: String, setting: Option<f64>, speedup: f64, run: &RunResult) -> Bar {
+        Bar {
+            label,
+            setting,
+            speedup,
+            constraint_ok: run.constraint_ok,
+            crash_time_us: run.crash_time_us,
+        }
+    }
+
+    /// The table's constraint cell: `ok`, `X (crash @N s)` for a run
+    /// that crashed at simulated second N (to a tenth), else
+    /// `X (fails)`.
+    pub fn constraint_cell(&self) -> String {
+        match (self.constraint_ok, self.crash_time_us) {
+            (true, _) => "ok".into(),
+            (false, Some(t_us)) => format!("X (crash @{:.1} s)", t_us as f64 / 1e6),
+            (false, None) => "X (fails)".into(),
+        }
+    }
+}
+
 /// One scenario's Figure 5 numbers.
 #[derive(Debug)]
 pub struct Figure5Row {
@@ -19,9 +58,8 @@ pub struct Figure5Row {
     pub issue: String,
     /// The trade-off metric's name.
     pub metric: String,
-    /// `(label, setting, speedup-vs-optimal, constraint_ok)` per policy,
-    /// in the paper's bar order.
-    pub bars: Vec<(String, Option<f64>, f64, bool)>,
+    /// One bar per policy, in the paper's bar order.
+    pub bars: Vec<Bar>,
 }
 
 /// All six scenarios, boxed behind the common trait.
@@ -55,16 +93,15 @@ pub fn run_scenario(scenario: &(dyn Scenario + Sync), seed: u64) -> Figure5Row {
             .unwrap_or(f64::NAN)
     };
 
-    let mut bars: Vec<(String, Option<f64>, f64, bool)> = Vec::new();
-    bars.push((
+    let mut bars = vec![Bar::new(
         "SmartConf".into(),
         None,
         speedup(&cmp.smart),
-        cmp.smart.constraint_ok,
-    ));
+        &cmp.smart,
+    )];
     for b in &cmp.baselines {
         if let Some(r) = &b.run {
-            bars.push((b.baseline.label(), b.setting, speedup(r), r.constraint_ok));
+            bars.push(Bar::new(b.baseline.label(), b.setting, speedup(r), r));
         }
     }
 
@@ -90,19 +127,19 @@ pub fn render(seed: u64) -> String {
         "constraint",
     ]);
     for row in &rows {
-        for (label, setting, speedup, ok) in &row.bars {
+        for bar in &row.bars {
             table.row(vec![
                 row.issue.clone(),
-                label.clone(),
-                setting
+                bar.label.clone(),
+                bar.setting
                     .map(|s| format!("{s}"))
                     .unwrap_or_else(|| "-".into()),
-                if speedup.is_nan() {
+                if bar.speedup.is_nan() {
                     "-".into()
                 } else {
-                    format!("{speedup:.2}x")
+                    format!("{:.2}x", bar.speedup)
                 },
-                if *ok { "ok".into() } else { "X (fails)".into() },
+                bar.constraint_cell(),
             ]);
         }
     }
@@ -123,18 +160,39 @@ mod tests {
         for s in &scenarios {
             let row = run_scenario(s.as_ref(), crate::EXPERIMENT_SEED);
             let smart = &row.bars[0];
-            assert_eq!(smart.0, "SmartConf");
+            assert_eq!(smart.label, "SmartConf");
             assert!(
-                smart.3,
+                smart.constraint_ok,
                 "{}: SmartConf must satisfy its constraint",
                 row.issue
             );
             assert!(
-                smart.2 > 0.9,
+                smart.speedup > 0.9,
                 "{}: SmartConf speedup {} should be near or above optimal-static",
                 row.issue,
-                smart.2
+                smart.speedup
             );
         }
+    }
+
+    #[test]
+    fn a_failing_cell_names_its_crash_time_when_the_run_crashed() {
+        let bar = |constraint_ok, crash_time_us| Bar {
+            label: "Static-BuggyDefault".into(),
+            setting: Some(1000.0),
+            speedup: 0.5,
+            constraint_ok,
+            crash_time_us,
+        };
+        assert_eq!(bar(true, None).constraint_cell(), "ok");
+        assert_eq!(bar(false, None).constraint_cell(), "X (fails)");
+        assert_eq!(
+            bar(false, Some(204_715_399)).constraint_cell(),
+            "X (crash @204.7 s)"
+        );
+        assert_eq!(
+            bar(false, Some(20_000_000)).constraint_cell(),
+            "X (crash @20.0 s)"
+        );
     }
 }

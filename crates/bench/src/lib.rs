@@ -19,16 +19,18 @@
 //! | `chaos_smoke` | all 7 scenarios × every fault class at 1 and N threads, hard-goal gated |
 //! | `resilience_smoke` | all 7 scenarios × every compound-fault campaign at 1 and N threads, hard-goal gated |
 //! | `soak_smoke` | 100k-tenant-per-scenario soak at 1 and N threads, cohort-tail gated |
-//! | `perf_smoke` | host-speed-corrected median of 5 in-process repetitions of epoch throughput, kernel rate and fleet wall-clock; kernel rate and fleet gated ±25% |
 //!
 //! The four 1-vs-N smokes are `main`s of a few lines over one function,
 //! [`suite::drive`]: each supplies a [`suite::Smoke`] (its run, render,
 //! artifact and gate) and `drive` owns the run-twice, diff, write,
-//! print and exit-code cycle. `perf_smoke` and `adaptive_bench` share its
-//! flag parser ([`suite::Flags`]).
+//! print and exit-code cycle. `adaptive_bench` shares its flag parser
+//! ([`suite::Flags`]).
 //!
-//! Criterion microbenchmarks (`cargo bench`) cover controller overhead,
-//! design-choice ablations, and simulator throughput.
+//! Performance is measured in one place, the repository benchmark under
+//! `perfbench/` (see its README). It quotes its end-to-end numbers at a
+//! reference host speed through a calibration kernel it owns, and its
+//! traced pass times each layer: the controller step, the event kernel,
+//! every scenario under every fleet policy, and profiling.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -41,7 +43,6 @@ pub mod figure6;
 pub mod figure7;
 pub mod figure8;
 pub mod fleet;
-pub mod perf;
 pub mod resilience;
 pub mod soak;
 pub mod suite;

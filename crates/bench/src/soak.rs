@@ -98,8 +98,8 @@ const HOST_KEYS: [&str; 5] = [
 
 /// How far below the committed baseline the measured tenants/sec may
 /// fall before `--check` fails. Deliberately loose: CI runners share
-/// cores, and the committed baseline carries a 1-CPU dev-container
-/// caveat just like `BENCH_perf.json`.
+/// cores, and the committed baseline was recorded on a small shared
+/// dev container.
 pub const RATE_FLOOR: f64 = 0.2;
 
 /// How far outside the distilled-template cohort p99 span the real

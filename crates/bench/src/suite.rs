@@ -6,11 +6,10 @@
 //! write the JSON artifact, print the serial render on stdout, and fold
 //! every gate's failures into one exit code. [`drive`] owns that cycle;
 //! a smoke supplies only what differs through [`Smoke`] — its run,
-//! render, artifact and gate. [`Flags`] parses the shared command line,
-//! and `perf_smoke` reports its own gate through [`finish`]. Every
-//! `--check` gate reads its baseline with [`read_baseline`] before the
-//! run and scans the hand-rolled artifacts with [`numbers_after`]; the
-//! soak's names its first mismatch with [`first_diff`].
+//! render, artifact and gate. [`Flags`] parses the shared command line.
+//! The soak's `--check` gate reads its baseline with [`read_baseline`]
+//! before the run, scans the hand-rolled artifacts with
+//! [`numbers_after`] and names its first mismatch with [`first_diff`].
 
 use crate::fleet::FleetPhase;
 
@@ -101,7 +100,7 @@ pub fn first_diff(a: &str, b: &str, a_label: &str, b_label: &str) -> String {
 
 /// Prints every failure as a `FAIL:` line and exits with status 1 if
 /// there is any; otherwise prints `OK: {ok}`.
-pub fn finish(failures: &[String], ok: &str) {
+fn finish(failures: &[String], ok: &str) {
     for f in failures {
         eprintln!("FAIL: {f}");
     }

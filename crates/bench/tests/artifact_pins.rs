@@ -11,7 +11,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use smartconf_bench::fleet::FleetPhase;
-use smartconf_bench::perf::{KernelPerf, ScenarioPerf, Timing};
 use smartconf_bench::soak::{CrossCheckReport, CrossCheckScenario, SoakConfig, SoakScenario};
 use smartconf_core::ProfileSet;
 use smartconf_harness::{
@@ -206,29 +205,4 @@ fn soak_artifact_is_pinned() {
     let with =
         smartconf_bench::soak::soak_json(&config, &scenarios, &report, Some(&cross), true, &phases);
     assert_eq!(pin(&with), 0x2902_3874_c4c7_ed02, "{with}");
-}
-
-#[test]
-fn perf_artifact_is_pinned() {
-    let timing = |secs: f64, spread: f64| Timing { secs, spread };
-    let scenarios = [
-        ScenarioPerf {
-            id: "CA6059".into(),
-            epochs: 1200,
-            time: timing(0.06, 0.125),
-        },
-        ScenarioPerf {
-            id: "HD4995".into(),
-            epochs: 18,
-            time: timing(0.024, 0.5),
-        },
-    ];
-    let kernel = KernelPerf {
-        channels: 8,
-        events: 103_680,
-        time: timing(0.04, 0.0625),
-    };
-    let fleet = timing(2.5, 0.25);
-    let json = smartconf_bench::perf::bench_json(42, &scenarios, &kernel, &[42, 43], &fleet);
-    assert_eq!(pin(&json), 0x51b4_ed80_fbae_6cdf, "{json}");
 }

@@ -14,9 +14,6 @@
 //! * [`QuantileSketch`] — mergeable fixed-bin log-bucketed quantile
 //!   sketch, used by the soak mode for per-cohort p99/p999 goal error in
 //!   O(1) memory.
-//! * [`calibrate`] — host-speed correction: a fixed calibration kernel
-//!   and the median ratio of timings to it, used by `perf_smoke` and the
-//!   repository benchmark to quote wall-clock at one reference speed.
 //!
 //! # Example
 //!
@@ -34,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod calibrate;
 mod histogram;
 mod quantile;
 mod rate;

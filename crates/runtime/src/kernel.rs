@@ -187,7 +187,7 @@ impl<P: Plant> EventPlane<P> {
     }
 
     /// Calendar events processed so far (one sense and one actuation
-    /// per epoch; the perf gate tracks this as events/sec).
+    /// per epoch; the benchmark's kernel probe divides its time by this).
     pub fn events_processed(&self) -> u64 {
         self.sim.steps()
     }
