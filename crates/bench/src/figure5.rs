@@ -56,8 +56,6 @@ impl Bar {
 pub struct Figure5Row {
     /// Issue id, e.g. "HB3813".
     pub issue: String,
-    /// The trade-off metric's name.
-    pub metric: String,
     /// One bar per policy, in the paper's bar order.
     pub bars: Vec<Bar>,
 }
@@ -107,7 +105,6 @@ pub fn run_scenario(scenario: &(dyn Scenario + Sync), seed: u64) -> Figure5Row {
 
     Figure5Row {
         issue: cmp.scenario_id,
-        metric: cmp.smart.tradeoff_name.clone(),
         bars,
     }
 }

@@ -277,29 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_periods_byte_identical_across_threads() {
-        // The two scenarios migrated to genuinely non-uniform sensing
-        // periods: CA6059 senses 4× per second, HD4995 once per 5 s.
-        // The event heap's (time, seq) ordering must make their fleet
-        // reports independent of worker count — render the same run at
-        // 1 and 4 threads and demand byte equality.
-        use smartconf_dfs::Hd4995;
-        use smartconf_kvstore::scenarios::Ca6059;
-        let scenarios: Vec<Box<dyn Scenario + Send + Sync>> = vec![
-            Box::new(Ca6059::standard().with_sensing_period(250_000)),
-            Box::new(Hd4995::standard().with_sensing_period(5_000_000)),
-        ];
-        let seeds = [42, 43];
-        let serial = run_fleet(&scenarios, &seeds, &SMOKE_POLICIES, &FleetExecutor::new(1));
-        let threaded = run_fleet(&scenarios, &seeds, &SMOKE_POLICIES, &FleetExecutor::new(4));
-        assert_eq!(
-            serial.render(),
-            threaded.render(),
-            "heterogeneous-period fleet reports diverged across thread counts"
-        );
-    }
-
-    #[test]
     fn adaptive_fleet_byte_identical_across_threads() {
         // The online estimator must not cost determinism: an
         // adaptive-only fleet renders byte-identically at 1 and 4

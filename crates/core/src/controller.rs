@@ -295,11 +295,6 @@ impl Controller {
         self.base = self.current;
     }
 
-    /// The control law in effect.
-    pub fn control_law(&self) -> ControlLaw {
-        self.law
-    }
-
     /// The regular pole.
     pub fn pole(&self) -> f64 {
         self.pole
@@ -594,9 +589,7 @@ mod tests {
         // c_ss = 100, s_ss = 300 — a 200-unit steady-state error.
         let mut p = Controller::new(2.0, 0.5, soft(500.0), 0.0, (0.0, 1e6), 0.0).unwrap();
         p.set_control_law(ControlLaw::Proportional);
-        assert_eq!(p.control_law(), ControlLaw::Proportional);
         let mut i = Controller::new(2.0, 0.5, soft(500.0), 0.0, (0.0, 1e6), 0.0).unwrap();
-        assert_eq!(i.control_law(), ControlLaw::Integral);
         let (mut cp, mut ci) = (0.0, 0.0);
         for _ in 0..200 {
             cp = p.step(2.0 * cp + 100.0);

@@ -23,11 +23,6 @@ pub enum NamenodeEvent {
     YieldEnd,
     /// Periodic series sampling.
     Sample,
-    /// Periodic sense/decide when the model runs with a fixed sensing
-    /// period ([`Hd4995::with_sensing_period`](crate::Hd4995::with_sensing_period));
-    /// never scheduled
-    /// in the legacy quantum-edge control mode.
-    ControlTick,
 }
 
 /// One in-flight or queued `du` request.
@@ -57,9 +52,6 @@ pub struct NamenodeModel {
     /// is the worst writer-block duration since the last adjustment.
     pub(crate) plane: ControlPlane,
     chan: ChannelId,
-    /// `true` when `ControlTick` owns the control step (fixed sensing
-    /// period); `false` adjusts the limit at quantum edges.
-    periodic_control: bool,
     /// Mean gap between write arrivals.
     write_gap_mean: SimDuration,
     /// Mean gap between `du` arrivals ([`SimDuration::ZERO`] disables).
@@ -97,12 +89,7 @@ impl NamenodeModel {
     /// Lock hold time of a single write.
     pub const WRITE_HOLD: SimDuration = SimDuration::from_millis(1);
 
-    /// Creates a model. With `sensing_period_us` set, the limit channel
-    /// is declared with that period and the caller is expected to
-    /// schedule [`NamenodeEvent::ControlTick`] one period in (see
-    /// [`NamenodeModel::sensing_period`]); quantum-edge control sites
-    /// are disabled. `None` keeps the legacy quantum-edge control.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates a model whose limit channel is adjusted at quantum edges.
     pub fn new(
         per_file: SimDuration,
         yield_overhead: SimDuration,
@@ -111,12 +98,8 @@ impl NamenodeModel {
         du_gap_mean: SimDuration,
         namespace: Arc<Namespace>,
         horizon: SimTime,
-        sensing_period_us: Option<u64>,
     ) -> Self {
-        let (mut plane, chan) = match sensing_period_us {
-            Some(p) => ControlPlane::single_with_period("content-summary.limit", decider, p),
-            None => ControlPlane::single("content-summary.limit", decider),
-        };
+        let (mut plane, chan) = ControlPlane::single("content-summary.limit", decider);
         let initial_limit = plane.setting(chan).max(0.0) as u64;
         NamenodeModel {
             per_file,
@@ -124,7 +107,6 @@ impl NamenodeModel {
             limit: initial_limit,
             plane,
             chan,
-            periodic_control: sensing_period_us.is_some(),
             write_gap_mean,
             du_gap_mean,
             namespace,
@@ -148,15 +130,6 @@ impl NamenodeModel {
     /// Current traversal limit.
     pub fn limit(&self) -> u64 {
         self.limit
-    }
-
-    /// The limit channel's sensing period when periodic control is on
-    /// (`None` in quantum-edge mode). The caller seeds the first
-    /// [`NamenodeEvent::ControlTick`] at exactly this many microseconds —
-    /// the event-kernel convention (epoch `e` senses at `(e+1)·period`).
-    pub fn sensing_period(&self) -> Option<SimDuration> {
-        self.periodic_control
-            .then(|| SimDuration::from_micros(self.plane.period_us(self.chan)))
     }
 
     /// Arms the fault-injection plane (chaos mode) on the limit channel.
@@ -229,9 +202,7 @@ impl Model for NamenodeModel {
                 };
                 if self.active.is_none() {
                     self.active = Some(request);
-                    if !self.periodic_control {
-                        self.control_step(now, self.quantum_files);
-                    }
+                    self.control_step(now, self.quantum_files);
                     self.start_quantum(ctx);
                 } else {
                     self.du_queue.push_back(request);
@@ -272,18 +243,8 @@ impl Model for NamenodeModel {
             }
             NamenodeEvent::YieldEnd => {
                 if self.active.is_some() && !self.in_quantum {
-                    if !self.periodic_control {
-                        self.control_step(ctx.now(), self.quantum_files);
-                    }
+                    self.control_step(ctx.now(), self.quantum_files);
                     self.start_quantum(ctx);
-                }
-            }
-            NamenodeEvent::ControlTick => {
-                let now = ctx.now();
-                self.control_step(now, self.quantum_files);
-                if now < self.horizon {
-                    let period = SimDuration::from_micros(self.plane.period_us(self.chan));
-                    ctx.schedule_in(period, NamenodeEvent::ControlTick);
                 }
             }
             NamenodeEvent::Sample => {
@@ -313,7 +274,6 @@ mod tests {
             SimDuration::ZERO,
             namespace,
             horizon,
-            None,
         );
         let mut sim = Simulation::new(model, 7);
         sim.schedule_at(SimTime::ZERO, NamenodeEvent::WriteArrival);
@@ -369,7 +329,6 @@ mod tests {
             SimDuration::ZERO,
             Arc::new(Namespace::new()),
             horizon,
-            None,
         );
         let mut sim = Simulation::new(model, 7);
         sim.schedule_at(SimTime::ZERO, NamenodeEvent::WriteArrival);

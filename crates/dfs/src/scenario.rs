@@ -37,9 +37,6 @@ pub struct Hd4995 {
     phase_goals_secs: (f64, f64),
     /// Phase durations.
     phase_secs: (u64, u64),
-    /// When set, the controller senses on this period instead of at
-    /// quantum edges ([`NamenodeModel::new`] with a sensing period).
-    sensing_period_us: Option<u64>,
     profile_settings: Vec<f64>,
 }
 
@@ -64,19 +61,8 @@ impl Hd4995 {
             eval_workload: TestDfsIoWorkload::new(4, 100.0, 1_000_000, SimDuration::from_secs(50)),
             phase_goals_secs: (20.0, 10.0),
             phase_secs: (200, 200),
-            sensing_period_us: None,
             profile_settings: vec![100_000.0, 300_000.0, 500_000.0, 700_000.0],
         }
-    }
-
-    /// Switches control from quantum-edge sites to a fixed sensing
-    /// period (clamped ≥ 1 µs): the limit channel is declared with that
-    /// `period_us` and a periodic control tick senses/decides at exactly
-    /// that cadence. Quanta between ticks run under the limit in force.
-    #[must_use]
-    pub fn with_sensing_period(mut self, period_us: u64) -> Self {
-        self.sensing_period_us = Some(period_us.max(1));
-        self
     }
 
     /// The workload's aggregate write rate, as a mean inter-arrival gap.
@@ -104,7 +90,6 @@ impl Hd4995 {
                 w.du_interval(),
                 Namespace::synthesize_shared(w.du_files(), 100, NS_SEED),
                 horizon,
-                None,
             );
             let mut sim = Simulation::new(model, s);
             sim.schedule_at(SimTime::ZERO, NamenodeEvent::WriteArrival);
@@ -160,19 +145,14 @@ impl Hd4995 {
             w.du_interval(),
             Namespace::synthesize_shared(w.du_files(), 100, NS_SEED),
             horizon,
-            self.sensing_period_us,
         );
         if let Some(spec) = chaos {
             model.enable_chaos(spec);
         }
-        let first_tick = model.sensing_period();
         let mut sim = Simulation::new(model, seed);
         sim.schedule_at(SimTime::ZERO, NamenodeEvent::WriteArrival);
         sim.schedule_at(SimTime::ZERO, NamenodeEvent::DuArrival);
         sim.schedule_at(SimTime::ZERO, NamenodeEvent::Sample);
-        if let Some(period) = first_tick {
-            sim.schedule_at(SimTime::ZERO + period, NamenodeEvent::ControlTick);
-        }
 
         // Phase 1 under the loose goal.
         sim.run_until(SimTime::from_secs(p1));
@@ -190,12 +170,9 @@ impl Hd4995 {
         // the lock when the goal tightens; `setGoal` only steers quanta
         // the controller has yet to size (§4.3). Blocks completing within
         // one old-goal quantum (plus the yield) of the boundary are
-        // charged to phase 1. Periodic sensing re-sizes quanta at most
-        // one sensing period after the change, so the grace widens by
-        // one period.
-        let grace_secs = self.phase_goals_secs.0 * SOFT_TOLERANCE
-            + self.yield_overhead.as_secs_f64()
-            + self.sensing_period_us.map_or(0.0, |p| p as f64 / 1e6);
+        // charged to phase 1.
+        let grace_secs =
+            self.phase_goals_secs.0 * SOFT_TOLERANCE + self.yield_overhead.as_secs_f64();
         let phase2_from_us = ((p1 as f64 + grace_secs) * 1e6) as u64;
         let phase2_worst = m
             .block_series
@@ -376,31 +353,6 @@ mod tests {
         let s = quick();
         let a = s.run_static(300_000.0, 4);
         let b = s.run_static(300_000.0, 4);
-        assert_eq!(a.tradeoff, b.tradeoff);
-    }
-
-    #[test]
-    fn periodic_sensing_meets_goals_on_its_own_cadence() {
-        let s = quick().with_sensing_period(5_000_000);
-        let smart = s.run_smartconf(19);
-        assert!(smart.constraint_ok, "periodic SmartConf violated a goal");
-        // 200 s on a 5 s sensing period caps control at 40 epochs; ticks
-        // with no fresh block evidence decline to decide, so the count
-        // lands at or under the cap — and on the period grid.
-        let epochs: Vec<_> = smart.epochs.events().collect();
-        assert!(
-            !epochs.is_empty() && epochs.len() <= 40,
-            "expected ≤ 40 periodic epochs, got {}",
-            epochs.len()
-        );
-        assert!(epochs.iter().all(|e| e.t_us % 5_000_000 == 0));
-    }
-
-    #[test]
-    fn periodic_sensing_is_deterministic() {
-        let s = quick().with_sensing_period(5_000_000);
-        let a = s.run_smartconf(7);
-        let b = s.run_smartconf(7);
         assert_eq!(a.tradeoff, b.tradeoff);
     }
 

@@ -312,11 +312,6 @@ impl ProfileCache {
         let slot = &self.slots[scenario_index * self.seeds.len() + seed_index];
         std::borrow::Cow::Borrowed(slot.get_or_init(|| scenario.evaluation_profiles(seed)))
     }
-
-    /// How many (scenario, seed) slots have been filled so far.
-    pub fn filled(&self) -> usize {
-        self.slots.iter().filter(|s| s.get().is_some()).count()
-    }
 }
 
 /// Runs the (scenario × seed × policy) cross product on `executor` and
@@ -324,11 +319,8 @@ impl ProfileCache {
 ///
 /// Every shard is independent: it derives its plant, RNG, and control
 /// plane from its own `(scenario, seed, policy)` triple, so the report
-/// is byte-identical at 1 and N worker threads. That holds regardless
-/// of how a scenario paces its channels — uniform lockstep quanta or
-/// per-channel sensing periods on the event kernel (CA6059's 250 ms
-/// and HD4995's 5 s heterogeneous cadences ride through unchanged,
-/// pinned by a bench-crate test).
+/// is byte-identical at 1 and N worker threads, whatever event loop a
+/// scenario's plant runs.
 ///
 /// # Example
 ///

@@ -71,11 +71,6 @@ impl Memtable {
         self.active_bytes + self.flushing_bytes
     }
 
-    /// Current flush threshold.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
     /// Adjusts the threshold at run time (the SmartConf control action).
     pub fn set_threshold(&mut self, threshold: u64) {
         self.threshold = threshold;
@@ -264,7 +259,6 @@ mod tests {
         assert!(!mt.should_flush());
         mt.set_threshold(50);
         assert!(mt.should_flush());
-        assert_eq!(mt.threshold(), 50);
     }
 
     #[test]

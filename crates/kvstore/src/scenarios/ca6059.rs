@@ -47,10 +47,6 @@ pub struct Ca6059 {
     cache_target: u64,
     /// Cache warm-up rate in bytes/second while reads are cached.
     cache_warm_rate: f64,
-    /// When set, the controller senses on this period (its channel is
-    /// declared with [`ControlPlane::single_with_period`]) instead of at
-    /// every write arrival. `None` keeps the per-arrival control sites.
-    sensing_period_us: Option<u64>,
     eval: PhasedWorkload<YcsbWorkload>,
     profile_workload: YcsbWorkload,
     profile_settings: Vec<f64>,
@@ -70,7 +66,6 @@ impl Ca6059 {
             flush_rate: 150.0 * MB as f64,
             cache_target: 150 * MB,
             cache_warm_rate: 5.0 * MB as f64,
-            sensing_period_us: None,
             eval: PhasedWorkload::new(vec![
                 (SimDuration::from_secs(200), Self::workload("1.0W", 0.0)),
                 (SimDuration::from_secs(200), Self::workload("0.9W", 0.5)),
@@ -82,18 +77,6 @@ impl Ca6059 {
 
     fn workload(spec: &str, cache_ratio: f64) -> YcsbWorkload {
         YcsbWorkload::paper(spec, 1.0, cache_ratio, 60.0)
-    }
-
-    /// Switches control from per-write-arrival to a fixed sensing
-    /// period: the limit channel is declared with that `period_us` and a
-    /// periodic control tick senses/decides at exactly that cadence
-    /// (clamped ≥ 1 µs). Writes between ticks run under the setting in
-    /// force — the event-kernel contract rather than the legacy
-    /// every-use-site one.
-    #[must_use]
-    pub fn with_sensing_period(mut self, period_us: u64) -> Self {
-        self.sensing_period_us = Some(period_us.max(1));
-        self
     }
 
     /// The memory goal in MB.
@@ -154,10 +137,7 @@ impl Ca6059 {
         let horizon = SimTime::ZERO + workload.total_duration();
         let mut heap = HeapModel::new(self.oom_limit);
         heap.set_component("base", self.base_bytes);
-        let (mut plane, chan) = match self.sensing_period_us {
-            Some(p) => ControlPlane::single_with_period("memtable_total_space_mb", decider, p),
-            None => ControlPlane::single("memtable_total_space_mb", decider),
-        };
+        let (mut plane, chan) = ControlPlane::single("memtable_total_space_mb", decider);
         if let Some(spec) = chaos {
             plane.enable_chaos(spec);
         }
@@ -181,27 +161,18 @@ impl Ca6059 {
             cache_warm_rate: self.cache_warm_rate,
             plane,
             chan,
-            periodic_control: self.sensing_period_us.is_some(),
             phased: workload.clone(),
             write_latency: Histogram::new(),
             crashed: None,
             goal_mb: self.heap_goal_mb(),
             goal_violated: false,
             mem_series: TimeSeries::new("used_memory_mb"),
-            conf_series: TimeSeries::new("memtable_total_space_mb"),
-            deputy_series: TimeSeries::new("memtable_bytes_mb"),
             horizon,
         };
         let mut sim = Simulation::new(model, seed);
         sim.schedule_at(SimTime::ZERO, Ev::Arrival);
         sim.schedule_at(SimTime::ZERO, Ev::ChurnTick);
         sim.schedule_at(SimTime::ZERO, Ev::Sample);
-        if self.sensing_period_us.is_some() {
-            // First decision one full period in — the event-kernel
-            // convention (epoch e senses at (e+1)·period).
-            let period = sim.model().plane.period_us(sim.model().chan);
-            sim.schedule_at(SimTime::from_micros(period), Ev::ControlTick);
-        }
         sim.run_until(horizon);
 
         let m = sim.into_model();
@@ -222,8 +193,6 @@ impl Ca6059 {
         }
         result
             .with_series(m.mem_series)
-            .with_series(m.conf_series)
-            .with_series(m.deputy_series)
             .with_epochs(m.plane.into_log())
     }
 }
@@ -306,10 +275,6 @@ enum Ev {
     FlushDone,
     ChurnTick,
     Sample,
-    /// Periodic sense/decide/actuate when the scenario runs with a fixed
-    /// sensing period ([`Ca6059::with_sensing_period`]); never scheduled
-    /// in the legacy per-arrival mode.
-    ControlTick,
 }
 
 #[derive(Debug)]
@@ -322,9 +287,6 @@ struct MemtableModel {
     cache_warm_rate: f64,
     plane: ControlPlane,
     chan: ChannelId,
-    /// `true` when `Ev::ControlTick` owns the control step (fixed
-    /// sensing period); `false` drives control at every write arrival.
-    periodic_control: bool,
     phased: PhasedWorkload<YcsbWorkload>,
     /// In-progress flush: (bytes, start, duration). Flushed bytes drain
     /// linearly over the duration (Cassandra frees memtable memory as
@@ -339,8 +301,6 @@ struct MemtableModel {
     goal_mb: f64,
     goal_violated: bool,
     mem_series: TimeSeries,
-    conf_series: TimeSeries,
-    deputy_series: TimeSeries,
     horizon: SimTime,
 }
 
@@ -420,9 +380,7 @@ impl Model for MemtableModel {
                 let workload = self.phased.at(now).clone();
                 let op = workload.next_op(ctx.rng());
                 if op.is_write() {
-                    if !self.periodic_control {
-                        self.control_step(now);
-                    }
+                    self.control_step(now);
                     self.memtable.write(op.size_bytes());
                     // Writes that land inside a flush-induced pause wait
                     // for it to pass — the latency cost of flushing
@@ -461,19 +419,6 @@ impl Model for MemtableModel {
                 self.check_oom(ctx);
                 ctx.schedule_in(CHURN_TICK, Ev::ChurnTick);
             }
-            Ev::ControlTick => {
-                let now = ctx.now();
-                self.control_step(now);
-                // A lowered threshold can make the buffer flush-due
-                // immediately, exactly as it would at a write site.
-                self.maybe_start_flush(ctx);
-                self.sync_heap(now);
-                self.check_oom(ctx);
-                if self.crashed.is_none() && now < self.horizon {
-                    let period = SimDuration::from_micros(self.plane.period_us(self.chan));
-                    ctx.schedule_in(period, Ev::ControlTick);
-                }
-            }
             Ev::Sample => {
                 if self.heap.used_mb() > self.goal_mb {
                     self.goal_violated = true;
@@ -481,10 +426,6 @@ impl Model for MemtableModel {
                 self.sync_heap(ctx.now());
                 let t = ctx.now().as_micros();
                 self.mem_series.push(t, self.heap.used_mb());
-                self.conf_series
-                    .push(t, self.memtable.threshold() as f64 / MB as f64);
-                let deputy = self.memtable.active_bytes() + self.flush_residual(ctx.now());
-                self.deputy_series.push(t, deputy as f64 / MB as f64);
                 if ctx.now() < self.horizon {
                     ctx.schedule_in(SAMPLE_TICK, Ev::Sample);
                 }
@@ -557,33 +498,6 @@ mod tests {
         let s = quick();
         let a = s.run_static(60.0, 5);
         let b = s.run_static(60.0, 5);
-        assert_eq!(a.tradeoff, b.tradeoff);
-    }
-
-    #[test]
-    fn periodic_sensing_meets_goal_with_far_fewer_epochs() {
-        let s = quick().with_sensing_period(250_000);
-        let smart = s.run_smartconf(11);
-        assert!(smart.constraint_ok, "periodic SmartConf failed: {smart:?}");
-        // 80 s of workload on a 250 ms sensing period: ~320 control
-        // epochs instead of one per write arrival (tens of thousands),
-        // and the first decision lands one full period in.
-        let epochs = smart.epochs.events().count();
-        assert!(
-            (300..=321).contains(&epochs),
-            "expected ~320 periodic epochs, got {epochs}"
-        );
-        let first = smart.epochs.events().next().unwrap();
-        assert_eq!(first.t_us, 250_000);
-        let per_use = quick().run_smartconf(11);
-        assert!(per_use.epochs.events().count() > 10 * epochs);
-    }
-
-    #[test]
-    fn periodic_sensing_is_deterministic() {
-        let s = quick().with_sensing_period(250_000);
-        let a = s.run_smartconf(5);
-        let b = s.run_smartconf(5);
         assert_eq!(a.tradeoff, b.tradeoff);
     }
 

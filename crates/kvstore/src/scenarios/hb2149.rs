@@ -144,15 +144,7 @@ impl Hb2149 {
         } else {
             None
         };
-        // Declared sensing period (metadata for event-driven embeddings):
-        // HB2149 is a *conditional* PerfConf — the lockstep path decides
-        // only at blocking flushes — so the nominal quantum is the
-        // sampling tick.
-        let (mut plane, chan) = ControlPlane::single_with_period(
-            "memstore.lowerLimit_mb",
-            decider,
-            SAMPLE_TICK.as_micros(),
-        );
+        let (mut plane, chan) = ControlPlane::single("memstore.lowerLimit_mb", decider);
         if let Some(spec) = chaos {
             plane.enable_chaos(spec);
         }
@@ -175,7 +167,6 @@ impl Hb2149 {
             worst_block_secs: 0.0,
             block_series: TimeSeries::new("block_duration_secs"),
             conf_series: TimeSeries::new("memstore.lowerLimit_mb"),
-            store_series: TimeSeries::new("memstore_mb"),
             horizon,
         };
         let mut sim = Simulation::new(model, seed);
@@ -198,7 +189,6 @@ impl Hb2149 {
         result
             .with_series(m.block_series)
             .with_series(m.conf_series)
-            .with_series(m.store_series)
             .with_epochs(m.plane.into_log())
     }
 }
@@ -302,7 +292,6 @@ struct MemstoreModel {
     worst_block_secs: f64,
     block_series: TimeSeries,
     conf_series: TimeSeries,
-    store_series: TimeSeries,
     horizon: SimTime,
 }
 
@@ -373,8 +362,6 @@ impl Model for MemstoreModel {
                 let t = ctx.now().as_micros();
                 self.conf_series
                     .push(t, self.memstore.lower() as f64 / MB as f64);
-                self.store_series
-                    .push(t, self.memstore.bytes() as f64 / MB as f64);
                 if ctx.now() < self.horizon {
                     ctx.schedule_in(SAMPLE_TICK, Ev::Sample);
                 }

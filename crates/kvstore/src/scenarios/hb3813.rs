@@ -283,11 +283,7 @@ impl Hb3813 {
         // SmartConf (and the static baselines) decide at the enqueue
         // use site.
         let fixed_period = matches!(decider, Decider::Direct(_));
-        // Declared sensing period (metadata for event-driven embeddings):
-        // the fixed-period baseline genuinely decides on CONTROL_TICK,
-        // which is also this channel's nominal quantum.
-        let (mut plane, chan) =
-            ControlPlane::single_with_period("max.queue.size", decider, CONTROL_TICK.as_micros());
+        let (mut plane, chan) = ControlPlane::single("max.queue.size", decider);
         if let Some(spec) = chaos {
             plane.enable_chaos(spec);
         }

@@ -15,7 +15,7 @@ use smartconf_core::{
     Controller, ControllerBuilder, Goal, Hardness, ModelMode, ProfileSet, SmartConfIndirect,
 };
 use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
-use smartconf_metrics::{RateCounter, TimeSeries};
+use smartconf_metrics::TimeSeries;
 use smartconf_runtime::{
     ChannelId, ChaosSpec, ControlPlane, Decider, GuardPolicy, ProfileSchedule, Profiler, Sensed,
 };
@@ -27,7 +27,6 @@ use crate::{BackgroundChurn, ByteBoundedQueue, HeapModel, Memtable, QueuedReques
 const MB: u64 = 1_000_000;
 const CHURN_TICK: SimDuration = SimDuration::from_millis(100);
 const SAMPLE_TICK: SimDuration = SimDuration::from_millis(500);
-const RATE_WINDOW: SimDuration = SimDuration::from_secs(5);
 
 /// The HB6728 scenario.
 #[derive(Debug, Clone)]
@@ -158,14 +157,7 @@ impl Hb6728 {
         let horizon = SimTime::ZERO + workload.total_duration();
         let mut heap = HeapModel::new(self.oom_limit);
         heap.set_component("base", self.base_bytes);
-        // Declared sensing period (metadata for event-driven embeddings;
-        // the lockstep path decides at read enqueues): the memory
-        // sampling tick.
-        let (mut plane, chan) = ControlPlane::single_with_period(
-            "response.queue.maxsize_mb",
-            decider,
-            SAMPLE_TICK.as_micros(),
-        );
+        let (mut plane, chan) = ControlPlane::single("response.queue.maxsize_mb", decider);
         if let Some(spec) = chaos {
             plane.enable_chaos(spec);
         }
@@ -193,10 +185,6 @@ impl Hb6728 {
             goal_mb: self.heap_goal_mb(),
             goal_violated: false,
             mem_series: TimeSeries::new("used_memory_mb"),
-            conf_series: TimeSeries::new("response.queue.maxsize_mb"),
-            queue_series: TimeSeries::new("response.queue.bytes_mb"),
-            thr_series: TimeSeries::new("read_throughput_ops_per_sec"),
-            rate: RateCounter::new(RATE_WINDOW.as_micros()),
             horizon,
         };
         let mut sim = Simulation::new(model, seed);
@@ -219,9 +207,6 @@ impl Hb6728 {
         }
         result
             .with_series(m.mem_series)
-            .with_series(m.conf_series)
-            .with_series(m.queue_series)
-            .with_series(m.thr_series)
             .with_epochs(m.plane.into_log())
     }
 }
@@ -325,10 +310,6 @@ struct ResponseModel {
     goal_mb: f64,
     goal_violated: bool,
     mem_series: TimeSeries,
-    conf_series: TimeSeries,
-    queue_series: TimeSeries,
-    thr_series: TimeSeries,
-    rate: RateCounter,
     horizon: SimTime,
 }
 
@@ -419,7 +400,6 @@ impl Model for ResponseModel {
             Ev::SendDone => {
                 if self.queue.pop().is_some() {
                     self.completed_reads += 1;
-                    self.rate.record(ctx.now().as_micros(), 1);
                     self.sync_heap();
                 }
                 self.sending = false;
@@ -445,12 +425,6 @@ impl Model for ResponseModel {
                 }
                 let t = ctx.now().as_micros();
                 self.mem_series.push(t, self.heap.used_mb());
-                self.conf_series
-                    .push(t, self.queue.max_bytes() as f64 / MB as f64);
-                self.queue_series
-                    .push(t, self.queue.bytes() as f64 / MB as f64);
-                let rate = self.rate.rate_per_sec(t);
-                self.thr_series.push(t, rate);
                 if ctx.now() < self.horizon {
                     ctx.schedule_in(SAMPLE_TICK, Ev::Sample);
                 }

@@ -122,19 +122,8 @@ impl TwinQueues {
     /// A plane holding both queue bounds fixed.
     fn static_plane(req_bound: usize, resp_bound_mb: f64) -> (ControlPlane, ChannelId, ChannelId) {
         let mut b = ControlPlaneBuilder::new();
-        // Declared sensing period: the memory sampling cadence. The
-        // per-use lockstep path decides at arrivals and ignores it; an
-        // event-driven embedding senses on this quantum.
-        let req_chan = b.channel_with_period(
-            "max.queue.size",
-            Decider::Static(req_bound as f64),
-            SAMPLE_TICK.as_micros(),
-        );
-        let resp_chan = b.channel_with_period(
-            "response.queue.maxsize_mb",
-            Decider::Static(resp_bound_mb),
-            SAMPLE_TICK.as_micros(),
-        );
+        let req_chan = b.channel("max.queue.size", Decider::Static(req_bound as f64));
+        let resp_chan = b.channel("response.queue.maxsize_mb", Decider::Static(resp_bound_mb));
         (b.build(), req_chan, resp_chan)
     }
 
@@ -253,17 +242,10 @@ impl TwinQueues {
         // splits the error N = 2 ways on its own (§5.4); the ablation
         // overrides that count after the fact.
         let mut b = ControlPlaneBuilder::new();
-        // Declared sensing period (metadata for event-driven embeddings;
-        // the lockstep path decides per use): the memory sampling tick.
-        let req_chan = b.channel_with_period(
-            "max.queue.size",
-            Decider::Deputy(Box::new(req_conf)),
-            SAMPLE_TICK.as_micros(),
-        );
-        let resp_chan = b.channel_with_period(
+        let req_chan = b.channel("max.queue.size", Decider::Deputy(Box::new(req_conf)));
+        let resp_chan = b.channel(
             "response.queue.maxsize_mb",
             Decider::Deputy(Box::new(resp_conf)),
-            SAMPLE_TICK.as_micros(),
         );
         let mut plane = b.build();
         if let Some(n) = interaction {

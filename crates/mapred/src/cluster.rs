@@ -88,7 +88,6 @@ pub struct ClusterModel {
     pub(crate) goal_mb: f64,
     pub(crate) goal_violated: bool,
     pub(crate) used_series: TimeSeries,
-    pub(crate) conf_series: TimeSeries,
     horizon: SimTime,
 }
 
@@ -119,14 +118,7 @@ impl ClusterModel {
         let mut jobs: VecDeque<Vec<MapTask>> = jobs.into_iter().collect();
         let first = jobs.pop_front().unwrap_or_default();
         let tasks_left = first.len();
-        // Declared sensing period (metadata for event-driven embeddings):
-        // the controller runs at assignment time, so the nominal quantum
-        // is the master's assignment tick.
-        let (plane, chan) = ControlPlane::single_with_period(
-            "local.dir.minspacestart_mb",
-            decider,
-            ASSIGN_TICK.as_micros(),
-        );
+        let (plane, chan) = ControlPlane::single("local.dir.minspacestart_mb", decider);
         ClusterModel {
             workers,
             slots_per_worker,
@@ -145,14 +137,8 @@ impl ClusterModel {
             goal_mb,
             goal_violated: false,
             used_series: TimeSeries::new("worst_worker_disk_mb"),
-            conf_series: TimeSeries::new("local.dir.minspacestart_mb"),
             horizon,
         }
-    }
-
-    /// Current reserve threshold in bytes.
-    pub fn minspace(&self) -> u64 {
-        self.minspace
     }
 
     /// Arms the fault-injection plane (chaos mode) on the reserve channel.
@@ -382,7 +368,6 @@ impl Model for ClusterModel {
                 }
                 let t = ctx.now().as_micros();
                 self.used_series.push(t, worst);
-                self.conf_series.push(t, self.minspace as f64 / 1e6);
                 if ctx.now() < self.horizon && self.finished_at.is_none() && self.crashed.is_none()
                 {
                     ctx.schedule_in(SAMPLE_TICK, ClusterEvent::Sample);

@@ -141,7 +141,6 @@ impl Mr2820 {
         }
         result
             .with_series(m.used_series)
-            .with_series(m.conf_series)
             .with_epochs(m.plane.into_log())
     }
 

@@ -65,19 +65,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Records `n` occurrences of `value`.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let (b, s) = Self::index(value);
-        self.buckets[b][s] += n;
-        self.count += n;
-        self.total += value as u128 * n as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     fn index(value: u64) -> (usize, usize) {
         if value < SUB_BUCKETS as u64 {
             return (0, value as usize);
@@ -240,19 +227,6 @@ mod tests {
     fn mean_is_exact() {
         let h: Histogram = (1..=100u64).collect();
         assert_eq!(h.mean(), 50.5);
-    }
-
-    #[test]
-    fn record_n_equivalent_to_loop() {
-        let mut a = Histogram::new();
-        a.record_n(500, 10);
-        let mut b = Histogram::new();
-        for _ in 0..10 {
-            b.record(500);
-        }
-        assert_eq!(a, b);
-        a.record_n(7, 0);
-        assert_eq!(a.count(), 10);
     }
 
     #[test]

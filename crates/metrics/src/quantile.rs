@@ -220,21 +220,6 @@ impl QuantileSketch {
         self.max
     }
 
-    /// The fraction of recorded values whose *bucket* lies strictly
-    /// above the bucket holding `threshold` — i.e. the mass of the tail
-    /// beyond `threshold`, up to the sketch's bucket resolution
-    /// ([`RELATIVE_ERROR`](Self::RELATIVE_ERROR)). Returns 0 for an
-    /// empty sketch. The soak uses this to report what share of a
-    /// cohort's senses violated the goal line without a second counter.
-    pub fn fraction_above(&self, threshold: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let cut = Self::bucket_of(threshold);
-        let above: u64 = self.bins[cut + 1..].iter().sum();
-        above as f64 / self.count as f64
-    }
-
     /// The `q`-quantile (`q` clamped into `[0, 1]`) under the usual
     /// `rank = ⌈q·n⌉` convention: the reported value is the midpoint of
     /// the bucket holding the rank-th smallest sample, clamped into the
@@ -494,9 +479,6 @@ mod tests {
         for q in [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
             out.push(s.quantile(q).to_bits());
         }
-        for t in [0.5, 1.0, 2.0, 1e9] {
-            out.push(s.fraction_above(t).to_bits());
-        }
         out
     }
 
@@ -586,28 +568,6 @@ mod tests {
         s.record(2.0);
         assert_eq!(s.count(), 1);
         assert_eq!(s.quantile(0.5), 2.0);
-    }
-
-    #[test]
-    fn fraction_above_matches_bucketed_tail_mass() {
-        let mut s = QuantileSketch::new();
-        assert_eq!(s.fraction_above(1.0), 0.0);
-        // 90 values well below 1, 10 well above: the cut at 1.0 is
-        // unambiguous at bucket resolution.
-        for _ in 0..90 {
-            s.record(0.5);
-        }
-        for _ in 0..10 {
-            s.record(4.0);
-        }
-        assert_eq!(s.fraction_above(1.0), 0.10);
-        assert_eq!(s.fraction_above(8.0), 0.0);
-        assert_eq!(s.fraction_above(0.1), 1.0);
-        // A value in the same bucket as the threshold does not count as
-        // above it (the tail is strictly-beyond-the-bucket).
-        let mut t = QuantileSketch::new();
-        t.record(1.0);
-        assert_eq!(t.fraction_above(1.0), 0.0);
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub struct RateCounter {
     window_us: u64,
     events: VecDeque<(u64, u64)>,
     in_window: u64,
-    lifetime: u64,
 }
 
 impl RateCounter {
@@ -39,7 +38,6 @@ impl RateCounter {
             window_us,
             events: VecDeque::new(),
             in_window: 0,
-            lifetime: 0,
         }
     }
 
@@ -48,7 +46,6 @@ impl RateCounter {
         self.evict(now_us);
         self.events.push_back((now_us, n));
         self.in_window += n;
-        self.lifetime += n;
     }
 
     fn evict(&mut self, now_us: u64) {
@@ -63,21 +60,10 @@ impl RateCounter {
         }
     }
 
-    /// Number of events inside the window ending at `now_us`.
-    pub fn count_in_window(&mut self, now_us: u64) -> u64 {
-        self.evict(now_us);
-        self.in_window
-    }
-
     /// Event rate per second over the window ending at `now_us`.
     pub fn rate_per_sec(&mut self, now_us: u64) -> f64 {
         self.evict(now_us);
         self.in_window as f64 * 1e6 / self.window_us as f64
-    }
-
-    /// Total events recorded over the counter's lifetime.
-    pub fn lifetime_count(&self) -> u64 {
-        self.lifetime
     }
 
     /// Window length in microseconds.
@@ -94,9 +80,9 @@ mod tests {
     fn events_age_out() {
         let mut r = RateCounter::new(1_000);
         r.record(0, 5);
-        assert_eq!(r.count_in_window(500), 5);
-        assert_eq!(r.count_in_window(1_500), 0);
-        assert_eq!(r.lifetime_count(), 5);
+        // 5 events over a 1 ms window = 5000/s.
+        assert_eq!(r.rate_per_sec(500), 5_000.0);
+        assert_eq!(r.rate_per_sec(1_500), 0.0);
     }
 
     #[test]
@@ -112,24 +98,14 @@ mod tests {
         let mut r = RateCounter::new(1_000);
         r.record(1_000, 1);
         // Event at exactly cutoff (2_000 - 1_000) stays in window.
-        assert_eq!(r.count_in_window(2_000), 1);
-        assert_eq!(r.count_in_window(2_001), 0);
+        assert_eq!(r.rate_per_sec(2_000), 1_000.0);
+        assert_eq!(r.rate_per_sec(2_001), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "rate window")]
     fn zero_window_panics() {
         let _ = RateCounter::new(0);
-    }
-
-    #[test]
-    fn lifetime_survives_eviction() {
-        let mut r = RateCounter::new(10);
-        for t in 0..100 {
-            r.record(t * 100, 1);
-        }
-        assert_eq!(r.lifetime_count(), 100);
-        assert!(r.count_in_window(10_000) <= 1);
     }
 }
 
@@ -139,8 +115,8 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// The windowed count equals a brute-force recount for any
-        /// monotone event sequence and query time.
+        /// The windowed rate equals a brute-force recount over the window
+        /// for any monotone event sequence and query time.
         #[test]
         fn window_count_matches_recount(
             mut events in prop::collection::vec((0u64..100_000, 1u64..5), 1..100),
@@ -157,9 +133,7 @@ mod proptests {
                 .filter(|&&(t, _)| t >= query.saturating_sub(10_000))
                 .map(|&(_, n)| n)
                 .sum();
-            prop_assert_eq!(r.count_in_window(query), expected);
-            let lifetime: u64 = events.iter().map(|&(_, n)| n).sum();
-            prop_assert_eq!(r.lifetime_count(), lifetime);
+            prop_assert_eq!(r.rate_per_sec(query), expected as f64 * 1e6 / 10_000.0);
         }
     }
 }

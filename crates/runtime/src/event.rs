@@ -323,7 +323,6 @@ impl ChannelStats {
 /// let s = log.summary("conf").unwrap();
 /// assert_eq!(s.epochs, 1_000);
 /// assert_eq!(s.saturated, 500);
-/// assert_eq!(log.saturation_fraction("conf"), Some(0.5));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EpochLog {
@@ -401,20 +400,6 @@ impl EpochLog {
         self.summary(name).and_then(|s| s.last_setting)
     }
 
-    /// Fraction of a channel's lifetime epochs that saturated at the
-    /// bounds: `Some(0.0)` for a known channel with no epochs, `None`
-    /// for an unknown channel name (so typos don't read as "never
-    /// saturated").
-    pub fn saturation_fraction(&self, name: &str) -> Option<f64> {
-        self.summary(name).map(|s| {
-            if s.epochs > 0 {
-                s.saturated as f64 / s.epochs as f64
-            } else {
-                0.0
-            }
-        })
-    }
-
     /// Largest absolute tracking error over a channel's lifetime epochs
     /// (ignores the `NaN` errors of static channels). `None` both for a
     /// channel with no finite errors and for an unknown name; the debug
@@ -469,8 +454,6 @@ mod tests {
         assert_eq!(log.last_setting("a"), Some(95.0));
         assert_eq!(log.last_setting("b"), Some(50.0));
         assert_eq!(log.last_setting("missing"), None);
-        assert_eq!(log.saturation_fraction("a"), Some(0.5));
-        assert_eq!(log.saturation_fraction("missing"), None);
     }
 
     #[test]

@@ -102,8 +102,8 @@ impl<P: Plant> Model for KernelModel<P> {
 }
 
 /// A [`ControlPlane`] and its [`Plant`] scheduled on the simkernel event
-/// heap, with one `Sense` per channel per
-/// [`period_us`](ControlPlane::period_us).
+/// heap, with one `Sense` per channel per sensing period
+/// ([`channel_with_period`](crate::ControlPlaneBuilder::channel_with_period)).
 ///
 /// # Example
 ///

@@ -37,7 +37,7 @@
 //!   [`ControlPlane::enable_chaos`].
 //! - [`EventPlane`]/[`PlaneEvent`] — the event kernel: the same plane
 //!   scheduled on the `smartconf-simkernel` calendar, one `Sense` per
-//!   channel per [`period_us`](ControlPlane::period_us)
+//!   channel per sensing period
 //!   ([`channel_with_period`](ControlPlaneBuilder::channel_with_period)),
 //!   each `Sense` running the same [`ControlPlane::decide`].
 //! - [`run_cohort_calendar`] — batched soak dispatch: one heap event per

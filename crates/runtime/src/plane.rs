@@ -120,10 +120,9 @@ struct ChaosState {
 }
 
 /// The sensing period assigned to channels declared without an explicit
-/// one ([`ControlPlaneBuilder::channel`]): one second, the uniform
-/// quantum the scenarios have always used. Channels that need
-/// their own cadence declare it via
-/// [`ControlPlaneBuilder::channel_with_period`].
+/// one ([`ControlPlaneBuilder::channel`]): one second. Channels that need
+/// their own cadence under [`EventPlane`](crate::EventPlane) declare it
+/// via [`ControlPlaneBuilder::channel_with_period`].
 pub const DEFAULT_PERIOD_US: u64 = 1_000_000;
 
 /// One named control channel.
@@ -132,10 +131,10 @@ struct Channel {
     name: String,
     decider: Decider,
     epochs: u64,
-    /// Sensing period of this channel, microseconds. The event kernel
+    /// Sensing period of this channel, microseconds: the event kernel
     /// ([`EventPlane`](crate::EventPlane)) schedules one Sense event per
-    /// period; plants that call [`ControlPlane::decide`] at their own
-    /// decision points read it as metadata.
+    /// period, so the channel's guard epoch counts age in it. Plants that
+    /// call [`ControlPlane::decide`] at their own use sites ignore it.
     period_us: u64,
 }
 
@@ -162,9 +161,8 @@ impl ControlPlaneBuilder {
     /// Declares a channel with its own sensing period in microseconds
     /// (clamped ≥ 1). Under the event kernel
     /// ([`EventPlane`](crate::EventPlane)) the channel senses once per
-    /// period; a scenario that calls [`ControlPlane::decide`] itself
-    /// reads it back via [`ControlPlane::period_us`] to pace its own
-    /// control ticks.
+    /// period; a plant that calls [`ControlPlane::decide`] at its own use
+    /// sites decides there and never consults the period.
     pub fn channel_with_period(
         &mut self,
         name: impl Into<String>,
@@ -267,25 +265,13 @@ impl ControlPlane {
         (b.build(), id)
     }
 
-    /// A single-channel plane with an explicit sensing period (see
-    /// [`ControlPlaneBuilder::channel_with_period`]).
-    pub fn single_with_period(
-        name: impl Into<String>,
-        decider: Decider,
-        period_us: u64,
-    ) -> (ControlPlane, ChannelId) {
-        let mut b = ControlPlaneBuilder::new();
-        let id = b.channel_with_period(name, decider, period_us);
-        (b.build(), id)
-    }
-
     /// Number of channels.
     pub fn channel_count(&self) -> usize {
         self.channels.len()
     }
 
     /// The sensing period of a channel, microseconds.
-    pub fn period_us(&self, id: ChannelId) -> u64 {
+    pub(crate) fn period_us(&self, id: ChannelId) -> u64 {
         self.channels[id.0].period_us
     }
 
@@ -567,7 +553,8 @@ mod tests {
             setting = plane.decide(id, step, setting + 500.0);
         }
         assert_eq!(setting, 0.0);
-        assert!(plane.log().saturation_fraction("c").unwrap() > 0.5);
+        let summary = plane.log().summary("c").unwrap();
+        assert!(2 * summary.saturated > summary.epochs);
         assert!(plane.goal_unreachable(id));
     }
 

@@ -127,20 +127,6 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Scales the duration by a non-negative factor, rounding to the
-    /// nearest microsecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "duration scale factor must be finite and non-negative, got {factor}"
-        );
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -259,22 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn mul_f64_rounds() {
-        let d = SimDuration::from_micros(10);
-        assert_eq!(d.mul_f64(1.55).as_micros(), 16);
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
-    }
-
-    #[test]
     #[should_panic(expected = "duration must be finite")]
     fn negative_secs_panics() {
         let _ = SimDuration::from_secs_f64(-1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale factor")]
-    fn negative_scale_panics() {
-        let _ = SimDuration::from_secs(1).mul_f64(-0.5);
     }
 
     #[test]

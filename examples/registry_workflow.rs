@@ -68,7 +68,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!(
             "captured {} profiling samples to {}",
             capture.recorded(),
-            ProfilingCapture::file_path(&dir, "max.queue.size").display()
+            ProfilingCapture::file_path(&dir, "max.queue.size")
+                .file_name()
+                .expect("capture path names a file")
+                .to_string_lossy()
         );
     }
 
