@@ -11,8 +11,8 @@
 //! * pole sweep (settling steps vs. disturbance tolerance),
 //! * profiling budget (how λ and the virtual goal converge with samples).
 
-use smartconf_core::{Controller, ControllerBuilder, Goal, Hardness, ProfileSet};
-use smartconf_harness::TextTable;
+use smartconf_core::{Controller, ControllerBuilder, Goal, Hardness, ModelMode, ProfileSet};
+use smartconf_harness::{Scenario, TextTable};
 use smartconf_kvstore::scenarios::{ControllerVariant, Hb3813, TwinQueues};
 use smartconf_runtime::FleetExecutor;
 use smartconf_simkernel::SimRng;
@@ -47,7 +47,7 @@ pub fn controller_variants(seed: u64) -> String {
 /// margin violates the constraint; too large leaves throughput unused.
 pub fn virtual_goal_margins(seed: u64) -> String {
     let scenario = Hb3813::standard();
-    let profile = scenario.collect_profile(seed ^ 0x5eed);
+    let profile = scenario.profile(seed ^ 0x5eed);
     let auto_lambda = profile.lambda();
     let margins = [
         ("0 (no margin)".to_string(), 0.0),
@@ -56,15 +56,10 @@ pub fn virtual_goal_margins(seed: u64) -> String {
         ("0.15 (overcautious)".to_string(), 0.15),
     ];
     let rows = FleetExecutor::available_parallelism().execute(&margins, |_, (label, lambda)| {
-        let goal = Goal::new("memory_mb", scenario.heap_goal_mb())
-            .with_hardness(Hardness::Hard)
-            .expect("positive target");
-        let controller = ControllerBuilder::new(goal)
-            .profile(&profile)
-            .expect("profile synthesizes")
+        let controller = scenario
+            .perfconf()
+            .builder(&profile, ModelMode::Frozen)
             .lambda(*lambda)
-            .bounds(0.0, 2_000.0)
-            .initial(0.0)
             .build()
             .expect("controller builds");
         let r = scenario.run_with_controller(controller, seed, &format!("lambda-{lambda:.3}"));

@@ -139,7 +139,7 @@ impl Plant for DriftingPlant {
     }
 }
 
-fn build_controller(strategy: Strategy) -> Controller {
+fn strategy_controller(strategy: Strategy) -> Controller {
     let goal = Goal::new("metric", TARGET);
     let builder = ControllerBuilder::new(goal)
         .alpha(GAIN_BEFORE)
@@ -161,7 +161,7 @@ fn build_controller(strategy: Strategy) -> Controller {
 /// Runs one cell: `strategy` against the drifting plant with `class`
 /// injected (or clean when `None`), returning the tracking aggregates.
 pub fn run_cell(strategy: Strategy, class: Option<FaultClass>, seed: u64) -> CellOutcome {
-    let controller = build_controller(strategy);
+    let controller = strategy_controller(strategy);
     let conf = SmartConf::new("bench.adaptive", controller);
     let (mut plane, chan) = ControlPlane::single("bench.adaptive", Decider::Direct(Box::new(conf)));
     if let Some(class) = class {

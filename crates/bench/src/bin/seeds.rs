@@ -22,10 +22,11 @@ fn main() {
     );
     let mut table = TextTable::new(vec!["issue", "seeds ok", "rate", "failures"]);
     for s in &scenarios {
+        let id = s.id();
         let shards: Vec<_> = report
             .shards
             .iter()
-            .filter(|r| r.scenario_id == s.id())
+            .filter(|r| r.scenario_id == id)
             .collect();
         let ok = shards.iter().filter(|r| r.constraint_ok).count();
         let failures: Vec<String> = shards
@@ -34,7 +35,7 @@ fn main() {
             .map(|r| r.seed.to_string())
             .collect();
         table.row(vec![
-            s.id().to_string(),
+            id.to_string(),
             format!("{ok}/{}", shards.len()),
             format!("{:.0}%", 100.0 * ok as f64 / shards.len() as f64),
             if failures.is_empty() {

@@ -179,6 +179,37 @@ mod tests {
         }
     }
 
+    /// ROADMAP item 2's pending reclassification, pinned at its cause:
+    /// the gates read this constant, not the hardness each scenario
+    /// declares, and the two sets disagree. When the constant derives
+    /// from the declarations, this test goes. Until then a stale name
+    /// must not silently drop out of the chaos, resilience and soak hard
+    /// gates, so every entry has to name a roster scenario.
+    #[test]
+    fn hard_goal_scenarios_await_reclassification_from_declared_hardness() {
+        use std::collections::BTreeSet;
+        let roster = crate::fleet::fleet_scenarios();
+        let declared_hard: BTreeSet<&str> = roster
+            .iter()
+            .filter(|s| s.perfconf().goal.hardness().is_hard())
+            .map(|s| s.id())
+            .collect();
+        assert_eq!(
+            declared_hard,
+            BTreeSet::from(["CA6059", "HB3813", "HB6728", "MR2820", "TWIN"])
+        );
+        assert_eq!(
+            BTreeSet::from(HARD_GOAL_SCENARIOS),
+            BTreeSet::from(["HB6728", "HD4995", "MR2820"])
+        );
+        for id in HARD_GOAL_SCENARIOS {
+            assert!(
+                roster.iter().any(|s| s.id() == id),
+                "{id} names no roster scenario"
+            );
+        }
+    }
+
     #[test]
     fn class_outcomes_count_hard_goal_violations() {
         use smartconf_harness::ShardReport;

@@ -7,7 +7,7 @@
 
 use smartconf_core::ModelMode;
 use smartconf_harness::{sweep_statics, AsciiChart, RunResult, Scenario};
-use smartconf_kvstore::scenarios::{ControllerVariant, Hb3813};
+use smartconf_kvstore::scenarios::Hb3813;
 
 /// The data behind the three panels.
 #[derive(Debug)]
@@ -25,10 +25,11 @@ pub struct Figure6 {
 /// Runs the experiment.
 pub fn run(seed: u64) -> Figure6 {
     let scenario = Hb3813::standard();
-    let profile = scenario.collect_profile(seed ^ 0x5eed);
-    let controller =
-        scenario.build_controller(&profile, ControllerVariant::SmartConf, ModelMode::Frozen);
-    let virtual_goal_mb = controller.effective_target();
+    let profile = scenario.profile(seed ^ 0x5eed);
+    let virtual_goal_mb = scenario
+        .perfconf()
+        .controller(&profile, ModelMode::Frozen)
+        .effective_target();
 
     let smart = scenario.run_smartconf(seed);
     let sweep = sweep_statics(&scenario, seed);

@@ -276,6 +276,50 @@ mod tests {
         );
     }
 
+    /// Each declaration holds together: `initial` and every guard
+    /// fallback lie inside `bounds`, both issue defaults exist (the smoke
+    /// policies run them), and every fallback names a channel the
+    /// plant's plane logs. A misspelled name would not fail loudly: the
+    /// guard would silently fall back to the initial setting instead.
+    #[test]
+    fn declarations_match_their_plants() {
+        for s in fleet_scenarios() {
+            let conf = s.perfconf();
+            let (lo, hi) = conf.bounds;
+            let inside = |v: f64| (lo..=hi).contains(&v);
+            assert!(inside(conf.initial), "{}: initial outside bounds", conf.id);
+            assert!(
+                conf.buggy_default.is_some(),
+                "{}: no buggy default",
+                conf.id
+            );
+            assert!(
+                conf.patch_default.is_some(),
+                "{}: no patch default",
+                conf.id
+            );
+            let logged = s.run_static(conf.candidates[0], 1).epochs;
+            assert!(
+                !conf.guard.fallbacks().is_empty(),
+                "{}: no fallback",
+                conf.id
+            );
+            for (channel, fallback) in conf.guard.fallbacks() {
+                assert!(
+                    inside(*fallback),
+                    "{}: {channel} fallback outside bounds",
+                    conf.id
+                );
+                assert!(
+                    logged.channels().contains(channel),
+                    "{}: fallback names `{channel}`, plane logs {:?}",
+                    conf.id,
+                    logged.channels()
+                );
+            }
+        }
+    }
+
     #[test]
     fn adaptive_fleet_byte_identical_across_threads() {
         // The online estimator must not cost determinism: an

@@ -3,7 +3,7 @@
 //! Rendered from the live scenario objects so the table always reflects
 //! what the code actually runs.
 
-use smartconf_harness::{Baseline, TextTable};
+use smartconf_harness::TextTable;
 
 use crate::figure5::all_scenarios;
 
@@ -17,12 +17,13 @@ pub fn render() -> String {
         "patch default",
     ]);
     for s in all_scenarios() {
+        let conf = s.perfconf();
         table.row(vec![
-            s.id().to_string(),
-            s.config_name().to_string(),
-            s.description().to_string(),
-            fmt_setting(s.static_setting(Baseline::BuggyDefault)),
-            fmt_setting(s.static_setting(Baseline::PatchDefault)),
+            conf.id.to_string(),
+            conf.config_name.to_string(),
+            conf.description.to_string(),
+            fmt_setting(conf.buggy_default),
+            fmt_setting(conf.patch_default),
         ]);
     }
     format!(

@@ -7,8 +7,7 @@
 use smartconf_bench::fleet::fleet_scenarios;
 use smartconf_core::ProfileSet;
 use smartconf_harness::{
-    run_fleet, Baseline, FaultClass, FleetExecutor, Policy, ProfileSchedule, RunResult, RunSpec,
-    Scenario, TradeoffDirection,
+    run_fleet, FaultClass, FleetExecutor, PerfConf, Policy, RunResult, RunSpec, Scenario,
 };
 
 /// Discards the cached profiles handed to every controlled shard and
@@ -17,32 +16,14 @@ use smartconf_harness::{
 struct Unprofiled(Box<dyn Scenario + Send + Sync>);
 
 impl Scenario for Unprofiled {
-    fn id(&self) -> &str {
-        self.0.id()
-    }
-    fn description(&self) -> &str {
-        self.0.description()
-    }
-    fn config_name(&self) -> &str {
-        self.0.config_name()
-    }
-    fn candidate_settings(&self) -> Vec<f64> {
-        self.0.candidate_settings()
-    }
-    fn static_setting(&self, choice: Baseline) -> Option<f64> {
-        self.0.static_setting(choice)
-    }
-    fn tradeoff_direction(&self) -> TradeoffDirection {
-        self.0.tradeoff_direction()
+    fn perfconf(&self) -> PerfConf {
+        self.0.perfconf()
     }
     fn run_static(&self, setting: f64, seed: u64) -> RunResult {
         self.0.run_static(setting, seed)
     }
     fn run(&self, seed: u64, spec: &RunSpec, _cached: &[ProfileSet]) -> RunResult {
         self.0.run(seed, spec, &self.0.evaluation_profiles(seed))
-    }
-    fn profile_schedule(&self) -> ProfileSchedule {
-        self.0.profile_schedule()
     }
     fn profile(&self, seed: u64) -> ProfileSet {
         self.0.profile(seed)

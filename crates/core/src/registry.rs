@@ -156,7 +156,10 @@ impl Registry {
         self
     }
 
-    /// Whether the developer enabled profiling capture (§5.5).
+    /// Whether the developer enabled profiling capture (§5.5). The host
+    /// reads it to decide whether to attach a
+    /// [`ProfilingCapture`](crate::ProfilingCapture) to its profiling
+    /// run; the `build*` methods never attach one.
     pub fn profiling_enabled(&self) -> bool {
         self.profiling
     }

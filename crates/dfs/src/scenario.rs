@@ -1,10 +1,8 @@
 //! The HD4995 scenario wiring: profiling, SmartConf synthesis, and the
 //! two-phase evaluation.
 
-use smartconf_core::{
-    Controller, ControllerBuilder, Goal, ModelMode, ProfileSet, SmartConfIndirect,
-};
-use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
+use smartconf_core::{Goal, ProfileSet, SmartConfIndirect};
+use smartconf_harness::{PerfConf, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_runtime::{ChaosSpec, Decider, GuardPolicy, ProfileSchedule, Profiler};
 use smartconf_simkernel::{SimDuration, SimTime, Simulation};
 
@@ -37,7 +35,6 @@ pub struct Hd4995 {
     phase_goals_secs: (f64, f64),
     /// Phase durations.
     phase_secs: (u64, u64),
-    profile_settings: Vec<f64>,
 }
 
 impl Hd4995 {
@@ -61,7 +58,6 @@ impl Hd4995 {
             eval_workload: TestDfsIoWorkload::new(4, 100.0, 1_000_000, SimDuration::from_secs(50)),
             phase_goals_secs: (20.0, 10.0),
             phase_secs: (200, 200),
-            profile_settings: vec![100_000.0, 300_000.0, 500_000.0, 700_000.0],
         }
     }
 
@@ -73,58 +69,6 @@ impl Hd4995 {
     /// Per-phase worst-case writer-block goals in seconds.
     pub fn phase_goals_secs(&self) -> (f64, f64) {
         self.phase_goals_secs
-    }
-
-    /// Profiles the writer-block duration against the traversal limit
-    /// under the single-client profiling workload, via the shared
-    /// [`Profiler`].
-    pub fn collect_profile(&self, seed: u64) -> ProfileSet {
-        Profiler::new(Scenario::profile_schedule(self)).collect(seed, |setting, s| {
-            let horizon = SimTime::from_secs(120);
-            let w = &self.profile_workload;
-            let model = NamenodeModel::new(
-                self.per_file,
-                self.yield_overhead,
-                Decider::Static(setting),
-                Self::write_gap(w),
-                w.du_interval(),
-                Namespace::synthesize_shared(w.du_files(), 100, NS_SEED),
-                horizon,
-            );
-            let mut sim = Simulation::new(model, s);
-            sim.schedule_at(SimTime::ZERO, NamenodeEvent::WriteArrival);
-            sim.schedule_at(SimTime::ZERO, NamenodeEvent::DuArrival);
-            sim.run_until(horizon);
-            sim.into_model().block_series
-        })
-    }
-
-    /// Synthesizes the SmartConf controller for the traversal limit.
-    /// [`ModelMode::Adaptive`] seeds an online RLS estimator from the
-    /// profile instead of freezing the offline fit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if synthesis fails (the standard profile is well-formed:
-    /// block duration is essentially affine in the limit).
-    pub fn build_controller(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
-        let goal = Goal::new("write_block_secs", self.phase_goals_secs.0);
-        ControllerBuilder::new(goal)
-            .profile(profile)
-            .expect("profiling data supports synthesis")
-            .bounds(1_000.0, 5_000_000.0)
-            .initial(100_000.0)
-            .model_mode(mode)
-            .build()
-            .expect("controller synthesis")
-    }
-
-    /// The guard ladder shared by every chaos and campaign run.
-    ///
-    /// The smallest profiled limit is the profiled-safe fallback: it
-    /// met the block goal at every profiled load level.
-    fn guard(&self) -> GuardPolicy {
-        GuardPolicy::new().fallback_setting("content-summary.limit", 100_000.0)
     }
 
     fn run_model(
@@ -201,43 +145,34 @@ impl Hd4995 {
     }
 }
 
-impl Default for Hd4995 {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
 impl Scenario for Hd4995 {
-    fn id(&self) -> &str {
-        "HD4995"
-    }
-
-    fn description(&self) -> &str {
-        "content-summary.limit limits #files traversed before du releases the big lock. \
-         Too big, write blocked for long; too small, du latency hurts."
-    }
-
-    fn config_name(&self) -> &str {
-        "content-summary.limit"
-    }
-
-    fn candidate_settings(&self) -> Vec<f64> {
-        (1..=20).map(|i| (i * 100_000) as f64).collect()
-    }
-
-    fn static_setting(&self, choice: Baseline) -> Option<f64> {
-        match choice {
+    fn perfconf(&self) -> PerfConf {
+        PerfConf {
+            id: "HD4995",
+            description: "content-summary.limit limits #files traversed before du releases \
+                          the big lock. Too big, write blocked for long; too small, du latency \
+                          hurts.",
+            config_name: "content-summary.limit",
+            candidates: (1..=20).map(|i| (i * 100_000) as f64).collect(),
             // The hard-coded behaviour traversed everything in one lock
             // acquisition; the patch exposed the knob but kept that
             // default (the issue's complaint).
-            Baseline::BuggyDefault => Some(5_000_000.0),
-            Baseline::PatchDefault => Some(5_000_000.0),
-            _ => None,
+            buggy_default: Some(5_000_000.0),
+            patch_default: Some(5_000_000.0),
+            direction: TradeoffDirection::LowerIsBetter,
+            goal: Goal::new("write_block_secs", self.phase_goals_secs.0),
+            bounds: (1_000.0, 5_000_000.0),
+            initial: 100_000.0,
+            // Writer blocks are event-triggered, so profiling takes the
+            // first 40 recorded block durations at each traversal limit.
+            schedule: ProfileSchedule::first_events(
+                vec![100_000.0, 300_000.0, 500_000.0, 700_000.0],
+                40,
+            ),
+            // The smallest profiled limit is the profiled-safe fallback:
+            // it met the block goal at every profiled load level.
+            guard: GuardPolicy::new().fallback_setting("content-summary.limit", 100_000.0),
         }
-    }
-
-    fn tradeoff_direction(&self) -> TradeoffDirection {
-        TradeoffDirection::LowerIsBetter
     }
 
     fn run_static(&self, setting: f64, seed: u64) -> RunResult {
@@ -250,31 +185,47 @@ impl Scenario for Hd4995 {
     }
 
     fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0], spec.model);
-        let conf = SmartConfIndirect::new("content-summary.limit", controller);
+        let conf = self.perfconf();
+        let controller = conf.controller(&profiles[0], spec.model);
+        let deputy = SmartConfIndirect::new(conf.config_name, controller);
         self.run_model(
-            Decider::Deputy(Box::new(conf)),
+            Decider::Deputy(Box::new(deputy)),
             seed,
             &spec.label(),
-            spec.chaos(seed, self.guard()),
+            spec.chaos(seed, conf.guard),
         )
     }
 
-    fn profile_schedule(&self) -> ProfileSchedule {
-        // Writer blocks are event-triggered, so profiling takes the
-        // first 40 recorded block durations at each traversal limit.
-        ProfileSchedule::first_events(self.profile_settings.clone(), 40)
-    }
-
+    /// Profiles the writer-block duration against the traversal limit
+    /// under the single-client profiling workload, via the shared
+    /// [`Profiler`].
     fn profile(&self, seed: u64) -> ProfileSet {
-        self.collect_profile(seed)
+        Profiler::new(self.perfconf().schedule).collect(seed, |setting, s| {
+            let horizon = SimTime::from_secs(120);
+            let w = &self.profile_workload;
+            let model = NamenodeModel::new(
+                self.per_file,
+                self.yield_overhead,
+                Decider::Static(setting),
+                Self::write_gap(w),
+                w.du_interval(),
+                Namespace::synthesize_shared(w.du_files(), 100, NS_SEED),
+                horizon,
+            );
+            let mut sim = Simulation::new(model, s);
+            sim.schedule_at(SimTime::ZERO, NamenodeEvent::WriteArrival);
+            sim.schedule_at(SimTime::ZERO, NamenodeEvent::DuArrival);
+            sim.run_until(horizon);
+            sim.into_model().block_series
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartconf_harness::Faults;
+    use smartconf_core::ModelMode;
+    use smartconf_harness::{Baseline, Faults};
     use smartconf_runtime::FaultClass;
 
     fn quick() -> Hd4995 {
@@ -287,7 +238,7 @@ mod tests {
 
     #[test]
     fn profile_is_affine_in_limit() {
-        let p = Hd4995::standard().collect_profile(3);
+        let p = Hd4995::standard().profile(3);
         assert_eq!(p.num_settings(), 4);
         let fit = p.fit().unwrap();
         // Worst block = limit * 20us => slope 2e-5 s/inode.

@@ -172,33 +172,22 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RunSpec;
+    use crate::{PerfConf, RunSpec};
     use smartconf_core::ProfileSet;
 
     /// Constraint: setting <= 100. Trade-off: setting, higher better.
     struct Toy;
     impl Scenario for Toy {
-        fn id(&self) -> &str {
-            "TOY"
-        }
-        fn description(&self) -> &str {
-            "toy"
-        }
-        fn config_name(&self) -> &str {
-            "c"
-        }
-        fn candidate_settings(&self) -> Vec<f64> {
-            vec![20.0, 60.0, 100.0, 140.0]
-        }
-        fn static_setting(&self, choice: Baseline) -> Option<f64> {
-            match choice {
-                Baseline::BuggyDefault => Some(140.0),
-                Baseline::PatchDefault => Some(60.0),
-                _ => None,
+        fn perfconf(&self) -> PerfConf {
+            PerfConf {
+                buggy_default: Some(140.0),
+                patch_default: Some(60.0),
+                ..PerfConf::toy(
+                    "TOY",
+                    vec![20.0, 60.0, 100.0, 140.0],
+                    TradeoffDirection::HigherIsBetter,
+                )
             }
-        }
-        fn tradeoff_direction(&self) -> TradeoffDirection {
-            TradeoffDirection::HigherIsBetter
         }
         fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
             RunResult::new(
@@ -278,23 +267,8 @@ mod tests {
         // scenario cannot resolve yields no run and concedes nothing.
         struct NoDefaults;
         impl Scenario for NoDefaults {
-            fn id(&self) -> &str {
-                "N"
-            }
-            fn description(&self) -> &str {
-                "n"
-            }
-            fn config_name(&self) -> &str {
-                "c"
-            }
-            fn candidate_settings(&self) -> Vec<f64> {
-                vec![500.0]
-            }
-            fn static_setting(&self, _c: Baseline) -> Option<f64> {
-                None
-            }
-            fn tradeoff_direction(&self) -> TradeoffDirection {
-                TradeoffDirection::HigherIsBetter
+            fn perfconf(&self) -> PerfConf {
+                PerfConf::toy("N", vec![500.0], TradeoffDirection::HigherIsBetter)
             }
             fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
                 RunResult::new("x", false, setting, "t", TradeoffDirection::HigherIsBetter)

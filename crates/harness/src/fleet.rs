@@ -325,21 +325,30 @@ impl ProfileCache {
 /// # Example
 ///
 /// ```
-/// # use smartconf_core::ProfileSet;
+/// # use smartconf_core::{Goal, ProfileSet};
 /// # use smartconf_harness::{
-/// #     run_fleet, Baseline, Policy, RunResult, RunSpec, Scenario, TradeoffDirection,
+/// #     run_fleet, Baseline, GuardPolicy, PerfConf, Policy, ProfileSchedule, RunResult, RunSpec,
+/// #     Scenario, TradeoffDirection,
 /// # };
 /// # use smartconf_runtime::FleetExecutor;
 /// # struct Toy;
 /// # impl Scenario for Toy {
-/// #     fn id(&self) -> &str { "TOY" }
-/// #     fn description(&self) -> &str { "toy" }
-/// #     fn config_name(&self) -> &str { "c" }
-/// #     fn candidate_settings(&self) -> Vec<f64> { vec![50.0, 100.0] }
-/// #     fn static_setting(&self, c: Baseline) -> Option<f64> {
-/// #         (c == Baseline::BuggyDefault).then_some(150.0)
+/// #     fn perfconf(&self) -> PerfConf {
+/// #         PerfConf {
+/// #             id: "TOY",
+/// #             description: "toy",
+/// #             config_name: "c",
+/// #             candidates: vec![50.0, 100.0],
+/// #             buggy_default: Some(150.0),
+/// #             patch_default: None,
+/// #             direction: TradeoffDirection::HigherIsBetter,
+/// #             goal: Goal::new("m", 100.0),
+/// #             bounds: (0.0, 200.0),
+/// #             initial: 0.0,
+/// #             schedule: ProfileSchedule::first_events(vec![50.0, 100.0], 10),
+/// #             guard: GuardPolicy::new(),
+/// #         }
 /// #     }
-/// #     fn tradeoff_direction(&self) -> TradeoffDirection { TradeoffDirection::HigherIsBetter }
 /// #     fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
 /// #         RunResult::new("s", setting <= 100.0, setting, "t", TradeoffDirection::HigherIsBetter)
 /// #     }
@@ -414,33 +423,22 @@ fn run_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TradeoffDirection;
+    use crate::{PerfConf, TradeoffDirection};
     use std::sync::{Arc, Mutex};
 
     /// Constraint: setting ≤ 100; trade-off = setting (higher better).
     struct Toy;
     impl Scenario for Toy {
-        fn id(&self) -> &str {
-            "TOY"
-        }
-        fn description(&self) -> &str {
-            "toy"
-        }
-        fn config_name(&self) -> &str {
-            "c"
-        }
-        fn candidate_settings(&self) -> Vec<f64> {
-            vec![20.0, 60.0, 100.0, 140.0]
-        }
-        fn static_setting(&self, choice: Baseline) -> Option<f64> {
-            match choice {
-                Baseline::BuggyDefault => Some(140.0),
-                Baseline::PatchDefault => Some(60.0),
-                _ => None,
+        fn perfconf(&self) -> PerfConf {
+            PerfConf {
+                buggy_default: Some(140.0),
+                patch_default: Some(60.0),
+                ..PerfConf::toy(
+                    "TOY",
+                    vec![20.0, 60.0, 100.0, 140.0],
+                    TradeoffDirection::HigherIsBetter,
+                )
             }
-        }
-        fn tradeoff_direction(&self) -> TradeoffDirection {
-            TradeoffDirection::HigherIsBetter
         }
         fn run_static(&self, setting: f64, seed: u64) -> RunResult {
             // Seed perturbs the trade-off so shards at different seeds differ.
@@ -550,23 +548,11 @@ mod tests {
     /// A toy that records the spec of every controlled run it is handed.
     struct Recorder(Arc<Mutex<Vec<RunSpec>>>);
     impl Scenario for Recorder {
-        fn id(&self) -> &str {
-            "REC"
-        }
-        fn description(&self) -> &str {
-            "records run specs"
-        }
-        fn config_name(&self) -> &str {
-            "c"
-        }
-        fn candidate_settings(&self) -> Vec<f64> {
-            Toy.candidate_settings()
-        }
-        fn static_setting(&self, choice: Baseline) -> Option<f64> {
-            Toy.static_setting(choice)
-        }
-        fn tradeoff_direction(&self) -> TradeoffDirection {
-            TradeoffDirection::HigherIsBetter
+        fn perfconf(&self) -> PerfConf {
+            PerfConf {
+                id: "REC",
+                ..Toy.perfconf()
+            }
         }
         fn run_static(&self, setting: f64, seed: u64) -> RunResult {
             Toy.run_static(setting, seed)
@@ -745,23 +731,8 @@ mod tests {
     fn unresolved_baseline_renders_deterministically() {
         struct NoDefaults;
         impl Scenario for NoDefaults {
-            fn id(&self) -> &str {
-                "N"
-            }
-            fn description(&self) -> &str {
-                "n"
-            }
-            fn config_name(&self) -> &str {
-                "c"
-            }
-            fn candidate_settings(&self) -> Vec<f64> {
-                vec![1.0]
-            }
-            fn static_setting(&self, _c: Baseline) -> Option<f64> {
-                None
-            }
-            fn tradeoff_direction(&self) -> TradeoffDirection {
-                TradeoffDirection::HigherIsBetter
+            fn perfconf(&self) -> PerfConf {
+                PerfConf::toy("N", vec![1.0], TradeoffDirection::HigherIsBetter)
             }
             fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
                 RunResult::new("x", true, setting, "t", TradeoffDirection::HigherIsBetter)

@@ -1,12 +1,115 @@
 //! The scenario abstraction: one PerfConf case study.
 
-use smartconf_core::{ModelMode, ProfileSet};
+use smartconf_core::{Controller, ControllerBuilder, Goal, ModelMode, ProfileSet};
 use smartconf_runtime::{
     shard_seed, Baseline, Campaign, ChaosSpec, FaultClass, FaultPlan, GuardPolicy, ProfileSchedule,
     CHAOS_STREAM,
 };
 
 use crate::{Policy, RunResult, TradeoffDirection};
+
+/// One PerfConf, declared once: the shape of the paper's §5.5
+/// `SmartConf.sys` entry (configuration, initial setting, bounds) with
+/// the user's goal and its hardness, the §6.1 profiling schedule, the
+/// guard's profiled-safe fallbacks, and the Table 6 row documenting the
+/// issue. A [`Scenario`] states it in [`Scenario::perfconf`]; its
+/// controller, static sweep, table row and chaos guard all derive from
+/// it.
+///
+/// # Example
+///
+/// ```
+/// use smartconf_core::{Goal, Hardness, ModelMode, ProfileSet};
+/// use smartconf_harness::{GuardPolicy, PerfConf, ProfileSchedule, TradeoffDirection};
+///
+/// let conf = PerfConf {
+///     id: "TOY",
+///     description: "toy queue bound",
+///     config_name: "max.queue.size",
+///     candidates: vec![40.0, 80.0],
+///     buggy_default: Some(1_000.0),
+///     patch_default: None,
+///     direction: TradeoffDirection::HigherIsBetter,
+///     goal: Goal::new("memory_mb", 495.0).with_hardness(Hardness::Hard)?,
+///     bounds: (0.0, 2_000.0),
+///     initial: 0.0,
+///     schedule: ProfileSchedule::first_events(vec![40.0, 80.0], 10),
+///     guard: GuardPolicy::new().fallback_setting("max.queue.size", 40.0),
+/// };
+/// let profile: ProfileSet = [(40.0, 180.0), (80.0, 260.0), (40.0, 181.0), (80.0, 259.0)]
+///     .into_iter()
+///     .collect();
+/// let controller = conf.controller(&profile, ModelMode::Frozen);
+/// assert_eq!(controller.bounds(), (0.0, 2_000.0));
+/// assert!(controller.effective_target() < 495.0); // hard: a virtual goal
+/// # Ok::<(), smartconf_core::Error>(())
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerfConf {
+    /// Issue identifier, e.g. `"HB3813"`.
+    pub id: &'static str,
+    /// One-line description of the configuration and its trade-off.
+    pub description: &'static str,
+    /// The configuration name, e.g. `"ipc.server.max.queue.size"`.
+    pub config_name: &'static str,
+    /// Candidate static settings for the exhaustive sweep that finds the
+    /// static optimal (paper §6.3: "we find the best static configuration
+    /// by exhaustively searching all possible PerfConf settings").
+    pub candidates: Vec<f64>,
+    /// The default users complained about in the original issue
+    /// ([`Baseline::BuggyDefault`]).
+    pub buggy_default: Option<f64>,
+    /// The default the developers' patch introduced
+    /// ([`Baseline::PatchDefault`]).
+    pub patch_default: Option<f64>,
+    /// Which direction of the trade-off metric is better.
+    pub direction: TradeoffDirection,
+    /// The user's goal: metric, target and hardness.
+    pub goal: Goal,
+    /// The inclusive valid range of the controller's setting.
+    pub bounds: (f64, f64),
+    /// The controller's setting before its first step.
+    pub initial: f64,
+    /// The profiling schedule (paper §6.1: which settings to hold, how
+    /// many measurements per setting, how to sample them) that the
+    /// shared [`Profiler`](smartconf_runtime::Profiler) drives.
+    pub schedule: ProfileSchedule,
+    /// The guard ladder every chaos and campaign run arms, naming each
+    /// channel's profiled-safe fallback (see [`RunSpec::chaos`]).
+    pub guard: GuardPolicy,
+}
+
+impl PerfConf {
+    /// The synthesis chain from this declaration and a profile:
+    /// goal, profiled gain, pole and margin, bounds, initial setting and
+    /// model mode. Callers add their overrides before building.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `profile` does not support synthesis (fewer than two
+    /// settings, non-monotone, or zero gain); every scenario's standard
+    /// profiling workload yields one that does.
+    pub fn builder(&self, profile: &ProfileSet, mode: ModelMode) -> ControllerBuilder {
+        ControllerBuilder::new(self.goal.clone())
+            .profile(profile)
+            .expect("profiling data supports synthesis")
+            .bounds(self.bounds.0, self.bounds.1)
+            .initial(self.initial)
+            .model_mode(mode)
+    }
+
+    /// [`PerfConf::builder`], built.
+    ///
+    /// # Panics
+    ///
+    /// As [`PerfConf::builder`], or if the declaration fails the
+    /// controller's validation (e.g. `initial` outside `bounds`).
+    pub fn controller(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
+        self.builder(profile, mode)
+            .build()
+            .expect("controller synthesis")
+    }
+}
 
 /// One PerfConf case study from Table 6 (e.g. HB3813), runnable under a
 /// static setting or under SmartConf control.
@@ -15,27 +118,38 @@ use crate::{Policy, RunResult, TradeoffDirection};
 /// (`smartconf-kvstore`, `smartconf-dfs`, `smartconf-mapred`); the bench
 /// crate drives them through this trait to regenerate the evaluation.
 pub trait Scenario {
-    /// Issue identifier, e.g. `"HB3813"`.
-    fn id(&self) -> &str;
+    /// The PerfConf's declaration; the metadata methods below derive
+    /// from it.
+    fn perfconf(&self) -> PerfConf;
 
-    /// One-line description of the configuration and its trade-off.
-    fn description(&self) -> &str;
+    /// Issue identifier, e.g. `"HB3813"` ([`PerfConf::id`]).
+    fn id(&self) -> &str {
+        self.perfconf().id
+    }
 
-    /// The configuration name, e.g. `"ipc.server.max.queue.size"`.
-    fn config_name(&self) -> &str;
-
-    /// Candidate static settings for the exhaustive sweep that finds the
-    /// static optimal (paper §6.3: "we find the best static configuration
-    /// by exhaustively searching all possible PerfConf settings").
-    fn candidate_settings(&self) -> Vec<f64>;
+    /// Candidate static settings for the exhaustive sweep
+    /// ([`PerfConf::candidates`]).
+    fn candidate_settings(&self) -> Vec<f64> {
+        self.perfconf().candidates
+    }
 
     /// The static setting associated with a named baseline. `Optimal`
     /// and `Nonoptimal` are discovered by sweeping and return `None`
     /// here; `Fixed` settings resolve without consulting the scenario.
-    fn static_setting(&self, choice: Baseline) -> Option<f64>;
+    fn static_setting(&self, choice: Baseline) -> Option<f64> {
+        let conf = self.perfconf();
+        match choice {
+            Baseline::BuggyDefault => conf.buggy_default,
+            Baseline::PatchDefault => conf.patch_default,
+            _ => None,
+        }
+    }
 
-    /// Which direction of the trade-off metric is better.
-    fn tradeoff_direction(&self) -> TradeoffDirection;
+    /// Which direction of the trade-off metric is better
+    /// ([`PerfConf::direction`]).
+    fn tradeoff_direction(&self) -> TradeoffDirection {
+        self.perfconf().direction
+    }
 
     /// Runs the two-phase evaluation workload with a fixed setting.
     fn run_static(&self, setting: f64, seed: u64) -> RunResult;
@@ -60,15 +174,6 @@ pub trait Scenario {
     /// evaluation ([`RunSpec::default`]).
     fn run_smartconf(&self, seed: u64) -> RunResult {
         self.run(seed, &RunSpec::default(), &self.evaluation_profiles(seed))
-    }
-
-    /// The declarative profiling schedule (paper §6.1: which settings to
-    /// hold, how many measurements per setting, how to sample them). The
-    /// shared `Profiler` in `smartconf-runtime` drives this schedule;
-    /// scenarios no longer hand-roll the loop. Defaults to the paper's
-    /// 10 measurements at each candidate setting.
-    fn profile_schedule(&self) -> ProfileSchedule {
-        ProfileSchedule::first_events(self.candidate_settings(), 10)
     }
 
     /// Runs the profiling workload (distinct from the evaluation workload,
@@ -235,6 +340,32 @@ impl RunSpec {
     }
 }
 
+/// A declaration for the harness's toy test scenarios: a soft goal on
+/// `"m"`, no issue defaults, no fallbacks.
+#[cfg(test)]
+impl PerfConf {
+    pub(crate) fn toy(
+        id: &'static str,
+        candidates: Vec<f64>,
+        direction: TradeoffDirection,
+    ) -> PerfConf {
+        PerfConf {
+            id,
+            description: "toy",
+            config_name: "c",
+            schedule: ProfileSchedule::first_events(candidates.clone(), 10),
+            candidates,
+            buggy_default: None,
+            patch_default: None,
+            direction,
+            goal: Goal::new("m", 100.0),
+            bounds: (0.0, 1_000.0),
+            initial: 0.0,
+            guard: GuardPolicy::new(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,27 +375,16 @@ mod tests {
     struct Toy;
 
     impl Scenario for Toy {
-        fn id(&self) -> &str {
-            "TOY1"
-        }
-        fn description(&self) -> &str {
-            "toy"
-        }
-        fn config_name(&self) -> &str {
-            "toy.setting"
-        }
-        fn candidate_settings(&self) -> Vec<f64> {
-            (0..=20).map(|i| i as f64 * 10.0).collect()
-        }
-        fn static_setting(&self, choice: Baseline) -> Option<f64> {
-            match choice {
-                Baseline::BuggyDefault => Some(200.0),
-                Baseline::PatchDefault => Some(150.0),
-                _ => None,
+        fn perfconf(&self) -> PerfConf {
+            PerfConf {
+                buggy_default: Some(200.0),
+                patch_default: Some(150.0),
+                ..PerfConf::toy(
+                    "TOY1",
+                    (0..=20).map(|i| i as f64 * 10.0).collect(),
+                    TradeoffDirection::HigherIsBetter,
+                )
             }
-        }
-        fn tradeoff_direction(&self) -> TradeoffDirection {
-            TradeoffDirection::HigherIsBetter
         }
         fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
             RunResult::new(
@@ -292,6 +412,8 @@ mod tests {
         assert!(s.run_static(50.0, 1).constraint_ok);
         assert!(!s.run_static(150.0, 1).constraint_ok);
         assert_eq!(s.run_smartconf(1).label, "SmartConf");
+        assert_eq!(s.static_setting(Baseline::BuggyDefault), Some(200.0));
+        assert_eq!(s.static_setting(Baseline::PatchDefault), Some(150.0));
         assert_eq!(s.static_setting(Baseline::Optimal), None);
         assert_eq!(s.profile(1).num_settings(), 2);
     }

@@ -76,30 +76,18 @@ pub fn sweep_statics(scenario: &(impl Scenario + Sync + ?Sized), seed: u64) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Baseline;
-    use crate::RunSpec;
+    use crate::{PerfConf, RunSpec};
     use smartconf_core::ProfileSet;
 
     /// Constraint: setting <= 100. Trade-off: setting, higher better.
     struct Toy;
     impl Scenario for Toy {
-        fn id(&self) -> &str {
-            "TOY"
-        }
-        fn description(&self) -> &str {
-            "toy"
-        }
-        fn config_name(&self) -> &str {
-            "c"
-        }
-        fn candidate_settings(&self) -> Vec<f64> {
-            vec![20.0, 60.0, 100.0, 140.0]
-        }
-        fn static_setting(&self, _c: Baseline) -> Option<f64> {
-            None
-        }
-        fn tradeoff_direction(&self) -> TradeoffDirection {
-            TradeoffDirection::HigherIsBetter
+        fn perfconf(&self) -> PerfConf {
+            PerfConf::toy(
+                "TOY",
+                vec![20.0, 60.0, 100.0, 140.0],
+                TradeoffDirection::HigherIsBetter,
+            )
         }
         fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
             RunResult::new(
@@ -133,23 +121,8 @@ mod tests {
     /// A scenario where nothing satisfies.
     struct Hopeless;
     impl Scenario for Hopeless {
-        fn id(&self) -> &str {
-            "H"
-        }
-        fn description(&self) -> &str {
-            "h"
-        }
-        fn config_name(&self) -> &str {
-            "c"
-        }
-        fn candidate_settings(&self) -> Vec<f64> {
-            vec![1.0, 2.0]
-        }
-        fn static_setting(&self, _c: Baseline) -> Option<f64> {
-            None
-        }
-        fn tradeoff_direction(&self) -> TradeoffDirection {
-            TradeoffDirection::LowerIsBetter
+        fn perfconf(&self) -> PerfConf {
+            PerfConf::toy("H", vec![1.0, 2.0], TradeoffDirection::LowerIsBetter)
         }
         fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
             RunResult::new("x", false, setting, "t", TradeoffDirection::LowerIsBetter)
@@ -173,23 +146,8 @@ mod tests {
     /// Lower-is-better directionality.
     struct Latency;
     impl Scenario for Latency {
-        fn id(&self) -> &str {
-            "L"
-        }
-        fn description(&self) -> &str {
-            "l"
-        }
-        fn config_name(&self) -> &str {
-            "c"
-        }
-        fn candidate_settings(&self) -> Vec<f64> {
-            vec![1.0, 2.0, 3.0]
-        }
-        fn static_setting(&self, _c: Baseline) -> Option<f64> {
-            None
-        }
-        fn tradeoff_direction(&self) -> TradeoffDirection {
-            TradeoffDirection::LowerIsBetter
+        fn perfconf(&self) -> PerfConf {
+            PerfConf::toy("L", vec![1.0, 2.0, 3.0], TradeoffDirection::LowerIsBetter)
         }
         fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
             // latency = 10/setting, all satisfy

@@ -16,10 +16,8 @@
 //! ramps up and squeezes the memtable's budget. **Indirect, hard**
 //! (`N-N-Y`): the deputy is the memtable's resident bytes.
 
-use smartconf_core::{
-    Controller, ControllerBuilder, Goal, Hardness, ModelMode, ProfileSet, SmartConfIndirect,
-};
-use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
+use smartconf_core::{Goal, Hardness, ProfileSet, SmartConfIndirect};
+use smartconf_harness::{PerfConf, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_metrics::{Histogram, TimeSeries};
 use smartconf_runtime::{
     ChannelId, ChaosSpec, ControlPlane, Decider, GuardPolicy, ProfileSchedule, Profiler, Sensed,
@@ -49,7 +47,6 @@ pub struct Ca6059 {
     cache_warm_rate: f64,
     eval: PhasedWorkload<YcsbWorkload>,
     profile_workload: YcsbWorkload,
-    profile_settings: Vec<f64>,
 }
 
 impl Ca6059 {
@@ -71,7 +68,6 @@ impl Ca6059 {
                 (SimDuration::from_secs(200), Self::workload("0.9W", 0.5)),
             ]),
             profile_workload: Self::workload("0.5W", 0.0),
-            profile_settings: vec![40.0, 80.0, 120.0, 160.0],
         }
     }
 
@@ -82,48 +78,6 @@ impl Ca6059 {
     /// The memory goal in MB.
     pub fn heap_goal_mb(&self) -> f64 {
         self.heap_goal as f64 / MB as f64
-    }
-
-    /// Profiles memory against the memtable threshold by driving the
-    /// shared [`Profiler`] through this scenario's schedule.
-    pub fn collect_profile(&self, seed: u64) -> ProfileSet {
-        Profiler::new(Scenario::profile_schedule(self)).collect(seed, |setting_mb, s| {
-            let workload =
-                PhasedWorkload::single(SimDuration::from_secs(60), self.profile_workload.clone());
-            self.run_model(Decider::Static(setting_mb), &workload, s, "profiling", None)
-                .series("used_memory_mb")
-                .expect("profiling run records memory")
-                .clone()
-        })
-    }
-
-    /// Synthesizes the SmartConf controller; the deputy is the memtable's
-    /// resident bytes in MB. [`ModelMode::Adaptive`] seeds an online RLS
-    /// estimator from the profile instead of freezing the offline fit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if synthesis fails (the standard profile is well-formed).
-    pub fn build_controller(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
-        let goal = Goal::new("memory_mb", self.heap_goal_mb())
-            .with_hardness(Hardness::Hard)
-            .expect("positive target");
-        ControllerBuilder::new(goal)
-            .profile(profile)
-            .expect("profiling data supports synthesis")
-            .bounds(8.0, 2_000.0)
-            .initial(8.0)
-            .model_mode(mode)
-            .build()
-            .expect("controller synthesis")
-    }
-
-    /// The guard ladder shared by every chaos and campaign run.
-    ///
-    /// Profiled-safe fallback: the smallest profiled threshold keeps
-    /// memory well clear of the hard goal at higher write latency.
-    fn guard(&self) -> GuardPolicy {
-        GuardPolicy::new().fallback_setting("memtable_total_space_mb", 40.0)
     }
 
     fn run_model(
@@ -197,43 +151,38 @@ impl Ca6059 {
     }
 }
 
-impl Default for Ca6059 {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
 impl Scenario for Ca6059 {
-    fn id(&self) -> &str {
-        "CA6059"
-    }
-
-    fn description(&self) -> &str {
-        "memtable_total_space_in_mb limits the memtable size. \
-         Too big, OOM; too small, write latency hurts."
-    }
-
-    fn config_name(&self) -> &str {
-        "memtable_total_space_in_mb"
-    }
-
-    fn candidate_settings(&self) -> Vec<f64> {
-        (1..=25).map(|i| (i * 10) as f64).collect()
-    }
-
-    fn static_setting(&self, choice: Baseline) -> Option<f64> {
-        match choice {
+    fn perfconf(&self) -> PerfConf {
+        PerfConf {
+            id: "CA6059",
+            description: "memtable_total_space_in_mb limits the memtable size. \
+                          Too big, OOM; too small, write latency hurts.",
+            config_name: "memtable_total_space_in_mb",
+            candidates: (1..=25).map(|i| (i * 10) as f64).collect(),
             // One third of the heap, Cassandra's memtable share before
             // the issue was fixed.
-            Baseline::BuggyDefault => Some(165.0),
+            buggy_default: Some(165.0),
             // The patched default: one quarter of the heap.
-            Baseline::PatchDefault => Some(124.0),
-            _ => None,
+            patch_default: Some(124.0),
+            direction: TradeoffDirection::LowerIsBetter,
+            goal: Goal::new("memory_mb", self.heap_goal_mb())
+                .with_hardness(Hardness::Hard)
+                .expect("positive target"),
+            bounds: (8.0, 2_000.0),
+            initial: 8.0,
+            // 48 memory samples on a 1 s grid after 10 s of warmup, at
+            // each of the four profiling thresholds.
+            schedule: ProfileSchedule::grid(
+                vec![40.0, 80.0, 120.0, 160.0],
+                48,
+                10_000_000,
+                1_000_000,
+            ),
+            // Profiled-safe fallback: the smallest profiled threshold
+            // keeps memory well clear of the hard goal at higher write
+            // latency.
+            guard: GuardPolicy::new().fallback_setting("memtable_total_space_mb", 40.0),
         }
-    }
-
-    fn tradeoff_direction(&self) -> TradeoffDirection {
-        TradeoffDirection::LowerIsBetter
     }
 
     fn run_static(&self, setting: f64, seed: u64) -> RunResult {
@@ -247,25 +196,29 @@ impl Scenario for Ca6059 {
     }
 
     fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0], spec.model);
-        let conf = SmartConfIndirect::new("memtable_total_space_in_mb", controller);
+        let conf = self.perfconf();
+        let controller = conf.controller(&profiles[0], spec.model);
+        let deputy = SmartConfIndirect::new(conf.config_name, controller);
         self.run_model(
-            Decider::Deputy(Box::new(conf)),
+            Decider::Deputy(Box::new(deputy)),
             &self.eval.clone(),
             seed,
             &spec.label(),
-            spec.chaos(seed, self.guard()),
+            spec.chaos(seed, conf.guard),
         )
     }
 
-    fn profile_schedule(&self) -> ProfileSchedule {
-        // 48 memory samples on a 1 s grid after 10 s of warmup, at each
-        // of the four profiling thresholds.
-        ProfileSchedule::grid(self.profile_settings.clone(), 48, 10_000_000, 1_000_000)
-    }
-
+    /// Profiles memory against the memtable threshold by driving the
+    /// shared [`Profiler`] through this scenario's schedule.
     fn profile(&self, seed: u64) -> ProfileSet {
-        self.collect_profile(seed)
+        Profiler::new(self.perfconf().schedule).collect(seed, |setting_mb, s| {
+            let workload =
+                PhasedWorkload::single(SimDuration::from_secs(60), self.profile_workload.clone());
+            self.run_model(Decider::Static(setting_mb), &workload, s, "profiling", None)
+                .series("used_memory_mb")
+                .expect("profiling run records memory")
+                .clone()
+        })
     }
 }
 
@@ -437,6 +390,7 @@ impl Model for MemtableModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartconf_harness::Baseline;
 
     fn quick() -> Ca6059 {
         let mut s = Ca6059::standard();
@@ -451,7 +405,7 @@ mod tests {
 
     #[test]
     fn profile_shape() {
-        let p = Ca6059::standard().collect_profile(3);
+        let p = Ca6059::standard().profile(3);
         assert_eq!(p.num_settings(), 4);
         let fit = p.fit().unwrap();
         // Memory grows with the threshold (time-averaged buffer level is

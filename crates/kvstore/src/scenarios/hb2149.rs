@@ -16,8 +16,8 @@
 //! controller acts on the configuration itself and is only invoked when
 //! a blocking flush actually happens.
 
-use smartconf_core::{Controller, ControllerBuilder, Goal, ModelMode, ProfileSet, SmartConf};
-use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
+use smartconf_core::{Goal, ProfileSet, SmartConf};
+use smartconf_harness::{PerfConf, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_metrics::TimeSeries;
 use smartconf_runtime::{
     ChannelId, ChaosSpec, ControlPlane, Decider, GuardPolicy, ProfileSchedule, Profiler,
@@ -43,8 +43,6 @@ pub struct Hb2149 {
     phase_goals_secs: (f64, f64),
     eval: PhasedWorkload<YcsbWorkload>,
     profile_workload: YcsbWorkload,
-    /// Profiled lowerLimit settings in MB.
-    profile_settings: Vec<f64>,
 }
 
 impl Hb2149 {
@@ -61,7 +59,6 @@ impl Hb2149 {
                 (SimDuration::from_secs(200), Self::workload()),
             ]),
             profile_workload: Self::workload(),
-            profile_settings: vec![40.0, 80.0, 120.0, 160.0],
         }
     }
 
@@ -72,61 +69,6 @@ impl Hb2149 {
     /// The per-phase worst-case block-duration goals in seconds.
     pub fn phase_goals_secs(&self) -> (f64, f64) {
         self.phase_goals_secs
-    }
-
-    /// Profiles the block duration against the lowerLimit setting: the
-    /// controller is invoked at flush events (conditional PerfConf), so
-    /// that is also where profiling measures.
-    pub fn collect_profile(&self, seed: u64) -> ProfileSet {
-        Profiler::new(Scenario::profile_schedule(self)).collect(seed, |setting_mb, s| {
-            let workload =
-                PhasedWorkload::single(SimDuration::from_secs(120), self.profile_workload.clone());
-            self.run_model(
-                Decider::Static(setting_mb),
-                &workload,
-                s,
-                "profiling",
-                (self.phase_goals_secs.0, self.phase_goals_secs.0),
-                None,
-            )
-            .series("block_duration_secs")
-            .expect("profiling run records block durations")
-            .clone()
-        })
-    }
-
-    /// Synthesizes the SmartConf controller: a direct controller on the
-    /// lowerLimit whose metric is the observed block duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if synthesis fails (the standard profile is well-formed —
-    /// block duration is exactly affine in the setting).
-    ///
-    /// [`ModelMode::Adaptive`] seeds an online RLS estimator from the
-    /// profile instead of freezing the offline fit.
-    pub fn build_controller(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
-        let goal = Goal::new("write_block_secs", self.phase_goals_secs.0);
-        ControllerBuilder::new(goal)
-            .profile(profile)
-            .expect("profiling data supports synthesis")
-            .bounds(0.0, self.upper as f64 / MB as f64)
-            .initial(self.upper as f64 / MB as f64 * 0.7)
-            .model_mode(mode)
-            .build()
-            .expect("controller synthesis")
-    }
-
-    /// The guard ladder shared by every chaos and campaign run.
-    ///
-    /// Profiled-safe fallback: the patched shallow lowerLimit keeps
-    /// every blocking flush short at the cost of flushing often. While
-    /// the guard holds a degraded channel, the in-force lowerLimit is
-    /// clamped to the shallow side of that fallback and the blocking
-    /// flush drains only to it: the store content above it is the
-    /// admitted work the guard sheds.
-    fn guard(&self) -> GuardPolicy {
-        GuardPolicy::new().fallback_setting("memstore.lowerLimit_mb", 175.0)
     }
 
     fn run_model(
@@ -193,45 +135,41 @@ impl Hb2149 {
     }
 }
 
-impl Default for Hb2149 {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
 impl Scenario for Hb2149 {
-    fn id(&self) -> &str {
-        "HB2149"
-    }
-
-    fn description(&self) -> &str {
-        "global.memstore.lowerLimit decides how much memstore data is flushed. \
-         Too big, write blocked for too long; too small, write blocked too often."
-    }
-
-    fn config_name(&self) -> &str {
-        "global.memstore.lowerLimit"
-    }
-
-    fn candidate_settings(&self) -> Vec<f64> {
-        // lowerLimit in MB, below the 200 MB upper watermark.
-        (0..=19).map(|i| (i * 10) as f64).collect()
-    }
-
-    fn static_setting(&self, choice: Baseline) -> Option<f64> {
-        match choice {
+    fn perfconf(&self) -> PerfConf {
+        let upper_mb = self.upper as f64 / MB as f64;
+        PerfConf {
+            id: "HB2149",
+            description: "global.memstore.lowerLimit decides how much memstore data is flushed. \
+                          Too big, write blocked for too long; too small, write blocked too often.",
+            config_name: "global.memstore.lowerLimit",
+            // lowerLimit in MB, below the 200 MB upper watermark.
+            candidates: (0..=19).map(|i| (i * 10) as f64).collect(),
             // Figure 5 annotates HB2149's statics as fractions of heap
             // against an upper watermark of 0.40: the buggy default 0.25
             // flushes so deep it blocks past the tightened 5 s goal,
             // the patched 0.35 is shallow — safe but slow.
-            Baseline::BuggyDefault => Some(120.0),
-            Baseline::PatchDefault => Some(175.0),
-            _ => None,
+            buggy_default: Some(120.0),
+            patch_default: Some(175.0),
+            direction: TradeoffDirection::HigherIsBetter,
+            // A direct controller on the lowerLimit whose metric is the
+            // observed block duration.
+            goal: Goal::new("write_block_secs", self.phase_goals_secs.0),
+            bounds: (0.0, upper_mb),
+            initial: upper_mb * 0.7,
+            // The controller is invoked at flush events (conditional
+            // PerfConf), so profiling takes the paper's 10 measurements
+            // from the first recorded block events rather than a time
+            // grid.
+            schedule: ProfileSchedule::first_events(vec![40.0, 80.0, 120.0, 160.0], 10),
+            // Profiled-safe fallback: the patched shallow lowerLimit keeps
+            // every blocking flush short at the cost of flushing often.
+            // While the guard holds a degraded channel, the in-force
+            // lowerLimit is clamped to the shallow side of that fallback
+            // and the blocking flush drains only to it: the store content
+            // above it is the admitted work the guard sheds.
+            guard: GuardPolicy::new().fallback_setting("memstore.lowerLimit_mb", 175.0),
         }
-    }
-
-    fn tradeoff_direction(&self) -> TradeoffDirection {
-        TradeoffDirection::HigherIsBetter
     }
 
     fn run_static(&self, setting: f64, seed: u64) -> RunResult {
@@ -246,27 +184,37 @@ impl Scenario for Hb2149 {
     }
 
     fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0], spec.model);
-        let conf = SmartConf::new("global.memstore.lowerLimit", controller);
+        let conf = self.perfconf();
+        let controller = conf.controller(&profiles[0], spec.model);
         self.run_model(
-            Decider::Direct(Box::new(conf)),
+            Decider::Direct(Box::new(SmartConf::new(conf.config_name, controller))),
             &self.eval.clone(),
             seed,
             &spec.label(),
             self.phase_goals_secs,
-            spec.chaos(seed, self.guard()),
+            spec.chaos(seed, conf.guard),
         )
     }
 
-    fn profile_schedule(&self) -> ProfileSchedule {
-        // The controller is invoked at flush events (conditional
-        // PerfConf), so profiling takes the paper's 10 measurements from
-        // the first recorded block events rather than a time grid.
-        ProfileSchedule::first_events(self.profile_settings.clone(), 10)
-    }
-
+    /// Profiles the block duration against the lowerLimit setting: the
+    /// controller is invoked at flush events (conditional PerfConf), so
+    /// that is also where profiling measures.
     fn profile(&self, seed: u64) -> ProfileSet {
-        self.collect_profile(seed)
+        Profiler::new(self.perfconf().schedule).collect(seed, |setting_mb, s| {
+            let workload =
+                PhasedWorkload::single(SimDuration::from_secs(120), self.profile_workload.clone());
+            self.run_model(
+                Decider::Static(setting_mb),
+                &workload,
+                s,
+                "profiling",
+                (self.phase_goals_secs.0, self.phase_goals_secs.0),
+                None,
+            )
+            .series("block_duration_secs")
+            .expect("profiling run records block durations")
+            .clone()
+        })
     }
 }
 
@@ -373,6 +321,7 @@ impl Model for MemstoreModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartconf_core::ModelMode;
     use smartconf_harness::Faults;
     use smartconf_runtime::FaultClass;
 
@@ -412,7 +361,7 @@ mod tests {
 
     #[test]
     fn block_duration_is_affine_in_setting() {
-        let p = Hb2149::standard().collect_profile(3);
+        let p = Hb2149::standard().profile(3);
         let fit = p.fit().unwrap();
         // d = overhead + (upper - lower)/drain: slope = -1/drain = -0.04.
         assert!(

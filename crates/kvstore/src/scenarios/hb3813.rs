@@ -13,10 +13,9 @@
 //! length (an **indirect, hard** PerfConf — `N-N-Y` in Table 6).
 
 use smartconf_core::{
-    Controller, ControllerBuilder, Goal, Hardness, ModelMode, ProfileSet, SmartConf,
-    SmartConfIndirect,
+    Controller, Goal, Hardness, ModelMode, ProfileSet, SmartConf, SmartConfIndirect,
 };
-use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
+use smartconf_harness::{PerfConf, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_metrics::{RateCounter, TimeSeries};
 use smartconf_runtime::{
     ChannelId, ChaosSpec, ControlPlane, Decider, GuardPolicy, ProfileSchedule, Profiler, Sensed,
@@ -75,7 +74,6 @@ pub struct Hb3813 {
     pause_len_secs: (f64, f64),
     eval: PhasedWorkload<YcsbWorkload>,
     profile_workload: YcsbWorkload,
-    profile_settings: Vec<f64>,
 }
 
 impl Hb3813 {
@@ -107,7 +105,6 @@ impl Hb3813 {
                 (SimDuration::from_secs(200), Self::workload("1.0W", 2.0)),
             ]),
             profile_workload: Self::workload("1.0W", 1.0),
-            profile_settings: vec![30.0, 70.0, 110.0, 150.0],
         }
     }
 
@@ -153,19 +150,6 @@ impl Hb3813 {
         self.heap_goal as f64 / MB as f64
     }
 
-    /// Runs the profiling workload at the four sampled settings through
-    /// the shared [`Profiler`] (paper §6.1 schedule).
-    pub fn collect_profile(&self, seed: u64) -> ProfileSet {
-        Profiler::new(Scenario::profile_schedule(self)).collect(seed, |setting, s| {
-            let workload =
-                PhasedWorkload::single(SimDuration::from_secs(60), self.profile_workload.clone());
-            self.run_model(Decider::Static(setting), &workload, s, "profiling", None)
-                .series("used_memory_mb")
-                .expect("profiling run records memory")
-                .clone()
-        })
-    }
-
     /// Builds the SmartConf controller (or an ablated variant) from a
     /// profile. [`ModelMode::Adaptive`] seeds an online RLS estimator
     /// from the profile instead of freezing the offline fit.
@@ -180,35 +164,23 @@ impl Hb3813 {
         variant: ControllerVariant,
         mode: ModelMode,
     ) -> Controller {
-        let target = self.heap_goal_mb();
-        let lambda = profile.lambda();
-        let goal = match variant {
+        let mut conf = self.perfconf();
+        if variant == ControllerVariant::SinglePole {
             // Single-pole: emulate "conservative pole everywhere" by
             // steering a *soft* goal at the same virtual target — the
             // danger-region pole switch never fires.
-            ControllerVariant::SinglePole => {
-                Goal::new("memory_mb", target * (1.0 - lambda.clamp(0.0, 0.5)))
-            }
-            _ => Goal::new("memory_mb", target)
-                .with_hardness(Hardness::Hard)
-                .expect("positive target"),
-        };
-        let mut builder = ControllerBuilder::new(goal)
-            .profile(profile)
-            .expect("profiling data supports synthesis")
-            .bounds(0.0, 2_000.0)
-            .initial(0.0);
-        if variant == ControllerVariant::NoVirtualGoal {
-            builder = builder.lambda(0.0);
+            let lambda = profile.lambda().clamp(0.0, 0.5);
+            conf.goal = Goal::new(conf.goal.metric(), conf.goal.target() * (1.0 - lambda));
         }
-        if variant == ControllerVariant::SinglePole {
+        let builder = conf.builder(profile, mode);
+        match variant {
+            ControllerVariant::SmartConf => builder,
+            ControllerVariant::NoVirtualGoal => builder.lambda(0.0),
             // Figure 7 uses 0.9 for both controllers' regular pole.
-            builder = builder.pole(0.9);
+            ControllerVariant::SinglePole => builder.pole(0.9),
         }
-        builder
-            .model_mode(mode)
-            .build()
-            .expect("controller synthesis")
+        .build()
+        .expect("controller synthesis")
     }
 
     /// Runs the standard evaluation under a caller-supplied controller —
@@ -239,7 +211,7 @@ impl Hb3813 {
     /// Profiles at `seed ^ 0x5eed`, then runs the evaluation workload
     /// under a controller variant.
     pub fn run_variant(&self, variant: ControllerVariant, seed: u64) -> RunResult {
-        let profile = self.collect_profile(seed ^ 0x5eed);
+        let profile = self.profile(seed ^ 0x5eed);
         let controller = self.build_controller(&profile, variant, ModelMode::Frozen);
         let label = match variant {
             ControllerVariant::SmartConf => {
@@ -258,14 +230,6 @@ impl Hb3813 {
             label,
             None,
         )
-    }
-
-    /// The guard ladder shared by every chaos and campaign run.
-    ///
-    /// Profiled-safe fallback: a 30-item queue bound (the smallest
-    /// profiled setting) keeps the heap far below the hard goal.
-    fn guard(&self) -> GuardPolicy {
-        GuardPolicy::new().fallback_setting("max.queue.size", 30.0)
     }
 
     fn run_model(
@@ -358,40 +322,36 @@ impl Hb3813 {
     }
 }
 
-impl Default for Hb3813 {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
 impl Scenario for Hb3813 {
-    fn id(&self) -> &str {
-        "HB3813"
-    }
-
-    fn description(&self) -> &str {
-        "ipc.server.max.queue.size limits RPC-call queue size. \
-         Too big, OOM; too small, read/write throughput hurts."
-    }
-
-    fn config_name(&self) -> &str {
-        "ipc.server.max.queue.size"
-    }
-
-    fn candidate_settings(&self) -> Vec<f64> {
-        (1..=30).map(|i| (i * 10) as f64).collect()
-    }
-
-    fn static_setting(&self, choice: Baseline) -> Option<f64> {
-        match choice {
-            Baseline::BuggyDefault => Some(1000.0),
-            Baseline::PatchDefault => Some(100.0),
-            _ => None,
+    fn perfconf(&self) -> PerfConf {
+        PerfConf {
+            id: "HB3813",
+            description: "ipc.server.max.queue.size limits RPC-call queue size. \
+                          Too big, OOM; too small, read/write throughput hurts.",
+            config_name: "ipc.server.max.queue.size",
+            candidates: (1..=30).map(|i| (i * 10) as f64).collect(),
+            buggy_default: Some(1000.0),
+            patch_default: Some(100.0),
+            direction: TradeoffDirection::HigherIsBetter,
+            goal: Goal::new("memory_mb", self.heap_goal_mb())
+                .with_hardness(Hardness::Hard)
+                .expect("positive target"),
+            bounds: (0.0, 2_000.0),
+            initial: 0.0,
+            // 48 samples on a 1 s grid after warm-up: enough samples for
+            // the central limit theorem to apply (paper §5.5), and enough
+            // to catch the occasional churn spike in the per-setting
+            // sigma.
+            schedule: ProfileSchedule::grid(
+                vec![30.0, 70.0, 110.0, 150.0],
+                48,
+                10_000_000,
+                1_000_000,
+            ),
+            // Profiled-safe fallback: a 30-item queue bound (the smallest
+            // profiled setting) keeps the heap far below the hard goal.
+            guard: GuardPolicy::new().fallback_setting("max.queue.size", 30.0),
         }
-    }
-
-    fn tradeoff_direction(&self) -> TradeoffDirection {
-        TradeoffDirection::HigherIsBetter
     }
 
     fn run_static(&self, setting: f64, seed: u64) -> RunResult {
@@ -399,27 +359,29 @@ impl Scenario for Hb3813 {
     }
 
     fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
-        let controller =
-            self.build_controller(&profiles[0], ControllerVariant::SmartConf, spec.model);
-        let conf = SmartConfIndirect::new("ipc.server.max.queue.size", controller);
+        let conf = self.perfconf();
+        let controller = conf.controller(&profiles[0], spec.model);
+        let deputy = SmartConfIndirect::new(conf.config_name, controller);
         self.run_model(
-            Decider::Deputy(Box::new(conf)),
+            Decider::Deputy(Box::new(deputy)),
             &self.eval.clone(),
             seed,
             &spec.label(),
-            spec.chaos(seed, self.guard()),
+            spec.chaos(seed, conf.guard),
         )
     }
 
-    fn profile_schedule(&self) -> ProfileSchedule {
-        // 48 samples on a 1 s grid after warm-up: enough samples for the
-        // central limit theorem to apply (paper §5.5), and enough to
-        // catch the occasional churn spike in the per-setting sigma.
-        ProfileSchedule::grid(self.profile_settings.clone(), 48, 10_000_000, 1_000_000)
-    }
-
+    /// Runs the profiling workload at the four sampled settings through
+    /// the shared [`Profiler`] (paper §6.1 schedule).
     fn profile(&self, seed: u64) -> ProfileSet {
-        self.collect_profile(seed)
+        Profiler::new(self.perfconf().schedule).collect(seed, |setting, s| {
+            let workload =
+                PhasedWorkload::single(SimDuration::from_secs(60), self.profile_workload.clone());
+            self.run_model(Decider::Static(setting), &workload, s, "profiling", None)
+                .series("used_memory_mb")
+                .expect("profiling run records memory")
+                .clone()
+        })
     }
 }
 
@@ -626,6 +588,7 @@ impl Model for QueueModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartconf_harness::Baseline;
 
     fn quick() -> Hb3813 {
         let mut s = Hb3813::standard();
@@ -638,7 +601,7 @@ mod tests {
 
     #[test]
     fn profile_has_paper_shape() {
-        let p = Hb3813::standard().collect_profile(11);
+        let p = Hb3813::standard().profile(11);
         assert_eq!(p.num_settings(), 4);
         assert_eq!(p.len(), 4 * 48);
         // Memory grows with the queue bound: positive gain near 1 MB/item.
@@ -701,7 +664,7 @@ mod tests {
     #[test]
     fn variants_construct_distinct_controllers() {
         let s = Hb3813::standard();
-        let p = s.collect_profile(5);
+        let p = s.profile(5);
         let full = s.build_controller(&p, ControllerVariant::SmartConf, ModelMode::Frozen);
         let single = s.build_controller(&p, ControllerVariant::SinglePole, ModelMode::Frozen);
         let raw = s.build_controller(&p, ControllerVariant::NoVirtualGoal, ModelMode::Frozen);

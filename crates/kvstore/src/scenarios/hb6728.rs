@@ -11,10 +11,8 @@
 //! shrinking the budget the response queue may use — an **indirect,
 //! hard** PerfConf (`N-N-Y`).
 
-use smartconf_core::{
-    Controller, ControllerBuilder, Goal, Hardness, ModelMode, ProfileSet, SmartConfIndirect,
-};
-use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
+use smartconf_core::{Goal, Hardness, ProfileSet, SmartConfIndirect};
+use smartconf_harness::{PerfConf, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_metrics::TimeSeries;
 use smartconf_runtime::{
     ChannelId, ChaosSpec, ControlPlane, Decider, GuardPolicy, ProfileSchedule, Profiler, Sensed,
@@ -44,8 +42,6 @@ pub struct Hb6728 {
     memstore_flush_rate: f64,
     eval: PhasedWorkload<YcsbWorkload>,
     profile_workload: YcsbWorkload,
-    /// Profiled settings, in MB of response-queue bound.
-    profile_settings: Vec<f64>,
 }
 
 impl Hb6728 {
@@ -70,7 +66,6 @@ impl Hb6728 {
             // sawtooth is a disturbance the virtual-goal margin (lambda)
             // must cover, so it has to show up in the profiled variance.
             profile_workload: Self::workload("0.3W"),
-            profile_settings: vec![40.0, 80.0, 120.0, 160.0],
         }
     }
 
@@ -95,56 +90,6 @@ impl Hb6728 {
     /// only excursions beyond this slack; `chaos_smoke` documents the
     /// same constant next to its `BASE_SEED`.
     pub const GOAL_SLACK_MB: f64 = 0.25;
-
-    /// Profiles memory against the response-queue bound by driving the
-    /// shared [`Profiler`] through this scenario's schedule.
-    pub fn collect_profile(&self, seed: u64) -> ProfileSet {
-        Profiler::new(Scenario::profile_schedule(self)).collect(seed, |setting_mb, s| {
-            let workload =
-                PhasedWorkload::single(SimDuration::from_secs(60), self.profile_workload.clone());
-            self.run_model(Decider::Static(setting_mb), &workload, s, "profiling", None)
-                .series("used_memory_mb")
-                .expect("profiling run records memory")
-                .clone()
-        })
-    }
-
-    /// Synthesizes the SmartConf controller for the response queue. The
-    /// deputy is the resident response bytes in MB.
-    /// [`ModelMode::Adaptive`] seeds an online RLS estimator from the
-    /// profile instead of freezing the offline fit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if synthesis fails (the standard profile is well-formed).
-    pub fn build_controller(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
-        let goal = Goal::new("memory_mb", self.heap_goal_mb())
-            .with_hardness(Hardness::Hard)
-            .expect("positive target");
-        ControllerBuilder::new(goal)
-            .profile(profile)
-            .expect("profiling data supports synthesis")
-            .bounds(0.0, 2_000.0)
-            .initial(0.0)
-            .model_mode(mode)
-            .build()
-            .expect("controller synthesis")
-    }
-
-    /// The guard ladder shared by every chaos and campaign run.
-    ///
-    /// Profiled-safe fallback: a 40 MB response-queue bound keeps the
-    /// heap far under the 495 MB hard goal even with phase-2 churn. The
-    /// median-of-window sensor vote keeps the controller actuated
-    /// through corruption bursts instead of freezing on the last safe
-    /// setting while rejected readings stream past (seed 43's Corruption
-    /// run drops from 1049 blind epochs to ~20). It does *not* flip the
-    /// seed-43 verdicts — see the seed-43 pin test for why.
-    fn guard(&self) -> GuardPolicy {
-        GuardPolicy::new()
-            .fallback_setting("response.queue.maxsize_mb", 40.0)
-            .sensor_vote()
-    }
 
     fn run_model(
         &self,
@@ -211,44 +156,47 @@ impl Hb6728 {
     }
 }
 
-impl Default for Hb6728 {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
 impl Scenario for Hb6728 {
-    fn id(&self) -> &str {
-        "HB6728"
-    }
-
-    fn description(&self) -> &str {
-        "ipc.server.response.queue.maxsize limits RPC-response queue size. \
-         Too big, OOM; too small, read/write throughput hurts."
-    }
-
-    fn config_name(&self) -> &str {
-        "ipc.server.response.queue.maxsize"
-    }
-
-    fn candidate_settings(&self) -> Vec<f64> {
-        // MB bounds on resident response bytes.
-        (1..=30).map(|i| (i * 10) as f64).collect()
-    }
-
-    fn static_setting(&self, choice: Baseline) -> Option<f64> {
-        match choice {
+    fn perfconf(&self) -> PerfConf {
+        PerfConf {
+            id: "HB6728",
+            description: "ipc.server.response.queue.maxsize limits RPC-response queue size. \
+                          Too big, OOM; too small, read/write throughput hurts.",
+            config_name: "ipc.server.response.queue.maxsize",
+            // MB bounds on resident response bytes.
+            candidates: (1..=30).map(|i| (i * 10) as f64).collect(),
             // Originally unbounded; represent "infinity" as well past
             // any plausible heap.
-            Baseline::BuggyDefault => Some(100_000.0),
+            buggy_default: Some(100_000.0),
             // The patch capped it at 1 GB — still twice this heap.
-            Baseline::PatchDefault => Some(1_000.0),
-            _ => None,
+            patch_default: Some(1_000.0),
+            direction: TradeoffDirection::HigherIsBetter,
+            // The deputy is the resident response bytes in MB.
+            goal: Goal::new("memory_mb", self.heap_goal_mb())
+                .with_hardness(Hardness::Hard)
+                .expect("positive target"),
+            bounds: (0.0, 2_000.0),
+            initial: 0.0,
+            // 48 samples on a 1 s grid (see HB3813: CLT coverage incl.
+            // churn spikes), in MB of response-queue bound.
+            schedule: ProfileSchedule::grid(
+                vec![40.0, 80.0, 120.0, 160.0],
+                48,
+                10_000_000,
+                1_000_000,
+            ),
+            // Profiled-safe fallback: a 40 MB response-queue bound keeps
+            // the heap far under the 495 MB hard goal even with phase-2
+            // churn. The median-of-window sensor vote keeps the
+            // controller actuated through corruption bursts instead of
+            // freezing on the last safe setting while rejected readings
+            // stream past (seed 43's Corruption run drops from 1049 blind
+            // epochs to ~20). It does *not* flip the seed-43 verdicts —
+            // see the seed-43 pin test for why.
+            guard: GuardPolicy::new()
+                .fallback_setting("response.queue.maxsize_mb", 40.0)
+                .sensor_vote(),
         }
-    }
-
-    fn tradeoff_direction(&self) -> TradeoffDirection {
-        TradeoffDirection::HigherIsBetter
     }
 
     fn run_static(&self, setting: f64, seed: u64) -> RunResult {
@@ -262,25 +210,29 @@ impl Scenario for Hb6728 {
     }
 
     fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0], spec.model);
-        let conf = SmartConfIndirect::new("ipc.server.response.queue.maxsize", controller);
+        let conf = self.perfconf();
+        let controller = conf.controller(&profiles[0], spec.model);
+        let deputy = SmartConfIndirect::new(conf.config_name, controller);
         self.run_model(
-            Decider::Deputy(Box::new(conf)),
+            Decider::Deputy(Box::new(deputy)),
             &self.eval.clone(),
             seed,
             &spec.label(),
-            spec.chaos(seed, self.guard()),
+            spec.chaos(seed, conf.guard),
         )
     }
 
-    fn profile_schedule(&self) -> ProfileSchedule {
-        // 48 samples on a 1 s grid (see HB3813: CLT coverage incl. churn
-        // spikes).
-        ProfileSchedule::grid(self.profile_settings.clone(), 48, 10_000_000, 1_000_000)
-    }
-
+    /// Profiles memory against the response-queue bound by driving the
+    /// shared [`Profiler`] through this scenario's schedule.
     fn profile(&self, seed: u64) -> ProfileSet {
-        self.collect_profile(seed)
+        Profiler::new(self.perfconf().schedule).collect(seed, |setting_mb, s| {
+            let workload =
+                PhasedWorkload::single(SimDuration::from_secs(60), self.profile_workload.clone());
+            self.run_model(Decider::Static(setting_mb), &workload, s, "profiling", None)
+                .series("used_memory_mb")
+                .expect("profiling run records memory")
+                .clone()
+        })
     }
 }
 
@@ -436,7 +388,8 @@ impl Model for ResponseModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartconf_harness::Faults;
+    use smartconf_core::ModelMode;
+    use smartconf_harness::{Baseline, Faults};
     use smartconf_runtime::{Campaign, FaultClass};
 
     fn quick() -> Hb6728 {
@@ -450,7 +403,7 @@ mod tests {
 
     #[test]
     fn profile_shape() {
-        let p = Hb6728::standard().collect_profile(3);
+        let p = Hb6728::standard().profile(3);
         assert_eq!(p.num_settings(), 4);
         assert_eq!(p.len(), 4 * 48);
         let fit = p.fit().unwrap();

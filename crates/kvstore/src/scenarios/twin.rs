@@ -9,8 +9,8 @@
 //! never violates the constraint while the two bounds trade the budget
 //! between themselves.
 
-use smartconf_core::{ControllerBuilder, Goal, Hardness, ProfileSet, Registry, SmartConfIndirect};
-use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
+use smartconf_core::{Goal, Hardness, ProfileSet, Registry, SmartConfIndirect};
+use smartconf_harness::{PerfConf, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_metrics::TimeSeries;
 use smartconf_runtime::{
     ChannelId, ControlPlane, ControlPlaneBuilder, Decider, GuardPolicy, ProfileSchedule, Profiler,
@@ -85,7 +85,7 @@ impl TwinQueues {
     /// Profiles one queue's memory response while the other is held at a
     /// small fixed bound, via the shared [`Profiler`].
     fn profile_queue(&self, which: WhichQueue, seed: u64) -> ProfileSet {
-        Profiler::new(Scenario::profile_schedule(self)).collect(seed, |setting, s| {
+        Profiler::new(self.perfconf().schedule).collect(seed, |setting, s| {
             let (req_bound, resp_bound_mb, workload) = match which {
                 WhichQueue::Request => (setting as usize, 10.0, Self::write_workload()),
                 // Profiling the response bound needs reads to actually
@@ -178,16 +178,6 @@ impl TwinQueues {
         )
     }
 
-    /// The guard ladder shared by every chaos and campaign run.
-    ///
-    /// Profiled-safe fallbacks: the conservative static pair that
-    /// survives the worst co-occurrence of both workloads.
-    fn guard(&self) -> GuardPolicy {
-        GuardPolicy::new()
-            .fallback_setting("max.queue.size", 60.0)
-            .fallback_setting("response.queue.maxsize_mb", 60.0)
-    }
-
     /// Runs both coordinated controllers as `spec` describes.
     /// `profiles[0]` is the request queue at `seed ^ 0xaaaa`,
     /// `profiles[1]` the response queue at `seed ^ 0xbbbb` (the
@@ -202,41 +192,26 @@ impl TwinQueues {
     ) -> TwinRunResult {
         // Registry drives the coordination: two configurations mapped to
         // one super-hard metric gives each controller N = 2 (§5.4).
+        let conf = self.perfconf();
+        let metric = conf.goal.metric();
         let mut registry = Registry::new();
         registry
-            .add_conf("max.queue.size", "memory_consumption", 0.0, (0.0, 2_000.0))
+            .add_conf("max.queue.size", metric, conf.initial, conf.bounds)
             .add_conf(
                 "ipc.server.response.queue.maxsize",
-                "memory_consumption",
-                0.0,
-                (0.0, 2_000.0),
+                metric,
+                conf.initial,
+                conf.bounds,
             )
-            .set_goal(
-                Goal::new("memory_consumption", self.heap_goal_mb())
-                    .with_hardness(Hardness::SuperHard)
-                    .expect("positive target"),
-            );
-        let interaction_n =
-            interaction.unwrap_or_else(|| registry.interaction_count("memory_consumption"));
+            .set_goal(conf.goal.clone());
+        let interaction_n = interaction.unwrap_or_else(|| registry.interaction_count(metric));
 
-        let (req_profile, resp_profile) = (&profiles[0], &profiles[1]);
-        let goal = registry
-            .goal("memory_consumption")
-            .expect("goal set")
-            .clone();
-        let build = |profile: &ProfileSet| {
-            ControllerBuilder::new(goal.clone())
-                .profile(profile)
-                .expect("profile supports synthesis")
-                .bounds(0.0, 2_000.0)
-                .initial(0.0)
-                .model_mode(spec.model)
-                .build()
-                .expect("controller synthesis")
-        };
-        let req_conf = SmartConfIndirect::new("max.queue.size", build(req_profile));
-        let resp_conf =
-            SmartConfIndirect::new("ipc.server.response.queue.maxsize", build(resp_profile));
+        let req_conf =
+            SmartConfIndirect::new("max.queue.size", conf.controller(&profiles[0], spec.model));
+        let resp_conf = SmartConfIndirect::new(
+            "ipc.server.response.queue.maxsize",
+            conf.controller(&profiles[1], spec.model),
+        );
 
         // The plane's builder discovers the shared super-hard metric and
         // splits the error N = 2 ways on its own (§5.4); the ablation
@@ -252,7 +227,7 @@ impl TwinQueues {
             plane.set_interaction(req_chan, n).expect("positive N");
             plane.set_interaction(resp_chan, n).expect("positive N");
         }
-        if let Some(chaos) = spec.chaos(seed, self.guard()) {
+        if let Some(chaos) = spec.chaos(seed, conf.guard) {
             plane.enable_chaos(chaos);
         }
 
@@ -340,48 +315,45 @@ impl TwinQueues {
     }
 }
 
-impl Default for TwinQueues {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
 /// The fleet-facing face of the twin-queue experiment: one scalar maps
 /// onto *both* bounds (request bound = `setting` items, response bound =
 /// `setting` MB), which is exactly the static alternative the paper
 /// dismisses — a pair sized to survive the worst co-occurrence must be
 /// small for both queues at once.
 impl Scenario for TwinQueues {
-    fn id(&self) -> &str {
-        "TWIN"
-    }
-
-    fn description(&self) -> &str {
-        "two interacting queue bounds sharing one super-hard memory goal (paper §6.5, Figure 8)"
-    }
-
-    fn config_name(&self) -> &str {
-        "max.queue.size + ipc.server.response.queue.maxsize"
-    }
-
-    fn candidate_settings(&self) -> Vec<f64> {
-        (1..=12).map(|i| i as f64 * 25.0).collect()
-    }
-
-    fn static_setting(&self, choice: Baseline) -> Option<f64> {
-        match choice {
+    fn perfconf(&self) -> PerfConf {
+        PerfConf {
+            id: "TWIN",
+            description: "two interacting queue bounds sharing one super-hard memory goal \
+                          (paper §6.5, Figure 8)",
+            config_name: "max.queue.size + ipc.server.response.queue.maxsize",
+            candidates: (1..=12).map(|i| i as f64 * 25.0).collect(),
             // Generous bounds that each look fine alone but together
             // exceed the heap when both queues fill.
-            Baseline::BuggyDefault => Some(250.0),
+            buggy_default: Some(250.0),
             // A conservatively small pair that survives the worst
             // co-occurrence of both workloads.
-            Baseline::PatchDefault => Some(60.0),
-            _ => None,
+            patch_default: Some(60.0),
+            direction: TradeoffDirection::HigherIsBetter,
+            goal: Goal::new("memory_consumption", self.heap_goal_mb())
+                .with_hardness(Hardness::SuperHard)
+                .expect("positive target"),
+            bounds: (0.0, 2_000.0),
+            initial: 0.0,
+            // Each queue is profiled at four bounds, sampling memory on a
+            // 1 s grid after 10 s of warmup (48 samples — see HB3813).
+            schedule: ProfileSchedule::grid(
+                vec![30.0, 70.0, 110.0, 150.0],
+                48,
+                10_000_000,
+                1_000_000,
+            ),
+            // Profiled-safe fallbacks: the conservative static pair that
+            // survives the worst co-occurrence of both workloads.
+            guard: GuardPolicy::new()
+                .fallback_setting("max.queue.size", 60.0)
+                .fallback_setting("response.queue.maxsize_mb", 60.0),
         }
-    }
-
-    fn tradeoff_direction(&self) -> TradeoffDirection {
-        TradeoffDirection::HigherIsBetter
     }
 
     fn run_static(&self, setting: f64, seed: u64) -> RunResult {
@@ -402,12 +374,6 @@ impl Scenario for TwinQueues {
             self.profile_queue(WhichQueue::Request, seed ^ 0xaaaa),
             self.profile_queue(WhichQueue::Response, seed ^ 0xbbbb),
         ]
-    }
-
-    fn profile_schedule(&self) -> ProfileSchedule {
-        // Each queue is profiled at four bounds, sampling memory on a
-        // 1 s grid after 10 s of warmup (48 samples — see HB3813).
-        ProfileSchedule::grid(vec![30.0, 70.0, 110.0, 150.0], 48, 10_000_000, 1_000_000)
     }
 
     fn profile(&self, seed: u64) -> ProfileSet {
@@ -640,7 +606,7 @@ impl Model for TwinModel {
 mod tests {
     use super::*;
     use smartconf_core::ModelMode;
-    use smartconf_harness::Faults;
+    use smartconf_harness::{Baseline, Faults};
     use smartconf_runtime::FaultClass;
 
     fn quick() -> TwinQueues {

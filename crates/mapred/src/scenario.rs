@@ -1,10 +1,7 @@
 //! The MR2820 scenario wiring.
 
-use smartconf_core::{
-    Controller, ControllerBuilder, FnTransducer, Goal, Hardness, ModelMode, ProfileSet,
-    SmartConfIndirect,
-};
-use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
+use smartconf_core::{FnTransducer, Goal, Hardness, ProfileSet, SmartConfIndirect};
+use smartconf_harness::{PerfConf, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_runtime::{ChaosSpec, Decider, GuardPolicy, ProfileSchedule, Profiler};
 use smartconf_simkernel::{BackgroundChurn, SimDuration, SimRng, SimTime, Simulation};
 use smartconf_workload::WordCountJob;
@@ -34,7 +31,6 @@ pub struct Mr2820 {
     process_rate: f64,
     shuffle_delay: SimDuration,
     horizon: SimTime,
-    profile_settings: Vec<f64>,
 }
 
 impl Mr2820 {
@@ -54,7 +50,6 @@ impl Mr2820 {
             process_rate: 20.0 * MB as f64,
             shuffle_delay: SimDuration::from_secs(30),
             horizon: SimTime::from_secs(900),
-            profile_settings: vec![150.0, 230.0, 310.0, 390.0],
         }
     }
 
@@ -81,14 +76,6 @@ impl Mr2820 {
             20.0 * MB as f64,
         )
         .with_reversion(0.02)
-    }
-
-    /// The guard ladder shared by every chaos and campaign run.
-    ///
-    /// Fallback in controller space: aim for 60% of the usage goal,
-    /// the same conservative point the controller starts from.
-    fn guard(&self) -> GuardPolicy {
-        GuardPolicy::new().fallback_setting("local.dir.minspacestart_mb", self.disk_goal_mb() * 0.6)
     }
 
     fn run_cluster(
@@ -143,90 +130,41 @@ impl Mr2820 {
             .with_series(m.used_series)
             .with_epochs(m.plane.into_log())
     }
-
-    /// Profiles worst-worker disk usage against the reserve setting using
-    /// the profiling job `(2G, 64MB, 1)`, via the shared [`Profiler`].
-    pub fn collect_profile(&self, seed: u64) -> ProfileSet {
-        Profiler::new(Scenario::profile_schedule(self)).collect(seed, |setting_mb, s| {
-            let mut rng = SimRng::seed_from_u64(seed ^ 0x9a0f);
-            let job = materialize_job(&WordCountJob::new(2_048 * MB, 16 * MB, 1), &mut rng);
-            self.run_cluster(
-                Decider::Static(setting_mb),
-                (setting_mb * MB as f64) as u64,
-                vec![job],
-                s,
-                "profiling",
-                None,
-            )
-            .series("worst_worker_disk_mb")
-            .expect("disk series")
-            .clone()
-        })
-    }
-
-    /// Synthesizes the SmartConf controller (direct on the reserve, hard
-    /// goal on worst-worker disk usage). [`ModelMode::Adaptive`] seeds an
-    /// online RLS estimator (from the overridden unit gain, not the
-    /// profiled fit) instead of freezing it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if synthesis fails (the standard profile is well-formed).
-    pub fn build_controller(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
-        let goal = Goal::new("worker_disk_mb", self.disk_goal_mb())
-            .with_hardness(Hardness::Hard)
-            .expect("positive target");
-        ControllerBuilder::new(goal)
-            .profile(profile)
-            .expect("profiling data supports synthesis")
-            // The controller acts on the deputy (committed usage), whose
-            // gain on the metric is identically 1; profiling still
-            // supplies the pole and virtual-goal margin.
-            .alpha(1.0)
-            .bounds(0.0, self.disk_goal_mb())
-            .initial(self.disk_goal_mb() * 0.6)
-            .model_mode(mode)
-            .build()
-            .expect("controller synthesis")
-    }
-}
-
-impl Default for Mr2820 {
-    fn default() -> Self {
-        Self::standard()
-    }
 }
 
 impl Scenario for Mr2820 {
-    fn id(&self) -> &str {
-        "MR2820"
-    }
-
-    fn description(&self) -> &str {
-        "local.dir.minspacestart decides if a worker has enough disk to run a task. \
-         Too small, OOD; too big, low utility (job latency hurts)."
-    }
-
-    fn config_name(&self) -> &str {
-        "local.dir.minspacestart"
-    }
-
-    fn candidate_settings(&self) -> Vec<f64> {
-        (0..=14).map(|i| (i * 30) as f64).collect()
-    }
-
-    fn static_setting(&self, choice: Baseline) -> Option<f64> {
-        match choice {
+    fn perfconf(&self) -> PerfConf {
+        PerfConf {
+            id: "MR2820",
+            description: "local.dir.minspacestart decides if a worker has enough disk to run a \
+                          task. Too small, OOD; too big, low utility (job latency hurts).",
+            config_name: "local.dir.minspacestart",
+            candidates: (0..=14).map(|i| (i * 30) as f64).collect(),
             // The original default reserved nothing; the patch reserved
             // a token 1 MB (Figure 5's "0M" and "1M" annotations).
-            Baseline::BuggyDefault => Some(0.0),
-            Baseline::PatchDefault => Some(1.0),
-            _ => None,
+            buggy_default: Some(0.0),
+            patch_default: Some(1.0),
+            direction: TradeoffDirection::LowerIsBetter,
+            // Direct on the reserve, hard goal on worst-worker disk usage.
+            goal: Goal::new("worker_disk_mb", self.disk_goal_mb())
+                .with_hardness(Hardness::Hard)
+                .expect("positive target"),
+            bounds: (0.0, self.disk_goal_mb()),
+            initial: self.disk_goal_mb() * 0.6,
+            // 48 disk samples on a 1 s grid after the job's 5 s ramp-up,
+            // at each profiled reserve setting.
+            schedule: ProfileSchedule::grid(
+                vec![150.0, 230.0, 310.0, 390.0],
+                48,
+                5_000_000,
+                1_000_000,
+            ),
+            // Fallback in controller space: aim for 60% of the usage
+            // goal, the same conservative point the controller starts
+            // from.
+            guard: GuardPolicy::new()
+                .fallback_setting("local.dir.minspacestart_mb", self.disk_goal_mb() * 0.6),
         }
-    }
-
-    fn tradeoff_direction(&self) -> TradeoffDirection {
-        TradeoffDirection::LowerIsBetter
     }
 
     fn run_static(&self, setting: f64, seed: u64) -> RunResult {
@@ -242,48 +180,68 @@ impl Scenario for Mr2820 {
     }
 
     fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0], spec.model);
+        let conf = self.perfconf();
+        // The controller acts on the deputy (committed usage), whose gain
+        // on the metric is identically 1; profiling still supplies the
+        // pole and virtual-goal margin. An adaptive model seeds its online
+        // RLS estimator from that unit gain, not the profiled fit.
+        let controller = conf
+            .builder(&profiles[0], spec.model)
+            .alpha(1.0)
+            .build()
+            .expect("controller synthesis");
         let initial = ((self.disk_goal_mb() - controller.current()) * MB as f64) as u64;
         // minspace = capacity − desired usage: the §5.3 transducer for a
         // threshold expressed as *free* rather than *used* space.
         let cap = self.disk_capacity as f64 / MB as f64;
-        let conf = SmartConfIndirect::with_transducer(
-            "local.dir.minspacestart",
+        let deputy = SmartConfIndirect::with_transducer(
+            conf.config_name,
             controller,
             Box::new(FnTransducer::new(move |desired: f64| {
                 (cap - desired).max(0.0)
             })),
         );
         self.run_cluster(
-            Decider::Deputy(Box::new(conf)),
+            Decider::Deputy(Box::new(deputy)),
             initial,
             self.eval_jobs(seed),
             seed,
             &spec.label(),
-            spec.chaos(seed, self.guard()),
+            spec.chaos(seed, conf.guard),
         )
     }
 
-    fn profile_schedule(&self) -> ProfileSchedule {
-        // 48 disk samples on a 1 s grid after the job's 5 s ramp-up, at
-        // each profiled reserve setting.
-        ProfileSchedule::grid(self.profile_settings.clone(), 48, 5_000_000, 1_000_000)
-    }
-
+    /// Profiles worst-worker disk usage against the reserve setting using
+    /// the profiling job `(2G, 64MB, 1)`, via the shared [`Profiler`].
     fn profile(&self, seed: u64) -> ProfileSet {
-        self.collect_profile(seed)
+        Profiler::new(self.perfconf().schedule).collect(seed, |setting_mb, s| {
+            let mut rng = SimRng::seed_from_u64(seed ^ 0x9a0f);
+            let job = materialize_job(&WordCountJob::new(2_048 * MB, 16 * MB, 1), &mut rng);
+            self.run_cluster(
+                Decider::Static(setting_mb),
+                (setting_mb * MB as f64) as u64,
+                vec![job],
+                s,
+                "profiling",
+                None,
+            )
+            .series("worst_worker_disk_mb")
+            .expect("disk series")
+            .clone()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartconf_harness::Faults;
+    use smartconf_core::ModelMode;
+    use smartconf_harness::{Baseline, Faults};
     use smartconf_runtime::FaultClass;
 
     #[test]
     fn profile_slopes_down() {
-        let p = Mr2820::standard().collect_profile(3);
+        let p = Mr2820::standard().profile(3);
         assert_eq!(p.num_settings(), 4);
         let fit = p.fit().unwrap();
         // Bigger reserve => lower worst-case usage.

@@ -232,6 +232,11 @@ impl GuardPolicy {
         self
     }
 
+    /// Every declared `(channel, fallback)` pair, in declaration order.
+    pub fn fallbacks(&self) -> &[(String, f64)] {
+        &self.fallbacks
+    }
+
     /// The declared fallback for a channel, if any.
     pub fn fallback_for(&self, channel: &str) -> Option<f64> {
         self.fallbacks

@@ -8,7 +8,8 @@ use smartconf::kvstore::scenarios::Hb3813;
 
 fn main() {
     let scenario = Hb3813::standard();
-    println!("{}: {}\n", scenario.id(), scenario.description());
+    let conf = scenario.perfconf();
+    println!("{}: {}\n", conf.id, conf.description);
 
     let smart = scenario.run_smartconf(42);
     let buggy = scenario.run_static(1000.0, 42);

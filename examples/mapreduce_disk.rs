@@ -7,7 +7,8 @@ use smartconf::mapred::Mr2820;
 
 fn main() {
     let scenario = Mr2820::standard();
-    println!("{}: {}\n", scenario.id(), scenario.description());
+    let conf = scenario.perfconf();
+    println!("{}: {}\n", conf.id, conf.description);
 
     let smart = scenario.run_smartconf(42);
     let buggy = scenario.run_static(0.0, 42);

@@ -8,7 +8,8 @@ use smartconf::harness::Scenario;
 
 fn main() {
     let scenario = Hd4995::standard();
-    println!("{}: {}\n", scenario.id(), scenario.description());
+    let conf = scenario.perfconf();
+    println!("{}: {}\n", conf.id, conf.description);
     let (g1, g2) = scenario.phase_goals_secs();
     println!("writer-block goal: {g1} s in phase 1, tightened to {g2} s in phase 2\n");
 

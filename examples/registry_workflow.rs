@@ -1,13 +1,13 @@
 //! The full §4 developer workflow, file to controller:
 //!
 //! 1. the developer ships `SmartConf.sys` (configuration → metric
-//!    mapping, bounds, initial values) and enables profiling capture;
+//!    mapping, bounds, initial values) with `profiling = on`;
 //! 2. the user writes goals into the application config;
-//! 3. a first run under a safe static setting records profiling samples
-//!    into `<ConfName>.SmartConf.sys` by calling
-//!    [`ProfilingCapture::record`] directly: no controller can be
-//!    synthesised before a profile exists, so there is no `set_perf` to
-//!    capture through yet;
+//! 3. the host sees the switch on, so a first run under a safe static
+//!    setting records profiling samples into `<ConfName>.SmartConf.sys`
+//!    by calling [`ProfilingCapture::record`] directly: no controller
+//!    can be synthesised before a profile exists, so there is no
+//!    `set_perf` to capture through yet;
 //! 4. the next start loads everything into the [`Registry`], builds the
 //!    controller with `build_indirect`, and the configuration adjusts
 //!    itself through `set_perf`/`conf` — including a run-time `setGoal`.
@@ -58,21 +58,25 @@ fn main() -> Result<(), Box<dyn Error>> {
             "profiling capture enabled: {}",
             registry.profiling_enabled()
         );
-        let mut capture = ProfilingCapture::new(&dir, "max.queue.size", 16);
-        for bound in [40.0, 80.0, 120.0, 160.0] {
-            for _ in 0..10 {
-                capture.record(bound, memory_mb(bound, &mut rng));
+        // The switch is the host's to act on: with `profiling = off` it
+        // attaches no capture, and step 4 finds no profile to load.
+        if registry.profiling_enabled() {
+            let mut capture = ProfilingCapture::new(&dir, "max.queue.size", 16);
+            for bound in [40.0, 80.0, 120.0, 160.0] {
+                for _ in 0..10 {
+                    capture.record(bound, memory_mb(bound, &mut rng));
+                }
             }
+            capture.flush()?;
+            println!(
+                "captured {} profiling samples to {}",
+                capture.recorded(),
+                ProfilingCapture::file_path(&dir, "max.queue.size")
+                    .file_name()
+                    .expect("capture path names a file")
+                    .to_string_lossy()
+            );
         }
-        capture.flush()?;
-        println!(
-            "captured {} profiling samples to {}",
-            capture.recorded(),
-            ProfilingCapture::file_path(&dir, "max.queue.size")
-                .file_name()
-                .expect("capture path names a file")
-                .to_string_lossy()
-        );
     }
 
     // (4) Next start: everything loads from disk; the configuration now

@@ -69,7 +69,7 @@ fn profiles_support_synthesis_everywhere() {
             .unwrap_or_else(|e| panic!("{}: fit failed: {e}", s.id()));
         assert!(fit.alpha() != 0.0, "{}: zero gain", s.id());
         assert!(
-            p.check_monotonic(s.config_name()).is_ok(),
+            p.check_monotonic(s.perfconf().config_name).is_ok(),
             "{}: non-monotonic profile",
             s.id()
         );
@@ -81,8 +81,9 @@ fn every_scenario_reports_consistent_metadata() {
     let mut ids = std::collections::BTreeSet::new();
     for s in all() {
         assert!(ids.insert(s.id().to_string()), "duplicate id {}", s.id());
-        assert!(!s.description().is_empty());
-        assert!(!s.config_name().is_empty());
+        let conf = s.perfconf();
+        assert!(!conf.description.is_empty());
+        assert!(!conf.config_name.is_empty());
         assert!(
             s.candidate_settings().len() >= 10,
             "{}: sweep too small",
