@@ -96,6 +96,12 @@ const HOST_KEYS: [&str; 5] = [
     "setup_secs",
 ];
 
+/// The keys of the N-thread phase line. Its worker count is a run
+/// choice rather than a result, so [`check_soak`] masks their values on
+/// every line but the first: the phases list the 1-thread run first,
+/// and no other line of the artifact carries these keys.
+const PARALLEL_PHASE_KEYS: [&str; 2] = ["name", "threads"];
+
 /// How far below the committed baseline the measured tenants/sec may
 /// fall before `--check` fails. Deliberately loose: CI runners share
 /// cores, and the committed baseline was recorded on a small shared
@@ -1208,9 +1214,9 @@ impl Smoke for SoakSmoke {
 ///
 /// 1. the two artifacts are equal once the values of the host-dependent
 ///    keys (`host_cpus`, `tenants_per_sec`, `senses_per_sec`,
-///    `wall_clock_secs`, `setup_secs`) are masked on both sides; a
-///    mismatch reports the first differing line, so a key missing from
-///    either side fails;
+///    `wall_clock_secs`, `setup_secs`) and the N-thread phase's name
+///    and thread count are masked on both sides; a mismatch reports the
+///    first differing line, so a key missing from either side fails;
 /// 2. the fresh run has at least one cohort;
 /// 3. tenants/sec at least [`RATE_FLOOR`] × baseline, failing closed
 ///    when either side lacks it.
@@ -1243,17 +1249,33 @@ pub fn check_soak(fresh: &str, baseline: &str) -> Vec<String> {
     failures
 }
 
-/// `json` with the value of every [`HOST_KEYS`] key replaced by `*`;
-/// the keys themselves stay, so a missing one still shows.
+/// `json` with the value of every [`HOST_KEYS`] key, and of every
+/// [`PARALLEL_PHASE_KEYS`] key after the first, replaced by `*`; the
+/// keys themselves stay, so a missing one still shows.
 fn mask_host_values(json: &str) -> String {
-    HOST_KEYS.iter().fold(json.to_string(), |json, key| {
+    let masked = HOST_KEYS.iter().fold(json.to_string(), |json, key| {
         edit_values(&json, key, usize::MAX, |_| "*".to_string())
+    });
+    PARALLEL_PHASE_KEYS.iter().fold(masked, |json, key| {
+        let mut serial = true;
+        edit_values(&json, key, usize::MAX, |value| {
+            if std::mem::take(&mut serial) {
+                value.to_string()
+            } else {
+                "*".to_string()
+            }
+        })
     })
 }
 
 /// `json` with its first `count` values of `"key": value` rewritten by
-/// `edit`.
-fn edit_values(json: &str, key: &str, count: usize, edit: impl Fn(&str) -> String) -> String {
+/// `edit`, in document order.
+fn edit_values(
+    json: &str,
+    key: &str,
+    count: usize,
+    mut edit: impl FnMut(&str) -> String,
+) -> String {
     let needle = format!("\"{key}\": ");
     let mut out = String::with_capacity(json.len());
     let mut rest = json;
@@ -1645,6 +1667,35 @@ mod tests {
             edited
         });
         assert_eq!(check_soak(&host, &json), Vec::<String>::new());
+    }
+
+    #[test]
+    fn check_soak_ignores_the_parallel_thread_count() {
+        let report = tiny_report();
+        let (config, scenarios) = (tiny_config(), toy_scenarios());
+        let artifact = |threads| {
+            let phases = [1, threads].map(|t| FleetPhase {
+                wall: Duration::from_millis(500),
+                ..FleetPhase::time("soak", t, || ()).1
+            });
+            soak_json(&config, &scenarios, &report, None, true, &phases)
+        };
+        let (two, four) = (artifact(2), artifact(4));
+        assert!(two.contains("\"name\": \"soak-2-threads\", \"threads\": 2,"));
+        assert!(four.contains("\"name\": \"soak-4-threads\", \"threads\": 4,"));
+        assert_eq!(check_soak(&two, &four), Vec::<String>::new());
+        // A real diff elsewhere still fails, and so does the serial
+        // phase's line.
+        let plus_one = |v: &str| (v.parse::<u64>().unwrap() + 1).to_string();
+        for moved in [
+            edit_values(&two, "violations", 1, plus_one),
+            edit_values(&two, "threads", 1, plus_one),
+        ] {
+            assert_ne!(moved, two, "nothing moved");
+            let failures = check_soak(&moved, &four);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(failures[0].contains("first diff at line"), "{failures:?}");
+        }
     }
 
     #[test]

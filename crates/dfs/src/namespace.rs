@@ -7,14 +7,24 @@
 //! visits `limit` inodes per lock quantum — exactly the unit
 //! `content-summary.limit` meters.
 //!
-//! The tree is stored flat, in depth-first preorder: an inode's id is its
-//! preorder index, so every subtree is the contiguous id range
-//! `[v, end(v))`. Beside each inode's subtree end the namespace keeps
-//! prefix sums of file counts and file bytes over the preorder, which
-//! makes the summary of any id range — a whole subtree, or the next
-//! `limit` inodes of a `du` — two subtractions.
+//! Inodes are numbered in depth-first preorder, so every subtree is the
+//! contiguous id range `[v, end(v))`. The synthesized tree has one shape
+//! — a root over ⌈files / per_dir⌉ directories of `per_dir` files, the
+//! last holding the remainder — so `end(v)` and the number of files
+//! before any id are closed forms of `(files, per_dir)`. File lengths
+//! are a seeded draw sequence, kept as checkpoints: every
+//! `CHECKPOINT` files, the total length so far and the generator state
+//! that draws the next length. The total length of the first `n` files
+//! regenerates at most `CHECKPOINT − 1` draws from the checkpoint below
+//! `n`, which makes the summary of any id range — a whole subtree, or
+//! the next `limit` inodes of a `du` — exact at a bounded cost.
 
 use smartconf_simkernel::SimRng;
+
+/// How many files apart the byte checkpoints are: a range sum
+/// regenerates fewer than this many lengths at each end, and a tree of
+/// `f` files keeps `f / CHECKPOINT + 1` checkpoints of 40 bytes.
+const CHECKPOINT: usize = 256;
 
 /// Preorder index of an inode: the root is 0, and a directory's subtree
 /// is the contiguous run of ids that starts at it.
@@ -39,10 +49,11 @@ impl std::ops::AddAssign for ContentSummary {
     }
 }
 
-/// A namespace tree rooted at inode 0, stored in depth-first preorder.
+/// A namespace tree rooted at inode 0: a root over directories of
+/// `per_dir` files, addressed in depth-first preorder.
 ///
-/// A 10⁶-inode tree takes 16 bytes per inode: a `u32` subtree end, a
-/// `u32` file-count prefix and a `u64` byte prefix.
+/// The shape is two numbers; the file lengths are a checkpoint every
+/// 256 files, so a 10⁶-file tree takes ~156 KB.
 ///
 /// # Example
 ///
@@ -56,42 +67,25 @@ impl std::ops::AddAssign for ContentSummary {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Namespace {
-    /// `end[v]`: one past the last id of `v`'s subtree.
-    end: Vec<u32>,
-    /// `files[i]`: how many of the inodes `[0, i)` are files.
-    files: Vec<u32>,
-    /// `bytes[i]`: total length of the files among the inodes `[0, i)`.
-    bytes: Vec<u64>,
+    /// Number of files.
+    files: usize,
+    /// Files per directory (the last directory holds the remainder).
+    per_dir: usize,
+    /// `checkpoints[c]`: the total length of files `[0, c·CHECKPOINT)`
+    /// and the generator state that draws file `c·CHECKPOINT`'s length.
+    checkpoints: Vec<(u64, SimRng)>,
+}
+
+/// One file's length: the draw [`Namespace::synthesize`] makes per file
+/// (TestDFSIO sizes, a heavy-ish spread around 64 MB).
+fn file_length(rng: &mut SimRng) -> u64 {
+    rng.uniform(16e6, 128e6) as u64
 }
 
 impl Namespace {
     /// Creates a namespace holding only an empty root directory.
     pub fn new() -> Self {
-        let mut ns = Namespace::with_capacity(1);
-        ns.push(1, None);
-        ns
-    }
-
-    fn with_capacity(inodes: usize) -> Self {
-        let mut files = Vec::with_capacity(inodes + 1);
-        let mut bytes = Vec::with_capacity(inodes + 1);
-        files.push(0);
-        bytes.push(0);
-        Namespace {
-            end: Vec::with_capacity(inodes),
-            files,
-            bytes,
-        }
-    }
-
-    /// Appends the next inode in preorder: a file of `length` bytes
-    /// (`Some`), or a directory (`None`) whose subtree ends at `end`.
-    fn push(&mut self, end: usize, length: Option<u64>) {
-        let (files, bytes) = (self.files[self.end.len()], self.bytes[self.end.len()]);
-        self.end
-            .push(u32::try_from(end).expect("namespace exceeds u32::MAX inodes"));
-        self.files.push(files + u32::from(length.is_some()));
-        self.bytes.push(bytes + length.unwrap_or(0));
+        Namespace::synthesize(0, 1, &mut SimRng::seed_from_u64(0))
     }
 
     /// The root directory's id.
@@ -101,22 +95,49 @@ impl Namespace {
 
     /// Total number of inodes.
     pub fn len(&self) -> usize {
-        self.end.len()
+        1 + self.files.div_ceil(self.per_dir) + self.files
     }
 
     /// Whether the namespace holds only the root.
     pub fn is_empty(&self) -> bool {
-        self.end.len() == 1
+        self.files == 0
     }
 
-    /// One past the last id of `v`'s subtree.
+    /// One past the last id of `v`'s subtree. After the root, each
+    /// directory and its files are a block of `per_dir + 1` ids.
     fn end(&self, v: InodeId) -> usize {
-        self.end[v] as usize
+        if v == 0 {
+            return self.len();
+        }
+        let block = self.per_dir + 1;
+        let (dir, at) = ((v - 1) / block, (v - 1) % block);
+        if at > 0 {
+            return v + 1;
+        }
+        v + 1 + (self.files - dir * self.per_dir).min(self.per_dir)
+    }
+
+    /// How many of the inodes `[0, i)` are files.
+    fn files_before(&self, i: usize) -> usize {
+        let Some(after_root) = i.checked_sub(1) else {
+            return 0;
+        };
+        let block = self.per_dir + 1;
+        after_root / block * self.per_dir + (after_root % block).saturating_sub(1)
+    }
+
+    /// The total length of files `[0, n)`, regenerated from the
+    /// checkpoint below `n`.
+    fn bytes_before(&self, n: usize) -> u64 {
+        let (total, rng) = &self.checkpoints[n / CHECKPOINT];
+        let mut rng = rng.clone();
+        (0..n % CHECKPOINT).fold(*total, |sum, _| sum + file_length(&mut rng))
     }
 
     /// Synthesizes a namespace with `files` files spread over directories
-    /// of roughly `files_per_dir` entries (TestDFSIO populates flat, wide
+    /// of `files_per_dir` entries (TestDFSIO populates flat, wide
     /// directories; file sizes follow a heavy-ish spread around 64 MB).
+    /// Draws one length per file from `rng`, in file order.
     ///
     /// # Panics
     ///
@@ -124,25 +145,32 @@ impl Namespace {
     pub fn synthesize(files: u64, files_per_dir: u64, rng: &mut SimRng) -> Self {
         assert!(files_per_dir > 0, "need at least one file per directory");
         let inodes = 1 + files.div_ceil(files_per_dir) + files;
-        let inodes = usize::try_from(inodes).expect("namespace fits in memory");
-        let mut ns = Namespace::with_capacity(inodes);
-        ns.push(inodes, None);
-        let mut remaining = files;
-        while remaining > 0 {
-            let in_this_dir = remaining.min(files_per_dir);
-            ns.push(ns.len() + 1 + in_this_dir as usize, None);
-            for _ in 0..in_this_dir {
-                let length = rng.uniform(16e6, 128e6) as u64;
-                ns.push(ns.len() + 1, Some(length));
+        assert!(usize::try_from(inodes).is_ok(), "namespace fits in memory");
+        let files = files as usize;
+        // A directory wider than the whole tree is the same single
+        // directory, and keeps `per_dir + 1` in range.
+        let per_dir = files_per_dir.min(files.max(1) as u64) as usize;
+        let mut checkpoints = Vec::with_capacity(files / CHECKPOINT + 1);
+        let mut total = 0;
+        for file in 0..files {
+            if file.is_multiple_of(CHECKPOINT) {
+                checkpoints.push((total, rng.clone()));
             }
-            remaining -= in_this_dir;
+            total += file_length(rng);
         }
-        ns
+        if files.is_multiple_of(CHECKPOINT) {
+            checkpoints.push((total, rng.clone()));
+        }
+        Namespace {
+            files,
+            per_dir,
+            checkpoints,
+        }
     }
 
     /// Memoized [`Namespace::synthesize`] for the deterministic seeded
-    /// namespaces the HD4995 harness builds. The 10⁶-inode tree takes
-    /// ~16 MB and about 20 ms to synthesize (one RNG draw per file), and
+    /// namespaces the HD4995 harness builds. The 10⁶-file tree costs one
+    /// RNG draw per file to build (a few ms) and ~156 KB to keep, and
     /// every profiled setting and every evaluation run of every fleet
     /// shard wants the *same* tree (same `(files, files_per_dir, seed)`),
     /// so it is built once per process and shared behind an
@@ -173,11 +201,12 @@ impl Namespace {
 
     /// The content summary of the id range `[from, to)`.
     fn range(&self, from: usize, to: usize) -> ContentSummary {
-        let file_count = u64::from(self.files[to] - self.files[from]);
+        let (first, last) = (self.files_before(from), self.files_before(to));
+        let file_count = (last - first) as u64;
         ContentSummary {
             file_count,
             directory_count: (to - from) as u64 - file_count,
-            length: self.bytes[to] - self.bytes[from],
+            length: self.bytes_before(last) - self.bytes_before(first),
         }
     }
 
@@ -200,7 +229,7 @@ impl Default for Namespace {
 /// namenode releases the lock and lets writers in (HD4995's fix).
 ///
 /// The traversal is a position in the subtree's preorder id range, so a
-/// quantum costs the same two prefix-sum subtractions whatever its
+/// quantum costs the same two range-sum regenerations whatever its
 /// `limit`.
 #[derive(Debug, Clone)]
 pub struct TraversalCursor {
@@ -250,73 +279,6 @@ impl TraversalCursor {
 mod tests {
     use super::*;
 
-    /// Builds a small tree by hand, each inode under any earlier
-    /// directory in any order, then compiles it into preorder. Ids
-    /// returned while building are insertion-order ids.
-    struct Builder {
-        /// Each inode's parent (the root is its own), in insertion order.
-        parent: Vec<usize>,
-        /// Each inode's file length; `None` for a directory.
-        length: Vec<Option<u64>>,
-    }
-
-    /// The builder's (and the namespace's) root id.
-    const ROOT: usize = 0;
-
-    impl Builder {
-        fn new() -> Self {
-            Builder {
-                parent: vec![ROOT],
-                length: vec![None],
-            }
-        }
-
-        fn add_file(&mut self, parent: usize, length: u64) -> usize {
-            self.add(parent, Some(length))
-        }
-
-        fn add_directory(&mut self, parent: usize) -> usize {
-            self.add(parent, None)
-        }
-
-        fn add(&mut self, parent: usize, length: Option<u64>) -> usize {
-            assert!(self.length[parent].is_none(), "parent {parent} is a file");
-            self.parent.push(parent);
-            self.length.push(length);
-            self.parent.len() - 1
-        }
-
-        /// The namespace, children in insertion order, and each builder
-        /// id's inode id.
-        fn build(&self) -> (Namespace, Vec<InodeId>) {
-            let n = self.parent.len();
-            // A parent is always added before its children, so one
-            // reverse pass sizes every subtree and one forward pass
-            // places it after its earlier siblings.
-            let mut size = vec![1usize; n];
-            for v in (1..n).rev() {
-                size[self.parent[v]] += size[v];
-            }
-            let mut pre = vec![0; n];
-            let mut next_free = vec![1; n];
-            for v in 1..n {
-                let p = self.parent[v];
-                pre[v] = next_free[p];
-                next_free[p] += size[v];
-                next_free[v] = pre[v] + 1;
-            }
-            let mut order = vec![0; n];
-            for (v, &at) in pre.iter().enumerate() {
-                order[at] = v;
-            }
-            let mut ns = Namespace::with_capacity(n);
-            for (at, &v) in order.iter().enumerate() {
-                ns.push(at + size[v], self.length[v]);
-            }
-            (ns, pre)
-        }
-    }
-
     /// The children of `v`: the first is `v + 1`, and each next sibling
     /// starts where the previous one's subtree ends.
     fn children(ns: &Namespace, v: InodeId) -> Vec<InodeId> {
@@ -330,32 +292,34 @@ mod tests {
         kids
     }
 
-    fn tiny() -> Namespace {
-        // root / d1 / {f1: 100, f2: 200}, root / f3: 50
-        let mut b = Builder::new();
-        let d1 = b.add_directory(ROOT);
-        b.add_file(d1, 100);
-        b.add_file(d1, 200);
-        b.add_file(ROOT, 50);
-        b.build().0
+    /// root / d0 / {f0, f1}, root / d1 / {f2}, and the three lengths
+    /// in draw order.
+    fn tiny() -> (Namespace, [u64; 3]) {
+        let mut rng = SimRng::seed_from_u64(5);
+        let lengths = [(); 3].map(|_| file_length(&mut rng));
+        let ns = Namespace::synthesize(3, 2, &mut SimRng::seed_from_u64(5));
+        (ns, lengths)
     }
 
     #[test]
     fn summary_aggregates_subtree() {
-        let ns = tiny();
+        let (ns, lengths) = tiny();
         let s = ns.summary(ns.root());
         assert_eq!(s.file_count, 3);
-        assert_eq!(s.directory_count, 2); // root + d1
-        assert_eq!(s.length, 350);
+        assert_eq!(s.directory_count, 3); // root + d0 + d1
+        assert_eq!(s.length, lengths.iter().sum::<u64>());
     }
 
     #[test]
     fn subtree_summary_excludes_siblings() {
-        let ns = tiny();
-        let d1 = children(&ns, ns.root())[0];
+        let (ns, lengths) = tiny();
+        let [d0, d1] = children(&ns, ns.root())[..] else {
+            panic!("root should have two directories");
+        };
+        let s = ns.summary(d0);
+        assert_eq!((s.file_count, s.length), (2, lengths[0] + lengths[1]));
         let s = ns.summary(d1);
-        assert_eq!(s.file_count, 2);
-        assert_eq!(s.length, 300);
+        assert_eq!((s.file_count, s.length), (1, lengths[2]));
     }
 
     #[test]
@@ -392,38 +356,14 @@ mod tests {
     }
 
     #[test]
-    fn synthesize_matches_the_builder() {
-        let (files, per_dir) = (100u64, 8u64);
-        let mut rng = SimRng::seed_from_u64(4);
-        let mut b = Builder::new();
-        let mut remaining = files;
-        while remaining > 0 {
-            let dir = b.add_directory(ROOT);
-            for _ in 0..remaining.min(per_dir) {
-                b.add_file(dir, rng.uniform(16e6, 128e6) as u64);
-            }
-            remaining -= remaining.min(per_dir);
-        }
-        let synthesized = Namespace::synthesize(files, per_dir, &mut SimRng::seed_from_u64(4));
-        assert_eq!(b.build().0, synthesized);
-    }
-
-    #[test]
     fn empty_namespace() {
         let ns = Namespace::new();
         assert!(ns.is_empty());
+        assert_eq!(ns.len(), 1);
         let s = ns.summary(ns.root());
         assert_eq!(s.file_count, 0);
         assert_eq!(s.directory_count, 1);
         assert!(children(&ns, ns.root()).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "is a file")]
-    fn adding_under_file_panics() {
-        let mut b = Builder::new();
-        let f = b.add_file(ROOT, 1);
-        b.add_file(f, 2);
     }
 
     #[test]
@@ -433,9 +373,39 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The layout before the flat preorder, kept as the reference the
-    /// flat one must match: an arena of inodes with per-directory child
-    /// lists, walked by a stack.
+    /// HD4995's tree, `(1_000_000, 100, 0xd1f5)`: the root summary and
+    /// the quanta of two limits, as the materialised prefix-sum layout
+    /// computed them, so the closed form cannot drift from its sums.
+    #[test]
+    fn standard_tree_sums_are_pinned() {
+        let ns = Namespace::synthesize_shared(1_000_000, 100, 0xd1f5);
+        let summary = |file_count, directory_count, length| ContentSummary {
+            file_count,
+            directory_count,
+            length,
+        };
+        let root = summary(1_000_000, 10_001, 72_005_577_201_087);
+        assert_eq!(ns.len(), 1_010_001);
+        assert_eq!(ns.summary(ns.root()), root);
+        let pinned = [
+            (
+                499_000,
+                vec![
+                    summary(494_058, 4_942, 35_570_760_153_524),
+                    summary(494_059, 4_941, 35_575_307_989_345),
+                    summary(11_883, 118, 859_509_058_218),
+                ],
+            ),
+            (1_480_000, vec![root]),
+        ];
+        for (limit, quanta) in pinned {
+            assert_eq!(flat_quanta(&ns, ns.root(), limit), (quanta, 1_010_001));
+        }
+    }
+
+    /// The layout before the closed form, kept as the reference it must
+    /// match: an arena of inodes with per-directory child lists, walked
+    /// by a stack.
     enum RefInode {
         File(u64),
         Directory(Vec<usize>),
@@ -470,6 +440,28 @@ mod tests {
         (quanta, visited)
     }
 
+    /// The arena of the tree `synthesize(files, per_dir, seed)` builds,
+    /// from the same draws, in preorder: each id is its inode's.
+    fn reference_arena(files: u64, per_dir: u64, seed: u64) -> Vec<RefInode> {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut arena = vec![RefInode::Directory(Vec::new())];
+        let mut remaining = files;
+        while remaining > 0 {
+            let in_this_dir = remaining.min(per_dir);
+            let dir = arena.len();
+            let kids = (dir + 1..=dir + in_this_dir as usize).collect();
+            arena.push(RefInode::Directory(kids));
+            for _ in 0..in_this_dir {
+                arena.push(RefInode::File(file_length(&mut rng)));
+            }
+            if let RefInode::Directory(children) = &mut arena[0] {
+                children.push(dir);
+            }
+            remaining -= in_this_dir;
+        }
+        arena
+    }
+
     fn flat_quanta(ns: &Namespace, root: InodeId, limit: u64) -> (Vec<ContentSummary>, u64) {
         let mut cursor = TraversalCursor::new(ns, root);
         let mut quanta = Vec::new();
@@ -480,47 +472,33 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Random trees — nested and empty directories, files under the
-        /// root, inodes added under any earlier directory in any order —
+        /// Synthesized trees — up to a few thousand files, so ranges
+        /// start and end on both sides of checkpoint boundaries —
         /// traverse quantum for quantum as the stack walk of the same
         /// tree does, from every subtree root and at every limit.
         #[test]
         fn flat_preorder_matches_the_stack_reference(
-            ops in proptest::collection::vec((0u64..u64::MAX, 0u64..3, 0u64..1_000_000), 0..48),
+            files in 0u64..2_000,
+            per_dir in 1u64..300,
+            seed in 0u64..u64::MAX,
         ) {
-            let mut b = Builder::new();
-            let mut arena = vec![RefInode::Directory(Vec::new())];
-            let mut dirs = vec![ROOT];
-            for &(pick, kind, length) in &ops {
-                let parent = dirs[(pick % dirs.len() as u64) as usize];
-                let id = if kind == 0 {
-                    arena.push(RefInode::Directory(Vec::new()));
-                    dirs.push(arena.len() - 1);
-                    b.add_directory(parent)
-                } else {
-                    arena.push(RefInode::File(length));
-                    b.add_file(parent, length)
-                };
-                proptest::prop_assert_eq!(id, arena.len() - 1);
-                if let RefInode::Directory(children) = &mut arena[parent] {
-                    children.push(id);
-                }
-            }
-            let (ns, pre) = b.build();
+            let arena = reference_arena(files, per_dir, seed);
+            let ns = Namespace::synthesize(files, per_dir, &mut SimRng::seed_from_u64(seed));
             proptest::prop_assert_eq!(ns.len(), arena.len());
             let len = ns.len() as u64;
             for (id, inode) in arena.iter().enumerate() {
-                let kids: Vec<InodeId> = match inode {
+                let kids = match inode {
                     RefInode::File(_) => Vec::new(),
-                    RefInode::Directory(children) => children.iter().map(|&c| pre[c]).collect(),
+                    RefInode::Directory(children) => children.clone(),
                 };
-                proptest::prop_assert_eq!(children(&ns, pre[id]), kids);
+                proptest::prop_assert_eq!(children(&ns, id), kids);
+                let summary = ns.summary(id);
                 for limit in [1, 2, 3, 64, len, u64::MAX] {
                     let (quanta, visited) = reference_quanta(&arena, id, limit);
                     let mut total = ContentSummary::default();
                     quanta.iter().for_each(|&q| total += q);
-                    proptest::prop_assert_eq!(ns.summary(pre[id]), total);
-                    proptest::prop_assert_eq!(flat_quanta(&ns, pre[id], limit), (quanta, visited));
+                    proptest::prop_assert_eq!(summary, total);
+                    proptest::prop_assert_eq!(flat_quanta(&ns, id, limit), (quanta, visited));
                 }
             }
         }

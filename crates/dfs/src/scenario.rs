@@ -13,6 +13,9 @@ use smartconf_workload::TestDfsIoWorkload;
 /// Seed of the deterministic namespace every HD4995 run traverses.
 const NS_SEED: u64 = 0xd1f5;
 
+/// Files per directory of that namespace.
+const FILES_PER_DIR: u64 = 100;
+
 /// The HD4995 scenario.
 ///
 /// * Profiling: single-client TestDFSIO — one `du` at a time, light
@@ -87,7 +90,7 @@ impl Hd4995 {
             decider,
             Self::write_gap(w),
             w.du_interval(),
-            Namespace::synthesize_shared(w.du_files(), 100, NS_SEED),
+            Namespace::synthesize_shared(w.du_files(), FILES_PER_DIR, NS_SEED),
             horizon,
         );
         if let Some(spec) = chaos {
@@ -209,7 +212,7 @@ impl Scenario for Hd4995 {
                 Decider::Static(setting),
                 Self::write_gap(w),
                 w.du_interval(),
-                Namespace::synthesize_shared(w.du_files(), 100, NS_SEED),
+                Namespace::synthesize_shared(w.du_files(), FILES_PER_DIR, NS_SEED),
                 horizon,
             );
             let mut sim = Simulation::new(model, s);
@@ -337,6 +340,24 @@ mod tests {
             adaptive.constraint_ok,
             "adaptive in-place relearning regressed the seed-43 PlantRestart recovery"
         );
+    }
+
+    /// perfbench builds HD4995's tree up front under a copy of this
+    /// crate's namespace key, so that profiling hits the memo; a drifted
+    /// copy would build and keep a second tree, which perfbench's
+    /// resident-set guard is too coarse to see now that a tree is small.
+    #[test]
+    fn perfbench_prebuilds_the_namespace_key_hd4995_uses() {
+        let fleet = include_str!("../../../perfbench/src/fleet.rs");
+        let (_, call) = fleet
+            .split_once("Namespace::synthesize_shared(")
+            .expect("perfbench prebuilds no namespace");
+        let key = call.split_once(')').unwrap().0.replace('_', "");
+        let s = Hd4995::standard();
+        for w in [&s.profile_workload, &s.eval_workload] {
+            let own = format!("{}, {FILES_PER_DIR}, {NS_SEED:#x}", w.du_files());
+            assert_eq!(key, own, "perfbench's namespace key drifted from HD4995's");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::SimDuration;
 /// let mut b = SimRng::seed_from_u64(7);
 /// assert_eq!(a.uniform(0.0, 1.0), b.uniform(0.0, 1.0));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     s: [u64; 4],
 }
