@@ -5,10 +5,9 @@
 //! for plotting.
 
 fn main() {
-    let seed = smartconf_bench::EXPERIMENT_SEED;
-    println!("{}", smartconf_bench::figure6::render(seed));
+    let f = smartconf_bench::figure6::run(smartconf_bench::EXPERIMENT_SEED);
+    println!("{}", smartconf_bench::figure6::render(&f));
     if std::path::Path::new("results").is_dir() {
-        let f = smartconf_bench::figure6::run(seed);
         let _ = std::fs::write(
             "results/figure6_smartconf.csv",
             f.smart.series_csv(1_000_000),

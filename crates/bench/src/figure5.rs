@@ -4,13 +4,16 @@
 //! the two-phase evaluation workload and reports each policy's speedup
 //! relative to the best constraint-satisfying static setting (found by
 //! exhaustive sweep, as in §6.3). Policies that fail the constraint are
-//! marked with ✗, matching the red crosses in the paper's figure.
+//! marked with ✗, matching the red crosses in the paper's figure. Every
+//! bar is one (scenario × seed × policy) fleet item resolved by
+//! [`Policy::resolve`], so the figure at more seeds is more items.
 
 use smartconf_dfs::Hd4995;
-use smartconf_harness::{compare, Baseline, RunResult, Scenario, TextTable};
+use smartconf_harness::{
+    fleet_work_items, Baseline, FleetExecutor, Policy, RunResult, Scenario, TextTable,
+};
 use smartconf_kvstore::scenarios::{Ca6059, Hb2149, Hb3813, Hb6728};
 use smartconf_mapred::Mr2820;
-use smartconf_runtime::FleetExecutor;
 
 /// One policy's bar in Figure 5.
 #[derive(Debug)]
@@ -72,50 +75,52 @@ pub fn all_scenarios() -> Vec<Box<dyn Scenario + Send + Sync>> {
     ]
 }
 
-/// The paper's bar order: the oracle pair, then the issue defaults.
-const FIGURE5_BASELINES: [Baseline; 4] = [
-    Baseline::Optimal,
-    Baseline::Nonoptimal,
-    Baseline::PatchDefault,
-    Baseline::BuggyDefault,
+/// The paper's bar order: SmartConf, the oracle pair, then the issue
+/// defaults.
+const FIGURE5_POLICIES: [Policy; 5] = [
+    Policy::Smart,
+    Policy::Static(Baseline::Optimal),
+    Policy::Static(Baseline::Nonoptimal),
+    Policy::Static(Baseline::PatchDefault),
+    Policy::Static(Baseline::BuggyDefault),
 ];
 
-/// Runs Figure 5 for one scenario through the shared comparison harness.
-pub fn run_scenario(scenario: &(dyn Scenario + Sync), seed: u64) -> Figure5Row {
-    let cmp = compare(scenario, &FIGURE5_BASELINES, seed);
-    let optimal = cmp.run_for(Baseline::Optimal).cloned();
-    let speedup = |r: &RunResult| -> f64 {
-        optimal
-            .as_ref()
-            .map(|b| r.speedup_over(b))
-            .unwrap_or(f64::NAN)
-    };
-
-    let mut bars = vec![Bar::new(
-        "SmartConf".into(),
-        None,
-        speedup(&cmp.smart),
-        &cmp.smart,
-    )];
-    for b in &cmp.baselines {
-        if let Some(r) = &b.run {
-            bars.push(Bar::new(b.baseline.label(), b.setting, speedup(r), r));
-        }
-    }
-
-    Figure5Row {
-        issue: cmp.scenario_id,
-        bars,
-    }
+/// Runs Figure 5 for `scenarios` at `seed`: every (scenario, policy)
+/// item on one executor, one row per scenario. A baseline the scenario
+/// cannot resolve has no bar.
+pub fn run(scenarios: &[Box<dyn Scenario + Send + Sync>], seed: u64) -> Vec<Figure5Row> {
+    let items = fleet_work_items(scenarios.len(), &[seed], &FIGURE5_POLICIES);
+    let runs = FleetExecutor::available_parallelism().execute(&items, |_, item| {
+        let scenario = scenarios[item.scenario].as_ref();
+        item.policy.resolve(scenario, item.seed, || {
+            scenario.evaluation_profiles(item.seed)
+        })
+    });
+    scenarios
+        .iter()
+        .zip(runs.chunks(FIGURE5_POLICIES.len()))
+        .map(|(scenario, runs)| {
+            // FIGURE5_POLICIES[1], Static-Optimal, is the normalising bar.
+            let optimal = runs[1].as_ref().map(|(_, r)| r);
+            let bars = FIGURE5_POLICIES
+                .iter()
+                .zip(runs)
+                .filter_map(|(policy, resolved)| {
+                    let (setting, run) = resolved.as_ref()?;
+                    let speedup = optimal.map_or(f64::NAN, |o| run.speedup_over(o));
+                    Some(Bar::new(policy.label(), *setting, speedup, run))
+                })
+                .collect();
+            Figure5Row {
+                issue: scenario.id().to_string(),
+                bars,
+            }
+        })
+        .collect()
 }
 
-/// Runs the whole figure (all scenarios sharded across the fleet
-/// executor) and renders it.
-pub fn render(seed: u64) -> String {
-    let scenarios = all_scenarios();
-    let rows: Vec<Figure5Row> = FleetExecutor::available_parallelism()
-        .execute(&scenarios, |_, s| run_scenario(s.as_ref(), seed));
-
+/// Renders the figure's table.
+pub fn render(rows: &[Figure5Row]) -> String {
     let mut table = TextTable::new(vec![
         "issue",
         "policy",
@@ -123,7 +128,7 @@ pub fn render(seed: u64) -> String {
         "speedup vs optimal",
         "constraint",
     ]);
-    for row in &rows {
+    for row in rows {
         for bar in &row.bars {
             table.row(vec![
                 row.issue.clone(),
@@ -146,6 +151,28 @@ pub fn render(seed: u64) -> String {
     )
 }
 
+/// Renders the figure's rows as `results/figure5.csv`.
+pub fn csv(rows: &[Figure5Row]) -> String {
+    let mut csv = String::from("issue,policy,setting,speedup_vs_optimal,constraint_ok\n");
+    for row in rows {
+        for bar in &row.bars {
+            csv.push_str(&format!(
+                "{},{},{},{},{}\n",
+                row.issue,
+                bar.label,
+                bar.setting.map(|v| v.to_string()).unwrap_or_default(),
+                if bar.speedup.is_nan() {
+                    String::new()
+                } else {
+                    format!("{:.4}", bar.speedup)
+                },
+                bar.constraint_ok
+            ));
+        }
+    }
+    csv
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,9 +180,7 @@ mod tests {
     #[test]
     fn smartconf_satisfies_everywhere_and_beats_or_matches_optimal() {
         // The headline claim of the paper's §6.2/§6.3 on our seed.
-        let scenarios = all_scenarios();
-        for s in &scenarios {
-            let row = run_scenario(s.as_ref(), crate::EXPERIMENT_SEED);
+        for row in run(&all_scenarios(), crate::EXPERIMENT_SEED) {
             let smart = &row.bars[0];
             assert_eq!(smart.label, "SmartConf");
             assert!(

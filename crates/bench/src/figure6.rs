@@ -6,7 +6,7 @@
 //! The workload shifts from 1 MB to 2 MB requests at 200 s.
 
 use smartconf_core::ModelMode;
-use smartconf_harness::{sweep_statics, AsciiChart, RunResult, Scenario};
+use smartconf_harness::{AsciiChart, Baseline, Policy, RunResult, Scenario};
 use smartconf_kvstore::scenarios::Hb3813;
 
 /// The data behind the three panels.
@@ -25,30 +25,29 @@ pub struct Figure6 {
 /// Runs the experiment.
 pub fn run(seed: u64) -> Figure6 {
     let scenario = Hb3813::standard();
-    let profile = scenario.profile(seed ^ 0x5eed);
+    let profiles = scenario.evaluation_profiles(seed);
     let virtual_goal_mb = scenario
         .perfconf()
-        .controller(&profile, ModelMode::Frozen)
+        .controller(&profiles[0], ModelMode::Frozen)
         .effective_target();
 
-    let smart = scenario.run_smartconf(seed);
-    let sweep = sweep_statics(&scenario, seed);
-    let (setting, optimal) = sweep
-        .optimal_run()
-        .map(|(s, r)| (s, r.clone()))
+    let (_, smart) = Policy::Smart
+        .resolve(&scenario, seed, || &profiles[..])
+        .expect("a controlled policy always runs");
+    let (setting, optimal) = Policy::Static(Baseline::Optimal)
+        .resolve(&scenario, seed, || &profiles[..])
         .expect("some static setting satisfies the constraint");
 
     Figure6 {
         smart,
-        static_optimal: (setting, optimal),
+        static_optimal: (setting.expect("a static baseline has a setting"), optimal),
         virtual_goal_mb,
         goal_mb: scenario.heap_goal_mb(),
     }
 }
 
 /// Renders the figure as aligned time-series columns (10 s grid).
-pub fn render(seed: u64) -> String {
-    let f = run(seed);
+pub fn render(f: &Figure6) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "Figure 6: SmartConf vs static optimal ({} items) on HB3813\n",

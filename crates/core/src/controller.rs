@@ -245,6 +245,11 @@ impl Controller {
         Ok(())
     }
 
+    /// The interaction factor `N` in force (1 unless set, §5.4).
+    pub fn interaction(&self) -> u32 {
+        self.interaction
+    }
+
     /// The goal under control.
     pub fn goal(&self) -> &Goal {
         &self.goal

@@ -130,15 +130,10 @@ impl Hd4995 {
             .fold(0.0_f64, f64::max);
         let ok = phase1_worst <= self.phase_goals_secs.0 * SOFT_TOLERANCE
             && phase2_worst <= self.phase_goals_secs.1 * SOFT_TOLERANCE;
-        let du_latency_secs = if m.du_latency.is_empty() {
-            f64::NAN
-        } else {
-            m.du_latency.mean() / 1e6
-        };
         RunResult::new(
             label,
             ok,
-            du_latency_secs,
+            m.du_mean_latency_us() / 1e6,
             "mean du latency (s)",
             TradeoffDirection::LowerIsBetter,
         )

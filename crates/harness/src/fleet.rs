@@ -56,8 +56,8 @@ impl Policy {
         Some(RunSpec::new(model, faults))
     }
 
-    /// Display label, matching the run labels of [`crate::compare`] and
-    /// [`RunSpec::label`].
+    /// Display label: the [`Baseline::label`] of a static policy, else
+    /// its [`RunSpec::label`].
     pub fn label(&self) -> String {
         if let Policy::Static(b) = self {
             return b.label();
@@ -65,6 +65,51 @@ impl Policy {
         self.spec()
             .expect("non-static policies are controlled")
             .label()
+    }
+
+    /// Runs `scenario` at `seed` under this policy: the one path from a
+    /// (scenario, seed, policy) triple to a run. Returns the static
+    /// setting the policy resolved to (`None` for a controlled policy)
+    /// with its run, or `None` for a static baseline the scenario cannot
+    /// resolve.
+    ///
+    /// A named default or a [`Baseline::Fixed`] setting runs once under
+    /// [`Scenario::run_static`]. [`Baseline::Optimal`] and
+    /// [`Baseline::Nonoptimal`] sweep every candidate
+    /// ([`sweep_statics`]) and return the sweep's own run of the chosen
+    /// setting; no satisfying candidate leaves them unresolved. A static
+    /// run is labelled with its baseline. A controlled policy runs
+    /// [`Scenario::run`] under [`Policy::spec`] with the profiles
+    /// `profiles` yields; static policies never call it.
+    pub fn resolve<P: AsRef<[ProfileSet]>>(
+        &self,
+        scenario: &(impl Scenario + Sync + ?Sized),
+        seed: u64,
+        profiles: impl FnOnce() -> P,
+    ) -> Option<(Option<f64>, RunResult)> {
+        let Policy::Static(baseline) = *self else {
+            let spec = self.spec().expect("non-static policies are controlled");
+            return Some((None, scenario.run(seed, &spec, profiles().as_ref())));
+        };
+        let (setting, mut run) = match baseline {
+            Baseline::Optimal | Baseline::Nonoptimal => {
+                let mut sweep = sweep_statics(scenario, seed);
+                let chosen = if baseline == Baseline::Optimal {
+                    sweep.optimal
+                } else {
+                    sweep.nonoptimal
+                };
+                sweep.runs.swap_remove(chosen?)
+            }
+            _ => {
+                let setting = baseline
+                    .fixed_setting()
+                    .or_else(|| scenario.static_setting(baseline))?;
+                (setting, scenario.run_static(setting, seed))
+            }
+        };
+        run.label = baseline.label();
+        Some((Some(setting), run))
     }
 }
 
@@ -373,7 +418,13 @@ pub fn run_fleet(
     let items = fleet_work_items(scenarios.len(), seeds, policies);
     let cache = ProfileCache::new(scenarios.len(), seeds);
     let shards = executor.execute(&items, |_, item| {
-        run_shard(scenarios[item.scenario].as_ref(), item, &cache)
+        let scenario = scenarios[item.scenario].as_ref();
+        let id = scenario.id();
+        let profiles = || cache.profiles(item.scenario, scenario, item.seed);
+        match item.policy.resolve(scenario, item.seed, profiles) {
+            Some((_, run)) => ShardReport::from_run(id, item.seed, &item.policy, &run),
+            None => ShardReport::unresolved(id, item.seed, &item.policy),
+        }
     });
     FleetReport {
         shards,
@@ -381,49 +432,11 @@ pub fn run_fleet(
     }
 }
 
-fn run_shard(
-    scenario: &(dyn Scenario + Send + Sync),
-    item: &FleetWorkItem,
-    cache: &ProfileCache,
-) -> ShardReport {
-    let id = scenario.id().to_string();
-    match item.policy {
-        Policy::Static(baseline) => {
-            let setting = match baseline {
-                Baseline::Optimal | Baseline::Nonoptimal => {
-                    let sweep = sweep_statics(scenario, item.seed);
-                    let found = if baseline == Baseline::Optimal {
-                        sweep.optimal_run()
-                    } else {
-                        sweep.nonoptimal_run()
-                    };
-                    found.map(|(s, _)| s)
-                }
-                _ => baseline
-                    .fixed_setting()
-                    .or_else(|| scenario.static_setting(baseline)),
-            };
-            match setting {
-                Some(s) => {
-                    let run = scenario.run_static(s, item.seed);
-                    ShardReport::from_run(&id, item.seed, &item.policy, &run)
-                }
-                None => ShardReport::unresolved(&id, item.seed, &item.policy),
-            }
-        }
-        policy => {
-            let spec = policy.spec().expect("non-static policies are controlled");
-            let profiles = cache.profiles(item.scenario, scenario, item.seed);
-            let run = scenario.run(item.seed, &spec, &profiles);
-            ShardReport::from_run(&id, item.seed, &item.policy, &run)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{PerfConf, TradeoffDirection};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
 
     /// Constraint: setting ≤ 100; trade-off = setting (higher better).
@@ -699,8 +712,78 @@ mod tests {
         }
     }
 
+    /// A controlled run's profiles, never collected for a static policy.
+    fn no_profiles() -> Vec<ProfileSet> {
+        unreachable!("static policies take no profiles")
+    }
+
     #[test]
-    fn policies_resolve_like_compare() {
+    fn resolves_defaults_oracle_and_fixed() {
+        // Every baseline variant: the defaults and a fixed setting run as
+        // declared, the sweep picks the best and worst satisfiers, and
+        // each run carries its baseline's label.
+        let cases = [
+            (Baseline::BuggyDefault, 140.0, false),
+            (Baseline::PatchDefault, 60.0, true),
+            (Baseline::Optimal, 100.0, true),
+            (Baseline::Nonoptimal, 20.0, true),
+            (Baseline::Fixed(80.0), 80.0, true),
+        ];
+        for (baseline, setting, ok) in cases {
+            let (resolved, run) = Policy::Static(baseline)
+                .resolve(&Toy, 42, no_profiles)
+                .unwrap();
+            assert_eq!(resolved, Some(setting), "{baseline:?}");
+            assert_eq!(run.constraint_ok, ok, "{baseline:?}");
+            assert_eq!(run.tradeoff, setting, "{baseline:?}");
+            assert_eq!(run.label, baseline.label());
+        }
+        let (setting, smart) = Policy::Smart
+            .resolve(&Toy, 42, Vec::<ProfileSet>::new)
+            .unwrap();
+        assert_eq!(setting, None);
+        assert_eq!(smart.label, "SmartConf");
+        assert!(smart.constraint_ok);
+    }
+
+    #[test]
+    fn unresolved_baseline_yields_no_run() {
+        // A default the scenario does not declare, and an oracle pair
+        // with no satisfying candidate, resolve to nothing; a fixed
+        // setting still runs.
+        struct Hopeless;
+        impl Scenario for Hopeless {
+            fn perfconf(&self) -> PerfConf {
+                PerfConf::toy("H", vec![500.0], TradeoffDirection::HigherIsBetter)
+            }
+            fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
+                RunResult::new("x", false, setting, "t", TradeoffDirection::HigherIsBetter)
+            }
+            fn run(&self, seed: u64, _spec: &RunSpec, _profiles: &[ProfileSet]) -> RunResult {
+                self.run_static(1.0, seed)
+            }
+            fn profile(&self, _seed: u64) -> ProfileSet {
+                ProfileSet::new()
+            }
+        }
+        for baseline in [
+            Baseline::BuggyDefault,
+            Baseline::Optimal,
+            Baseline::Nonoptimal,
+        ] {
+            assert!(Policy::Static(baseline)
+                .resolve(&Hopeless, 1, no_profiles)
+                .is_none());
+        }
+        let (setting, run) = Policy::Static(Baseline::Fixed(500.0))
+            .resolve(&Hopeless, 1, no_profiles)
+            .unwrap();
+        assert_eq!(setting, Some(500.0));
+        assert!(!run.constraint_ok);
+    }
+
+    #[test]
+    fn policies_resolve_in_fleet_shards() {
         let scenarios = roster();
         let report = run_fleet(
             &scenarios,
@@ -725,6 +808,40 @@ mod tests {
         assert!((optimal.tradeoff - 100.0).abs() < 1.0);
         let rate = report.constraint_satisfaction_rate();
         assert!((rate - 0.8).abs() < 1e-12, "rate {rate}"); // 8 of 10 ok
+    }
+
+    #[test]
+    fn optimal_shard_reports_the_sweeps_own_run() {
+        /// The toy, counting its static runs.
+        struct Counting(Arc<AtomicUsize>);
+        impl Scenario for Counting {
+            fn perfconf(&self) -> PerfConf {
+                Toy.perfconf()
+            }
+            fn run_static(&self, setting: f64, seed: u64) -> RunResult {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                Toy.run_static(setting, seed)
+            }
+            fn run(&self, seed: u64, spec: &RunSpec, profiles: &[ProfileSet]) -> RunResult {
+                Toy.run(seed, spec, profiles)
+            }
+            fn profile(&self, _seed: u64) -> ProfileSet {
+                ProfileSet::new()
+            }
+        }
+        let runs = Arc::new(AtomicUsize::new(0));
+        let scenarios: Vec<Box<dyn Scenario + Send + Sync>> =
+            vec![Box::new(Counting(runs.clone()))];
+        let policy = Policy::Static(Baseline::Optimal);
+        let report = run_fleet(&scenarios, &[42], &[policy], &FleetExecutor::new(1));
+        // One sweep over the candidates, and no second run of the winner.
+        assert_eq!(runs.load(Ordering::Relaxed), Toy.candidate_settings().len());
+        let sweep = sweep_statics(&Toy, 42);
+        let (_, optimal) = &sweep.runs[sweep.optimal.unwrap()];
+        assert_eq!(
+            report.shards,
+            vec![ShardReport::from_run("TOY", 42, &policy, optimal)]
+        );
     }
 
     #[test]

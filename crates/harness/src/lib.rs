@@ -5,16 +5,20 @@
 //! PerfConf once, as a [`PerfConf`]: the Table 6 row, the goal, bounds
 //! and initial setting, the profiling schedule and the guard fallbacks.
 //! Every controller it runs is synthesised from that declaration and a
-//! profile. The bench crate drives the scenarios through this common
-//! interface to regenerate Figure 5 (the SmartConf-vs-static speedup
-//! comparison), the time-series figures, and the exhaustive static
-//! sweep that finds the best static configuration.
+//! profile.
+//!
+//! [`Policy::resolve`] is the one path from a (scenario, seed, policy)
+//! triple to a run: a named static baseline runs its setting, the
+//! oracle pair keeps its run from the exhaustive static sweep
+//! ([`sweep_statics`]), and a controlled policy runs its [`RunSpec`].
+//! [`run_fleet`] maps its output to [`ShardReport`]s; the bench crate
+//! maps it to Figure 5's bars (the SmartConf-vs-static speedup
+//! comparison) and Figure 6's runs.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod chart;
-mod compare;
 mod fleet;
 mod outcome;
 mod report;
@@ -23,7 +27,6 @@ mod soak;
 mod sweep;
 
 pub use chart::AsciiChart;
-pub use compare::{compare, BaselineRun, Comparison};
 pub use fleet::{
     fleet_work_items, run_fleet, FleetReport, FleetWorkItem, Policy, ProfileCache, ShardReport,
 };
@@ -38,8 +41,7 @@ pub use sweep::{sweep_statics, StaticSweep};
 
 // The named static baselines, the per-epoch event log, and the fleet
 // executor are runtime types; scenario and bench crates reach them
-// through the harness so a comparison run and its structured log travel
-// together.
+// through the harness so a run and its structured log travel together.
 pub use smartconf_runtime::{
     Baseline, Campaign, ChaosSpec, EpochEvent, EpochLog, EpochSummary, FaultClass, FaultPlan,
     FaultSet, FleetExecutor, GuardPolicy, GuardSet, ProfileSchedule, Profiler, SampleMode,

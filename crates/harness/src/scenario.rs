@@ -196,12 +196,14 @@ pub trait Scenario {
 
 /// The per-mode entry points of the fleet benchmark under `perfbench/`,
 /// which calls them on `&(dyn Scenario + Send + Sync)`. Each forwards to
-/// [`Scenario::run`]; they are kept only for that caller and go away at
-/// its next change. Being inherent, they cannot be overridden.
+/// [`Policy::resolve`]; they are kept only for that caller and go away
+/// at its next change. Being inherent, they cannot be overridden.
 impl dyn Scenario + Send + Sync {
     fn run_policy(&self, policy: Policy, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let spec = policy.spec().expect("a controlled policy");
-        self.run(seed, &spec, profiles)
+        let (_, run) = policy
+            .resolve(self, seed, || profiles)
+            .expect("a controlled policy always runs");
+        run
     }
 
     /// [`Scenario::run`] under [`Policy::Smart`].

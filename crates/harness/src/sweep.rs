@@ -22,18 +22,6 @@ pub struct StaticSweep {
     pub nonoptimal: Option<usize>,
 }
 
-impl StaticSweep {
-    /// The best constraint-satisfying run, if any setting satisfied.
-    pub fn optimal_run(&self) -> Option<(f64, &RunResult)> {
-        self.optimal.map(|i| (self.runs[i].0, &self.runs[i].1))
-    }
-
-    /// The worst constraint-satisfying run.
-    pub fn nonoptimal_run(&self) -> Option<(f64, &RunResult)> {
-        self.nonoptimal.map(|i| (self.runs[i].0, &self.runs[i].1))
-    }
-}
-
 /// Runs every candidate static setting of `scenario` (in parallel) and
 /// classifies the best and worst constraint-satisfying choices.
 pub fn sweep_statics(scenario: &(impl Scenario + Sync + ?Sized), seed: u64) -> StaticSweep {
@@ -112,10 +100,8 @@ mod tests {
         assert_eq!(sweep.runs.len(), 4);
         let satisfying = sweep.runs.iter().filter(|(_, r)| r.constraint_ok);
         assert_eq!(satisfying.count(), 3);
-        let (best, _) = sweep.optimal_run().unwrap();
-        assert_eq!(best, 100.0);
-        let (worst, _) = sweep.nonoptimal_run().unwrap();
-        assert_eq!(worst, 20.0);
+        assert_eq!(sweep.runs[sweep.optimal.unwrap()].0, 100.0);
+        assert_eq!(sweep.runs[sweep.nonoptimal.unwrap()].0, 20.0);
     }
 
     /// A scenario where nothing satisfies.
@@ -138,8 +124,8 @@ mod tests {
     #[test]
     fn sweep_with_no_satisfying_setting() {
         let sweep = sweep_statics(&Hopeless, 1);
-        assert!(sweep.optimal_run().is_none());
-        assert!(sweep.nonoptimal_run().is_none());
+        assert!(sweep.optimal.is_none());
+        assert!(sweep.nonoptimal.is_none());
         assert!(sweep.runs.iter().all(|(_, r)| !r.constraint_ok));
     }
 
@@ -170,7 +156,7 @@ mod tests {
     #[test]
     fn lower_is_better_sweep() {
         let sweep = sweep_statics(&Latency, 1);
-        assert_eq!(sweep.optimal_run().unwrap().0, 3.0); // lowest latency
-        assert_eq!(sweep.nonoptimal_run().unwrap().0, 1.0);
+        assert_eq!(sweep.runs[sweep.optimal.unwrap()].0, 3.0); // lowest latency
+        assert_eq!(sweep.runs[sweep.nonoptimal.unwrap()].0, 1.0);
     }
 }

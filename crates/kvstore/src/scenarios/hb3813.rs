@@ -5,12 +5,12 @@
 //! out-of-memory failure. Unfortunately, a small queue reduces RPC
 //! throughput." (paper §6.2 case study; Figures 6 and 7.)
 //!
-//! The model: YCSB requests arrive (with bursts and occasional server
-//! pauses, so queue capacity matters for throughput); queued payloads are
-//! heap-resident alongside a fixed base and a fluctuating background
-//! churn. Exceeding the heap capacity is an OOM crash. The configuration
-//! bounds the queue *count*; the deputy variable is the actual queue
-//! length (an **indirect, hard** PerfConf — `N-N-Y` in Table 6).
+//! The model: YCSB requests arrive (with bursts, so queue capacity
+//! matters for throughput); queued payloads are heap-resident alongside
+//! a fixed base and a fluctuating background churn. Exceeding the heap
+//! capacity is an OOM crash. The configuration bounds the queue
+//! *count*; the deputy variable is the actual queue length (an
+//! **indirect, hard** PerfConf — `N-N-Y` in Table 6).
 
 use smartconf_core::{
     Controller, Goal, Hardness, ModelMode, ProfileSet, SmartConf, SmartConfIndirect,
@@ -70,8 +70,6 @@ pub struct Hb3813 {
     per_op_cost: SimDuration,
     /// Most operations one cycle may batch.
     batch_max: usize,
-    pause_gap_mean: SimDuration,
-    pause_len_secs: (f64, f64),
     eval: PhasedWorkload<YcsbWorkload>,
     profile_workload: YcsbWorkload,
 }
@@ -95,11 +93,6 @@ impl Hb3813 {
             cycle_overhead: SimDuration::from_secs(2),
             per_op_cost: SimDuration::from_millis(20),
             batch_max: 512,
-            // No service pauses in the standard setup: a GC-style pause
-            // would stop allocation as well, and the saturated workload
-            // already exercises the queue bound continuously.
-            pause_gap_mean: SimDuration::ZERO,
-            pause_len_secs: (1.0, 3.0),
             eval: PhasedWorkload::new(vec![
                 (SimDuration::from_secs(200), Self::workload("1.0W", 1.0)),
                 (SimDuration::from_secs(200), Self::workload("1.0W", 2.0)),
@@ -268,12 +261,9 @@ impl Hb3813 {
             fixed_period,
             phased: workload.clone(),
             busy: false,
-            paused: false,
             cycle_overhead: self.cycle_overhead,
             per_op_cost: self.per_op_cost,
             batch_max: self.batch_max,
-            pause_gap_mean: self.pause_gap_mean,
-            pause_len_secs: self.pause_len_secs,
             completed: 0,
             crashed: None,
             goal_mb: self.heap_goal_mb(),
@@ -293,9 +283,6 @@ impl Hb3813 {
         sim.schedule_at(SimTime::ZERO, Ev::Sample);
         if sim.model().fixed_period {
             sim.schedule_at(SimTime::ZERO, Ev::ControlTick);
-        }
-        if !self.pause_gap_mean.is_zero() {
-            sim.schedule_in(self.pause_gap_mean, Ev::PauseStart);
         }
         sim.run_until(horizon);
 
@@ -392,8 +379,6 @@ enum Ev {
     ChurnTick,
     ControlTick,
     Sample,
-    PauseStart,
-    PauseEnd,
 }
 
 #[derive(Debug)]
@@ -409,12 +394,9 @@ struct QueueModel {
     fixed_period: bool,
     phased: PhasedWorkload<YcsbWorkload>,
     busy: bool,
-    paused: bool,
     cycle_overhead: SimDuration,
     per_op_cost: SimDuration,
     batch_max: usize,
-    pause_gap_mean: SimDuration,
-    pause_len_secs: (f64, f64),
     completed: u64,
     crashed: Option<SimTime>,
     /// The user's memory goal in MB; exceeding it marks the run as
@@ -490,7 +472,7 @@ impl QueueModel {
     /// work, which is why queue capacity buys throughput (and why the
     /// paper's Figure 6a shows higher slopes for larger queue bounds).
     fn maybe_start_service(&mut self, ctx: &mut Context<'_, Ev>) {
-        if !self.busy && !self.paused && !self.queue.is_empty() {
+        if !self.busy && !self.queue.is_empty() {
             self.busy = true;
             let depth = self.queue.len().min(self.batch_max);
             let amortized = self.cycle_overhead.as_micros() as f64 / (1.0 + depth as f64);
@@ -568,18 +550,6 @@ impl Model for QueueModel {
                 if ctx.now() < self.horizon {
                     ctx.schedule_in(SAMPLE_TICK, Ev::Sample);
                 }
-            }
-            Ev::PauseStart => {
-                self.paused = true;
-                let (lo, hi) = self.pause_len_secs;
-                let len = SimDuration::from_secs_f64(ctx.rng().uniform(lo, hi));
-                ctx.schedule_in(len, Ev::PauseEnd);
-            }
-            Ev::PauseEnd => {
-                self.paused = false;
-                self.maybe_start_service(ctx);
-                let gap = ctx.rng().exp_gap(self.pause_gap_mean);
-                ctx.schedule_in(gap, Ev::PauseStart);
             }
         }
     }

@@ -9,7 +9,7 @@
 //! never violates the constraint while the two bounds trade the budget
 //! between themselves.
 
-use smartconf_core::{Goal, Hardness, ProfileSet, Registry, SmartConfIndirect};
+use smartconf_core::{Goal, Hardness, ProfileSet, SmartConfIndirect};
 use smartconf_harness::{PerfConf, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_metrics::TimeSeries;
 use smartconf_runtime::{
@@ -33,7 +33,9 @@ pub struct TwinRunResult {
     /// `response.queue.maxsize_mb`, `request_queue.len`,
     /// `response_queue.bytes_mb`.
     pub result: RunResult,
-    /// The interaction factor each controller used (must be 2).
+    /// The §5.4 interaction factor `N` the request-queue controller
+    /// applied: 2 from the plane's super-hard grouping, unless an
+    /// ablation overrode it.
     pub interaction_n: u32,
 }
 
@@ -190,22 +192,7 @@ impl TwinQueues {
         profiles: &[ProfileSet],
         interaction: Option<u32>,
     ) -> TwinRunResult {
-        // Registry drives the coordination: two configurations mapped to
-        // one super-hard metric gives each controller N = 2 (§5.4).
         let conf = self.perfconf();
-        let metric = conf.goal.metric();
-        let mut registry = Registry::new();
-        registry
-            .add_conf("max.queue.size", metric, conf.initial, conf.bounds)
-            .add_conf(
-                "ipc.server.response.queue.maxsize",
-                metric,
-                conf.initial,
-                conf.bounds,
-            )
-            .set_goal(conf.goal.clone());
-        let interaction_n = interaction.unwrap_or_else(|| registry.interaction_count(metric));
-
         let req_conf =
             SmartConfIndirect::new("max.queue.size", conf.controller(&profiles[0], spec.model));
         let resp_conf = SmartConfIndirect::new(
@@ -227,6 +214,10 @@ impl TwinQueues {
             plane.set_interaction(req_chan, n).expect("positive N");
             plane.set_interaction(resp_chan, n).expect("positive N");
         }
+        let interaction_n = match plane.decider(req_chan) {
+            Decider::Deputy(sc) => sc.controller().interaction(),
+            _ => unreachable!("both twin channels are deputy controllers"),
+        };
         if let Some(chaos) = spec.chaos(seed, conf.guard) {
             plane.enable_chaos(chaos);
         }

@@ -3,7 +3,7 @@
 //! behaviour on the repository's fixed experiment seed.
 
 use smartconf::dfs::Hd4995;
-use smartconf::harness::{compare, Baseline, Scenario, TradeoffDirection};
+use smartconf::harness::{Baseline, Policy, Scenario, TradeoffDirection};
 use smartconf::kvstore::scenarios::{Ca6059, Hb2149, Hb3813, Hb6728, TwinQueues};
 use smartconf::mapred::Mr2820;
 
@@ -46,16 +46,25 @@ fn smartconf_satisfies_every_constraint() {
 #[test]
 fn buggy_defaults_fail_everywhere() {
     // "The original default settings in all 6 issues fail" (paper 6.2),
-    // while SmartConf satisfies — the shared comparison helper owns both
-    // halves of that assertion.
+    // while SmartConf satisfies: both halves run through the one
+    // resolver from (scenario, seed, policy) to a run.
     for s in all() {
-        let cmp = compare(s.as_ref(), &[Baseline::BuggyDefault], SEED);
+        let profiles = || s.evaluation_profiles(SEED);
+        let (_, smart) = Policy::Smart.resolve(s.as_ref(), SEED, profiles).unwrap();
         assert!(
-            cmp.run_for(Baseline::BuggyDefault).is_some(),
-            "{}: every case study documents its buggy default",
+            smart.constraint_ok,
+            "{}: SmartConf violated its constraint (crash at {:?})",
+            s.id(),
+            smart.crash_time_us
+        );
+        let (_, buggy) = Policy::Static(Baseline::BuggyDefault)
+            .resolve(s.as_ref(), SEED, profiles)
+            .unwrap_or_else(|| panic!("{}: every case study documents its buggy default", s.id()));
+        assert!(
+            !buggy.constraint_ok,
+            "{}: expected the buggy default to violate the constraint, but it held",
             s.id()
         );
-        cmp.assert_smart_fixes_defaults(&[Baseline::BuggyDefault]);
     }
 }
 
