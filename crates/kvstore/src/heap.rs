@@ -1,7 +1,5 @@
 //! A JVM-style heap with named components and a hard capacity.
 
-use std::collections::BTreeMap;
-
 /// Tracks heap usage as a set of named components against a fixed
 /// capacity.
 ///
@@ -23,10 +21,13 @@ use std::collections::BTreeMap;
 /// heap.set_component("churn", 300_000_000);
 /// assert!(heap.is_oom());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeapModel {
     capacity: u64,
-    components: BTreeMap<&'static str, u64>,
+    /// Every component ever set, sorted by name (a plant sets a handful).
+    components: Vec<(&'static str, u64)>,
+    /// Exact sum of `components`: a `u128` cannot overflow on `u64` terms.
+    total: u128,
 }
 
 impl HeapModel {
@@ -39,25 +40,37 @@ impl HeapModel {
         assert!(capacity > 0, "heap capacity must be positive");
         HeapModel {
             capacity,
-            components: BTreeMap::new(),
+            components: Vec::new(),
+            total: 0,
         }
+    }
+
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.components.binary_search_by(|&(n, _)| n.cmp(name))
     }
 
     /// Sets a named component's usage.
     pub fn set_component(&mut self, name: &'static str, bytes: u64) {
-        self.components.insert(name, bytes);
+        match self.find(name) {
+            Ok(i) => {
+                let old = std::mem::replace(&mut self.components[i].1, bytes);
+                self.total = self.total - u128::from(old) + u128::from(bytes);
+            }
+            Err(i) => {
+                self.components.insert(i, (name, bytes));
+                self.total += u128::from(bytes);
+            }
+        }
     }
 
     /// Reads a named component's usage (0 if never set).
     pub fn component(&self, name: &str) -> u64 {
-        self.components.get(name).copied().unwrap_or(0)
+        self.find(name).map_or(0, |i| self.components[i].1)
     }
 
     /// Total used bytes across components (saturating).
     pub fn used_bytes(&self) -> u64 {
-        self.components
-            .values()
-            .fold(0u64, |acc, &v| acc.saturating_add(v))
+        u64::try_from(self.total).unwrap_or(u64::MAX)
     }
 
     /// Used bytes as megabytes (decimal MB, matching the paper's figures).
@@ -128,5 +141,87 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_panics() {
         let _ = HeapModel::new(0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Every component name the kvstore plants set.
+    const NAMES: [&str; 7] = [
+        "base",
+        "churn",
+        "memstore",
+        "memtable",
+        "read_cache",
+        "response_queue",
+        "rpc_queue",
+    ];
+
+    /// `(name, kind, draw)` triples: `kind` picks 0, `u64::MAX`, a value
+    /// just below it, a plant-sized value or the raw draw.
+    fn sets() -> impl Strategy<Value = Vec<(usize, u8, u64)>> {
+        prop::collection::vec((0..NAMES.len(), 0u8..5, 0u64..=u64::MAX), 0..40)
+    }
+
+    fn bytes(kind: u8, draw: u64) -> u64 {
+        match kind {
+            0 => 0,
+            1 => u64::MAX,
+            2 => u64::MAX - draw % 1_000,
+            3 => draw % 1_000_000_000,
+            _ => draw,
+        }
+    }
+
+    fn apply(sets: &[(usize, u64)]) -> HeapModel {
+        let mut heap = HeapModel::new(495_000_000);
+        for &(name, bytes) in sets {
+            heap.set_component(NAMES[name], bytes);
+        }
+        heap
+    }
+
+    fn resolve(sets: &[(usize, u8, u64)]) -> Vec<(usize, u64)> {
+        sets.iter()
+            .map(|&(name, kind, draw)| (name, bytes(kind, draw)))
+            .collect()
+    }
+
+    proptest! {
+        /// The running total equals the saturating fold over the
+        /// components, and each lookup reads the last value set.
+        #[test]
+        fn total_matches_saturating_fold(sets in sets()) {
+            let sets = resolve(&sets);
+            let heap = apply(&sets);
+            let mut last = BTreeMap::new();
+            for &(name, bytes) in &sets {
+                last.insert(NAMES[name], bytes);
+            }
+            let fold = last.values().fold(0u64, |acc, &v| acc.saturating_add(v));
+            prop_assert_eq!(heap.used_bytes(), fold);
+            prop_assert_eq!(heap.is_oom(), fold > 495_000_000);
+            prop_assert_eq!(heap.free_bytes(), 495_000_000u64.saturating_sub(fold));
+            for name in NAMES {
+                prop_assert_eq!(heap.component(name), last.get(name).copied().unwrap_or(0));
+            }
+        }
+
+        /// Two heaps holding the same final components compare equal
+        /// whatever order the components were first set in.
+        #[test]
+        fn equality_ignores_insertion_order(sets in sets()) {
+            let sets = resolve(&sets);
+            let mut last = BTreeMap::new();
+            for &(name, bytes) in &sets {
+                last.insert(name, bytes);
+            }
+            let reversed: Vec<(usize, u64)> = last.iter().rev().map(|(&n, &b)| (n, b)).collect();
+            prop_assert_eq!(apply(&sets), apply(&reversed));
+        }
     }
 }

@@ -22,12 +22,15 @@ pub trait Model {
 
 /// Scheduling and randomness facilities passed to [`Model::handle`].
 ///
-/// Events scheduled here are merged into the calendar after the handler
-/// returns. Ties in time are delivered in scheduling order (FIFO).
+/// Events scheduled here go straight into the calendar, each numbered in
+/// call order after everything scheduled before it, so delivery order is
+/// a function of the `(time, number)` keys alone. Ties in time are
+/// delivered in scheduling order (FIFO).
 pub struct Context<'a, E> {
     now: SimTime,
     rng: &'a mut SimRng,
-    pending: Vec<(SimTime, E)>,
+    queue: &'a mut BinaryHeap<Scheduled<E>>,
+    seq: &'a mut u64,
     halt: bool,
 }
 
@@ -35,7 +38,7 @@ impl<E> fmt::Debug for Context<'_, E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Context")
             .field("now", &self.now)
-            .field("pending", &self.pending.len())
+            .field("queued", &self.queue.len())
             .field("halt", &self.halt)
             .finish()
     }
@@ -49,7 +52,7 @@ impl<E> Context<'_, E> {
 
     /// Schedules `event` to fire after `delay`.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.pending.push((self.now + delay, event));
+        push(self.queue, self.seq, self.now + delay, event);
     }
 
     /// Schedules `event` at an absolute time.
@@ -63,7 +66,7 @@ impl<E> Context<'_, E> {
             "cannot schedule into the past: {at} < {}",
             self.now
         );
-        self.pending.push((at, event));
+        push(self.queue, self.seq, at, event);
     }
 
     /// The simulation's random source.
@@ -72,8 +75,9 @@ impl<E> Context<'_, E> {
     }
 
     /// Stops the simulation after this handler returns, discarding any
-    /// remaining calendar entries. Used by models to signal a terminal
-    /// failure such as an out-of-memory crash.
+    /// remaining calendar entries, those this handler scheduled included.
+    /// Used by models to signal a terminal failure such as an
+    /// out-of-memory crash.
     pub fn halt(&mut self) {
         self.halt = true;
     }
@@ -85,6 +89,16 @@ struct Scheduled<E> {
     at: SimTime,
     seq: u64,
     event: E,
+}
+
+/// Numbers `event` after everything scheduled before it and pushes it.
+fn push<E>(queue: &mut BinaryHeap<Scheduled<E>>, seq: &mut u64, at: SimTime, event: E) {
+    *seq += 1;
+    queue.push(Scheduled {
+        at,
+        seq: *seq,
+        event,
+    });
 }
 
 impl<E> PartialEq for Scheduled<E> {
@@ -179,12 +193,7 @@ impl<M: Model> Simulation<M> {
             "cannot schedule into the past: {at} < {}",
             self.clock
         );
-        self.seq += 1;
-        self.queue.push(Scheduled {
-            at,
-            seq: self.seq,
-            event,
-        });
+        push(&mut self.queue, &mut self.seq, at, event);
     }
 
     /// Schedules an event after a delay from the current clock.
@@ -209,20 +218,12 @@ impl<M: Model> Simulation<M> {
         let mut ctx = Context {
             now: self.clock,
             rng: &mut self.rng,
-            pending: Vec::new(),
+            queue: &mut self.queue,
+            seq: &mut self.seq,
             halt: false,
         };
         self.model.handle(next.event, &mut ctx);
-        let Context { pending, halt, .. } = ctx;
-        for (at, event) in pending {
-            self.seq += 1;
-            self.queue.push(Scheduled {
-                at,
-                seq: self.seq,
-                event,
-            });
-        }
-        if halt {
+        if ctx.halt {
             self.halted = true;
             self.queue.clear();
         }
@@ -411,6 +412,8 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     struct Collect {
         seen: Vec<(u64, u32)>,
@@ -465,5 +468,147 @@ mod proptests {
 
             prop_assert_eq!(&whole.model().seen, &halves.model().seen);
         }
+
+        /// Handlers that schedule 0-3 events each (at `now`, as same-time
+        /// ties, or later) and sometimes halt deliver exactly the
+        /// sequence a reference calendar sorted by `(at, seq)` gives,
+        /// `seq` numbered in call order; `run_until` includes its
+        /// deadline, and a halting step drops what it scheduled.
+        #[test]
+        fn calendar_matches_sorted_reference(
+            initial in prop::collection::vec(0u64..8, 1..6),
+            plans in prop::collection::vec((prop::collection::vec(0u64..4, 0..4), 0u8..20), 0..80),
+            deadline in 0u64..40,
+        ) {
+            let plans: Vec<(Vec<u64>, bool)> =
+                plans.into_iter().map(|(delays, h)| (delays, h == 0)).collect();
+            let (want, want_pending) = reference(&initial, &plans);
+            let drops = Rc::new(RefCell::new(Vec::new()));
+            let mut sim = Simulation::new(Script::new(&plans, initial.len(), &drops), 1);
+            for (id, &at) in initial.iter().enumerate() {
+                sim.schedule_at(SimTime::from_micros(at), Token::new(id as u32, &drops));
+            }
+
+            sim.run_until(SimTime::from_micros(deadline));
+            let prefix: Vec<(u64, u32)> =
+                want.iter().copied().filter(|&(at, _)| at <= deadline).collect();
+            prop_assert_eq!(&sim.model().seen, &prefix);
+            // Unless it halted, the clock reads the deadline.
+            if want_pending.is_none() || prefix.len() < want.len() {
+                prop_assert_eq!(sim.now().as_micros(), deadline);
+            }
+
+            sim.run();
+            prop_assert_eq!(&sim.model().seen, &want);
+            if let Some(pending) = want_pending {
+                // Everything still on the calendar when the model halted,
+                // what the halting step scheduled included, was dropped
+                // undelivered.
+                let mut dropped: Vec<u32> = drops.borrow().clone();
+                dropped.retain(|id| !want.iter().any(|&(_, seen)| seen == *id));
+                dropped.sort_unstable();
+                prop_assert_eq!(dropped, pending);
+            }
+        }
+    }
+
+    /// An event that logs its id when dropped.
+    struct Token {
+        id: u32,
+        drops: Rc<RefCell<Vec<u32>>>,
+    }
+
+    impl Token {
+        fn new(id: u32, drops: &Rc<RefCell<Vec<u32>>>) -> Self {
+            Token {
+                id,
+                drops: Rc::clone(drops),
+            }
+        }
+    }
+
+    impl Drop for Token {
+        fn drop(&mut self) {
+            self.drops.borrow_mut().push(self.id);
+        }
+    }
+
+    /// Handles the `k`-th delivered event by `plans[k]`: schedules one
+    /// fresh id after each delay, then halts if the plan says so.
+    struct Script {
+        plans: Vec<(Vec<u64>, bool)>,
+        seen: Vec<(u64, u32)>,
+        next_id: u32,
+        drops: Rc<RefCell<Vec<u32>>>,
+    }
+
+    impl Script {
+        fn new(plans: &[(Vec<u64>, bool)], first_id: usize, drops: &Rc<RefCell<Vec<u32>>>) -> Self {
+            Script {
+                plans: plans.to_vec(),
+                seen: Vec::new(),
+                next_id: first_id as u32,
+                drops: Rc::clone(drops),
+            }
+        }
+    }
+
+    impl Model for Script {
+        type Event = Token;
+        fn handle(&mut self, token: Token, ctx: &mut Context<'_, Token>) {
+            let now = ctx.now();
+            self.seen.push((now.as_micros(), token.id));
+            let Some((delays, halt)) = self.plans.get(self.seen.len() - 1) else {
+                return;
+            };
+            for (i, &delay) in delays.iter().enumerate() {
+                let event = Token::new(self.next_id, &self.drops);
+                self.next_id += 1;
+                // Alternate the two entry points so both number in call order.
+                if i % 2 == 0 {
+                    ctx.schedule_in(SimDuration::from_micros(delay), event);
+                } else {
+                    ctx.schedule_at(now + SimDuration::from_micros(delay), event);
+                }
+            }
+            if *halt {
+                ctx.halt();
+            }
+        }
+    }
+
+    /// The delivery sequence of `initial` under `plans` by a linear scan
+    /// for the least `(at, seq)`, and, if a plan halts, the sorted ids
+    /// left undelivered.
+    fn reference(
+        initial: &[u64],
+        plans: &[(Vec<u64>, bool)],
+    ) -> (Vec<(u64, u32)>, Option<Vec<u32>>) {
+        let mut calendar: Vec<(u64, u64, u32)> = initial
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| (at, i as u64, i as u32))
+            .collect();
+        let mut seq = initial.len() as u64;
+        let mut next_id = initial.len() as u32;
+        let mut seen = Vec::new();
+        while let Some(i) = (0..calendar.len()).min_by_key(|&i| (calendar[i].0, calendar[i].1)) {
+            let (now, _, id) = calendar.swap_remove(i);
+            seen.push((now, id));
+            let Some((delays, halt)) = plans.get(seen.len() - 1) else {
+                continue;
+            };
+            for &delay in delays {
+                calendar.push((now + delay, seq, next_id));
+                seq += 1;
+                next_id += 1;
+            }
+            if *halt {
+                let mut pending: Vec<u32> = calendar.iter().map(|&(_, _, id)| id).collect();
+                pending.sort_unstable();
+                return (seen, Some(pending));
+            }
+        }
+        (seen, None)
     }
 }
